@@ -66,9 +66,12 @@ def q_star(q: float, n: int) -> float:
             (n - 1.0) / r + 1.0 / q >= 1.0 - 1e-12
 
     eps = 1e-6 * value
-    assert admissible(value - eps), "computed q* fails its sup characterization"
-    assert not admissible(value + 10 * eps) or value == n, \
-        "computed q* is not maximal"
+    if not admissible(value - eps):
+        raise RuntimeError(f"q* = {value} for q = {q}, n = {n} fails its "
+                           "sup characterization")
+    if admissible(value + 10 * eps) and value != n:
+        raise RuntimeError(f"q* = {value} for q = {q}, n = {n} is not "
+                           "maximal")
     return value
 
 

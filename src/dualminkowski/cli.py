@@ -104,6 +104,8 @@ def _cmd_solve(config: dict, args) -> int:
         "converged": report.converged,
         "convergence_reason": report.convergence_reason,
         "iterations": report.iterations,
+        "kernel_passes": report.kernel_passes,
+        "candidate_rebuilds": report.candidate_rebuilds,
         "phi_final": report.phi_trace[-1] if report.phi_trace else None,
         "gradient_final": report.grad_trace[-1] if report.grad_trace else None,
         "gradient_floor": report.gradient_floor,

@@ -545,7 +545,9 @@ def invariant_directions(group: OrthogonalGroup, count: int,
             add_orbit(stack[i])
 
     dirs = np.vstack(accepted)
-    assert dirs.shape[0] == count
+    if dirs.shape[0] != count:
+        raise RuntimeError(f"orbit plan placed {dirs.shape[0]} directions, "
+                           f"expected {count}")
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 

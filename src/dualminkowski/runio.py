@@ -234,15 +234,19 @@ def read_body_file(path: str) -> SupportPolytope:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     try:
-        assert lines[0].startswith("n ")
+        if not lines[0].startswith("n "):
+            raise ValueError(f"first line must be 'n <dim>', got {lines[0]!r}")
         n = int(lines[0].split()[1])
         count = int(lines[1].split()[1])
-        assert lines[2] == "normals"
+        if lines[2] != "normals":
+            raise ValueError(f"expected 'normals' header, got {lines[2]!r}")
         normals = np.array([[float(x) for x in ln.split()]
                             for ln in lines[3:3 + count]])
-        assert lines[3 + count] == "support"
+        if lines[3 + count] != "support":
+            raise ValueError(f"expected 'support' header after {count} "
+                             f"normals, got {lines[3 + count]!r}")
         support = np.array([float(ln) for ln in lines[4 + count:4 + 2 * count]])
-    except (AssertionError, IndexError, ValueError) as exc:
+    except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed body file {path}: {exc}") from exc
     return SupportPolytope(dim=n, normals=normals, support=support)
 

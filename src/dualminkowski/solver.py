@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,6 @@ __all__ = [
     "euler_lagrange_check",
     "solve_problem",
 ]
-
-_POS_DENOM_TOL = 1e-14  # must match bodies.radial_profile
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,8 @@ class SolutionReport:
     floor_hit: bool
     diameter_alarm: bool
     iterations: int
+    kernel_passes: int  # node-facet passes; a diameter sample is two
+    candidate_rebuilds: int  # candidate-list builds, first builds included
     wall_time: float
     orbit_values_trace: list
 
@@ -195,49 +196,112 @@ def reduce_to_orbits(spec: ProblemSpec) -> OrbitReduction:
     return OrbitReduction(partition=part, orbit_of=orbit_of, representatives=reps)
 
 
+class _Candidates(NamedTuple):
+    """Per-node candidate facets, one node per column, padded to a common
+    number of rows."""
+
+    ratio: float        # exact for every h with min(h) / max(h) >= ratio
+    cols: np.ndarray    # (width, nodes) facet indices
+    values: np.ndarray  # (width, nodes) node-facet inner products at cols
+
+
+# Relative slack on the pruning bound: a computed A / h carries under 1e-15
+# relative rounding, so the true winner always clears the loosened bound.
+_PRUNE_SLACK = 1e-12
+# Lists are built for 0.95 * min(h) / max(h): near r = 1 that keeps about 3%
+# of the facets per node, and r may fall 5% before a rebuild (~20 passes).
+_REBUILD_MARGIN = 0.95
+
+
 class _EntropyKernel:
     """Cached node-direction geometry for fast repeated evaluations.
 
-    The node-direction inner products are fixed during a solve; only the
-    support numbers change. Facet assignment replicates radial_profile's
-    rule bit-for-bit (same positivity mask, argmin ties to smallest index).
+    The inner products A = nodes @ directions.T are fixed during a solve;
+    only the support numbers h change. The exit facet at node u maximizes
+    A[u, i] / h_i with ties to the smallest index, the facet rule of
+    radial_profile; rho = 1 / max_i (A[u, i] / h_i) equals radial_profile's
+    min_i h_i / A[u, i] only to rounding.
+
+    The pass is pruned exactly. With r = min(h) / max(h), facet i can win at
+    u only if A[u, i] >= r * max_j A[u, j]. Each node keeps the list of
+    facets that clear this bound at a built ratio, and a pass scans only
+    those; the lists are rebuilt when an h arrives whose r is below the
+    built ratio. Every facet attaining the maximum is on the list, and the
+    exit facet is the smallest of them, so rho, the exit facets and
+    everything summed from them equal the dense pass over A bit for bit.
+    The antipodal nodes -u (for the diameter) keep lists of their own.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         grid, dirs = spec.grid, spec.directions
         self.denom = grid.nodes @ dirs.T
-        self.denom_neg = -self.denom
         n = spec.dim
         self.q_factor = spec.q_body.radial(grid.nodes) ** (n - spec.q) / n
         self.weights = grid.weights
         self.n_dirs = dirs.shape[0]
+        self._nodes = np.arange(self.denom.shape[0])
+        self._lists = {False: None, True: None}  # keyed by `antipodal`
+        self.passes = 0
+        self.rebuilds = 0
 
-    def _rho(self, h: np.ndarray, denom: np.ndarray, want_idx: bool):
-        # rho = 1 / max_i <u, v_i>/h_i; nonpositive inner products can never
-        # attain the max (positive spanning), so no mask is needed, and the
-        # first-max tie rule coincides with radial_profile's first-min rule
-        scaled = denom * (1.0 / h)[None, :]
-        if want_idx:
-            idx = np.argmax(scaled, axis=1)
-            return 1.0 / scaled[np.arange(scaled.shape[0]), idx], idx
-        return 1.0 / np.max(scaled, axis=1), None
+    def _build(self, ratio: float, antipodal: bool) -> _Candidates:
+        denom = self.denom
+        # node -u has inner products -A[u]: compare A with -cut rather than
+        # negating the whole matrix
+        top = -np.min(denom, axis=1) if antipodal else np.max(denom, axis=1)
+        if not np.all(top > 0):
+            raise ValueError(
+                f"no positive inner product at node {int(np.argmin(top))}; "
+                "directions do not positively span")
+        cut = (ratio * (1.0 - _PRUNE_SLACK)) * top[:, None]
+        mask = denom <= -cut if antipodal else denom >= cut
+        nodes, cols = np.divmod(np.flatnonzero(mask), self.n_dirs)
+        counts = np.bincount(nodes, minlength=denom.shape[0])
+        start = np.cumsum(counts) - counts
+        # pad each node with repeats of its first candidate (same value and
+        # index, so neither the maximum nor the exit facet can change)
+        padded = np.repeat(cols[start][None, :], int(counts.max()), axis=0)
+        padded[np.arange(nodes.size) - start[nodes], nodes] = cols
+        values = denom[self._nodes, padded]
+        self.rebuilds += 1
+        return _Candidates(ratio, padded, -values if antipodal else values)
+
+    def _rho(self, h: np.ndarray, want_idx: bool, antipodal: bool = False):
+        """rho at every node u (or -u), and the exit facets if want_idx."""
+        self.passes += 1
+        ratio = float(np.min(h) / np.max(h))
+        if not ratio > 0:
+            raise ValueError("support numbers must be positive and finite")
+        cand = self._lists[antipodal]
+        if cand is None or ratio < cand.ratio:
+            cand = self._build(_REBUILD_MARGIN * ratio, antipodal)
+            self._lists[antipodal] = cand
+        scaled = (1.0 / h)[cand.cols]
+        scaled *= cand.values
+        best = np.max(scaled, axis=0)
+        if not want_idx:
+            return 1.0 / best, None
+        # the dense argmax's first-index rule: smallest facet attaining best
+        idx = np.min(np.where(scaled == best, cand.cols, self.n_dirs), axis=0)
+        return 1.0 / best, idx
 
     def dual_volume(self, h: np.ndarray) -> float:
-        rho, _ = self._rho(h, self.denom, want_idx=False)
+        rho, _ = self._rho(h, want_idx=False)
         return stable_sum(rho ** self.spec.q * self.q_factor * self.weights)
 
-    def phi(self, h: np.ndarray) -> float:
+    def phi(self, h: np.ndarray) -> tuple[float, float]:
+        """Return (phi, dual volume) at h."""
         mass = stable_sum(h ** self.spec.p * self.spec.mu.atoms)
         vol = self.dual_volume(h)
-        return math.log(mass) / self.spec.p - math.log(vol) / self.spec.q
+        return math.log(mass) / self.spec.p - math.log(vol) / self.spec.q, vol
 
     def state(self, h: np.ndarray):
         """Return (phi, full log-gradient, curvature atoms, dual volume,
         node_jump), where node_jump is the largest single-node contribution
         to the normalized atoms: the resolution limit of the gradient."""
         p, q = self.spec.p, self.spec.q
-        rho, idx = self._rho(h, self.denom, want_idx=True)
+        rho, idx = self._rho(h, want_idx=True)
         values = rho ** q * self.q_factor * self.weights
         atoms = np.bincount(idx, weights=values, minlength=self.n_dirs)
         vol = stable_sum(atoms)
@@ -250,8 +314,8 @@ class _EntropyKernel:
         return phi, log_grad, atoms, vol, node_jump
 
     def diameter(self, h: np.ndarray) -> float:
-        rho, _ = self._rho(h, self.denom, want_idx=False)
-        rho_neg, _ = self._rho(h, self.denom_neg, want_idx=False)
+        rho, _ = self._rho(h, want_idx=False)
+        rho_neg, _ = self._rho(h, want_idx=False, antipodal=True)
         return float(np.max(rho + rho_neg))
 
 
@@ -350,7 +414,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
                 floor_hit = True
                 theta_new = np.maximum(theta_new, math.log(floor))
                 h_new = np.exp(theta_new)[red.orbit_of]
-            phi_new = kernel.phi(h_new)
+            phi_new, vol_new = kernel.phi(h_new)
             if phi_new <= phi - step * target_drop:
                 accepted = True
                 break
@@ -361,7 +425,6 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
             break
         last_step = step
 
-        vol_new = kernel.dual_volume(h_new)
         theta = theta_new - math.log(vol_new) / q
         h = np.exp(theta)[red.orbit_of]
         phi_after_rescale_pred = phi_new  # scale invariance: must match next phi
@@ -374,7 +437,8 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         euler_pairing_max=pairing_max, residual=float("nan"),
         converged=converged, convergence_reason=reason, gradient_floor=node_jump,
         floor_hit=floor_hit, diameter_alarm=diameter_alarm,
-        iterations=iteration + 1, wall_time=time.perf_counter() - t0,
+        iterations=iteration + 1, kernel_passes=kernel.passes,
+        candidate_rebuilds=kernel.rebuilds, wall_time=time.perf_counter() - t0,
         orbit_values_trace=orbit_trace,
     )
     return body, report

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dualminkowski
 from dualminkowski.bodies import cube_polytope
 from dualminkowski.cli import (
     EXIT_BOUND_VIOLATION,
@@ -108,6 +111,9 @@ class TestSolveCommand:
         assert manifest["command"] == "solve"
         assert manifest["outcome"]["converged"]
         assert manifest["outcome"]["s_exponent"] == pytest.approx(4.0 / 3.0)
+        iterations = manifest["outcome"]["iterations"]
+        assert manifest["outcome"]["kernel_passes"] > iterations
+        assert manifest["outcome"]["candidate_rebuilds"] >= 2
         assert set(manifest["outputs"]) == {"body.txt", "convergence.csv",
                                             "measure_atoms.csv"}
         body = read_body_file(os.path.join(run_dir, "body.txt"))
@@ -234,6 +240,30 @@ class TestBodyFileFormat:
         path.write_text("n 3\nfacets 2\nnormals\n1 0 0\n")
         with pytest.raises(ConfigError, match="malformed"):
             read_body_file(str(path))
+
+    def test_malformed_rejected_under_optimize(self, tmp_path):
+        """Header checks must survive python -O, which strips asserts."""
+        path = tmp_path / "bad.txt"
+        write_body_file(str(path), cube_polytope(3))
+        path.write_text(path.read_text().replace("normals", "NORMALS"))
+        probe = (
+            "import sys\n"
+            "from dualminkowski.runio import ConfigError, read_body_file\n"
+            "try:\n"
+            "    read_body_file(sys.argv[1])\n"
+            "except ConfigError as exc:\n"
+            "    print('ConfigError', sys.flags.optimize, exc)\n"
+            "else:\n"
+            "    print('accepted', sys.flags.optimize)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dualminkowski.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", probe, str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ConfigError 1 "), done.stdout
+        assert "'NORMALS'" in done.stdout
 
 
 def test_selftest_command():

@@ -1,8 +1,11 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dualminkowski import solver
 from dualminkowski.bodies import StarBody, is_invariant, radial_profile
 from dualminkowski.groups import (
     OrthogonalGroup,
@@ -22,7 +25,7 @@ from dualminkowski.solver import (
     reduce_to_orbits,
     solve_problem,
 )
-from dualminkowski.sphere import build_grid
+from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
 
 P, Q_EXP = -1.0, 2.0
 BALL3 = StarBody.ball(3)
@@ -263,3 +266,127 @@ def _dual_volume(body, spec):
     from dualminkowski.measures import dual_mixed_volume
 
     return dual_mixed_volume(body, spec.q_body, spec.q, spec.grid)
+
+
+class _DenseKernel(solver._EntropyKernel):
+    """Reference: the dense pass over every node-facet pair, which the
+    pruned pass must reproduce bit for bit."""
+
+    def _rho(self, h, want_idx, antipodal=False):
+        self.passes += 1
+        denom = -self.denom if antipodal else self.denom
+        scaled = denom * (1.0 / h)[None, :]
+        if want_idx:
+            idx = np.argmax(scaled, axis=1)
+            return 1.0 / scaled[np.arange(scaled.shape[0]), idx], idx
+        return 1.0 / np.max(scaled, axis=1), None
+
+
+def _kernel_spec(nodes, directions):
+    """The fields _EntropyKernel reads, for node sets no ProblemSpec has."""
+    nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+    grid = SimpleNamespace(nodes=nodes,
+                           weights=np.full(len(nodes), 4 * math.pi / len(nodes)))
+    return SimpleNamespace(dim=3, p=P, q=Q_EXP, q_body=BALL3, grid=grid,
+                           directions=directions,
+                           mu=SimpleNamespace(atoms=np.ones(len(directions))))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_kernels_agree(pruned, dense, h):
+    for antipodal in (False, True):
+        got = pruned._rho(h, want_idx=True, antipodal=antipodal)
+        want = dense._rho(h, want_idx=True, antipodal=antipodal)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        got = pruned._rho(h, want_idx=False, antipodal=antipodal)
+        want = dense._rho(h, want_idx=False, antipodal=antipodal)
+        assert _same_bits(got[0], want[0]) and got[1] is None
+    for got, want in zip(pruned.state(h), dense.state(h)):
+        assert _same_bits(got, want)
+    assert pruned.phi(h) == dense.phi(h)
+    assert pruned.diameter(h) == dense.diameter(h)
+
+
+class TestPrunedKernel:
+    def test_bit_equal_to_dense_across_spreads(self, bump_spec):
+        pruned = solver._EntropyKernel(bump_spec)
+        dense = _DenseKernel(bump_spec)
+        rng = np.random.default_rng(5)
+        m = len(bump_spec.directions)
+        built = []
+        # spreads min(h)/max(h) falling to 0.05 force rebuilds; the rising
+        # tail is served by lists built for a lower ratio
+        for spread in (1.0, 0.999, 0.97, 0.9, 0.6, 0.3, 0.05, 0.5, 0.99):
+            h = 1.3 * np.exp(rng.uniform(math.log(spread), 0.0, m))
+            h[:2] = 1.3 * spread, 1.3
+            _assert_kernels_agree(pruned, dense, h)
+            built.append(pruned._lists[False].ratio)
+        assert built[6] <= 0.05 < built[5]
+        assert built[-1] == built[6]
+        assert pruned.passes == dense.passes
+
+    def test_exact_ties_take_the_first_facet(self):
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+        dirs = np.vstack([axes, corners / math.sqrt(3.0)])
+        lattice = np.array([v for v in itertools.product([-1.0, 0.0, 1.0],
+                                                         repeat=3) if any(v)])
+        spec = _kernel_spec(np.vstack([lattice, fibonacci_sphere_nodes(200)]),
+                            dirs)
+        pruned, dense = solver._EntropyKernel(spec), _DenseKernel(spec)
+        h = np.full(len(dirs), 0.8)
+        scaled = pruned.denom / h
+        tied = np.sum(scaled == scaled.max(axis=1, keepdims=True), axis=1)
+        assert np.count_nonzero(tied > 1) >= 12  # symmetric nodes tie exactly
+        _assert_kernels_agree(pruned, dense, h)
+
+    def test_degenerate_inputs_raise(self, bump_spec):
+        kernel = solver._EntropyKernel(bump_spec)
+        h = np.ones(len(bump_spec.directions))
+        h[3] = 0.0
+        with pytest.raises(ValueError, match="positive and finite"):
+            kernel.dual_volume(h)
+        h[3] = np.nan
+        with pytest.raises(ValueError, match="positive and finite"):
+            kernel.dual_volume(h)
+        half = _kernel_spec(fibonacci_sphere_nodes(50), np.eye(3))
+        with pytest.raises(ValueError, match="positively span"):
+            solver._EntropyKernel(half).dual_volume(np.ones(3))
+
+    def test_minimize_matches_dense_reference(self, bump_spec, monkeypatch):
+        body, report = minimize_entropy(bump_spec)
+        monkeypatch.setattr(solver, "_EntropyKernel", _DenseKernel)
+        ref_body, ref = minimize_entropy(bump_spec)
+        assert report.iterations == ref.iterations > 10
+        assert report.phi_trace == ref.phi_trace
+        assert report.grad_trace == ref.grad_trace
+        assert report.diameter_trace == ref.diameter_trace
+        assert _same_bits(body.support, ref_body.support)
+        assert report.kernel_passes == ref.kernel_passes
+
+    def test_kernel_pass_count(self, bump_spec, monkeypatch):
+        calls = {"phi": 0, "diameter": 0}
+
+        class Counting(solver._EntropyKernel):
+            def phi(self, h):
+                calls["phi"] += 1
+                return super().phi(h)
+
+            def diameter(self, h):
+                calls["diameter"] += 1
+                return super().diameter(h)
+
+        monkeypatch.setattr(solver, "_EntropyKernel", Counting)
+        _, report = minimize_entropy(bump_spec)
+        # initial normalization, one state pass per iteration, one pass per
+        # line-search trial and two per diameter sample; renormalization
+        # reuses the accepted trial's volume and costs no pass
+        assert report.kernel_passes == \
+            1 + report.iterations + calls["phi"] + 2 * calls["diameter"]
+        assert calls["diameter"] == 1 + math.ceil(report.iterations / 10)
+        assert calls["phi"] >= report.iterations - 1
+        assert report.candidate_rebuilds >= 2
