@@ -63,7 +63,6 @@ def main(argv=None) -> int:
 
 
 def _cmd_solve(config: dict, args) -> int:
-    from .measures import lp_dual_curvature_measure
     from .runio import (new_run_directory, resolve_problem, write_body_file,
                         write_csv, write_facet_measure_csv, write_manifest,
                         write_obj_mesh)
@@ -91,9 +90,7 @@ def _cmd_solve(config: dict, args) -> int:
                 report.diameter_trace[i]] for i in range(len(report.phi_trace))])
     outputs.append(csv_path)
     atoms_path = f"{run_dir}/measure_atoms.csv"
-    solved_atoms = lp_dual_curvature_measure(report.body, spec.q_body, spec.p,
-                                             spec.q, spec.grid).atoms
-    write_facet_measure_csv(atoms_path, report.body, solved_atoms)
+    write_facet_measure_csv(atoms_path, report.body, report.atoms)
     outputs.append(atoms_path)
     if spec.dim == 3 and config.get("export_mesh", False):
         mesh_path = f"{run_dir}/body.obj"

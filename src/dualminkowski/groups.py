@@ -361,32 +361,58 @@ def symmetrize_density(group: OrthogonalGroup, f):
 # invariant direction sets
 
 
-def _snap_to_stabilizer(group: OrthogonalGroup, seed: np.ndarray,
-                        tol: float = 1e-6) -> np.ndarray:
-    """Project a seed onto the exact fixed subspace of its approximate
-    stabilizer, so its orbit images cluster to machine precision."""
-    u = seed / np.linalg.norm(seed)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, one vector at a time: np.linalg.norm along
+    an axis can differ in the last bit, and the direction sets are pinned to
+    the per-vector norm."""
+    return np.array([np.linalg.norm(row) for row in x])
+
+
+def _images_near(group: OrthogonalGroup, u: np.ndarray, tol: float):
+    """Images g @ u of every row of u, shape (rows, order, n), and which of
+    them lie within tol of their row."""
+    images = np.einsum("kij,mj->mki", group.elements, u)
+    return images, np.linalg.norm(images - u[:, None], axis=2) <= tol
+
+
+def _orbits(group: OrthogonalGroup, seeds, snap_tol: float = 1e-6,
+            tol: float = 1e-9) -> list[np.ndarray]:
+    """Deduplicated orbit {g @ u} of every seed row, built for all seeds at once.
+
+    Each seed is normalised and then, twice, replaced by the normalised mean
+    of its images within snap_tol (the images under its approximate
+    stabilizer). That projects it onto the exact fixed subspace of the
+    stabilizer, so its orbit images cluster to machine precision. Images
+    within tol of an earlier image of the same orbit are dropped.
+    """
+    u = np.asarray(seeds, dtype=float).reshape(-1, group.dim)
+    u = u / _row_norms(u)[:, None]
+    snapping = np.ones(u.shape[0], dtype=bool)
     for _ in range(2):
-        images = group.apply(u[None])[:, 0, :]
-        stab = images[np.linalg.norm(images - u[None], axis=1) <= tol]
-        avg = stab.mean(axis=0)
-        norm = np.linalg.norm(avg)
-        if norm < 1e-9:
-            return u
-        u = avg / norm
-    return u
-
-
-def _orbit_points(group: OrthogonalGroup, seed: np.ndarray,
-                  tol: float = 1e-9) -> np.ndarray:
-    """Deduplicated orbit {g @ seed} of a stabilizer-snapped seed."""
-    u = _snap_to_stabilizer(group, np.asarray(seed, dtype=float))
-    images = group.apply(u[None])[:, 0, :]
-    kept: list[np.ndarray] = []
-    for img in images:
-        if not kept or np.min(np.linalg.norm(np.array(kept) - img, axis=1)) > tol:
-            kept.append(img)
-    return np.array(kept)
+        images, near = _images_near(group, u, snap_tol)
+        # -0.0 is the exact additive identity, so the masked sum equals the
+        # sum over the stabilizer images alone; the identity's image is
+        # summed too, and it differs from u in the last bit
+        total = np.where(near[..., None], images, -0.0).sum(axis=1)
+        avg = total / near.sum(axis=1)[:, None]
+        norm = _row_norms(avg)
+        snapping &= norm >= 1e-9
+        u = np.divide(avg, norm[:, None], out=u, where=snapping[:, None])
+    images, near = _images_near(group, u, snap_tol)
+    result = []
+    for row, stabilized in zip(images, near.sum(axis=1) > 1):
+        if not stabilized:
+            # |g u - h u| = |h^T g u - u| > snap_tol for g != h, so no two
+            # images come within tol and the orbit is every image
+            result.append(row)
+            continue
+        dist = np.linalg.norm(row[:, None] - row[None], axis=2)
+        kept = [0]
+        for i in range(1, row.shape[0]):
+            if np.min(dist[i, kept]) > tol:
+                kept.append(i)
+        result.append(row[kept])
+    return result
 
 
 def _special_seeds(group: OrthogonalGroup) -> list[np.ndarray]:
@@ -441,19 +467,18 @@ def invariant_directions(group: OrthogonalGroup, count: int,
     if count < 1:
         raise ValueError("count must be positive")
 
-    stream = _candidate_stream(n, max(8 * count // max(group.order, 1), 256),
-                               seed)
     special: list[np.ndarray] = []  # small orbits, deduped as point sets
-    for s in _special_seeds(group):
-        orb = _orbit_points(group, s)
-        if any(orb.shape[0] == o.shape[0]
-               and np.max(np.abs(_sorted_rows(orb) - _sorted_rows(o))) < 1e-7
-               for o in special):
+    keys: list[np.ndarray] = []
+    for orb in _orbits(group, _special_seeds(group)):
+        key = _sorted_rows(orb)
+        if any(key.shape == o.shape and np.max(np.abs(key - o)) < 1e-7
+               for o in keys):
             continue
         special.append(orb)
+        keys.append(key)
     special_sizes = [o.shape[0] for o in special]
 
-    generic_size = _orbit_points(group, stream[0]).shape[0]
+    generic_size = group.order  # a generic point has a trivial stabilizer
 
     def compose(target: int) -> list[int] | None:
         """Indices into `special` (plus -1 markers for generic) summing to target."""
@@ -471,11 +496,12 @@ def invariant_directions(group: OrthogonalGroup, count: int,
 
     plan = compose(count)
     if plan is None:
-        reachable = [s for s in range(count, -1, -1) if compose(s)]
+        nearest = next(s for s in range(count, -1, -1)
+                       if compose(s) is not None)
         raise ValueError(
             f"cannot reach exactly {count} directions with orbit sizes "
             f"(generic {generic_size}, special {sorted(set(special_sizes))}); "
-            f"nearest reachable below: {reachable[0] if reachable else 0}"
+            f"nearest reachable below: {nearest}"
         )
 
     accepted: list[np.ndarray] = []
@@ -520,8 +546,8 @@ def invariant_directions(group: OrthogonalGroup, count: int,
     if n_generic:
         target = min(max(40 * n_generic, 400), 4000)
         seeds = _candidate_stream(n, target, seed)
-        cands = [orb for cand in seeds
-                 if (orb := _orbit_points(group, cand)).shape[0] == generic_size]
+        cands = [orb for orb in _orbits(group, seeds)
+                 if orb.shape[0] == generic_size]
         if len(cands) < n_generic:
             raise ValueError("not enough generic orbit candidates")
         stack = np.array(cands)  # (K, generic_size, n)
@@ -551,6 +577,33 @@ def invariant_directions(group: OrthogonalGroup, count: int,
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+# Greedy packing compares distances between unit vectors, and near-ties are
+# common (n = 2 orbits on a circle tie exactly). The picks are pinned to
+# distances computed with einsum; BLAS products are faster but round
+# differently. Each is within n * 2**-53 of the exact dot product, so a BLAS
+# value brackets the einsum value to within _DOT_SLACK, and only decisions
+# inside that bracket are taken again from einsum.
+_DOT_SLACK = 1e-12
+
+
+def _chord(gram):
+    """Distance between unit vectors with inner product gram."""
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * gram))
+
+
+def _separation(stack: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Distance from each candidate orbit of stack (K, s, n) to the nearest
+    of the points chosen (t, n), in the pinned einsum arithmetic."""
+    return _chord(np.einsum("ksn,tn->kst", stack, chosen).max(axis=(1, 2)))
+
+
+def _separation_bounds(stack: np.ndarray, chosen: np.ndarray):
+    """Lower and upper bounds of _separation from one BLAS product."""
+    k, s, n = stack.shape
+    top = (stack.reshape(k * s, n) @ chosen.T).reshape(k, -1).max(axis=1)
+    return _chord(top + _DOT_SLACK), _chord(top - _DOT_SLACK)
+
+
 def _pack_farthest(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
                    rounds: int) -> list[int] | None:
     """Pick orbits one by one, always the one with maximal clearance."""
@@ -562,10 +615,13 @@ def _pack_farthest(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
             return None
         picked.append(best)
         chosen = stack[best]
+        # picked orbits score -inf; so do one-point orbits, whose clearance
+        # is unbounded
         score[best] = -np.inf
-        grams = np.einsum("ksn,tn->kst", stack, chosen)
-        d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * grams.max(axis=(1, 2))))
-        score = np.minimum(score, np.where(np.isfinite(score), d, -np.inf))
+        score[~np.isfinite(score)] = -np.inf
+        lower, _ = _separation_bounds(stack, chosen)
+        rows = np.flatnonzero(lower < score)  # the others keep their score
+        score[rows] = np.minimum(score[rows], _separation(stack[rows], chosen))
     return picked
 
 
@@ -574,30 +630,65 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
                    placed: np.ndarray) -> list[int] | None:
     """Pick orbits one by one, always the one minimizing the covering radius
     of probe points (greedy hole filling)."""
-    k, s, _ = stack.shape
-    cand_d2 = np.empty((probe.shape[0], k))
-    chunk = max(1, 2_000_000 // (probe.shape[0] * s))
-    for a in range(0, k, chunk):
-        grams = np.einsum("pn,ksn->pks", probe, stack[a:a + chunk])
-        cand_d2[:, a:a + chunk] = 2.0 - 2.0 * grams.max(axis=2)
+    k, s, n = stack.shape
+    p = probe.shape[0]
+    # squared distance from each candidate orbit to each probe, from BLAS:
+    # within slack of the pinned einsum value
+    flat = stack.reshape(k * s, n)
+    cand_d2 = np.empty((k, p))
+    block = max(1, 500_000 // (p * s))  # keeps each product in cache
+    for a in range(0, k, block):
+        grams = flat[a * s:(a + block) * s] @ probe.T
+        cand_d2[a:a + block] = 2.0 - 2.0 * grams.reshape(-1, s, p).max(axis=1)
+    slack = 3.0 * _DOT_SLACK
     if placed.shape[0]:
         mind2 = np.min(2.0 - 2.0 * probe @ placed.T, axis=1)
     else:
-        mind2 = np.full(probe.shape[0], np.inf)
+        mind2 = np.full(p, np.inf)
     alive = clear0 > sep_floor
+    depth = max(1, p // 16)
     picked: list[int] = []
     for _ in range(rounds):
         if not np.any(alive):
             return None
-        cover = np.max(np.minimum(mind2[:, None], cand_d2[:, alive]), axis=0)
-        best = int(np.flatnonzero(alive)[int(np.argmin(cover))])
+        # A candidate's cover is its largest min(mind2, d2) over the probes.
+        # Probes outside the deepest holes (mind2 <= theta) cannot set a
+        # cover above theta, so look at the deep holes alone unless some
+        # candidate fills all of them.
+        theta = np.partition(mind2, p - depth)[p - depth]
+        cols = np.flatnonzero(mind2 > theta)
+        covered = np.minimum(cand_d2[:, cols], mind2[cols])
+        cover = covered.max(axis=1, initial=-np.inf)
+        cover[~alive] = np.inf
+        if cover.min() <= theta + 2.0 * slack:
+            cols = np.arange(p)
+            covered = np.minimum(cand_d2, mind2)
+            cover = covered.max(axis=1)
+            cover[~alive] = np.inf
+        close = np.flatnonzero(cover <= cover.min() + 2.0 * slack)
+        if close.size == 1:
+            best = int(close[0])
+        else:
+            # the exact cover of a close candidate is attained at one of the
+            # probes whose bracket reaches its largest value
+            rows, at = np.nonzero(
+                covered[close] >= (cover[close] - 2.0 * slack)[:, None])
+            grams = np.einsum("qsn,qn->qs", stack[close[rows]],
+                              probe[cols[at]])
+            vals = np.minimum(2.0 - 2.0 * grams.max(axis=1), mind2[cols[at]])
+            exact = np.full(close.size, -np.inf)
+            np.maximum.at(exact, rows, vals)
+            best = int(close[np.argmin(exact)])  # first index on ties
         picked.append(best)
         chosen = stack[best]
-        mind2 = np.minimum(mind2, cand_d2[:, best])
+        row = 2.0 - 2.0 * np.einsum("pn,sn->ps", probe, chosen).max(axis=1)
+        mind2 = np.minimum(mind2, row)
         alive[best] = False
-        grams = np.einsum("ksn,tn->kst", stack, chosen)
-        d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * grams.max(axis=(1, 2))))
-        alive &= d > sep_floor
+        lower, upper = _separation_bounds(stack, chosen)
+        keep = lower > sep_floor
+        unsure = np.flatnonzero(alive & ~keep & (upper > sep_floor))
+        keep[unsure] = _separation(stack[unsure], chosen) > sep_floor
+        alive &= keep
     return picked
 
 

@@ -165,6 +165,8 @@ class SolutionReport:
     candidate_rebuilds: int  # candidate-list builds, first builds included
     wall_time: float
     orbit_values_trace: list
+    # support-weighted curvature atoms of body, set by assemble_solution
+    atoms: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -469,6 +471,7 @@ def assemble_solution(body_tilde: SupportPolytope, spec: ProblemSpec,
     residual = float(np.sum(np.abs(got - want)) / np.sum(want))
 
     report.body = solution
+    report.atoms = atoms
     report.lam = float(lam)
     report.residual = residual
     return report

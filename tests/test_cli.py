@@ -103,10 +103,23 @@ class TestParseConfig:
 
 
 class TestSolveCommand:
-    def test_solve_run_directory(self, tmp_path):
+    def test_solve_run_directory(self, tmp_path, monkeypatch):
+        from dualminkowski import measures, solver
+
+        measure = measures.lp_dual_curvature_measure
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return measure(*args)
+
+        # the solver's binding, and the module's for any local import
+        monkeypatch.setattr(solver, "lp_dual_curvature_measure", counted)
+        monkeypatch.setattr(measures, "lp_dual_curvature_measure", counted)
         cfg = write_config(tmp_path, SOLVE_CONFIG)
         out = str(tmp_path / "runs")
         assert main(["solve", cfg, "--out", out]) == EXIT_OK
+        assert len(calls) == 1  # measure_atoms.csv reuses the residual's atoms
         manifest, run_dir = manifest_of(out)
         assert manifest["command"] == "solve"
         assert manifest["outcome"]["converged"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dualminkowski import groups
 from dualminkowski.groups import (
     OrthogonalGroup,
     certify,
@@ -216,10 +217,158 @@ class TestInvariantDirections:
 
     def test_unreachable_count_raises(self):
         g = cyclic_rotation(5)
-        with pytest.raises(ValueError, match="cannot reach"):
-            invariant_directions(g, 91)  # no fixed directions: multiples of 5 only
+        # no fixed directions: multiples of 5 only, and the empty plan for 0
+        for count, nearest in [(91, 90), (3, 0)]:
+            with pytest.raises(ValueError, match="cannot reach exactly .*"
+                               f"nearest reachable below: {nearest}$"):
+                invariant_directions(g, count)
+
+    @pytest.mark.parametrize("count, sizes", [(60, {6}), (63, {3, 6})])
+    def test_generic_orbits_have_group_order(self, count, sizes):
+        """(1, 0) lies on a mirror line of this D3, so the first candidate
+        of the 2-D stream is no generic point."""
+        g = enumerate_group([rotation2(2.0 * math.pi / 3.0), np.diag([1.0, -1.0])])
+        assert g.order == 6
+        dirs = invariant_directions(g, count)
+        assert dirs.shape == (count, 2)
+        assert stability_deviation(g, dirs) <= 1e-9
+        assert {len(o) for o in orbits(g, dirs)} == sizes
 
     def test_no_duplicate_directions(self, tetra_directions):
         gram = tetra_directions @ tetra_directions.T
         np.fill_diagonal(gram, -1.0)
         assert np.max(gram) < 1.0 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# References for the batched orbit builder and the BLAS-bracketed packing:
+# the scalar, one-seed-at-a-time and all-einsum code the direction sets are
+# pinned to. The package must reproduce them bit for bit.
+
+
+def _ref_snap_to_stabilizer(group, seed, tol=1e-6):
+    u = seed / np.linalg.norm(seed)
+    for _ in range(2):
+        images = group.apply(u[None])[:, 0, :]
+        stab = images[np.linalg.norm(images - u[None], axis=1) <= tol]
+        avg = stab.mean(axis=0)
+        norm = np.linalg.norm(avg)
+        if norm < 1e-9:
+            return u
+        u = avg / norm
+    return u
+
+
+def _ref_orbit_points(group, seed, tol=1e-9):
+    u = _ref_snap_to_stabilizer(group, np.asarray(seed, dtype=float))
+    images = group.apply(u[None])[:, 0, :]
+    kept = []
+    for img in images:
+        if not kept or np.min(np.linalg.norm(np.array(kept) - img, axis=1)) > tol:
+            kept.append(img)
+    return np.array(kept)
+
+
+def _ref_orbits(group, seeds):
+    return [_ref_orbit_points(group, s) for s in seeds]
+
+
+def _ref_pack_farthest(stack, clear0, sep_floor, rounds):
+    score = clear0.copy()
+    picked = []
+    for _ in range(rounds):
+        best = int(np.argmax(score))
+        if score[best] <= sep_floor:
+            return None
+        picked.append(best)
+        chosen = stack[best]
+        score[best] = -np.inf
+        grams = np.einsum("ksn,tn->kst", stack, chosen)
+        d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * grams.max(axis=(1, 2))))
+        score = np.minimum(score, np.where(np.isfinite(score), d, -np.inf))
+    return picked
+
+
+def _ref_pack_coverage(stack, clear0, sep_floor, rounds, probe, placed):
+    k, s, _ = stack.shape
+    cand_d2 = np.empty((probe.shape[0], k))
+    chunk = max(1, 2_000_000 // (probe.shape[0] * s))
+    for a in range(0, k, chunk):
+        grams = np.einsum("pn,ksn->pks", probe, stack[a:a + chunk])
+        cand_d2[:, a:a + chunk] = 2.0 - 2.0 * grams.max(axis=2)
+    if placed.shape[0]:
+        mind2 = np.min(2.0 - 2.0 * probe @ placed.T, axis=1)
+    else:
+        mind2 = np.full(probe.shape[0], np.inf)
+    alive = clear0 > sep_floor
+    picked = []
+    for _ in range(rounds):
+        if not np.any(alive):
+            return None
+        cover = np.max(np.minimum(mind2[:, None], cand_d2[:, alive]), axis=0)
+        best = int(np.flatnonzero(alive)[int(np.argmin(cover))])
+        picked.append(best)
+        chosen = stack[best]
+        mind2 = np.minimum(mind2, cand_d2[:, best])
+        alive[best] = False
+        grams = np.einsum("ksn,tn->kst", stack, chosen)
+        d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * grams.max(axis=(1, 2))))
+        alive &= d > sep_floor
+    return picked
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_orbits(group, seeds):
+    got = groups._orbits(group, seeds)
+    want = _ref_orbits(group, seeds)
+    assert len(got) == len(want)
+    for g_orb, w_orb in zip(got, want):
+        assert _same_bits(g_orb, w_orb)
+    return got
+
+
+class TestPinnedToReference:
+    def test_orbits_of_flagship_candidates(self, tetra_group):
+        # the generic candidate stream of the 642-direction flagship
+        seeds = groups._candidate_stream(3, 1040, 0)
+        sizes = {len(o) for o in _assert_same_orbits(tetra_group, seeds)}
+        assert sizes == {24}
+
+    def test_orbits_of_candidates_on_a_mirror(self):
+        g = enumerate_group([rotation2(2.0 * math.pi / 3.0), np.diag([1.0, -1.0])])
+        seeds = groups._candidate_stream(2, 400, 0)  # starts at (1, 0)
+        sizes = [len(o) for o in _assert_same_orbits(g, seeds)]
+        assert sizes[0] == 3 and sizes.count(6) > 390
+
+    @pytest.mark.parametrize("group", [simplex_symmetry(3), cube_rotation(3),
+                                       simplex_symmetry(2)],
+                             ids=["tetrahedral", "cube-rotation", "triangle"])
+    def test_orbits_of_special_seeds(self, group):
+        """Axes and mirror planes: short orbits whose images coincide."""
+        seeds = groups._special_seeds(group)
+        sizes = {len(o) for o in _assert_same_orbits(group, seeds)}
+        assert min(sizes) < group.order
+
+    def test_orbits_of_no_seeds(self):
+        g = cyclic_rotation(5)
+        assert groups._special_seeds(g) == []
+        assert groups._orbits(g, []) == []
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: simplex_symmetry(3), 162),
+        (lambda: cyclic_rotation(5), 90),
+        (lambda: simplex_symmetry(2), 60),
+        (lambda: direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 450),
+    ], ids=["tetrahedral-162", "cyclic5-90", "triangle-60",
+            "cyclic3+cyclic5-450"])
+    def test_directions_match_reference(self, make, count, monkeypatch):
+        group = make()
+        got = invariant_directions(group, count)
+        monkeypatch.setattr(groups, "_orbits", _ref_orbits)
+        monkeypatch.setattr(groups, "_pack_farthest", _ref_pack_farthest)
+        monkeypatch.setattr(groups, "_pack_coverage", _ref_pack_coverage)
+        assert _same_bits(got, invariant_directions(group, count))
