@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .groups import OrthogonalGroup
 from .sphere import SphericalGrid, build_grid
@@ -32,6 +32,7 @@ __all__ = [
     "vertex_enumeration",
     "polar_body",
     "prune",
+    "active_part",
     "translate",
     "centered",
     "ball_polytope",
@@ -192,13 +193,22 @@ def vertex_enumeration(body: SupportPolytope) -> np.ndarray:
     halfspaces = np.column_stack([body.normals, -body.support])
     hs = HalfspaceIntersection(halfspaces, np.zeros(body.dim))
     verts = hs.intersections
-    # Qhull emits one point per dual facet; merge duplicates
+    # Qhull emits one point per dual facet; merge duplicates greedily in
+    # order: a point is dropped when an earlier kept point lies within the
+    # merge radius. The tree finds every pair that can be that close (its
+    # radius is 4x the merge radius, far above rounding), and each pair is
+    # then decided by the row norm of the difference.
     scale = float(np.max(np.abs(verts))) or 1.0
-    kept: list[np.ndarray] = []
-    for v in verts:
-        if not kept or np.min(np.linalg.norm(np.array(kept) - v, axis=1)) > 1e-9 * scale:
-            kept.append(v)
-    return np.array(kept)
+    radius = 1e-9 * scale
+    pairs = cKDTree(verts).query_pairs(4.0 * radius, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+    close = np.linalg.norm(verts[pairs[:, 0]] - verts[pairs[:, 1]],
+                           axis=1) <= radius
+    keep = np.ones(verts.shape[0], dtype=bool)
+    for i, j in pairs[close]:
+        if keep[i]:
+            keep[j] = False
+    return verts[keep]
 
 
 def polar_body(body: SupportPolytope) -> SupportPolytope:
@@ -215,16 +225,45 @@ def polar_body(body: SupportPolytope) -> SupportPolytope:
                            support=1.0 / norms)
 
 
-def prune(body: SupportPolytope, tol: float = 1e-9) -> SupportPolytope:
-    """Drop halfspaces whose constraint is redundant (h_K(v_i) < h_i)."""
+def _near_active(body: SupportPolytope, tol: float) -> np.ndarray:
+    """Mask of the halfspaces whose slack h_i - max_K <x, v_i> is at most
+    tol * max h, the maximum taken over the enumerated vertices."""
     verts = vertex_enumeration(body)
     achieved = np.max(body.normals @ verts.T, axis=1)
     scale = float(np.max(body.support))
-    active = achieved >= body.support - tol * scale
+    return achieved >= body.support - tol * scale
+
+
+def prune(body: SupportPolytope, tol: float = 1e-9) -> SupportPolytope:
+    """Drop halfspaces whose constraint is redundant (h_K(v_i) < h_i)."""
+    active = _near_active(body, tol)
     if not np.any(active):
         raise ValueError("pruning removed every facet")
     return SupportPolytope(dim=body.dim, normals=body.normals[active],
                            support=body.support[active])
+
+
+# Radial probes skip halfspaces with slack above this fraction of max h. A
+# skipped halfspace i with slack s has h_i / <u, v_i> >= rho(u) + s / <u, v_i>
+# wherever <u, v_i> > 0, a relative excess above s / h_i > 1e-6: far above
+# the vertex error of Qhull and the rounding of a ratio, so it never attains
+# or ties the minimum, and rho is unchanged bit for bit.
+_PROBE_SLACK = 1e-6
+
+
+def active_part(body: SupportPolytope) -> SupportPolytope:
+    """The same body on the halfspaces that can attain its radial function.
+
+    The kept halfspaces keep their order, so radial_profile returns the same
+    rho as on the full body (facet indices refer to the kept ones). When
+    Qhull fails every halfspace is kept.
+    """
+    try:
+        keep = _near_active(body, _PROBE_SLACK)
+    except QhullError:
+        keep = np.ones(body.facet_count, dtype=bool)
+    return replace(body, normals=body.normals[keep],
+                   support=body.support[keep])
 
 
 def translate(body: SupportPolytope, z: np.ndarray) -> SupportPolytope:
@@ -271,14 +310,16 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
                  tol: float = 1e-9) -> tuple[bool, float]:
     """Whether rho_K(g u) == rho_K(u) on the grid for every group element.
 
-    Returns (within tolerance, max deviation).
+    Probes only the halfspaces of active_part(body). Returns (within
+    tolerance, max deviation).
     """
     if grid is None:
         grid = _probe(body.dim)
-    rho, _ = radial_profile(body, grid.nodes)
+    probed = active_part(body)
+    rho, _ = radial_profile(probed, grid.nodes)
     stacked = np.einsum("kij,nj->kni", group.elements,
                         grid.nodes).reshape(-1, body.dim)
-    rho_all, _ = radial_profile(body, stacked)
+    rho_all, _ = radial_profile(probed, stacked)
     deviations = np.abs(rho_all.reshape(group.order, -1) - rho[None, :])
     worst = float(np.max(deviations))
     return worst <= tol, worst

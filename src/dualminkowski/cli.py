@@ -216,6 +216,7 @@ def _cmd_construct(config: dict, args) -> int:
             fh.write("\n")
         outputs.append(cert_path)
         outcome = {"facets": body.facet_count,
+                   "active_constraints": cert.active_constraints,
                    "non_origin_symmetric": cert.non_origin_symmetric,
                    "max_gap": cert.max_gap,
                    "invariance_deviation": cert.invariance_deviation}

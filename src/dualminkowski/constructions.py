@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import SupportPolytope, is_invariant, radial_profile
+from .bodies import SupportPolytope, active_part, is_invariant, radial_profile
 from .groups import OrthogonalGroup, certify, probe_grid
 from .sphere import SphericalGrid
 
@@ -38,12 +38,14 @@ class AsymmetryCertificate:
 
     max_gap is the largest |rho(u) - rho(-u)| over probe nodes. The body is
     declared non-origin-symmetric when the gap clearly dominates the noise
-    floor set by the invariance deviation.
+    floor set by the invariance deviation. active_constraints counts the
+    halfspaces the probe evaluated (those of bodies.active_part).
     """
 
     max_gap: float
     witness: np.ndarray
     invariance_deviation: float
+    active_constraints: int
 
     @property
     def non_origin_symmetric(self) -> bool:
@@ -52,15 +54,20 @@ class AsymmetryCertificate:
 
 def certify_asymmetry(body: SupportPolytope, grid: SphericalGrid | None = None,
                       invariance_deviation: float = 0.0) -> AsymmetryCertificate:
-    """Probe |rho(u) - rho(-u)| over a grid and report the worst direction."""
+    """Probe |rho(u) - rho(-u)| over a grid and report the worst direction.
+
+    Only the halfspaces of active_part(body) are evaluated.
+    """
     if grid is None:
         grid = probe_grid(body.dim)
-    rho_pos, _ = radial_profile(body, grid.nodes)
-    rho_neg, _ = radial_profile(body, -grid.nodes)
+    probed = active_part(body)
+    rho_pos, _ = radial_profile(probed, grid.nodes)
+    rho_neg, _ = radial_profile(probed, -grid.nodes)
     gaps = np.abs(rho_pos - rho_neg)
     i = int(np.argmax(gaps))
     return AsymmetryCertificate(max_gap=float(gaps[i]), witness=grid.nodes[i],
-                                invariance_deviation=invariance_deviation)
+                                invariance_deviation=invariance_deviation,
+                                active_constraints=probed.facet_count)
 
 
 def radial_extremum_is_unique(body: SupportPolytope, mode: str = "min",
@@ -129,16 +136,23 @@ def _pool_orbit_constraints(group: OrthogonalGroup, base: SupportPolytope,
     order = np.lexsort(np.round(all_normals, 9).T)
     normals_sorted = all_normals[order]
     support_sorted = all_support[order]
-    kept_n: list[np.ndarray] = []
-    kept_h: list[float] = []
-    for v, h in zip(normals_sorted, support_sorted):
-        if kept_n and np.linalg.norm(kept_n[-1] - v) <= 1e-9:
-            kept_h[-1] = min(kept_h[-1], float(h))
-        else:
-            kept_n.append(v)
-            kept_h.append(float(h))
-    return SupportPolytope(dim=base.dim, normals=np.array(kept_n),
-                           support=np.array(kept_h))
+    # Scanning the sorted rows, a row joins the run of the last kept row when
+    # it lies within 1e-9 of it. Two rows of one run are within 2e-9 of each
+    # other, so a step above 3e-9 between neighbours always starts a run;
+    # only the stretches between such steps need the row-by-row rule.
+    step = np.linalg.norm(np.diff(normals_sorted, axis=0), axis=1)
+    bounds = np.concatenate([[0], np.flatnonzero(step > 3e-9) + 1,
+                             [normals_sorted.shape[0]]])
+    starts = list(bounds[:-1])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        first = a
+        for i in range(a + 1, b):
+            if np.linalg.norm(normals_sorted[first] - normals_sorted[i]) > 1e-9:
+                starts.append(i)
+                first = i
+    starts = np.sort(starts)
+    return SupportPolytope(dim=base.dim, normals=normals_sorted[starts],
+                           support=np.minimum.reduceat(support_sorted, starts))
 
 
 def _checked_group(group: OrthogonalGroup) -> None:

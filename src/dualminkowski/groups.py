@@ -615,10 +615,7 @@ def _pack_farthest(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
             return None
         picked.append(best)
         chosen = stack[best]
-        # picked orbits score -inf; so do one-point orbits, whose clearance
-        # is unbounded
         score[best] = -np.inf
-        score[~np.isfinite(score)] = -np.inf
         lower, _ = _separation_bounds(stack, chosen)
         rows = np.flatnonzero(lower < score)  # the others keep their score
         score[rows] = np.minimum(score[rows], _separation(stack[rows], chosen))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
-from dualminkowski.bodies import SupportPolytope, centered
+from dualminkowski.bodies import SupportPolytope, centered, radial_profile
 from dualminkowski.groups import simplex_symmetry, invariant_directions
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
 
@@ -85,3 +85,27 @@ def random_centered_polytope(rng, dim, grid, min_cover=0.25):
             return centered(body, grid, iterations=6)
         except ValueError:
             continue
+
+
+# Dense radial probes over every halfspace of a body: the references that
+# bodies.is_invariant and constructions.certify_asymmetry, which probe only
+# the halfspaces near active, must reproduce bit for bit.
+
+
+def dense_is_invariant(body, group, grid, tol=1e-9):
+    rho, _ = radial_profile(body, grid.nodes)
+    stacked = np.einsum("kij,nj->kni", group.elements,
+                        grid.nodes).reshape(-1, body.dim)
+    rho_all, _ = radial_profile(body, stacked)
+    deviations = np.abs(rho_all.reshape(group.order, -1) - rho[None, :])
+    worst = float(np.max(deviations))
+    return worst <= tol, worst
+
+
+def dense_asymmetry(body, grid):
+    """(max_gap, witness) of the dense |rho(u) - rho(-u)| probe."""
+    rho_pos, _ = radial_profile(body, grid.nodes)
+    rho_neg, _ = radial_profile(body, -grid.nodes)
+    gaps = np.abs(rho_pos - rho_neg)
+    i = int(np.argmax(gaps))
+    return float(gaps[i]), grid.nodes[i]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualminkowski import bodies
 from dualminkowski.bodies import (
     StarBody,
     SupportPolytope,
@@ -251,6 +252,78 @@ class TestInvariance:
         g = OrthogonalGroup(dim=3, elements=np.eye(3)[None])
         ok, dev = is_invariant(cube, g)
         assert ok and dev == 0.0
+
+
+def _ref_vertex_enumeration(body):
+    """Qhull's raw intersection count and the all-pairs greedy dedupe
+    vertex_enumeration is pinned to."""
+    halfspaces = np.column_stack([body.normals, -body.support])
+    verts = bodies.HalfspaceIntersection(halfspaces,
+                                         np.zeros(body.dim)).intersections
+    scale = float(np.max(np.abs(verts))) or 1.0
+    kept = []
+    for v in verts:
+        if not kept or np.min(np.linalg.norm(np.array(kept) - v, axis=1)) > 1e-9 * scale:
+            kept.append(v)
+    return verts.shape[0], np.array(kept)
+
+
+class TestVertexDedupePinned:
+    def test_pooled_body(self, tetra_group):
+        from dualminkowski.constructions import (_pool_orbit_constraints,
+                                                 random_generic_rotation)
+
+        base = shifted_ball_polytope(fibonacci_sphere_nodes(160), 2.0,
+                                     np.array([0.5, 0.0, 0.0]))
+        h = random_generic_rotation(tetra_group, np.array([-1.0, 0.0, 0.0]),
+                                    seed=0)
+        body = _pool_orbit_constraints(tetra_group, base, h)
+        _, want = _ref_vertex_enumeration(body)
+        assert np.array_equal(vertex_enumeration(body), want)
+
+    def test_invariant_ball(self, tetra_directions):
+        body = ball_polytope(tetra_directions)
+        _, want = _ref_vertex_enumeration(body)
+        assert np.array_equal(vertex_enumeration(body), want)
+
+    def test_random_polytopes(self):
+        rng = np.random.default_rng(70)
+        for dim, facets in [(2, 9), (3, 12), (3, 40), (4, 30)]:
+            body = random_polytope(rng, facets, dim=dim)
+            _, want = _ref_vertex_enumeration(body)
+            assert np.array_equal(vertex_enumeration(body), want)
+
+    def test_octahedron_duplicates_merged(self):
+        """Four planes meet at each vertex up to a 1e-12 jitter of the
+        normals, so Qhull reports each vertex more than once."""
+        signs = np.array([[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                          for c in (-1.0, 1.0)])
+        rng = np.random.default_rng(0)
+        normals = signs / np.sqrt(3.0) + 1e-12 * rng.standard_normal((8, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        body = SupportPolytope(dim=3, normals=normals,
+                               support=np.full(8, 1.0 / np.sqrt(3.0)))
+        raw, want = _ref_vertex_enumeration(body)
+        got = vertex_enumeration(body)
+        assert np.array_equal(got, want)
+        assert raw > got.shape[0] == 6
+
+    def test_greedy_chain(self, cube, monkeypatch):
+        """The middle point of a chain is within the merge radius of both
+        ends, which are farther apart: the first end hides it, and the
+        second end stays because the hidden point does not count."""
+        chain = np.array([[1.0, 0.0, 0.0], [1.0 + 0.8e-9, 0.0, 0.0],
+                          [1.0 + 1.6e-9, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
+
+        class ChainQhull:
+            def __init__(self, halfspaces, interior):
+                self.intersections = chain
+
+        monkeypatch.setattr(bodies, "HalfspaceIntersection", ChainQhull)
+        raw, want = _ref_vertex_enumeration(cube)
+        assert np.array_equal(want, chain[[0, 2, 3, 4, 5]])
+        assert np.array_equal(vertex_enumeration(cube), want)
 
 
 class TestTransforms:

@@ -195,9 +195,50 @@ class TestConstructCommand:
         assert main(["construct", cfg, "--out", out]) == EXIT_OK
         manifest, run_dir = manifest_of(out)
         assert manifest["outcome"]["non_origin_symmetric"]
+        assert 0 < manifest["outcome"]["active_constraints"] < \
+            manifest["outcome"]["facets"]
         with open(os.path.join(run_dir, "certificate.json")) as fh:
             cert = json.load(fh)
         assert cert["max_gap"] > 0.01
+
+    @pytest.mark.parametrize("n, group", [
+        (2, {"name": "cyclic", "order": 5}),
+        (4, {"name": "direct-sum", "parts": [{"name": "cyclic", "order": 3},
+                                             {"name": "cyclic", "order": 5}]}),
+    ], ids=["n2", "n4"])
+    def test_orbit_intersection_other_dimensions(self, tmp_path, n, group):
+        """The certificate equals the dense probes over every constraint of
+        the written body (default probe grids, since only n = 3 reads
+        probe_nodes)."""
+        from dualminkowski.bodies import _probe
+        from dualminkowski.groups import probe_grid
+        from dualminkowski.runio import resolve_group
+
+        from conftest import dense_asymmetry, dense_is_invariant
+
+        cfg = write_config(tmp_path, {
+            "construction": "orbit-intersection-min",
+            "n": n,
+            "group": group,
+            "base": {"kind": "shifted-ball", "radius": 2.0,
+                     "center": [0.5] + [0.0] * (n - 1), "normal_count": 60},
+            "seed": 2,
+        })
+        out = str(tmp_path / "runs")
+        assert main(["construct", cfg, "--out", out]) == EXIT_OK
+        manifest, run_dir = manifest_of(out)
+        with open(os.path.join(run_dir, "certificate.json")) as fh:
+            cert = json.load(fh)
+        body = read_body_file(os.path.join(run_dir, "body.txt"))
+        _, deviation = dense_is_invariant(body, resolve_group(group, n),
+                                          _probe(n))
+        gap, witness = dense_asymmetry(body, probe_grid(n))
+        assert cert["invariance_deviation"] == deviation
+        assert cert["max_gap"] == gap
+        assert cert["witness"] == witness.tolist()
+        outcome = manifest["outcome"]
+        assert outcome["facets"] == body.facet_count
+        assert 0 < outcome["active_constraints"] <= outcome["facets"]
 
     def test_dirichlet_voronoi(self, tmp_path):
         cfg = write_config(tmp_path, {

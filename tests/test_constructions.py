@@ -5,11 +5,15 @@ import pytest
 
 from dualminkowski.bodies import (
     SupportPolytope,
+    active_part,
     ball_polytope,
     cube_polytope,
+    is_invariant,
+    radial_profile,
     shifted_ball_polytope,
 )
 from dualminkowski.constructions import (
+    _pool_orbit_constraints,
     certify_asymmetry,
     dirichlet_voronoi_cone,
     fundamental_domain_check,
@@ -18,8 +22,18 @@ from dualminkowski.constructions import (
     radial_extremum_is_unique,
     random_generic_rotation,
 )
-from dualminkowski.groups import cyclic_rotation, simplex_symmetry, standard_group
+from dualminkowski.groups import (
+    OrthogonalGroup,
+    cube_rotation,
+    cyclic_rotation,
+    direct_sum,
+    probe_grid,
+    simplex_symmetry,
+    standard_group,
+)
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
+
+from conftest import dense_asymmetry, dense_is_invariant
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +200,135 @@ class TestAsymmetryCertificate:
         a = certify_asymmetry(body, cert_grid)
         b = certify_asymmetry(mirrored, cert_grid)
         assert a.max_gap == pytest.approx(b.max_gap, rel=1e-12)
+
+
+def _assert_probes_match_dense(body, group, grid, cert=None):
+    """is_invariant and certify_asymmetry equal the dense probes bit for bit.
+
+    cert, when given, is the certificate a construction returned for body.
+    """
+    want_ok, want_dev = dense_is_invariant(body, group, grid)
+    got_ok, got_dev = is_invariant(body, group, grid)
+    assert got_ok == want_ok and got_dev == want_dev
+    if cert is None:
+        cert = certify_asymmetry(body, grid, invariance_deviation=got_dev)
+    assert cert.invariance_deviation == want_dev
+    gap, witness = dense_asymmetry(body, grid)
+    assert cert.max_gap == gap and np.array_equal(cert.witness, witness)
+    assert cert.active_constraints == active_part(body).facet_count
+    assert 0 < cert.active_constraints <= body.facet_count
+
+
+class TestProbesEqualDense:
+    """The certificates probe active_part(body); the dense probes over every
+    halfspace are the reference."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pooled_bodies(self, tetra_group, shifted_base, cert_grid, seed):
+        body, cert = orbit_intersection_body(tetra_group, shifted_base,
+                                             seed=seed, grid=cert_grid)
+        assert cert.active_constraints < body.facet_count
+        _assert_probes_match_dense(body, tetra_group, cert_grid, cert)
+
+    def test_cube_every_constraint_active(self, cert_grid):
+        cube = cube_polytope(3)
+        assert active_part(cube).facet_count == 6
+        _assert_probes_match_dense(cube, cube_rotation(3), cert_grid)
+
+    def test_duplicated_constraint(self, cert_grid):
+        """Exact ties go to the first index; both copies stay."""
+        normals = np.vstack([np.eye(3), -np.eye(3), np.eye(3)[:1]])
+        body = SupportPolytope(dim=3, normals=normals, support=np.ones(7))
+        assert active_part(body).facet_count == 7
+        _assert_probes_match_dense(body, cube_rotation(3), cert_grid)
+
+    def test_constraints_touching_at_a_vertex(self, cert_grid):
+        """Planes through the corner (1, 1, 1) and slightly beyond it, half
+        and twice the probe slack (1e-6 of max h) away."""
+        corner = np.ones(3) / np.sqrt(3.0)
+        normals = np.vstack([np.eye(3), -np.eye(3), corner, -corner, corner])
+        top = np.sqrt(3.0)
+        h = np.array([1.0] * 6 + [top, top + 0.5e-6 * top, top + 2e-6 * top])
+        body = SupportPolytope(dim=3, normals=normals, support=h)
+        kept = active_part(body)
+        assert kept.facet_count == 8
+        assert np.array_equal(kept.support, h[:8])
+        # probe the corner directions themselves too
+        nodes = np.vstack([cert_grid.nodes, corner, -corner])
+        rho, _ = radial_profile(body, nodes)
+        rho_kept, _ = radial_profile(kept, nodes)
+        assert np.array_equal(rho, rho_kept)
+        _assert_probes_match_dense(body, cube_rotation(3), cert_grid)
+
+    @pytest.mark.parametrize("group, n", [
+        (cyclic_rotation(5), 2),
+        (direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 4),
+    ], ids=["cyclic5-n2", "cyclic3+cyclic5-n4"])
+    def test_pooled_bodies_other_dimensions(self, group, n):
+        grid = probe_grid(n)
+        base = shifted_ball_polytope(build_grid(n, 60, "monte-carlo",
+                                                seed=1).nodes,
+                                     2.0, np.eye(n)[0] * 0.5)
+        body, cert = orbit_intersection_body(group, base, seed=1, grid=grid)
+        assert cert.active_constraints < body.facet_count
+        _assert_probes_match_dense(body, group, grid, cert)
+
+
+def _ref_pool_orbit_constraints(group, base, rotation):
+    """The row-by-row merge _pool_orbit_constraints is pinned to."""
+    rotated = base.normals @ rotation.T
+    all_normals = np.concatenate(group.apply(rotated), axis=0)
+    all_support = np.tile(base.support, group.order)
+    order = np.lexsort(np.round(all_normals, 9).T)
+    kept_n, kept_h = [], []
+    for v, h in zip(all_normals[order], all_support[order]):
+        if kept_n and np.linalg.norm(kept_n[-1] - v) <= 1e-9:
+            kept_h[-1] = min(kept_h[-1], float(h))
+        else:
+            kept_n.append(v)
+            kept_h.append(float(h))
+    return np.array(kept_n), np.array(kept_h)
+
+
+class TestPoolPinned:
+    def _assert_same(self, group, base, rotation):
+        body = _pool_orbit_constraints(group, base, rotation)
+        want_n, want_h = _ref_pool_orbit_constraints(group, base, rotation)
+        assert np.array_equal(body.normals, want_n)
+        assert np.array_equal(body.support, want_h)
+        return body
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generic_rotation(self, tetra_group, shifted_base, seed):
+        h = random_generic_rotation(tetra_group, np.array([-1.0, 0.0, 0.0]),
+                                    seed=seed)
+        body = self._assert_same(tetra_group, shifted_base, h)
+        assert body.facet_count == 160 * 24
+
+    def test_group_stable_base_merges(self):
+        """A regular 60-gon under rotation by 2 pi / 5 maps onto itself."""
+        base = circle_polytope(60, [-0.3, 0.0])
+        body = self._assert_same(cyclic_rotation(5), base, np.eye(2))
+        assert body.facet_count == 60
+
+    def test_near_duplicates_and_chains(self):
+        """Normals duplicated within 1e-9 with other support numbers, and a
+        chain whose ends are 1.6e-9 apart: the third link starts a new row
+        because it is compared with the first, not with its neighbour."""
+        rng = np.random.default_rng(3)
+        dirs = fibonacci_sphere_nodes(40)
+        t = np.cross(dirs[5], [0.0, 0.0, 1.0])
+        t /= np.linalg.norm(t)
+        copies = [dirs[7] + 3e-10 * rng.standard_normal(3),
+                  dirs[11], dirs[5] + 0.8e-9 * t, dirs[5] + 1.6e-9 * t]
+        normals = np.vstack([dirs, copies])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        support = rng.uniform(0.9, 1.1, normals.shape[0])
+        base = SupportPolytope(dim=3, normals=normals, support=support)
+        trivial = OrthogonalGroup(dim=3, elements=np.eye(3)[None])
+        body = self._assert_same(trivial, base, np.eye(3))
+        assert body.facet_count == 41
+        assert np.min(body.support) == np.min(support)
 
 
 class TestDirichletVoronoi:

@@ -234,6 +234,15 @@ class TestInvariantDirections:
         assert stability_deviation(g, dirs) <= 1e-9
         assert {len(o) for o in orbits(g, dirs)} == sizes
 
+    def test_trivial_group_places_every_direction(self):
+        """One-point orbits have unbounded clearance; after the first pick
+        the others must stay candidates."""
+        g = OrthogonalGroup(dim=3, elements=np.eye(3)[None])
+        dirs = invariant_directions(g, 100)
+        assert dirs.shape == (100, 3)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+        assert np.unique(dirs, axis=0).shape[0] == 100
+
     def test_no_duplicate_directions(self, tetra_directions):
         gram = tetra_directions @ tetra_directions.T
         np.fill_diagonal(gram, -1.0)
