@@ -307,15 +307,16 @@ def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
 
 def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
                  grid: SphericalGrid | None = None,
-                 tol: float = 1e-9) -> tuple[bool, float]:
+                 tol: float = 1e-9,
+                 active: SupportPolytope | None = None) -> tuple[bool, float]:
     """Whether rho_K(g u) == rho_K(u) on the grid for every group element.
 
-    Probes only the halfspaces of active_part(body). Returns (within
-    tolerance, max deviation).
+    Probes only the halfspaces of active_part(body); a caller that already
+    has it passes it as active. Returns (within tolerance, max deviation).
     """
     if grid is None:
         grid = _probe(body.dim)
-    probed = active_part(body)
+    probed = active_part(body) if active is None else active
     rho, _ = radial_profile(probed, grid.nodes)
     stacked = np.einsum("kij,nj->kni", group.elements,
                         grid.nodes).reshape(-1, body.dim)
@@ -487,14 +488,27 @@ class StarBody:
 
     @staticmethod
     def box(half_axes) -> "StarBody":
-        """Coordinate box with the exact radial min_i a_i / |u_i|."""
+        """Coordinate box with the exact radial min_i a_i / |u_i|.
+
+        A coordinate with not |u_i| > 1e-300 (zero, below 1e-300 or NaN)
+        contributes inf. The ratios are built one coordinate at a time and
+        folded with np.minimum, which is exact, so rho does not depend on
+        the folding order.
+        """
         axes = np.asarray(half_axes, dtype=float)
 
         def rho(pts):
+            if pts.shape[1] != axes.size:
+                raise ValueError(f"points must have {axes.size} coordinates")
+            mags = np.abs(pts)
+            out = np.full(pts.shape[0], np.inf)
+            ratio = np.empty(pts.shape[0])
             with np.errstate(divide="ignore"):
-                ratios = np.where(np.abs(pts) > 1e-300,
-                                  axes[None, :] / np.abs(pts), np.inf)
-            return np.min(ratios, axis=1)
+                for a, col in zip(axes, mags.T):
+                    np.divide(a, col, out=ratio)
+                    ratio[~(col > 1e-300)] = np.inf
+                    np.minimum(out, ratio, out=out)
+            return out
 
         return StarBody(dim=axes.size, radial_fn=rho, label=f"box{tuple(axes)}")
 

@@ -122,31 +122,71 @@ def _cmd_solve(config: dict, args) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
+def _sweep_settings(config: dict) -> tuple:
+    """The verify-bounds settings with their defaults, checked before any
+    run directory exists: (dimensions, q_values, boxes_per_case, (lo, hi),
+    grid_nodes, seed). A bad field raises ConfigError naming it."""
+    from .runio import ConfigError
+
+    def field(name, default, ok, want):
+        value = config.get(name, default)
+        if not ok(value):
+            raise ConfigError(f"field {name!r} must be {want}, got {value!r}")
+        return value
+
+    def number(x, low=-math.inf, integral=False):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) \
+            and math.isfinite(x) and x >= low \
+            and (not integral or float(x).is_integer())
+
+    def numbers(xs, ok):
+        return isinstance(xs, list) and len(xs) > 0 and all(map(ok, xs))
+
+    dims = field("dimensions", [2, 3, 4],
+                 lambda xs: numbers(xs, lambda n: number(n, 2, True)),
+                 "a non-empty list of integers >= 2")
+    q_values = field("q_values", [0.5, 1, 1.5, 2, 2.5, 3, 3.5],
+                     lambda xs: numbers(xs, lambda q: number(q) and q > 0),
+                     "a non-empty list of numbers > 0")
+    per_case = field("boxes_per_case", 100, lambda k: number(k, 1, True),
+                     "an integer >= 1")
+    lo, hi = field("axis_range", [0.3, 30.0],
+                   lambda r: numbers(r, number) and len(r) == 2
+                   and 0 < r[0] <= r[1],
+                   "[lo, hi] with 0 < lo <= hi")
+    nodes = field("grid_nodes", 200000, lambda k: number(k, 8, True),
+                  "an integer >= 8")
+    seed = field("seed", 0, lambda k: number(k, 0, True), "an integer >= 0")
+    return ([int(n) for n in dims], [float(q) for q in q_values],
+            int(per_case), (float(lo), float(hi)), int(nodes), int(seed))
+
+
 def _cmd_verify_bounds(config: dict, args) -> int:
     from .bounds import BoxSpec, verify_box
     from .runio import new_run_directory, write_csv, write_manifest
     from .sphere import build_grid
 
     started = time.time()
+    dims, q_values, per_case, (lo, hi), nodes, seed = _sweep_settings(config)
     run_dir = new_run_directory(args.out, "verify-bounds")
-    dims = config.get("dimensions", [2, 3, 4])
-    q_values = config.get("q_values", [0.5, 1, 1.5, 2, 2.5, 3, 3.5])
-    per_case = int(config.get("boxes_per_case", 100))
-    lo, hi = config.get("axis_range", [0.3, 30.0])
-    nodes = int(config.get("grid_nodes", 200000))
-    seed = int(config.get("seed", 0))
 
     rows, failures, total = [], 0, 0
+    branch_counts: dict[str, int] = {}
+    worst_margin = math.inf
     for n in dims:
-        grid = build_grid(int(n), nodes, "monte-carlo", seed=seed)
-        rng = np.random.default_rng(seed + int(n))
+        grid = build_grid(n, nodes, "monte-carlo", seed=seed)
+        rng = np.random.default_rng(seed + n)
         for q in q_values:
             for _ in range(per_case):
                 axes = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi),
-                                                  int(n))))
-                rep = verify_box(BoxSpec(axes), float(q), grid)
+                                                  n)))
+                rep = verify_box(BoxSpec(axes), q, grid)
                 total += 1
                 failures += 0 if rep.passed else 1
+                branch_counts[rep.branch] = branch_counts.get(rep.branch, 0) + 1
+                worst_margin = min(worst_margin,
+                                   math.log(rep.observed / rep.lower),
+                                   math.log(rep.upper / rep.observed))
                 rows.append([n, q, rep.branch,
                              ";".join(f"{a:.6g}" for a in axes),
                              rep.lower, rep.observed, rep.upper,
@@ -155,7 +195,9 @@ def _cmd_verify_bounds(config: dict, args) -> int:
     write_csv(csv_path, ["n", "q", "branch", "half_axes", "lower", "observed",
                          "upper", "pass"], rows)
     outcome = {"cases": total, "failures": failures,
-               "pass_rate": (total - failures) / total if total else None}
+               "pass_rate": (total - failures) / total,
+               "branch_counts": branch_counts,
+               "worst_margin": worst_margin}
     write_manifest(run_dir, "verify-bounds", config, outcome, [csv_path], started)
     print(f"run directory: {run_dir}")
     print(f"bracket checks: {total - failures}/{total} passed")

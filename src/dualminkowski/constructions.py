@@ -53,14 +53,17 @@ class AsymmetryCertificate:
 
 
 def certify_asymmetry(body: SupportPolytope, grid: SphericalGrid | None = None,
-                      invariance_deviation: float = 0.0) -> AsymmetryCertificate:
+                      invariance_deviation: float = 0.0,
+                      active: SupportPolytope | None = None
+                      ) -> AsymmetryCertificate:
     """Probe |rho(u) - rho(-u)| over a grid and report the worst direction.
 
-    Only the halfspaces of active_part(body) are evaluated.
+    Only the halfspaces of active_part(body) are evaluated; a caller that
+    already has it passes it as active.
     """
     if grid is None:
         grid = probe_grid(body.dim)
-    probed = active_part(body)
+    probed = active_part(body) if active is None else active
     rho_pos, _ = radial_profile(probed, grid.nodes)
     rho_neg, _ = radial_profile(probed, -grid.nodes)
     gaps = np.abs(rho_pos - rho_neg)
@@ -164,6 +167,15 @@ def _checked_group(group: OrthogonalGroup) -> None:
         )
 
 
+def _certificate(body: SupportPolytope, group: OrthogonalGroup,
+                 grid: SphericalGrid | None) -> AsymmetryCertificate:
+    """Both certificates of a pooled body, probing one active_part."""
+    active = active_part(body)
+    _, deviation = is_invariant(body, group, grid, active=active)
+    return certify_asymmetry(body, grid, invariance_deviation=deviation,
+                             active=active)
+
+
 def orbit_intersection_body(group: OrthogonalGroup, base: SupportPolytope,
                             rotation: np.ndarray | None = None, seed: int = 0,
                             grid: SphericalGrid | None = None):
@@ -181,8 +193,7 @@ def orbit_intersection_body(group: OrthogonalGroup, base: SupportPolytope,
     if rotation is None:
         rotation = random_generic_rotation(group, u_min, seed=seed)
     body = _pool_orbit_constraints(group, base, rotation)
-    _, deviation = is_invariant(body, group, grid)
-    cert = certify_asymmetry(body, grid, invariance_deviation=deviation)
+    cert = _certificate(body, group, grid)
     return body, cert
 
 
@@ -207,8 +218,7 @@ def orbit_intersection_body_circum(group: OrthogonalGroup, base: SupportPolytope
     if rotation is None:
         rotation = random_generic_rotation(group, u_max, seed=seed)
     body = _pool_orbit_constraints(group, base, rotation)
-    _, deviation = is_invariant(body, group, grid)
-    cert = certify_asymmetry(body, grid, invariance_deviation=deviation)
+    cert = _certificate(body, group, grid)
     hz = rotation @ u_max
     rho_at, _ = radial_profile(body, hz[None])
     rho_anti, _ = radial_profile(body, -hz[None])

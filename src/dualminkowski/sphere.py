@@ -53,9 +53,47 @@ def sphere_area(k: int) -> float:
     return k * unit_ball_volume(k)
 
 
+# Below this many entries math.fsum on a list beats the vectorised
+# extraction (crossover measured at 768 to 1536 entries, depending on the
+# spread of the data; 2-vCPU x86-64, numpy 2.4). The solver's 24-entry orbit
+# sums and 642-entry atom sums stay on fsum.
+_EXTRACT_MIN_SIZE = 1024
+
+
 def stable_sum(values) -> float:
-    """Order-stable compensated sum (exact rounding via math.fsum)."""
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+    """Exactly rounded sum of all entries, equal to math.fsum bit for bit.
+
+    Large arrays use error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation, part I", 2008). With N entries, 2^m >= N + 2,
+    2^e > max |r| and sigma = 2^(e + m), each q = (r + sigma) - sigma is a
+    multiple of 2^(e + m - 53) with |q| <= 2^e, so np.sum(q) is exact in any
+    order (every partial sum is such a multiple below sigma), and r - q is
+    exact (the rounding error of an addition). Repeating on r - q until it
+    vanishes splits the sum into a few exact partial sums, and fsum of those
+    rounds the same real number as fsum of the entries. Arrays below
+    _EXTRACT_MIN_SIZE, and arrays with a non-finite entry, no nonzero entry
+    or a largest magnitude outside (2^-900, 2^900), go to fsum directly, so
+    inf, nan and inf - inf return or raise exactly as fsum does.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size < _EXTRACT_MIN_SIZE:
+        return math.fsum(v.tolist())
+    # numpy's max and min both return nan when any entry is nan
+    top = max(float(v.max()), -float(v.min()))
+    if not 2.0 ** -900 < top < 2.0 ** 900:
+        return math.fsum(v.tolist())
+    m = (v.size + 1).bit_length()
+    parts = []
+    r = v.copy()
+    q = np.empty_like(r)
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(float(np.sum(q)))
+        r -= q
+        top = max(float(r.max()), -float(r.min()))
+    return math.fsum(parts)
 
 
 @dataclass(frozen=True)

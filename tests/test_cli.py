@@ -173,11 +173,44 @@ class TestVerifyBoundsCommand:
         out = str(tmp_path / "runs")
         assert main(["verify-bounds", cfg, "--out", out]) == EXIT_OK
         manifest, run_dir = manifest_of(out)
-        assert manifest["outcome"]["failures"] == 0
-        assert manifest["outcome"]["cases"] == 12
+        outcome = manifest["outcome"]
+        assert outcome["failures"] == 0
+        assert outcome["cases"] == 12
+        # n = 2: q = 0.5 fractional, q = 2 top; n = 3: fractional, integer-log
+        assert outcome["branch_counts"] == {"fractional": 6, "top": 3,
+                                            "integer-log": 3}
         with open(os.path.join(run_dir, "bounds.csv")) as fh:
             rows = fh.read().strip().splitlines()
         assert len(rows) == 13  # header + cases
+        margins = []
+        for row in rows[1:]:
+            lower, observed, upper = map(float, row.split(",")[4:7])
+            margins.append(min(math.log(observed / lower),
+                               math.log(upper / observed)))
+        assert 0 < outcome["worst_margin"] == pytest.approx(min(margins),
+                                                            rel=1e-9)
+
+    @pytest.mark.parametrize("field, value", [
+        ("boxes_per_case", 0),
+        ("q_values", []),
+        ("q_values", [0.5, -1.0]),
+        ("axis_range", [0, 30]),
+        ("axis_range", [30, 0.3]),
+        ("axis_range", [0.3]),
+        ("dimensions", [1, 2]),
+        ("dimensions", []),
+        ("grid_nodes", 4),
+        ("seed", -1),
+    ])
+    def test_bad_config_leaves_no_run_directory(self, tmp_path, capsys,
+                                                field, value):
+        cfg = write_config(tmp_path, {"dimensions": [2], "q_values": [2.0],
+                                      "boxes_per_case": 1, "grid_nodes": 1000,
+                                      field: value})
+        out = tmp_path / "runs"
+        assert main(["verify-bounds", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert f"config error: field {field!r}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestConstructCommand:

@@ -230,6 +230,26 @@ class TestProbesEqualDense:
         assert cert.active_constraints < body.facet_count
         _assert_probes_match_dense(body, tetra_group, cert_grid, cert)
 
+    @pytest.mark.parametrize("construct", [orbit_intersection_body,
+                                           orbit_intersection_body_circum])
+    def test_constructions_prune_once(self, tetra_group, shifted_base,
+                                      cert_grid, monkeypatch, construct):
+        from dualminkowski import bodies, constructions
+
+        calls = []
+
+        def counted(body):
+            calls.append(body.facet_count)
+            return active_part(body)
+
+        monkeypatch.setattr(bodies, "active_part", counted)
+        monkeypatch.setattr(constructions, "active_part", counted)
+        body, cert, *_ = construct(tetra_group, shifted_base, seed=1,
+                                   grid=cert_grid)
+        assert calls == [body.facet_count]
+        monkeypatch.undo()
+        _assert_probes_match_dense(body, tetra_group, cert_grid, cert)
+
     def test_cube_every_constraint_active(self, cert_grid):
         cube = cube_polytope(3)
         assert active_part(cube).facet_count == 6

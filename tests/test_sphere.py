@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dualminkowski import sphere
 from dualminkowski.sphere import (
     SphericalGrid,
     build_grid,
@@ -14,6 +16,8 @@ from dualminkowski.sphere import (
     stable_sum,
     unit_ball_volume,
 )
+
+from conftest import reference_stable_sum
 
 
 def test_sphere_constants():
@@ -146,7 +150,62 @@ def test_icosphere_counts():
     assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) < 1e-12
 
 
-def test_stable_sum_matches_fsum():
+def _sum_outcome(fn, values):
+    """The bits of fn(values), or the type and message of what it raised."""
+    try:
+        return struct.pack("<d", fn(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_stable_sum_matches_fsum(monkeypatch):
+    """stable_sum equals math.fsum bit for bit (sign of zero included), and
+    raises where fsum raises, on either side of the extraction cutoff."""
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(10000) * 10.0 ** rng.integers(-8, 8, 10000)
     assert stable_sum(vals) == math.fsum(vals.tolist())
+
+    cut = sphere._EXTRACT_MIN_SIZE
+    signs = rng.choice([-1.0, 1.0], 4000)
+    cases = {
+        "wide": vals,
+        "flagship-sized": rng.uniform(0.3, 30.0, 20000) ** 3.5 / 20000,
+        "box-sweep-sized": rng.uniform(0.3, 30.0, 200000) ** 2.5 / 200000,
+        "empty": np.array([]),
+        "single": np.array([-2.5]),
+        "cancellation": np.tile([1e16, 1.0, -1e16, 3.0, -1e-16], 2 * cut),
+        "exact-zero": np.concatenate([vals, -vals[::-1]]),
+        "half-way-tie": np.concatenate([[1.0, 2.0 ** -53], np.zeros(cut)]),
+        "above-tie": np.concatenate([[1.0, 2.0 ** -53, 2.0 ** -300],
+                                     np.zeros(cut)]),
+        "subnormal-only": np.arange(1, 3 * cut) * 5e-324 * signs[:3 * cut - 1],
+        "subnormal-tail": np.concatenate([[1e-250, -3e-260],
+                                          np.arange(1, 2 * cut) * 5e-324]),
+        "spread-1e260": signs * 10.0 ** rng.uniform(-260.0, 260.0, 4000),
+        "spread-1e300": signs * 10.0 ** rng.uniform(-300.0, 300.0, 4000),
+        "all-negative-zero": np.full(2 * cut, -0.0),
+        "2-d": rng.standard_normal((50, 2 * cut // 50)),
+        "integers": np.arange(-cut, 3 * cut),
+        "large-integers": 2 ** 60 + np.arange(2 * cut, dtype=np.int64),
+        "list": (rng.standard_normal(2 * cut) * 1e5).tolist(),
+        "inf": np.concatenate([vals, [np.inf]]),
+        "nan": np.concatenate([vals, [np.nan]]),
+        "inf-minus-inf": np.concatenate([vals, [np.inf, -np.inf]]),
+        "overflow": np.full(2 * cut, 1e308),
+    }
+    for size in (cut - 1, cut, cut + 1):
+        cases[f"size-{size}"] = rng.standard_normal(size) * 1e3
+        cases[f"size-{size}-negative-zero"] = np.full(size, -0.0)
+    for name, values in cases.items():
+        want = _sum_outcome(reference_stable_sum, values)
+        assert _sum_outcome(stable_sum, values) == want, name
+    assert _sum_outcome(stable_sum, cases["inf-minus-inf"])[0] is ValueError
+    assert _sum_outcome(stable_sum, cases["overflow"])[0] is OverflowError
+
+    # large sums take the extraction path: fsum sees a few partial sums
+    seen, fsum = [], math.fsum
+    monkeypatch.setattr(sphere.math, "fsum",
+                        lambda xs: seen.append(len(xs)) or fsum(xs))
+    stable_sum(cases["box-sweep-sized"])
+    stable_sum(cases["size-%d" % (cut - 1)])
+    assert seen[0] <= 4 and seen[1] == cut - 1
