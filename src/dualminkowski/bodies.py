@@ -23,6 +23,7 @@ __all__ = [
     "StarBody",
     "radial_eval",
     "radial_profile",
+    "RadialKernel",
     "support_eval",
     "support_profile",
     "polar_radial",
@@ -135,6 +136,75 @@ def radial_profile(body: SupportPolytope, points: np.ndarray,
             "normals do not positively span"
         )
     return rho, idx
+
+
+# Relative slack on the pruning bound: a computed h / A carries under 1e-15
+# relative rounding, so the true exit facet always clears the loosened bound.
+_PRUNE_SLACK = 1e-12
+# Lists are built for 0.95 * min(h) / max(h): near r = 1 that keeps about 3%
+# of the facets per point, and r may fall 5% before a rebuild (~20 passes).
+_REBUILD_MARGIN = 0.95
+
+
+class RadialKernel:
+    """radial_profile on fixed points and normals, for many support vectors.
+
+    The pass is pruned exactly. With A = points @ normals.T and
+    r = min(h) / max(h), facet i can attain min_j h_j / A[u, j] at u only if
+    A[u, i] >= r * max_j A[u, j]. Each point keeps the facets that clear
+    this bound at a built ratio and radial_profile's denominator test
+    A > _POS_DENOM_TOL, and a pass divides h by A on those lists only; they
+    are rebuilt from A when an h arrives whose r is below the built ratio.
+    Every facet attaining the minimum is on the list and the division is
+    radial_profile's, so rho and the exit facets (ties to the smallest
+    index) equal radial_profile's bit for bit.
+    """
+
+    def __init__(self, points: np.ndarray, normals: np.ndarray):
+        self.points, self.normals = points, normals
+        # (built ratio, facet indices, inner products); the last two are
+        # (width, points), one point per column
+        self.lists = None
+        self.passes = 0
+        self.rebuilds = 0
+
+    def _build(self, ratio: float) -> None:
+        prods = self.points @ self.normals.T
+        top = np.max(prods, axis=1)
+        if not np.all(top > _POS_DENOM_TOL):
+            raise ValueError(
+                f"no positive denominator at point {int(np.argmin(top))}; "
+                "normals do not positively span")
+        # the slack makes the bound strict for the exit facet
+        cut = np.maximum((ratio * (1.0 - _PRUNE_SLACK)) * top, _POS_DENOM_TOL)
+        points, cols = np.divmod(np.flatnonzero(prods > cut[:, None]),
+                                 prods.shape[1])
+        counts = np.bincount(points, minlength=prods.shape[0])
+        start = np.cumsum(counts) - counts
+        # pad each point with repeats of its first candidate (same value and
+        # index, so neither the minimum nor the exit facet can change)
+        padded = np.repeat(cols[start][None, :], int(counts.max()), axis=0)
+        padded[np.arange(points.size) - start[points], points] = cols
+        self.lists = ratio, padded, prods[np.arange(prods.shape[0]), padded]
+        self.rebuilds += 1
+
+    def profile(self, h: np.ndarray, want_idx: bool = True):
+        """(rho, exit facets) at every point; the exit facets are None
+        unless want_idx."""
+        self.passes += 1
+        low, high = np.min(h), np.max(h)
+        if not 0.0 < low <= high < np.inf:
+            raise ValueError("support numbers must be positive and finite")
+        if self.lists is None or low / high < self.lists[0]:
+            self._build(_REBUILD_MARGIN * float(low / high))
+        _, cols, values = self.lists
+        ratios = h[cols]
+        ratios /= values
+        rho = np.min(ratios, axis=0)
+        if not want_idx:
+            return rho, None
+        # the dense argmin's first-index rule: smallest facet attaining rho
+        return rho, np.min(np.where(ratios == rho, cols, h.size), axis=0)
 
 
 def radial_eval(body: SupportPolytope, u: np.ndarray) -> tuple[float, int]:

@@ -66,18 +66,13 @@ def _cmd_solve(config: dict, args) -> int:
     from .runio import (new_run_directory, resolve_problem, write_body_file,
                         write_csv, write_facet_measure_csv, write_manifest,
                         write_obj_mesh)
-    from .solver import euler_lagrange_check, minimize_entropy, assemble_solution
+    from .solver import assemble_solution, minimize_entropy
 
     started = time.time()
     spec, solver_cfg, extras = resolve_problem(config)
     run_dir = new_run_directory(args.out, "solve")
 
     body_tilde, report = minimize_entropy(spec, solver_cfg)
-    el_gap = euler_lagrange_check(
-        body_tilde,
-        float(np.sum(body_tilde.support ** spec.p * spec.mu.atoms)),
-        spec,
-    )
     report = assemble_solution(body_tilde, spec, report)
 
     outputs = []
@@ -108,7 +103,7 @@ def _cmd_solve(config: dict, args) -> int:
         "gradient_floor": report.gradient_floor,
         "lambda": report.lam,
         "residual_orbit_l1": report.residual,
-        "euler_lagrange_gap": el_gap,
+        "euler_lagrange_gap": report.euler_lagrange_gap,
         "scale_invariance_gap": report.scale_invariance_gap,
         "floor_hit": report.floor_hit,
         "diameter_alarm": report.diameter_alarm,

@@ -119,26 +119,32 @@ class MeasureSpec:
         return np.array([stable_sum(self.atoms[o]) for o in orbit_partition])
 
 
-def _integrand(body: SupportPolytope, q_body: StarBody, q: float,
-               grid: SphericalGrid):
-    """Node values rho_K^q rho_Q^{n-q} / n and the facet assignment."""
-    if q == 0.0:
-        raise ValueError("dual mixed volume requires q != 0")
-    rho, idx = radial_profile(body, grid.nodes)
-    rho_q = q_body.radial(grid.nodes)
-    n = body.dim
-    values = rho ** q * rho_q ** (n - q) / n
+def integrand_values(rho: np.ndarray, q_weight: np.ndarray, q: float,
+                     grid: SphericalGrid) -> np.ndarray:
+    """Quadrature-weighted node values rho_K^q rho_Q^{n-q} / n * w, given
+    q_weight = rho_Q^{n-q} at the nodes."""
+    values = rho ** q * q_weight / grid.dim
     if not np.all(np.isfinite(values)):
         bad = int(np.argmax(~np.isfinite(values)))
         raise ValueError(f"non-finite dual volume integrand at node {bad}")
-    return values, idx
+    return values * grid.weights
+
+
+def _integrand(body: SupportPolytope, q_body: StarBody, q: float,
+               grid: SphericalGrid):
+    """Weighted node values of the dual volume and the facet assignment."""
+    if q == 0.0:
+        raise ValueError("dual mixed volume requires q != 0")
+    rho, idx = radial_profile(body, grid.nodes)
+    q_weight = q_body.radial(grid.nodes) ** (grid.dim - q)
+    return integrand_values(rho, q_weight, q, grid), idx
 
 
 def dual_mixed_volume(body: SupportPolytope, q_body: StarBody, q: float,
                       grid: SphericalGrid) -> float:
     """V~_q(K, Q) = (1/n) integral of rho_K^q rho_Q^{n-q} over the sphere."""
     values, _ = _integrand(body, q_body, q, grid)
-    return stable_sum(values * grid.weights)
+    return stable_sum(values)
 
 
 def dual_curvature_measure(body: SupportPolytope, q_body: StarBody, q: float,
@@ -150,8 +156,7 @@ def dual_curvature_measure(body: SupportPolytope, q_body: StarBody, q: float,
     volume exactly. Redundant facets receive zero.
     """
     values, idx = _integrand(body, q_body, q, grid)
-    atoms = np.bincount(idx, weights=values * grid.weights,
-                        minlength=body.facet_count)
+    atoms = np.bincount(idx, weights=values, minlength=body.facet_count)
     return FacetMeasure(atoms=atoms, grid_id=grid.grid_id)
 
 

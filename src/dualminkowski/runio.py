@@ -144,11 +144,16 @@ def resolve_grid(spec: dict, n: int) -> SphericalGrid:
 
 
 def resolve_solver_config(spec: dict) -> SolverConfig:
+    if not isinstance(spec, dict):
+        raise ConfigError("solver section must be an object")
     known = {f for f in SolverConfig.__dataclass_fields__}
     unknown = set(spec) - known
     if unknown:
         raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
-    return SolverConfig(**spec)
+    try:
+        return SolverConfig(**spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def resolve_problem(cfg: dict):
@@ -156,8 +161,10 @@ def resolve_problem(cfg: dict):
 
     All hypothesis checks run eagerly here and raise HypothesisError naming
     the violated condition (e.g. p outside (-q*, 0), fixed-point group,
-    non-invariant Q), so a bad run fails before any work starts.
+    non-invariant Q), so a bad run fails before any work starts. The solver
+    section is checked first, since it needs none of the problem data.
     """
+    solver_cfg = resolve_solver_config(cfg.get("solver", {}))
     n = int(_require(cfg, "n", int))
     p = float(_require(cfg, "p", (int, float)))
     q = float(_require(cfg, "q", (int, float)))
@@ -199,7 +206,6 @@ def resolve_problem(cfg: dict):
         density, label = resolve_density(measure_spec)
         spec = ProblemSpec.build(n, p, q, group, q_body, density, directions,
                                  grid, density_label=label)
-    solver_cfg = resolve_solver_config(cfg.get("solver", {}))
     extras = {
         "s_exponent": s,
         "q_star": q_star(q, n),

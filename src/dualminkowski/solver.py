@@ -12,16 +12,17 @@ the unit-dual-volume slice is free because the objective is scale-invariant.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import StarBody, SupportPolytope, is_invariant
+from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
 from .groups import OrthogonalGroup, certify, orbits
-from .measures import MeasureSpec, dual_mixed_volume, lp_dual_curvature_measure
+from .measures import (MeasureSpec, dual_curvature_measure, integrand_values,
+                       lp_dual_curvature_measure)
 from .sphere import SphericalGrid, stable_sum
 
 __all__ = [
@@ -140,9 +141,37 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.gradient_tolerance, self.initial_step, self.shrink,
-               self.slope_factor) <= 0:
-            raise ValueError("solver tolerances must be positive")
+        for name, (ok, want) in _CONFIG_RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(
+                    f"solver field {name!r} must be {want}, got {value!r}")
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
+# SolverConfig field: (test, valid range). Each range keeps the solve well
+# defined: at least one iteration and one stall-window step, a line search
+# whose trial steps shrink to min_step and stop, and a finite warm start.
+_CONFIG_RANGES = {
+    "max_iters": (lambda x: _integer(x) and x >= 1, "an integer >= 1"),
+    "gradient_tolerance": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
+    "initial_step": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
+    "shrink": (lambda x: _finite(x) and 0 < x < 1, "a number in (0, 1)"),
+    "slope_factor": (lambda x: _finite(x) and 0 < x < 1, "a number in (0, 1)"),
+    "min_step": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
+    "step_growth": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
+    "stall_window": (lambda x: _integer(x) and x >= 1, "an integer >= 1"),
+    "stall_tolerance": (lambda x: _finite(x) and x >= 0, "a finite number >= 0"),
+    "seed": (_integer, "an integer"),
+}
 
 
 @dataclass
@@ -167,6 +196,8 @@ class SolutionReport:
     orbit_values_trace: list
     # support-weighted curvature atoms of body, set by assemble_solution
     atoms: np.ndarray | None = None
+    # largest per-orbit relative gap of those atoms, set by assemble_solution
+    euler_lagrange_gap: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -198,99 +229,23 @@ def reduce_to_orbits(spec: ProblemSpec) -> OrbitReduction:
     return OrbitReduction(partition=part, orbit_of=orbit_of, representatives=reps)
 
 
-class _Candidates(NamedTuple):
-    """Per-node candidate facets, one node per column, padded to a common
-    number of rows."""
-
-    ratio: float        # exact for every h with min(h) / max(h) >= ratio
-    cols: np.ndarray    # (width, nodes) facet indices
-    values: np.ndarray  # (width, nodes) node-facet inner products at cols
-
-
-# Relative slack on the pruning bound: a computed A / h carries under 1e-15
-# relative rounding, so the true winner always clears the loosened bound.
-_PRUNE_SLACK = 1e-12
-# Lists are built for 0.95 * min(h) / max(h): near r = 1 that keeps about 3%
-# of the facets per node, and r may fall 5% before a rebuild (~20 passes).
-_REBUILD_MARGIN = 0.95
-
-
 class _EntropyKernel:
-    """Cached node-direction geometry for fast repeated evaluations.
-
-    The inner products A = nodes @ directions.T are fixed during a solve;
-    only the support numbers h change. The exit facet at node u maximizes
-    A[u, i] / h_i with ties to the smallest index, the facet rule of
-    radial_profile; rho = 1 / max_i (A[u, i] / h_i) equals radial_profile's
-    min_i h_i / A[u, i] only to rounding.
-
-    The pass is pruned exactly. With r = min(h) / max(h), facet i can win at
-    u only if A[u, i] >= r * max_j A[u, j]. Each node keeps the list of
-    facets that clear this bound at a built ratio, and a pass scans only
-    those; the lists are rebuilt when an h arrives whose r is below the
-    built ratio. Every facet attaining the maximum is on the list, and the
-    exit facet is the smallest of them, so rho, the exit facets and
-    everything summed from them equal the dense pass over A bit for bit.
-    The antipodal nodes -u (for the diameter) keep lists of their own.
-    """
+    """The entropy functional on the problem's fixed nodes and directions,
+    in the arithmetic of radial_profile and measures: the dual volume and
+    the atoms of state(h) equal dual_mixed_volume's and
+    dual_curvature_measure's bit for bit."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        grid, dirs = spec.grid, spec.directions
-        self.denom = grid.nodes @ dirs.T
-        n = spec.dim
-        self.q_factor = spec.q_body.radial(grid.nodes) ** (n - spec.q) / n
-        self.weights = grid.weights
-        self.n_dirs = dirs.shape[0]
-        self._nodes = np.arange(self.denom.shape[0])
-        self._lists = {False: None, True: None}  # keyed by `antipodal`
-        self.passes = 0
-        self.rebuilds = 0
-
-    def _build(self, ratio: float, antipodal: bool) -> _Candidates:
-        denom = self.denom
-        # node -u has inner products -A[u]: compare A with -cut rather than
-        # negating the whole matrix
-        top = -np.min(denom, axis=1) if antipodal else np.max(denom, axis=1)
-        if not np.all(top > 0):
-            raise ValueError(
-                f"no positive inner product at node {int(np.argmin(top))}; "
-                "directions do not positively span")
-        cut = (ratio * (1.0 - _PRUNE_SLACK)) * top[:, None]
-        mask = denom <= -cut if antipodal else denom >= cut
-        nodes, cols = np.divmod(np.flatnonzero(mask), self.n_dirs)
-        counts = np.bincount(nodes, minlength=denom.shape[0])
-        start = np.cumsum(counts) - counts
-        # pad each node with repeats of its first candidate (same value and
-        # index, so neither the maximum nor the exit facet can change)
-        padded = np.repeat(cols[start][None, :], int(counts.max()), axis=0)
-        padded[np.arange(nodes.size) - start[nodes], nodes] = cols
-        values = denom[self._nodes, padded]
-        self.rebuilds += 1
-        return _Candidates(ratio, padded, -values if antipodal else values)
-
-    def _rho(self, h: np.ndarray, want_idx: bool, antipodal: bool = False):
-        """rho at every node u (or -u), and the exit facets if want_idx."""
-        self.passes += 1
-        ratio = float(np.min(h) / np.max(h))
-        if not ratio > 0:
-            raise ValueError("support numbers must be positive and finite")
-        cand = self._lists[antipodal]
-        if cand is None or ratio < cand.ratio:
-            cand = self._build(_REBUILD_MARGIN * ratio, antipodal)
-            self._lists[antipodal] = cand
-        scaled = (1.0 / h)[cand.cols]
-        scaled *= cand.values
-        best = np.max(scaled, axis=0)
-        if not want_idx:
-            return 1.0 / best, None
-        # the dense argmax's first-index rule: smallest facet attaining best
-        idx = np.min(np.where(scaled == best, cand.cols, self.n_dirs), axis=0)
-        return 1.0 / best, idx
+        nodes = spec.grid.nodes
+        self.radial = RadialKernel(nodes, spec.directions)
+        self.antipodal = RadialKernel(-nodes, spec.directions)  # diameter
+        self.q_weight = spec.q_body.radial(nodes) ** (spec.grid.dim - spec.q)
 
     def dual_volume(self, h: np.ndarray) -> float:
-        rho, _ = self._rho(h, want_idx=False)
-        return stable_sum(rho ** self.spec.q * self.q_factor * self.weights)
+        rho, _ = self.radial.profile(h, want_idx=False)
+        return stable_sum(integrand_values(rho, self.q_weight, self.spec.q,
+                                           self.spec.grid))
 
     def phi(self, h: np.ndarray) -> tuple[float, float]:
         """Return (phi, dual volume) at h."""
@@ -303,9 +258,9 @@ class _EntropyKernel:
         node_jump), where node_jump is the largest single-node contribution
         to the normalized atoms: the resolution limit of the gradient."""
         p, q = self.spec.p, self.spec.q
-        rho, idx = self._rho(h, want_idx=True)
-        values = rho ** q * self.q_factor * self.weights
-        atoms = np.bincount(idx, weights=values, minlength=self.n_dirs)
+        rho, idx = self.radial.profile(h)
+        values = integrand_values(rho, self.q_weight, q, self.spec.grid)
+        atoms = np.bincount(idx, weights=values, minlength=h.size)
         vol = stable_sum(atoms)
         weighted = h ** p * self.spec.mu.atoms
         mass = stable_sum(weighted)
@@ -316,8 +271,8 @@ class _EntropyKernel:
         return phi, log_grad, atoms, vol, node_jump
 
     def diameter(self, h: np.ndarray) -> float:
-        rho, _ = self._rho(h, want_idx=False)
-        rho_neg, _ = self._rho(h, want_idx=False, antipodal=True)
+        rho, _ = self.radial.profile(h, want_idx=False)
+        rho_neg, _ = self.antipodal.profile(h, want_idx=False)
         return float(np.max(rho + rho_neg))
 
 
@@ -439,8 +394,10 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         euler_pairing_max=pairing_max, residual=float("nan"),
         converged=converged, convergence_reason=reason, gradient_floor=node_jump,
         floor_hit=floor_hit, diameter_alarm=diameter_alarm,
-        iterations=iteration + 1, kernel_passes=kernel.passes,
-        candidate_rebuilds=kernel.rebuilds, wall_time=time.perf_counter() - t0,
+        iterations=iteration + 1,
+        kernel_passes=kernel.radial.passes + kernel.antipodal.passes,
+        candidate_rebuilds=kernel.radial.rebuilds + kernel.antipodal.rebuilds,
+        wall_time=time.perf_counter() - t0,
         orbit_values_trace=orbit_trace,
     )
     return body, report
@@ -452,11 +409,10 @@ def assemble_solution(body_tilde: SupportPolytope, spec: ProblemSpec,
 
     lambda is the mass term at the minimizer; scaling by lambda^{1/(q-p)}
     makes the support-weighted curvature atoms match the prescribed atoms.
-    The residual is the orbit-binned relative l1 gap between the two.
+    One radial pass gives the solution's atoms, and from them the
+    minimizer's dual volume, the residual and the Euler-Lagrange gap: by
+    homogeneity they equal lambda * (curvature atom) * h^{-p} of the minimizer.
     """
-    vol = dual_mixed_volume(body_tilde, spec.q_body, spec.q, spec.grid)
-    if abs(vol - 1.0) > 1e-8:
-        raise ValueError(f"minimizer must have unit dual volume, got {vol}")
     lam = stable_sum(body_tilde.support ** spec.p * spec.mu.atoms)
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("mass term at the minimizer is degenerate")
@@ -465,35 +421,35 @@ def assemble_solution(body_tilde: SupportPolytope, spec: ProblemSpec,
 
     atoms = lp_dual_curvature_measure(solution, spec.q_body, spec.p, spec.q,
                                       spec.grid).atoms
-    part = spec.orbit_partition
-    got = np.array([stable_sum(atoms[o]) for o in part])
-    want = np.array([stable_sum(spec.mu.atoms[o]) for o in part])
-    residual = float(np.sum(np.abs(got - want)) / np.sum(want))
+    vol = stable_sum(atoms * solution.support ** spec.p) / factor ** spec.q
+    if abs(vol - 1.0) > 1e-8:
+        raise ValueError(f"minimizer must have unit dual volume, got {vol}")
 
     report.body = solution
     report.atoms = atoms
     report.lam = float(lam)
-    report.residual = residual
+    report.residual, report.euler_lagrange_gap = _orbit_gaps(atoms, spec)
     return report
+
+
+def _orbit_gaps(atoms: np.ndarray, spec: ProblemSpec) -> tuple[float, float]:
+    """The residual (relative l1 gap of the orbit sums of support-weighted
+    atoms and of mu) and the largest relative gap of one orbit of mu-mass."""
+    part = spec.orbit_partition
+    want = spec.mu.orbit_totals(part)
+    gaps = np.abs(np.array([stable_sum(atoms[o]) for o in part]) - want)
+    held = want > 0
+    return (float(np.sum(gaps) / np.sum(want)),
+            float(np.max(gaps[held] / want[held], initial=0.0)))
 
 
 def euler_lagrange_check(body_tilde: SupportPolytope, lam: float,
                          spec: ProblemSpec) -> float:
     """Max orbit-wise relative gap in the stationarity identity
     mu_O = lambda * sum over the orbit of (curvature atom) * h^{-p}."""
-    from .measures import dual_curvature_measure
-
     atoms = dual_curvature_measure(body_tilde, spec.q_body, spec.q,
                                    spec.grid).atoms
-    pred = lam * atoms * body_tilde.support ** (-spec.p)
-    worst = 0.0
-    for orbit in spec.orbit_partition:
-        want = stable_sum(spec.mu.atoms[orbit])
-        if want <= 0:
-            continue
-        got = stable_sum(pred[orbit])
-        worst = max(worst, abs(got - want) / want)
-    return worst
+    return _orbit_gaps(lam * atoms * body_tilde.support ** (-spec.p), spec)[1]
 
 
 def solve_problem(spec: ProblemSpec, config: SolverConfig | None = None) -> SolutionReport:

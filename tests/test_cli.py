@@ -104,22 +104,41 @@ class TestParseConfig:
 
 class TestSolveCommand:
     def test_solve_run_directory(self, tmp_path, monkeypatch):
-        from dualminkowski import measures, solver
+        from dualminkowski import bodies, measures, solver
 
         measure = measures.lp_dual_curvature_measure
-        calls = []
+        profile = bodies.radial_profile
+        minimize = solver.minimize_entropy
+        calls, minimized, profiles = [], [], []
 
         def counted(*args):
             calls.append(args)
             return measure(*args)
 
+        def counted_profile(*args, **kwargs):
+            if minimized:
+                profiles.append(args)
+            return profile(*args, **kwargs)
+
+        def minimize_then_count(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            minimized.append(True)
+            return result
+
         # the solver's binding, and the module's for any local import
         monkeypatch.setattr(solver, "lp_dual_curvature_measure", counted)
         monkeypatch.setattr(measures, "lp_dual_curvature_measure", counted)
+        monkeypatch.setattr(solver, "minimize_entropy", minimize_then_count)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dualminkowski") and \
+                    getattr(module, "radial_profile", None) is profile:
+                monkeypatch.setattr(module, "radial_profile", counted_profile)
         cfg = write_config(tmp_path, SOLVE_CONFIG)
         out = str(tmp_path / "runs")
         assert main(["solve", cfg, "--out", out]) == EXIT_OK
         assert len(calls) == 1  # measure_atoms.csv reuses the residual's atoms
+        # after minimising: one radial pass, over the rescaled solution
+        assert minimized and len(profiles) == 1
         manifest, run_dir = manifest_of(out)
         assert manifest["command"] == "solve"
         assert manifest["outcome"]["converged"]
@@ -154,6 +173,24 @@ class TestSolveCommand:
     def test_hypothesis_violation_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, dict(SOLVE_CONFIG, p=-4.0))
         assert main(["solve", cfg, "--out", str(tmp_path / "r")]) == EXIT_HYPOTHESIS
+
+    @pytest.mark.parametrize("solver_cfg", [{"max_iters": 0},
+                                            {"shrink": 1.0},
+                                            {"stall_window": 0}])
+    def test_bad_solver_field_fails_before_any_work(self, tmp_path, capsys,
+                                                   monkeypatch, solver_cfg):
+        from dualminkowski import runio
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("problem data resolved before the solver")
+
+        monkeypatch.setattr(runio, "invariant_directions", no_work)
+        cfg = write_config(tmp_path, dict(SOLVE_CONFIG, solver=solver_cfg))
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
+        field = next(iter(solver_cfg))
+        assert f"config error: solver field {field!r}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_broken_config_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,12 +1,17 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dualminkowski import solver
-from dualminkowski.bodies import StarBody, is_invariant, radial_profile
+from dualminkowski.bodies import (
+    RadialKernel,
+    StarBody,
+    SupportPolytope,
+    is_invariant,
+    radial_profile,
+)
 from dualminkowski.groups import (
     OrthogonalGroup,
     cyclic_rotation,
@@ -15,7 +20,11 @@ from dualminkowski.groups import (
     simplex_symmetry,
     standard_group,
 )
-from dualminkowski.measures import MeasureSpec, entropy_value
+from dualminkowski.measures import (
+    MeasureSpec,
+    dual_curvature_measure,
+    entropy_value,
+)
 from dualminkowski.solver import (
     ProblemSpec,
     SolverConfig,
@@ -25,7 +34,7 @@ from dualminkowski.solver import (
     reduce_to_orbits,
     solve_problem,
 )
-from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
+from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, stable_sum
 
 P, Q_EXP = -1.0, 2.0
 BALL3 = StarBody.ball(3)
@@ -112,6 +121,27 @@ class TestProblemSpec:
                                  lambda U: np.full(U.shape[0], 0.5),
                                  directions, grid)
         assert len(spec.orbit_partition) == 50
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5),
+        ("max_iters", True), ("stall_window", 0), ("step_growth", 0.0),
+        ("step_growth", math.inf), ("shrink", 1.0), ("shrink", 1.5),
+        ("shrink", 0.0), ("min_step", 0.0), ("min_step", -1e-14),
+        ("initial_step", math.nan), ("gradient_tolerance", math.nan),
+        ("gradient_tolerance", 0.0), ("slope_factor", 0.0),
+        ("slope_factor", 1.0), ("stall_tolerance", -1.0),
+        ("stall_tolerance", math.nan), ("seed", 0.5),
+    ])
+    def test_invalid_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"solver field '{field}'"):
+            SolverConfig(**{field: value})
+
+    def test_defaults_and_edges_accepted(self):
+        SolverConfig()
+        SolverConfig(max_iters=1, stall_window=1, stall_tolerance=0.0,
+                     shrink=0.999, step_growth=0.5, seed=np.int64(3))
 
 
 class TestOrbitReduction:
@@ -255,6 +285,13 @@ class TestSolution:
         rho, _ = radial_profile(report.body, bump_spec.grid.nodes)
         assert rho.max() / rho.min() - 1.0 > 0.05
 
+    def test_report_gap_matches_euler_lagrange_check(self, bump_spec):
+        body, report = minimize_entropy(bump_spec)
+        lam = stable_sum(body.support ** P * bump_spec.mu.atoms)
+        want = euler_lagrange_check(body, lam, bump_spec)
+        report = assemble_solution(body, bump_spec, report)
+        assert report.euler_lagrange_gap == pytest.approx(want, rel=1e-12)
+
     def test_rescale_requires_unit_volume(self, ball_spec):
         body, report = minimize_entropy(ball_spec)
         bloated = body.with_support(1.5 * body.support)
@@ -268,66 +305,59 @@ def _dual_volume(body, spec):
     return dual_mixed_volume(body, spec.q_body, spec.q, spec.grid)
 
 
-class _DenseKernel(solver._EntropyKernel):
-    """Reference: the dense pass over every node-facet pair, which the
-    pruned pass must reproduce bit for bit."""
-
-    def _rho(self, h, want_idx, antipodal=False):
-        self.passes += 1
-        denom = -self.denom if antipodal else self.denom
-        scaled = denom * (1.0 / h)[None, :]
-        if want_idx:
-            idx = np.argmax(scaled, axis=1)
-            return 1.0 / scaled[np.arange(scaled.shape[0]), idx], idx
-        return 1.0 / np.max(scaled, axis=1), None
-
-
-def _kernel_spec(nodes, directions):
-    """The fields _EntropyKernel reads, for node sets no ProblemSpec has."""
-    nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
-    grid = SimpleNamespace(nodes=nodes,
-                           weights=np.full(len(nodes), 4 * math.pi / len(nodes)))
-    return SimpleNamespace(dim=3, p=P, q=Q_EXP, q_body=BALL3, grid=grid,
-                           directions=directions,
-                           mu=SimpleNamespace(atoms=np.ones(len(directions))))
-
-
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_kernels_agree(pruned, dense, h):
-    for antipodal in (False, True):
-        got = pruned._rho(h, want_idx=True, antipodal=antipodal)
-        want = dense._rho(h, want_idx=True, antipodal=antipodal)
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
-        got = pruned._rho(h, want_idx=False, antipodal=antipodal)
-        want = dense._rho(h, want_idx=False, antipodal=antipodal)
-        assert _same_bits(got[0], want[0]) and got[1] is None
-    for got, want in zip(pruned.state(h), dense.state(h)):
-        assert _same_bits(got, want)
-    assert pruned.phi(h) == dense.phi(h)
-    assert pruned.diameter(h) == dense.diameter(h)
+def _assert_matches_radial_profile(nodes, normals, h, kernels):
+    """kernels[0] serves the nodes and kernels[1] their antipodes."""
+    body = SupportPolytope(dim=3, normals=normals, support=h)
+    for kernel, points in zip(kernels, (nodes, -nodes)):
+        # small blocks: radial_profile's blocking must not change its bits
+        rho, idx = radial_profile(body, points, _block_cells=37 * len(h))
+        got = kernel.profile(h)
+        assert _same_bits(got[0], rho) and _same_bits(got[1], idx)
+        got = kernel.profile(h, want_idx=False)
+        assert _same_bits(got[0], rho) and got[1] is None
+
+
+class _ProfileKernel(RadialKernel):
+    """Reference: radial_profile itself, on a body per call."""
+
+    def profile(self, h, want_idx=True):
+        self.passes += 1
+        body = SupportPolytope(dim=self.normals.shape[1], normals=self.normals,
+                               support=h, h_floor=float(np.min(h)))
+        rho, idx = radial_profile(body, self.points)
+        return rho, idx if want_idx else None
 
 
 class TestPrunedKernel:
     def test_bit_equal_to_dense_across_spreads(self, bump_spec):
-        pruned = solver._EntropyKernel(bump_spec)
-        dense = _DenseKernel(bump_spec)
+        nodes, dirs = bump_spec.grid.nodes, bump_spec.directions
+        kernels = RadialKernel(nodes, dirs), RadialKernel(-nodes, dirs)
+        entropy = solver._EntropyKernel(bump_spec)
         rng = np.random.default_rng(5)
-        m = len(bump_spec.directions)
+        m = len(dirs)
         built = []
         # spreads min(h)/max(h) falling to 0.05 force rebuilds; the rising
         # tail is served by lists built for a lower ratio
         for spread in (1.0, 0.999, 0.97, 0.9, 0.6, 0.3, 0.05, 0.5, 0.99):
             h = 1.3 * np.exp(rng.uniform(math.log(spread), 0.0, m))
             h[:2] = 1.3 * spread, 1.3
-            _assert_kernels_agree(pruned, dense, h)
-            built.append(pruned._lists[False].ratio)
+            _assert_matches_radial_profile(nodes, dirs, h, kernels)
+            built.append(kernels[0].lists[0])
+            body = SupportPolytope(dim=3, normals=dirs, support=h)
+            atoms = entropy.state(h)[2]
+            want = dual_curvature_measure(body, bump_spec.q_body, Q_EXP,
+                                          bump_spec.grid).atoms
+            assert _same_bits(atoms, want)
+            assert entropy.dual_volume(h) == _dual_volume(body, bump_spec)
         assert built[6] <= 0.05 < built[5]
         assert built[-1] == built[6]
-        assert pruned.passes == dense.passes
+        assert [k.passes for k in kernels] == [2 * len(built)] * 2
+        assert [k.rebuilds for k in kernels] == [5, 5]
 
     def test_exact_ties_take_the_first_facet(self):
         axes = np.vstack([np.eye(3), -np.eye(3)])
@@ -335,31 +365,52 @@ class TestPrunedKernel:
         dirs = np.vstack([axes, corners / math.sqrt(3.0)])
         lattice = np.array([v for v in itertools.product([-1.0, 0.0, 1.0],
                                                          repeat=3) if any(v)])
-        spec = _kernel_spec(np.vstack([lattice, fibonacci_sphere_nodes(200)]),
-                            dirs)
-        pruned, dense = solver._EntropyKernel(spec), _DenseKernel(spec)
+        nodes = np.vstack([lattice, fibonacci_sphere_nodes(200)])
+        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
         h = np.full(len(dirs), 0.8)
-        scaled = pruned.denom / h
-        tied = np.sum(scaled == scaled.max(axis=1, keepdims=True), axis=1)
+        prods = nodes @ dirs.T
+        with np.errstate(divide="ignore"):
+            ratios = np.where(prods > 0, h / prods, np.inf)
+        tied = np.sum(ratios == ratios.min(axis=1, keepdims=True), axis=1)
         assert np.count_nonzero(tied > 1) >= 12  # symmetric nodes tie exactly
-        _assert_kernels_agree(pruned, dense, h)
+        _assert_matches_radial_profile(
+            nodes, dirs, h, (RadialKernel(nodes, dirs), RadialKernel(-nodes, dirs)))
+
+    def test_products_below_tolerance_are_skipped(self):
+        # facet 1 meets the node (1, 0, 0) at a product of 5e-15: below
+        # radial_profile's 1e-14 tolerance, although its tiny support number
+        # would win the division and clears the pruning bound of this spread
+        tilted = np.array([5e-15, 0.0, 1.0]) / math.hypot(5e-15, 1.0)
+        dirs = np.vstack([[1.0, 0.0, 0.0], tilted, -np.eye(3), [0.0, 1.0, 0.0]])
+        h = np.array([1.0, 1e-16, 1.0, 1.0, 1.0, 1.0])
+        nodes = np.vstack([np.eye(3), fibonacci_sphere_nodes(100)])
+        body = SupportPolytope(dim=3, normals=dirs, support=h, h_floor=1e-16)
+        rho, idx = radial_profile(body, nodes)
+        got = RadialKernel(nodes, dirs).profile(h)
+        assert idx[0] == 0 and rho[0] == 1.0
+        assert _same_bits(got[0], rho) and _same_bits(got[1], idx)
 
     def test_degenerate_inputs_raise(self, bump_spec):
-        kernel = solver._EntropyKernel(bump_spec)
+        kernel = RadialKernel(bump_spec.grid.nodes, bump_spec.directions)
         h = np.ones(len(bump_spec.directions))
-        h[3] = 0.0
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            h[3] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                kernel.profile(h)
         with pytest.raises(ValueError, match="positive and finite"):
-            kernel.dual_volume(h)
-        h[3] = np.nan
-        with pytest.raises(ValueError, match="positive and finite"):
-            kernel.dual_volume(h)
-        half = _kernel_spec(fibonacci_sphere_nodes(50), np.eye(3))
+            kernel.profile(-np.ones(len(h)))
+        half = RadialKernel(fibonacci_sphere_nodes(50), np.eye(3))
         with pytest.raises(ValueError, match="positively span"):
-            solver._EntropyKernel(half).dual_volume(np.ones(3))
+            half.profile(np.ones(3))
+        # a product at or below radial_profile's denominator tolerance does
+        # not count
+        tiny = RadialKernel(np.array([[1e-15, 1.0, 0.0]]), np.eye(3)[:1])
+        with pytest.raises(ValueError, match="positively span"):
+            tiny.profile(np.ones(1))
 
     def test_minimize_matches_dense_reference(self, bump_spec, monkeypatch):
         body, report = minimize_entropy(bump_spec)
-        monkeypatch.setattr(solver, "_EntropyKernel", _DenseKernel)
+        monkeypatch.setattr(solver, "RadialKernel", _ProfileKernel)
         ref_body, ref = minimize_entropy(bump_spec)
         assert report.iterations == ref.iterations > 10
         assert report.phi_trace == ref.phi_trace
