@@ -9,14 +9,13 @@ export. Star bodies carry a positive radial function directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .groups import OrthogonalGroup
-from .sphere import SphericalGrid, build_grid
+from .sphere import SphericalGrid, probe_grid
 
 __all__ = [
     "SupportPolytope",
@@ -43,12 +42,6 @@ __all__ = [
 ]
 
 _POS_DENOM_TOL = 1e-14
-
-
-@lru_cache(maxsize=8)
-def _probe(n: int) -> SphericalGrid:
-    counts = {2: 720, 3: 1280}
-    return build_grid(n, counts.get(n, 3000), seed=101)
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class SupportPolytope:
             raise ValueError(
                 f"support number {i} = {support[i]:.3e} below floor {floor:.3e}"
             )
-        probe = _probe(self.dim)
+        probe = probe_grid(self.dim)
         cover = np.max(probe.nodes @ normals.T, axis=1)
         if np.min(cover) <= 0.0:
             u = probe.nodes[int(np.argmin(cover))]
@@ -385,7 +378,7 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
     has it passes it as active. Returns (within tolerance, max deviation).
     """
     if grid is None:
-        grid = _probe(body.dim)
+        grid = probe_grid(body.dim)
     probed = active_part(body) if active is None else active
     rho, _ = radial_profile(probed, grid.nodes)
     stacked = np.einsum("kij,nj->kni", group.elements,
@@ -400,7 +393,7 @@ def centered(body: SupportPolytope, grid: SphericalGrid | None = None,
              iterations: int = 4) -> SupportPolytope:
     """Translate the body until the centroid estimate sits at the origin."""
     if grid is None:
-        grid = _probe(body.dim)
+        grid = probe_grid(body.dim)
     out = body
     for _ in range(iterations):
         stats = geometry_stats(out, grid)
@@ -501,7 +494,7 @@ class StarBody:
     label: str = ""
 
     def __post_init__(self):
-        probe = _probe(self.dim)
+        probe = probe_grid(self.dim)
         vals = self.radial(probe.nodes)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ValueError("radial function must be positive and finite")
@@ -594,7 +587,7 @@ class StarBody:
                         label=label or f"transformed({self.label})")
 
     def is_invariant(self, group: OrthogonalGroup, tol: float = 1e-8) -> tuple[bool, float]:
-        probe = _probe(self.dim)
+        probe = probe_grid(self.dim)
         vals = self.radial(probe.nodes)
         worst = 0.0
         for g in group.elements:

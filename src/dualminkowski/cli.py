@@ -204,22 +204,25 @@ def _cmd_construct(config: dict, args) -> int:
     from .constructions import (dirichlet_voronoi_cone, fundamental_domain_check,
                                 orbit_intersection_body,
                                 orbit_intersection_body_circum)
-    from .runio import (ConfigError, new_run_directory, resolve_group,
-                        write_body_file, write_manifest)
+    from .runio import (ConfigError, _require, new_run_directory,
+                        resolve_group, write_body_file, write_manifest)
     from .sphere import build_grid, fibonacci_sphere_nodes
 
     started = time.time()
-    run_dir = new_run_directory(args.out, "construct")
     kind = config.get("construction", "orbit-intersection-min")
+    intersection = kind in ("orbit-intersection-min", "orbit-intersection-max")
+    if not intersection and kind != "dirichlet-voronoi":
+        raise ConfigError(f"unknown construction {kind!r}")
+    base_cfg = config.get("base", {})
+    if intersection and base_cfg.get("kind", "shifted-ball") != "shifted-ball":
+        raise ConfigError("only the shifted-ball base is built in")
     n = int(config.get("n", 3))
-    group = resolve_group(config["group"], n)
+    group = resolve_group(_require(config, "group", dict), n)
     seed = int(config.get("seed", 0))
+    run_dir = new_run_directory(args.out, "construct")
     outputs = []
 
-    if kind in ("orbit-intersection-min", "orbit-intersection-max"):
-        base_cfg = config.get("base", {})
-        if base_cfg.get("kind", "shifted-ball") != "shifted-ball":
-            raise ConfigError("only the shifted-ball base is built in")
+    if intersection:
         if n == 3:
             dirs = fibonacci_sphere_nodes(int(base_cfg.get("normal_count", 160)))
         else:
@@ -257,7 +260,7 @@ def _cmd_construct(config: dict, args) -> int:
                    "non_origin_symmetric": cert.non_origin_symmetric,
                    "max_gap": cert.max_gap,
                    "invariance_deviation": cert.invariance_deviation}
-    elif kind == "dirichlet-voronoi":
+    else:
         anchor = np.asarray(config.get("anchor", [1.0] + [0.31] * (n - 1)),
                             dtype=float)
         cone = dirichlet_voronoi_cone(group, anchor)
@@ -271,8 +274,6 @@ def _cmd_construct(config: dict, args) -> int:
             fh.write("\n")
         outputs.append(cone_path)
         outcome = dict(check)
-    else:
-        raise ConfigError(f"unknown construction {kind!r}")
 
     write_manifest(run_dir, "construct", config, outcome, outputs, started)
     print(f"run directory: {run_dir}")
@@ -282,11 +283,12 @@ def _cmd_construct(config: dict, args) -> int:
 
 def _cmd_export(config: dict, args) -> int:
     from .bodies import prune
-    from .runio import (ConfigError, new_run_directory, read_body_file,
-                        write_body_file, write_manifest, write_obj_mesh)
+    from .runio import (ConfigError, _require, new_run_directory,
+                        read_body_file, write_body_file, write_manifest,
+                        write_obj_mesh)
 
     started = time.time()
-    body = read_body_file(config["body_file"])
+    body = read_body_file(_require(config, "body_file", str))
     run_dir = new_run_directory(args.out, "export")
     outputs = []
     if config.get("prune", True):

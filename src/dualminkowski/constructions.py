@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import SupportPolytope, active_part, is_invariant, radial_profile
-from .groups import OrthogonalGroup, certify, probe_grid
-from .sphere import SphericalGrid
+from .groups import OrthogonalGroup, certify
+from .sphere import SphericalGrid, probe_grid
 
 __all__ = [
     "AsymmetryCertificate",

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import build_grid, sphere_area
+from .sphere import sphere_area
 
 __all__ = [
     "OrthogonalGroup",
@@ -692,9 +692,3 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
 def _sorted_rows(arr: np.ndarray) -> np.ndarray:
     key = np.lexsort(np.round(arr, 6).T)
     return arr[key]
-
-
-def probe_grid(n: int, seed: int = 0):
-    """Shared moderate-size grid used for invariance and positivity probes."""
-    counts = {2: 720, 3: 2000}
-    return build_grid(n, counts.get(n, 4000), seed=seed)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bodies import StarBody, SupportPolytope, vertex_enumeration
-from .bounds import admissible_exponent_s, q_star
+from .bounds import q_star
 from .groups import (
     OrthogonalGroup,
     certify,
@@ -27,7 +27,7 @@ from .groups import (
     standard_group,
 )
 from .sphere import SphericalGrid, build_grid
-from .solver import ProblemSpec, SolverConfig
+from .solver import HypothesisError, ProblemSpec, SolverConfig, _finite
 
 __all__ = [
     "ConfigError",
@@ -49,10 +49,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Schema problem: names the offending field and the reason."""
-
-
-class HypothesisError(ValueError):
-    """A theorem hypothesis fails for the configured parameters."""
 
 
 def load_config(path: str) -> dict:
@@ -112,24 +108,36 @@ def resolve_star_body(spec: dict, n: int) -> StarBody:
     raise ConfigError(f"unknown star body kind {kind!r}")
 
 
-def resolve_density(spec: dict):
-    """Density builders: 'constant' and a symmetrizable bump family."""
-    if "atoms" in spec:
-        return None  # handled by the caller; explicit atoms, no density
+def _nonnegative(field: str, value) -> float:
+    """value as a float; it must be a finite number >= 0, not a boolean."""
+    if not (_finite(value) and value >= 0):
+        raise ConfigError(f"field {field!r} must be a finite number >= 0, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def resolve_density(spec: dict, n: int):
+    """Density builders: 'constant' and a symmetrizable bump family.
+
+    Returns (density callable, label). Every field is checked here, so a bad
+    one raises ConfigError naming it before any direction or grid work."""
     name = _require(spec, "density", str)
     if name == "constant":
-        c = float(_require(spec, "value", (int, float)))
+        c = _nonnegative("value", _require(spec, "value"))
         if c <= 0:
             raise ConfigError("constant density must be positive")
         return lambda pts: np.full(pts.shape[0], c), f"constant {c}"
     if name == "cosine-bump":
-        base = float(spec.get("base", 1.0))
-        amp = float(spec.get("amplitude", 0.5))
-        power = float(spec.get("power", 2.0))
-        axis = np.asarray(_require(spec, "axis", list), dtype=float)
+        base = _nonnegative("base", spec.get("base", 1.0))
+        amp = _nonnegative("amplitude", spec.get("amplitude", 0.5))
+        power = _nonnegative("power", spec.get("power", 2.0))
+        axis = _require(spec, "axis", list)
+        if len(axis) != n or not all(map(_finite, axis)) or \
+                not any(axis):
+            raise ConfigError(f"field 'axis' must be {n} finite numbers, "
+                              f"not all zero, got {axis!r}")
+        axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-        if base < 0 or amp < 0:
-            raise ConfigError("cosine-bump needs nonnegative base and amplitude")
 
         def density(pts):
             return base + amp * np.maximum(pts @ axis, 0.0) ** power
@@ -156,60 +164,50 @@ def resolve_solver_config(spec: dict) -> SolverConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _explicit_atoms(spec: dict, count: int) -> list:
+    """measure.atoms, checked to be count finite nonnegative numbers."""
+    atoms = spec["atoms"]
+    if not isinstance(atoms, list) or len(atoms) != count or \
+            not all(_finite(a) and a >= 0 for a in atoms):
+        raise ConfigError(f"field 'measure.atoms' must be a list of {count} "
+                          "finite nonnegative numbers, one per direction")
+    return atoms
+
+
 def resolve_problem(cfg: dict):
     """Resolve a solve config into (ProblemSpec, SolverConfig, extras).
 
-    All hypothesis checks run eagerly here and raise HypothesisError naming
-    the violated condition (e.g. p outside (-q*, 0), fixed-point group,
-    non-invariant Q), so a bad run fails before any work starts. The solver
-    section is checked first, since it needs none of the problem data.
+    Schema problems raise ConfigError naming the field, before any direction
+    or grid work; the solver section is checked first, since it needs none
+    of the problem data. The theorem's hypotheses are checked by
+    ProblemSpec, which raises HypothesisError naming the violated condition
+    (p outside (-q*, 0), a group with a fixed vector, a non-invariant Q)
+    after the directions are packed and before any solver work.
     """
     solver_cfg = resolve_solver_config(cfg.get("solver", {}))
     n = int(_require(cfg, "n", int))
     p = float(_require(cfg, "p", (int, float)))
     q = float(_require(cfg, "q", (int, float)))
-    try:
-        s = admissible_exponent_s(p, q, n)
-    except ValueError as exc:
-        raise HypothesisError(str(exc)) from exc
-
     group = resolve_group(_require(cfg, "group", dict), n)
-    cert = certify(group)
-    if cert.has_nonzero_fixed_point:
-        raise HypothesisError(
-            "group has a nonzero fixed vector (existence theorem requires none)"
-        )
     q_body = resolve_star_body(cfg.get("q_body", {"kind": "ball"}), n)
-    ok, dev = q_body.is_invariant(group)
-    if not ok:
-        raise HypothesisError(f"Q is not group-invariant (deviation {dev:.3e})")
-
     dir_spec = cfg.get("directions", {"count": 642})
-    directions = invariant_directions(group, int(dir_spec.get("count", 642)),
-                                      seed=int(dir_spec.get("seed", 0)))
-    grid = resolve_grid(cfg.get("grid", {}), n)
-
+    count = int(dir_spec.get("count", 642))
     measure_spec = _require(cfg, "measure", dict)
     if "atoms" in measure_spec:
-        from .groups import orbits
-        from .measures import MeasureSpec
-
-        atoms = np.asarray(measure_spec["atoms"], dtype=float)
-        part = orbits(group, directions, merge_tol=1e-6)
-        for orbit in part:
-            atoms[orbit] = np.mean(atoms[orbit])
-        mu = MeasureSpec.from_atoms(atoms, directions, label="explicit atoms")
-        spec = ProblemSpec(dim=n, p=p, q=q, group=group, q_body=q_body, mu=mu,
-                           directions=directions, grid=grid, orbit_partition=part)
+        measure = _explicit_atoms(measure_spec, count)
         label = "explicit atoms"
     else:
-        density, label = resolve_density(measure_spec)
-        spec = ProblemSpec.build(n, p, q, group, q_body, density, directions,
-                                 grid, density_label=label)
+        measure, label = resolve_density(measure_spec, n)
+
+    directions = invariant_directions(group, count,
+                                      seed=int(dir_spec.get("seed", 0)))
+    grid = resolve_grid(cfg.get("grid", {}), n)
+    spec = ProblemSpec.build(n, p, q, group, q_body, measure, directions,
+                             grid, density_label=label)
     extras = {
-        "s_exponent": s,
+        "s_exponent": spec.s_exponent,
         "q_star": q_star(q, n),
-        "group_certificate": asdict(cert),
+        "group_certificate": asdict(certify(group)),
         "density_label": label,
     }
     return spec, solver_cfg, extras

@@ -26,6 +26,7 @@ from .measures import (MeasureSpec, dual_curvature_measure, integrand_values,
 from .sphere import SphericalGrid, stable_sum
 
 __all__ = [
+    "HypothesisError",
     "ProblemSpec",
     "SolverConfig",
     "SolutionReport",
@@ -38,13 +39,18 @@ __all__ = [
 ]
 
 
+class HypothesisError(ValueError):
+    """A hypothesis of the existence theorem fails for the problem data."""
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full problem data with the existence theorem's hypotheses checked.
 
-    Construction verifies: q > 0 and -q* < p < 0 (recording the implied
-    integrability exponent), the group has no nonzero fixed vector, Q is
-    group-invariant, the direction set is exactly group-stable, and the
+    The one place that checks them: construction raises HypothesisError
+    unless -q* < p < 0 (recording the implied integrability exponent), the
+    group has no nonzero fixed vector, and Q is group-invariant; and
+    ValueError unless the direction set is exactly group-stable and the
     measure is non-trivial with orbit-constant atoms.
     """
 
@@ -60,17 +66,18 @@ class ProblemSpec:
     s_exponent: float = field(default=None)
 
     def __post_init__(self):
-        if self.q <= 0 or self.p >= 0:
-            raise ValueError("solver range is q > 0, p < 0")
-        object.__setattr__(self, "s_exponent",
-                           admissible_exponent_s(self.p, self.q, self.dim))
-        cert = certify(self.group)
-        if cert.has_nonzero_fixed_point:
-            raise ValueError("group has a nonzero fixed vector; "
-                             "coercivity of the entropy functional fails")
+        try:
+            s = admissible_exponent_s(self.p, self.q, self.dim)
+        except ValueError as exc:
+            raise HypothesisError(str(exc)) from exc
+        object.__setattr__(self, "s_exponent", s)
+        if certify(self.group).has_nonzero_fixed_point:
+            raise HypothesisError("group has a nonzero fixed vector; "
+                                  "coercivity of the entropy functional fails")
         ok, dev = self.q_body.is_invariant(self.group, tol=1e-8)
         if not ok:
-            raise ValueError(f"Q is not group-invariant (deviation {dev:.3e})")
+            raise HypothesisError(
+                f"Q is not group-invariant (deviation {dev:.3e})")
         dirs = np.ascontiguousarray(np.asarray(self.directions, dtype=float))
         worst = 0.0
         for g in self.group.elements:
@@ -100,18 +107,22 @@ class ProblemSpec:
 
     @staticmethod
     def build(dim: int, p: float, q: float, group: OrthogonalGroup,
-              q_body: StarBody, density, directions: np.ndarray,
+              q_body: StarBody, measure, directions: np.ndarray,
               grid: SphericalGrid, density_label: str = "") -> "ProblemSpec":
-        """Assemble a spec from a density: symmetrize, bin to directions,
-        orbit-average the atoms (the grid itself is not group-symmetric, so
-        raw binned atoms carry a sub-percent asymmetry artifact)."""
+        """Assemble a spec from a density (symmetrized, then binned to the
+        directions) or from one atom per direction, orbit-averaging the
+        atoms (the grid itself is not group-symmetric, so raw binned atoms
+        carry a sub-percent asymmetry artifact)."""
         part = orbits(group, np.asarray(directions, dtype=float), merge_tol=1e-6)
-        mu = MeasureSpec.from_density(density, grid, directions, group=group,
-                                      label=density_label)
+        if callable(measure):
+            mu = MeasureSpec.from_density(measure, grid, directions,
+                                          group=group)
+        else:
+            mu = MeasureSpec.from_atoms(measure, directions)
         atoms = mu.atoms.copy()
         for orbit in part:
             atoms[orbit] = np.mean(atoms[orbit])
-        mu = MeasureSpec.from_atoms(atoms, directions, label=mu.density_label)
+        mu = MeasureSpec.from_atoms(atoms, directions, label=density_label)
         return ProblemSpec(dim=dim, p=p, q=q, group=group, q_body=q_body,
                            mu=mu, directions=np.asarray(directions, dtype=float),
                            grid=grid, orbit_partition=part)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "unit_ball_volume",
     "sphere_area",
     "build_grid",
+    "probe_grid",
     "integrate",
     "integrate_with_stderr",
     "fibonacci_sphere_nodes",
@@ -236,6 +238,16 @@ def build_grid(n: int, node_count: int, scheme: str = "", seed: int = 0) -> Sphe
 
     return SphericalGrid(dim=n, nodes=_renormalize(nodes), weights=weights,
                          scheme=scheme, seed=seed)
+
+
+@lru_cache(maxsize=8)
+def probe_grid(n: int) -> SphericalGrid:
+    """The one probe grid of the package: 720 nodes for n = 2, 1280 for
+    n = 3 and 3000 above, default scheme, seed 101. Positive spanning,
+    sandwich constants, invariance and asymmetry certificates probe it
+    unless given a grid of their own."""
+    counts = {2: 720, 3: 1280}
+    return build_grid(n, counts.get(n, 3000), seed=101)
 
 
 def _evaluate(grid: SphericalGrid, f) -> np.ndarray:

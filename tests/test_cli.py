@@ -81,6 +81,23 @@ class TestParseConfig:
         with pytest.raises(HypothesisError, match="invariant"):
             resolve_problem(load_config(write_config(tmp_path, bad)))
 
+    def test_explicit_atoms_are_orbit_averaged(self, tmp_path):
+        """Atoms that are not orbit-constant come out averaged, bit-equal
+        to averaging each orbit of the raw list."""
+        from dualminkowski.groups import orbits
+
+        raw = np.random.default_rng(8).uniform(0.5, 1.5, 162).tolist()
+        cfg = dict(SOLVE_CONFIG, measure={"atoms": raw})
+        spec, _, extras = resolve_problem(load_config(write_config(tmp_path,
+                                                                   cfg)))
+        want = np.asarray(raw, dtype=float)
+        for orbit in orbits(spec.group, spec.directions, merge_tol=1e-6):
+            want[orbit] = np.mean(want[orbit])
+        assert not np.array_equal(want, raw)
+        assert np.array_equal(spec.mu.atoms, want)
+        assert extras["density_label"] == "explicit atoms"
+        assert spec.mu.density_label == "explicit atoms"
+
     def test_direct_sum_group_config(self):
         from dualminkowski.runio import resolve_group
 
@@ -173,6 +190,61 @@ class TestSolveCommand:
     def test_hypothesis_violation_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, dict(SOLVE_CONFIG, p=-4.0))
         assert main(["solve", cfg, "--out", str(tmp_path / "r")]) == EXIT_HYPOTHESIS
+
+    @pytest.mark.parametrize("change, message", [
+        ({"p": 0.5}, "p must be negative"),
+        ({"p": -5.0}, "outside the admissible range -q* < p < 0 (q* = 4"),
+        ({"q": -1.0}, "q must be positive"),
+        ({"group": {"generators": [[[-0.5, -0.75 ** 0.5, 0.0],
+                                    [0.75 ** 0.5, -0.5, 0.0],
+                                    [0.0, 0.0, 1.0]]]}},
+         "group has a nonzero fixed vector; coercivity"),
+        ({"q_body": {"kind": "ellipsoid", "half_axes": [1.0, 1.0, 1.5]}},
+         "Q is not group-invariant"),
+    ], ids=["p-positive", "p-below", "q-negative", "axial-group",
+            "ellipsoid-q"])
+    def test_hypothesis_violations_exit_2(self, tmp_path, capsys, change,
+                                          message):
+        cfg = write_config(tmp_path, dict(SOLVE_CONFIG, **change))
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis violation: ") and message in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("measure, field", [
+        ({"atoms": [1.0] * 100}, "measure.atoms"),
+        ({"atoms": [True] * 162}, "measure.atoms"),
+        ({"atoms": [1.0] * 161 + [-1.0]}, "measure.atoms"),
+        ({"atoms": [1.0] * 161 + ["1"]}, "measure.atoms"),
+        ({"atoms": 1.0}, "measure.atoms"),
+        ({"density": "constant", "value": True}, "value"),
+        ({"density": "constant", "value": float("inf")}, "value"),
+        ({"density": "cosine-bump", "axis": [0, 0, 0]}, "axis"),
+        ({"density": "cosine-bump", "axis": [1, 0]}, "axis"),
+        ({"density": "cosine-bump", "axis": [1, 0, float("nan")]}, "axis"),
+        ({"density": "cosine-bump", "axis": [1, 0, 0], "base": "1"}, "base"),
+        ({"density": "cosine-bump", "axis": [1, 0, 0], "amplitude": None},
+         "amplitude"),
+        ({"density": "cosine-bump", "axis": [1, 0, 0], "power": False},
+         "power"),
+        ({"density": "cosine-bump", "axis": [1, 0, 0], "base": -1.0}, "base"),
+        ({"density": "cosine-bump", "axis": [1, 0, 0], "power": -2}, "power"),
+    ])
+    def test_bad_measure_field_fails_before_any_work(self, tmp_path, capsys,
+                                                    monkeypatch, measure,
+                                                    field):
+        from dualminkowski import runio
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("directions built before the measure check")
+
+        monkeypatch.setattr(runio, "invariant_directions", no_work)
+        cfg = write_config(tmp_path, dict(SOLVE_CONFIG, measure=measure))
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert f"config error: field {field!r}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("solver_cfg", [{"max_iters": 0},
                                             {"shrink": 1.0},
@@ -278,11 +350,10 @@ class TestConstructCommand:
     ], ids=["n2", "n4"])
     def test_orbit_intersection_other_dimensions(self, tmp_path, n, group):
         """The certificate equals the dense probes over every constraint of
-        the written body (default probe grids, since only n = 3 reads
+        the written body (on the default probe grid, since only n = 3 reads
         probe_nodes)."""
-        from dualminkowski.bodies import _probe
-        from dualminkowski.groups import probe_grid
         from dualminkowski.runio import resolve_group
+        from dualminkowski.sphere import probe_grid
 
         from conftest import dense_asymmetry, dense_is_invariant
 
@@ -301,7 +372,7 @@ class TestConstructCommand:
             cert = json.load(fh)
         body = read_body_file(os.path.join(run_dir, "body.txt"))
         _, deviation = dense_is_invariant(body, resolve_group(group, n),
-                                          _probe(n))
+                                          probe_grid(n))
         gap, witness = dense_asymmetry(body, probe_grid(n))
         assert cert["invariance_deviation"] == deviation
         assert cert["max_gap"] == gap
@@ -309,6 +380,23 @@ class TestConstructCommand:
         outcome = manifest["outcome"]
         assert outcome["facets"] == body.facet_count
         assert 0 < outcome["active_constraints"] <= outcome["facets"]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"group": None}, "missing required field 'group'"),
+        ({"construction": "orbit-union"}, "unknown construction"),
+        ({"base": {"kind": "cube"}}, "only the shifted-ball base"),
+    ], ids=["no-group", "unknown-construction", "unknown-base"])
+    def test_config_error_leaves_no_run_directory(self, tmp_path, capsys,
+                                                  change, message):
+        cfg = {"construction": "orbit-intersection-min", "n": 3,
+               "group": {"name": "simplex-symmetry", "m": 3}, **change}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        out = tmp_path / "runs"
+        assert main(["construct", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_dirichlet_voronoi(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -338,6 +426,14 @@ class TestExportCommand:
         v_lines = [l for l in obj if l.startswith("v ")]
         f_lines = [l for l in obj if l.startswith("f ")]
         assert len(v_lines) == 8 and len(f_lines) == 12
+
+    def test_missing_body_file_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"mesh": True})
+        out = tmp_path / "runs"
+        assert main(["export", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert "config error: missing required field 'body_file'" in \
+            capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_mesh_requires_n3(self, tmp_path):
         square = cube_polytope(2)

@@ -27,11 +27,10 @@ from dualminkowski.groups import (
     cube_rotation,
     cyclic_rotation,
     direct_sum,
-    probe_grid,
     simplex_symmetry,
     standard_group,
 )
-from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
+from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
 from conftest import dense_asymmetry, dense_is_invariant
 

@@ -17,3 +17,30 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _bound_names(node):
+    """Names a module-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def test_no_unused_module_imports():
+    """Every module-level import is used in its module or re-exported
+    through __all__."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        found += [f"{path.name}:{node.lineno} {name}"
+                  for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for name in _bound_names(node) if name not in used]
+    assert found == []
