@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .groups import OrthogonalGroup
-from .sphere import SphericalGrid, probe_grid
+from .sphere import SphericalGrid, first_of_clusters, probe_grid
 
 __all__ = [
     "SupportPolytope",
@@ -256,22 +256,9 @@ def vertex_enumeration(body: SupportPolytope) -> np.ndarray:
     halfspaces = np.column_stack([body.normals, -body.support])
     hs = HalfspaceIntersection(halfspaces, np.zeros(body.dim))
     verts = hs.intersections
-    # Qhull emits one point per dual facet; merge duplicates greedily in
-    # order: a point is dropped when an earlier kept point lies within the
-    # merge radius. The tree finds every pair that can be that close (its
-    # radius is 4x the merge radius, far above rounding), and each pair is
-    # then decided by the row norm of the difference.
+    # Qhull emits one point per dual facet; merge its duplicates
     scale = float(np.max(np.abs(verts))) or 1.0
-    radius = 1e-9 * scale
-    pairs = cKDTree(verts).query_pairs(4.0 * radius, output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
-    close = np.linalg.norm(verts[pairs[:, 0]] - verts[pairs[:, 1]],
-                           axis=1) <= radius
-    keep = np.ones(verts.shape[0], dtype=bool)
-    for i, j in pairs[close]:
-        if keep[i]:
-            keep[j] = False
-    return verts[keep]
+    return verts[first_of_clusters(verts, 1e-9 * scale)]
 
 
 def polar_body(body: SupportPolytope) -> SupportPolytope:

@@ -121,13 +121,10 @@ def _sweep_settings(config: dict) -> tuple:
     """The verify-bounds settings with their defaults, checked before any
     run directory exists: (dimensions, q_values, boxes_per_case, (lo, hi),
     grid_nodes, seed). A bad field raises ConfigError naming it."""
-    from .runio import ConfigError
+    from .runio import _checked
 
     def field(name, default, ok, want):
-        value = config.get(name, default)
-        if not ok(value):
-            raise ConfigError(f"field {name!r} must be {want}, got {value!r}")
-        return value
+        return _checked(name, config.get(name, default), ok, want)
 
     def number(x, low=-math.inf, integral=False):
         return isinstance(x, (int, float)) and not isinstance(x, bool) \

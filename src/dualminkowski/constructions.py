@@ -17,7 +17,7 @@ import numpy as np
 
 from .bodies import SupportPolytope, active_part, is_invariant, radial_profile
 from .groups import OrthogonalGroup, certify
-from .sphere import SphericalGrid, probe_grid
+from .sphere import SphericalGrid, first_of_clusters, probe_grid
 
 __all__ = [
     "AsymmetryCertificate",
@@ -267,21 +267,17 @@ def dirichlet_voronoi_cone(group: OrthogonalGroup, anchor: np.ndarray,
     """
     z = np.asarray(anchor, dtype=float)
     z = z / np.linalg.norm(z)
-    normals: list[np.ndarray] = []
     eye = np.eye(group.dim)
-    for g in group.elements:
-        if np.max(np.abs(g - eye)) <= 1e-12:
-            continue
-        gz = g @ z
-        if np.linalg.norm(gz - z) <= margin or np.linalg.norm(gz + z) <= margin:
-            raise ValueError(
-                "anchor is non-generic for this group (orbit point collides "
-                "with the anchor or its antipode); perturb and retry"
-            )
-        a = gz - z
-        if not normals or np.min(np.linalg.norm(np.array(normals) - a, axis=1)) > 1e-9:
-            normals.append(a)
-    return DirichletVoronoiCone(anchor=z, normals=np.array(normals).reshape(-1, group.dim))
+    gz = np.array([g @ z for g in group.elements
+                   if np.max(np.abs(g - eye)) > 1e-12]).reshape(-1, group.dim)
+    if np.any(np.linalg.norm(np.stack([gz - z, gz + z]), axis=2) <= margin):
+        raise ValueError(
+            "anchor is non-generic for this group (orbit point collides "
+            "with the anchor or its antipode); perturb and retry"
+        )
+    normals = gz - z
+    keep = first_of_clusters(normals, 1e-9)
+    return DirichletVoronoiCone(anchor=z, normals=normals[keep])
 
 
 def fundamental_domain_check(group: OrthogonalGroup, cone: DirichletVoronoiCone,

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .sphere import sphere_area
+from .sphere import first_of_clusters, sphere_area
 
 __all__ = [
     "OrthogonalGroup",
@@ -35,6 +36,7 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-10
 MATCH_TOL = 1e-8  # matrix dedup/closure tolerance; see module notes
+MERGE_TOL = 1e-6  # directions this close are one point of an orbit
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,6 @@ class GroupCertificate:
     contains_negation: bool
     order: int
     averaging_norm: float
-
-    def admissible_for_solving(self) -> bool:
-        return not self.has_nonzero_fixed_point
 
     def admissible_for_asymmetric_construction(self) -> bool:
         return not self.has_nonzero_fixed_point and not self.contains_negation
@@ -290,7 +289,7 @@ def certify(group: OrthogonalGroup) -> GroupCertificate:
 
 
 def orbits(group: OrthogonalGroup, directions: np.ndarray,
-           merge_tol: float = 1e-6) -> list[list[int]]:
+           merge_tol: float = MERGE_TOL) -> list[list[int]]:
     """Partition direction indices into group orbits.
 
     Two directions fall in one orbit when some group element maps one onto the
@@ -305,38 +304,28 @@ def orbits(group: OrthogonalGroup, directions: np.ndarray,
     if np.max(np.abs(norms - 1.0)) > 1e-10:
         raise ValueError("directions must be unit vectors within 1e-10")
     m = dirs.shape[0]
-    gram = dirs @ dirs.T
-    np.fill_diagonal(gram, -1.0)
-    closest = math.sqrt(max(0.0, 2.0 - 2.0 * float(np.max(gram))))
-    if closest < merge_tol:
-        a, b = np.unravel_index(int(np.argmax(gram)), gram.shape)
-        raise ValueError(
-            f"directions {a} and {b} are {closest:.3e} apart, below merge_tol"
-        )
-
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in group.elements:
-        images = dirs @ g.T
-        dots = images @ dirs.T
-        nearest = np.argmax(dots, axis=1)
-        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots[np.arange(m), nearest]))
-        for i in range(m):
-            if dist[i] <= merge_tol:
-                ri, rj = find(i), find(int(nearest[i]))
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    buckets: dict[int, list[int]] = {}
-    for i in range(m):
-        buckets.setdefault(find(i), []).append(i)
-    return [sorted(v) for _, v in sorted(buckets.items())]
+    tree = cKDTree(dirs)
+    dist, idx = tree.query(dirs, k=2)
+    a = int(np.argmin(dist[:, 1]))
+    if dist[a, 1] < merge_tol:
+        b = idx[a][idx[a] != a][0]  # a coincident point may rank first
+        raise ValueError(f"directions {a} and {b} are {dist[a, 1]:.3e} "
+                         "apart, below merge_tol")
+    dist, nearest = tree.query(group.apply(dirs))  # nearest to each g @ u
+    near = dist <= merge_tol
+    src, dst = np.nonzero(near)[1], nearest[near]
+    # connected components of the matches: every direction takes the least
+    # label of its matches, then the label of its label, until nothing moves
+    label = np.arange(m)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[dst])
+        np.minimum.at(low, dst, label[src])
+        low = low[low]
+        if np.array_equal(low, label):
+            return [np.flatnonzero(label == k).tolist()
+                    for k in np.unique(label)]
+        label = low
 
 
 def symmetrize_density(group: OrthogonalGroup, f):
@@ -383,7 +372,7 @@ def _orbits(group: OrthogonalGroup, seeds, snap_tol: float = 1e-6,
     of its images within snap_tol (the images under its approximate
     stabilizer). That projects it onto the exact fixed subspace of the
     stabilizer, so its orbit images cluster to machine precision. Images
-    within tol of an earlier image of the same orbit are dropped.
+    within tol of an earlier kept image of the same orbit are dropped.
     """
     u = np.asarray(seeds, dtype=float).reshape(-1, group.dim)
     u = u / _row_norms(u)[:, None]
@@ -398,21 +387,14 @@ def _orbits(group: OrthogonalGroup, seeds, snap_tol: float = 1e-6,
         norm = _row_norms(avg)
         snapping &= norm >= 1e-9
         u = np.divide(avg, norm[:, None], out=u, where=snapping[:, None])
-    images, near = _images_near(group, u, snap_tol)
-    result = []
-    for row, stabilized in zip(images, near.sum(axis=1) > 1):
-        if not stabilized:
-            # |g u - h u| = |h^T g u - u| > snap_tol for g != h, so no two
-            # images come within tol and the orbit is every image
-            result.append(row)
-            continue
-        dist = np.linalg.norm(row[:, None] - row[None], axis=2)
-        kept = [0]
-        for i in range(1, row.shape[0]):
-            if np.min(dist[i, kept]) > tol:
-                kept.append(i)
-        result.append(row[kept])
-    return result
+    images, _ = _images_near(group, u, snap_tol)
+    flat = images.reshape(-1, group.dim)
+    keep = first_of_clusters(flat, tol,
+                             np.repeat(np.arange(len(u)), group.order))
+    ends = np.cumsum(keep.reshape(len(u), group.order).sum(axis=1))
+    # views into one array, the last piece empty: a copy per seed would
+    # scatter a thousand small blocks over the heap and raise peak memory
+    return np.split(flat[keep], ends)[:-1]
 
 
 def _special_seeds(group: OrthogonalGroup) -> list[np.ndarray]:
@@ -467,15 +449,14 @@ def invariant_directions(group: OrthogonalGroup, count: int,
     if count < 1:
         raise ValueError("count must be positive")
 
-    special: list[np.ndarray] = []  # small orbits, deduped as point sets
-    keys: list[np.ndarray] = []
+    # small orbits, each once: two orbits are equal or disjoint, so one
+    # point of a new orbit decides whether it was placed already
+    special: list[np.ndarray] = []
+    seen = np.zeros((0, n))
     for orb in _orbits(group, _special_seeds(group)):
-        key = _sorted_rows(orb)
-        if any(key.shape == o.shape and np.max(np.abs(key - o)) < 1e-7
-               for o in keys):
-            continue
-        special.append(orb)
-        keys.append(key)
+        if np.all(np.linalg.norm(seen - orb[0], axis=1) >= 1e-7):
+            special.append(orb)
+            seen = np.vstack([seen, orb])
     special_sizes = [o.shape[0] for o in special]
 
     generic_size = group.order  # a generic point has a trivial stabilizer
@@ -688,7 +669,3 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
         alive &= keep
     return picked
 
-
-def _sorted_rows(arr: np.ndarray) -> np.ndarray:
-    key = np.lexsort(np.round(arr, 6).T)
-    return arr[key]

@@ -26,8 +26,9 @@ from .groups import (
     invariant_directions,
     standard_group,
 )
-from .sphere import SphericalGrid, build_grid
-from .solver import HypothesisError, ProblemSpec, SolverConfig, _finite
+from .sphere import build_grid
+from .solver import (HypothesisError, ProblemSpec, SolverConfig, _finite,
+                     _integer)
 
 __all__ = [
     "ConfigError",
@@ -108,12 +109,17 @@ def resolve_star_body(spec: dict, n: int) -> StarBody:
     raise ConfigError(f"unknown star body kind {kind!r}")
 
 
+def _checked(field: str, value, ok, want: str):
+    """value, which must pass ok; otherwise a ConfigError names field."""
+    if not ok(value):
+        raise ConfigError(f"field {field!r} must be {want}, got {value!r}")
+    return value
+
+
 def _nonnegative(field: str, value) -> float:
     """value as a float; it must be a finite number >= 0, not a boolean."""
-    if not (_finite(value) and value >= 0):
-        raise ConfigError(f"field {field!r} must be a finite number >= 0, "
-                          f"got {value!r}")
-    return float(value)
+    return float(_checked(field, value, lambda x: _finite(x) and x >= 0,
+                          "a finite number >= 0"))
 
 
 def resolve_density(spec: dict, n: int):
@@ -146,11 +152,6 @@ def resolve_density(spec: dict, n: int):
     raise ConfigError(f"unknown density {name!r}")
 
 
-def resolve_grid(spec: dict, n: int) -> SphericalGrid:
-    return build_grid(n, int(spec.get("node_count", 20000)),
-                      spec.get("scheme", ""), int(spec.get("seed", 0)))
-
-
 def resolve_solver_config(spec: dict) -> SolverConfig:
     if not isinstance(spec, dict):
         raise ConfigError("solver section must be an object")
@@ -178,20 +179,39 @@ def resolve_problem(cfg: dict):
     """Resolve a solve config into (ProblemSpec, SolverConfig, extras).
 
     Schema problems raise ConfigError naming the field, before any direction
-    or grid work; the solver section is checked first, since it needs none
-    of the problem data. The theorem's hypotheses are checked by
-    ProblemSpec, which raises HypothesisError naming the violated condition
-    (p outside (-q*, 0), a group with a fixed vector, a non-invariant Q)
-    after the directions are packed and before any solver work.
+    work; the solver section is checked first, since it needs none of the
+    problem data, and the grid is built among the checks, since only
+    building it shows a scheme that does not fit n. The theorem's
+    hypotheses are checked by ProblemSpec, which raises HypothesisError
+    naming the violated condition (p outside (-q*, 0), a group with a fixed
+    vector, a non-invariant Q) after the directions are packed and before
+    any solver work.
     """
     solver_cfg = resolve_solver_config(cfg.get("solver", {}))
-    n = int(_require(cfg, "n", int))
-    p = float(_require(cfg, "p", (int, float)))
-    q = float(_require(cfg, "q", (int, float)))
+    n = _checked("n", _require(cfg, "n"), lambda x: _integer(x) and x >= 2,
+                 "an integer >= 2")
+    p = float(_checked("p", _require(cfg, "p"), _finite, "a finite number"))
+    q = float(_checked("q", _require(cfg, "q"), _finite, "a finite number"))
+    dir_spec = _checked("directions", cfg.get("directions", {}),
+                        lambda x: isinstance(x, dict), "an object")
+    count = _checked("directions.count", dir_spec.get("count", 642),
+                     lambda x: _integer(x) and x >= 1, "an integer >= 1")
+    dir_seed = _checked("directions.seed", dir_spec.get("seed", 0), _integer,
+                        "an integer")
+    grid_spec = _checked("grid", cfg.get("grid", {}),
+                         lambda x: isinstance(x, dict), "an object")
+    node_count = _checked("grid.node_count",
+                          grid_spec.get("node_count", 20000),
+                          lambda x: _integer(x) and x >= 8, "an integer >= 8")
+    grid_seed = _checked("grid.seed", grid_spec.get("seed", 0), _integer,
+                         "an integer")
+    try:  # with the fields above checked, only the scheme can fail here
+        grid = build_grid(n, node_count, grid_spec.get("scheme", ""),
+                          grid_seed)
+    except ValueError as exc:
+        raise ConfigError(f"field 'grid.scheme': {exc}") from exc
     group = resolve_group(_require(cfg, "group", dict), n)
     q_body = resolve_star_body(cfg.get("q_body", {"kind": "ball"}), n)
-    dir_spec = cfg.get("directions", {"count": 642})
-    count = int(dir_spec.get("count", 642))
     measure_spec = _require(cfg, "measure", dict)
     if "atoms" in measure_spec:
         measure = _explicit_atoms(measure_spec, count)
@@ -199,9 +219,7 @@ def resolve_problem(cfg: dict):
     else:
         measure, label = resolve_density(measure_spec, n)
 
-    directions = invariant_directions(group, count,
-                                      seed=int(dir_spec.get("seed", 0)))
-    grid = resolve_grid(cfg.get("grid", {}), n)
+    directions = invariant_directions(group, count, seed=dir_seed)
     spec = ProblemSpec.build(n, p, q, group, q_body, measure, directions,
                              grid, density_label=label)
     extras = {

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
@@ -79,17 +80,12 @@ class ProblemSpec:
             raise HypothesisError(
                 f"Q is not group-invariant (deviation {dev:.3e})")
         dirs = np.ascontiguousarray(np.asarray(self.directions, dtype=float))
-        worst = 0.0
-        for g in self.group.elements:
-            images = dirs @ g.T
-            nearest = np.argmax(images @ dirs.T, axis=1)
-            worst = max(worst, float(
-                np.max(np.linalg.norm(images - dirs[nearest], axis=1))))
+        worst = float(np.max(cKDTree(dirs).query(self.group.apply(dirs))[0]))
         if worst > 1e-9:
             raise ValueError(f"direction set is not group-stable ({worst:.3e})")
         if self.orbit_partition is None:
             object.__setattr__(self, "orbit_partition",
-                               orbits(self.group, dirs, merge_tol=1e-6))
+                               orbits(self.group, dirs))
         if self.mu.directions.shape != dirs.shape or \
                 not np.allclose(self.mu.directions, dirs, atol=1e-12):
             raise ValueError("measure atoms must sit on the problem directions")
@@ -113,7 +109,7 @@ class ProblemSpec:
         directions) or from one atom per direction, orbit-averaging the
         atoms (the grid itself is not group-symmetric, so raw binned atoms
         carry a sub-percent asymmetry artifact)."""
-        part = orbits(group, np.asarray(directions, dtype=float), merge_tol=1e-6)
+        part = orbits(group, np.asarray(directions, dtype=float))
         if callable(measure):
             mu = MeasureSpec.from_density(measure, grid, directions,
                                           group=group)
@@ -217,7 +213,6 @@ class OrbitReduction:
 
     partition: list
     orbit_of: np.ndarray
-    representatives: np.ndarray
 
     def expand(self, orbit_values: np.ndarray) -> np.ndarray:
         return np.asarray(orbit_values, dtype=float)[self.orbit_of]
@@ -233,11 +228,9 @@ class OrbitReduction:
 def reduce_to_orbits(spec: ProblemSpec) -> OrbitReduction:
     part = spec.orbit_partition
     orbit_of = np.empty(spec.directions.shape[0], dtype=np.intp)
-    reps = np.empty(len(part), dtype=np.intp)
     for k, orbit in enumerate(part):
         orbit_of[orbit] = k
-        reps[k] = orbit[0]
-    return OrbitReduction(partition=part, orbit_of=orbit_of, representatives=reps)
+    return OrbitReduction(partition=part, orbit_of=orbit_of)
 
 
 class _EntropyKernel:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "SphericalGrid",
@@ -25,6 +26,7 @@ __all__ = [
     "fibonacci_sphere_nodes",
     "icosphere_nodes",
     "stable_sum",
+    "first_of_clusters",
 ]
 
 SCHEMES = ("uniform-angle", "fibonacci-sphere", "monte-carlo")
@@ -96,6 +98,29 @@ def stable_sum(values) -> float:
         r -= q
         top = max(float(r.max()), -float(r.min()))
     return math.fsum(parts)
+
+
+def first_of_clusters(points, radius: float, group_of=None) -> np.ndarray:
+    """Mask of the rows a greedy in-order dedupe keeps, the package's one
+    near-duplicate rule: a row is dropped when an earlier kept row lies
+    within radius (row norm of the difference), and with group_of (one
+    label per row) only rows of one label merge. A k-d tree at 4x the
+    radius, far above rounding, finds the candidate pairs."""
+    pts = np.asarray(points, dtype=float)
+    # an extra coordinate puts rows of different labels 8 radii apart
+    where = pts if group_of is None else \
+        np.column_stack([pts, 8.0 * radius * np.asarray(group_of)])
+    pairs = cKDTree(where).query_pairs(4.0 * radius, output_type="ndarray")
+    # by the later row, then the earlier: a row is settled before any pair
+    # in which it is the earlier row
+    pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+    close = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]],
+                           axis=1) <= radius
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for i, j in pairs[close]:
+        if keep[i]:
+            keep[j] = False
+    return keep
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,38 @@ class TestSolveCommand:
         assert f"config error: solver field {field!r}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("change, field", [
+        ({"n": True}, "n"),
+        ({"n": 3.0}, "n"),
+        ({"p": True}, "p"),
+        ({"p": float("nan")}, "p"),
+        ({"q": False}, "q"),
+        ({"q": "2"}, "q"),
+        ({"grid": {"node_count": 4}}, "grid.node_count"),
+        ({"grid": {"node_count": True}}, "grid.node_count"),
+        ({"grid": {"scheme": "hexagonal"}}, "grid.scheme"),
+        ({"grid": {"scheme": "uniform-angle"}}, "grid.scheme"),
+        ({"grid": {"seed": 1.5}}, "grid.seed"),
+        ({"grid": []}, "grid"),
+        ({"directions": {"count": 0}}, "directions.count"),
+        ({"directions": {"count": "162"}}, "directions.count"),
+        ({"directions": {"count": 162, "seed": None}}, "directions.seed"),
+    ])
+    def test_bad_problem_field_fails_before_any_work(self, tmp_path, capsys,
+                                                    monkeypatch, change,
+                                                    field):
+        from dualminkowski import runio
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("directions built before the field check")
+
+        monkeypatch.setattr(runio, "invariant_directions", no_work)
+        cfg = write_config(tmp_path, dict(SOLVE_CONFIG, **change))
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert f"config error: field {field!r}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_broken_config_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

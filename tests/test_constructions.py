@@ -402,6 +402,50 @@ class TestDirichletVoronoi:
         assert check["interiors_disjoint"]
 
 
+def _ref_dirichlet_normals(group, anchor):
+    """The element-by-element list scan dirichlet_voronoi_cone is pinned to:
+    g z - z joins the normals unless an earlier one lies within 1e-9."""
+    z = np.asarray(anchor, dtype=float)
+    z = z / np.linalg.norm(z)
+    normals = []
+    for g in group.elements:
+        if np.max(np.abs(g - np.eye(group.dim))) <= 1e-12:
+            continue
+        a = g @ z - z
+        if not normals or \
+                np.min(np.linalg.norm(np.array(normals) - a, axis=1)) > 1e-9:
+            normals.append(a)
+    return np.array(normals).reshape(-1, group.dim)
+
+
+class TestDirichletVoronoiPinned:
+    @pytest.mark.parametrize("group, anchor", [
+        (cyclic_rotation(3), [1.0, 0.0]),
+        (OrthogonalGroup(dim=2, elements=np.eye(2)[None]), [1.0, 0.0]),
+        (cyclic_rotation(3), [1.0, 0.23]),
+        (cyclic_rotation(5), [1.0, 0.23]),
+        (simplex_symmetry(3), [1.0, 0.23, -0.41]),
+    ], ids=["cyclic3-axis", "trivial", "cyclic3", "cyclic5", "tetrahedral"])
+    def test_cones_of_this_module(self, group, anchor):
+        cone = dirichlet_voronoi_cone(group, np.array(anchor))
+        assert np.array_equal(cone.normals,
+                              _ref_dirichlet_normals(group, anchor))
+
+    @pytest.mark.parametrize("group", [
+        cyclic_rotation(5), simplex_symmetry(2), simplex_symmetry(3),
+        cube_rotation(3), direct_sum([cyclic_rotation(3), cyclic_rotation(3)]),
+    ], ids=["cyclic5", "triangle", "tetrahedral", "cube-rotation",
+            "cyclic3+cyclic3"])
+    def test_random_anchors(self, group):
+        rng = np.random.default_rng(group.order)
+        for _ in range(8):
+            anchor = rng.standard_normal(group.dim)
+            cone = dirichlet_voronoi_cone(group, anchor)
+            assert np.array_equal(cone.normals,
+                                  _ref_dirichlet_normals(group, anchor))
+            assert cone.normals.shape[0] == group.order - 1
+
+
 class TestSeedSweep:
     def test_asymmetry_rate(self, tetra_group, shifted_base, cert_grid):
         """Light version of the acceptance sweep: 20 seeds, all asymmetric."""

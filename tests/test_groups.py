@@ -5,6 +5,7 @@ import pytest
 
 from dualminkowski import groups
 from dualminkowski.groups import (
+    MERGE_TOL,
     OrthogonalGroup,
     certify,
     cube_rotation,
@@ -159,6 +160,12 @@ class TestOrbits:
         dirs = np.array([[1.0, 0.0], [math.cos(1e-8), math.sin(1e-8)]])
         with pytest.raises(ValueError, match="below merge_tol"):
             orbits(g, dirs, merge_tol=1e-6)
+
+    def test_coincident_directions_named(self):
+        g = cyclic_rotation(3)
+        dirs = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="directions 1 and 2 are 0.000e"):
+            orbits(g, dirs)
 
 
 class TestSymmetrize:
@@ -338,6 +345,78 @@ def _assert_same_orbits(group, seeds):
     for g_orb, w_orb in zip(got, want):
         assert _same_bits(g_orb, w_orb)
     return got
+
+
+def _ref_orbit_partition(group, directions, merge_tol=MERGE_TOL):
+    """The dense union-find orbits is pinned to: under each element, every
+    image joins its nearest direction by inner product when the two lie
+    within merge_tol."""
+    dirs = np.asarray(directions, dtype=float)
+    m = dirs.shape[0]
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in group.elements:
+        dots = (dirs @ g.T) @ dirs.T
+        nearest = np.argmax(dots, axis=1)
+        dist = np.sqrt(np.maximum(0.0,
+                                  2.0 - 2.0 * dots[np.arange(m), nearest]))
+        for i in range(m):
+            if dist[i] <= merge_tol:
+                ri, rj = find(i), find(int(nearest[i]))
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    buckets = {}
+    for i in range(m):
+        buckets.setdefault(find(i), []).append(i)
+    return [sorted(v) for _, v in sorted(buckets.items())]
+
+
+class TestOrbitPartitionPinned:
+    def test_flagship_directions(self, tetra_group, tetra_directions):
+        part = orbits(tetra_group, tetra_directions)
+        assert part == _ref_orbit_partition(tetra_group, tetra_directions)
+        assert len(part) > 1
+
+    @pytest.mark.parametrize("group", [
+        simplex_symmetry(3), cube_rotation(3),
+        OrthogonalGroup(dim=3, elements=np.eye(3)[None])],
+        ids=["tetrahedral", "cube-rotation", "trivial"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_icosphere(self, group, level):
+        dirs = icosphere_nodes(level)
+        assert orbits(group, dirs) == _ref_orbit_partition(group, dirs)
+
+    @pytest.mark.parametrize("factor, merged", [(0.5, True), (2.0, False)])
+    def test_one_direction_nudged(self, tetra_group, tetra_directions, factor,
+                                  merged):
+        """One direction of a 24-point orbit moved by factor * merge_tol:
+        its images still match within merge_tol, or no longer do."""
+        orbit = next(o for o in orbits(tetra_group, tetra_directions)
+                     if len(o) == 24)
+        dirs = tetra_directions.copy()
+        u = dirs[orbit[3]]
+        t = np.cross(u, [0.0, 0.0, 1.0])
+        dirs[orbit[3]] = u + factor * MERGE_TOL * t / np.linalg.norm(t)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        part = orbits(tetra_group, dirs)
+        assert part == _ref_orbit_partition(tetra_group, dirs)
+        assert (orbit in part) == merged
+
+
+    def test_one_sided_match_joins(self):
+        """R u0 matches u1, but R^-1 u1 lies nearer u2 than u0, so no image
+        of u1 matches u0: the partition still joins all three."""
+        g = cyclic_rotation(3)
+        angles = np.array([0.0, 2.0 * math.pi / 3.0 + 0.6 * MERGE_TOL,
+                           1.1 * MERGE_TOL])
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        assert orbits(g, dirs) == _ref_orbit_partition(g, dirs) == [[0, 1, 2]]
 
 
 class TestPinnedToReference:

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import dualminkowski
 
@@ -44,3 +45,24 @@ def test_no_unused_module_imports():
                   if isinstance(node, (ast.Import, ast.ImportFrom))
                   for name in _bound_names(node) if name not in used]
     assert found == []
+
+
+def test_every_definition_is_referenced():
+    """Every function and class defined in the package is named somewhere
+    besides its own def, in the package, its tests or its benchmark."""
+    root = PACKAGE.parents[1]
+    texts = [path.read_text()
+             for folder in (PACKAGE, root / "tests", root / "perfbench")
+             for path in sorted(folder.rglob("*.py"))]
+    defined = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not re.fullmatch(r"__\w+__", node.name):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    unused = sorted(
+        name for name, count in defined.items()
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
+        <= count)
+    assert unused == []

@@ -9,6 +9,7 @@ from dualminkowski import sphere
 from dualminkowski.sphere import (
     SphericalGrid,
     build_grid,
+    first_of_clusters,
     icosphere_nodes,
     integrate,
     integrate_with_stderr,
@@ -209,3 +210,34 @@ def test_stable_sum_matches_fsum(monkeypatch):
     stable_sum(cases["box-sweep-sized"])
     stable_sum(cases["size-%d" % (cut - 1)])
     assert seen[0] <= 4 and seen[1] == cut - 1
+
+
+def test_first_of_clusters_chain_and_labels():
+    """Points 0.8r apart on a line: the second merges into the first and the
+    third stays, since it is compared with kept rows only; a coincident row
+    with another label stays too."""
+    r = 1e-9
+    pts = np.array([[0.0, 0.0], [0.8 * r, 0.0], [1.6 * r, 0.0], [0.0, 0.0]])
+    assert first_of_clusters(pts, r).tolist() == [True, False, True, False]
+    labels = np.array([0, 0, 0, 1])
+    assert first_of_clusters(pts, r, group_of=labels).tolist() == \
+        [True, False, True, True]
+    assert first_of_clusters(np.zeros((0, 3)), r).shape == (0,)
+
+
+def test_first_of_clusters_matches_all_pairs_greedy():
+    rng = np.random.default_rng(12)
+    centres = rng.standard_normal((30, 3))
+    pts = centres[rng.integers(30, size=400)] + \
+        rng.uniform(0.0, 1.5e-9, (400, 1)) * rng.standard_normal((400, 3))
+    labels = rng.integers(3, size=400)
+    for group_of in (None, labels):
+        want = []
+        for j in range(len(pts)):
+            same = [i for i in range(j) if want[i] and
+                    (group_of is None or group_of[i] == group_of[j])]
+            want.append(all(np.linalg.norm(pts[i] - pts[j]) > 1e-9
+                            for i in same))
+        got = first_of_clusters(pts, 1e-9, group_of=group_of)
+        assert got.tolist() == want
+        assert 0 < np.count_nonzero(~got) < len(pts) - 30
