@@ -70,6 +70,7 @@ def _cmd_solve(config: dict, args) -> int:
 
     started = time.time()
     spec, solver_cfg, extras = resolve_problem(config)
+    export_mesh = extras.pop("export_mesh")
     run_dir = new_run_directory(args.out, "solve")
 
     body_tilde, report = minimize_entropy(spec, solver_cfg)
@@ -87,7 +88,7 @@ def _cmd_solve(config: dict, args) -> int:
     atoms_path = f"{run_dir}/measure_atoms.csv"
     write_facet_measure_csv(atoms_path, report.body, report.atoms)
     outputs.append(atoms_path)
-    if spec.dim == 3 and config.get("export_mesh", False):
+    if spec.dim == 3 and export_mesh:
         mesh_path = f"{run_dir}/body.obj"
         write_obj_mesh(mesh_path, report.body)
         outputs.append(mesh_path)
@@ -117,49 +118,14 @@ def _cmd_solve(config: dict, args) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
-def _sweep_settings(config: dict) -> tuple:
-    """The verify-bounds settings with their defaults, checked before any
-    run directory exists: (dimensions, q_values, boxes_per_case, (lo, hi),
-    grid_nodes, seed). A bad field raises ConfigError naming it."""
-    from .runio import _checked
-
-    def field(name, default, ok, want):
-        return _checked(name, config.get(name, default), ok, want)
-
-    def number(x, low=-math.inf, integral=False):
-        return isinstance(x, (int, float)) and not isinstance(x, bool) \
-            and math.isfinite(x) and x >= low \
-            and (not integral or float(x).is_integer())
-
-    def numbers(xs, ok):
-        return isinstance(xs, list) and len(xs) > 0 and all(map(ok, xs))
-
-    dims = field("dimensions", [2, 3, 4],
-                 lambda xs: numbers(xs, lambda n: number(n, 2, True)),
-                 "a non-empty list of integers >= 2")
-    q_values = field("q_values", [0.5, 1, 1.5, 2, 2.5, 3, 3.5],
-                     lambda xs: numbers(xs, lambda q: number(q) and q > 0),
-                     "a non-empty list of numbers > 0")
-    per_case = field("boxes_per_case", 100, lambda k: number(k, 1, True),
-                     "an integer >= 1")
-    lo, hi = field("axis_range", [0.3, 30.0],
-                   lambda r: numbers(r, number) and len(r) == 2
-                   and 0 < r[0] <= r[1],
-                   "[lo, hi] with 0 < lo <= hi")
-    nodes = field("grid_nodes", 200000, lambda k: number(k, 8, True),
-                  "an integer >= 8")
-    seed = field("seed", 0, lambda k: number(k, 0, True), "an integer >= 0")
-    return ([int(n) for n in dims], [float(q) for q in q_values],
-            int(per_case), (float(lo), float(hi)), int(nodes), int(seed))
-
-
 def _cmd_verify_bounds(config: dict, args) -> int:
     from .bounds import BoxSpec, verify_box
-    from .runio import new_run_directory, write_csv, write_manifest
+    from .runio import (new_run_directory, resolve_sweep, write_csv,
+                        write_manifest)
     from .sphere import build_grid
 
     started = time.time()
-    dims, q_values, per_case, (lo, hi), nodes, seed = _sweep_settings(config)
+    dims, q_values, per_case, (lo, hi), nodes, seed = resolve_sweep(config)
     run_dir = new_run_directory(args.out, "verify-bounds")
 
     rows, failures, total = [], 0, 0
@@ -197,41 +163,29 @@ def _cmd_verify_bounds(config: dict, args) -> int:
 
 
 def _cmd_construct(config: dict, args) -> int:
-    from .bodies import shifted_ball_polytope
-    from .constructions import (dirichlet_voronoi_cone, fundamental_domain_check,
+    from .constructions import (fundamental_domain_check,
                                 orbit_intersection_body,
                                 orbit_intersection_body_circum)
-    from .runio import (ConfigError, _require, new_run_directory,
-                        resolve_group, write_body_file, write_manifest)
-    from .sphere import build_grid, fibonacci_sphere_nodes
+    from .runio import (new_run_directory, resolve_construct, write_body_file,
+                        write_manifest)
 
     started = time.time()
-    kind = config.get("construction", "orbit-intersection-min")
-    intersection = kind in ("orbit-intersection-min", "orbit-intersection-max")
-    if not intersection and kind != "dirichlet-voronoi":
-        raise ConfigError(f"unknown construction {kind!r}")
-    base_cfg = config.get("base", {})
-    if intersection and base_cfg.get("kind", "shifted-ball") != "shifted-ball":
-        raise ConfigError("only the shifted-ball base is built in")
-    n = int(config.get("n", 3))
-    group = resolve_group(_require(config, "group", dict), n)
-    seed = int(config.get("seed", 0))
+    kind, group, seed, inputs = resolve_construct(config)
     run_dir = new_run_directory(args.out, "construct")
     outputs = []
 
-    if intersection:
-        if n == 3:
-            dirs = fibonacci_sphere_nodes(int(base_cfg.get("normal_count", 160)))
-        else:
-            grid0 = build_grid(n, int(base_cfg.get("normal_count", 160)),
-                               "monte-carlo" if n != 2 else "",
-                               seed=seed + 1)
-            dirs = grid0.nodes
-        base = shifted_ball_polytope(
-            dirs, float(base_cfg.get("radius", 2.0)),
-            np.asarray(base_cfg.get("center", [0.5] + [0.0] * (n - 1)), dtype=float))
-        grid = build_grid(n, int(config.get("probe_nodes", 800)),
-                          seed=seed + 2) if n == 3 else None
+    if kind == "dirichlet-voronoi":
+        cone, samples = inputs
+        check = fundamental_domain_check(group, cone, samples, seed=seed)
+        cone_path = f"{run_dir}/cone.json"
+        with open(cone_path, "w") as fh:
+            json.dump({"anchor": cone.anchor.tolist(),
+                       "normals": cone.normals.tolist(), **check}, fh, indent=2)
+            fh.write("\n")
+        outputs.append(cone_path)
+        outcome = dict(check)
+    else:
+        base, grid = inputs
         if kind == "orbit-intersection-min":
             body, cert = orbit_intersection_body(group, base, seed=seed, grid=grid)
             checks = {}
@@ -257,20 +211,6 @@ def _cmd_construct(config: dict, args) -> int:
                    "non_origin_symmetric": cert.non_origin_symmetric,
                    "max_gap": cert.max_gap,
                    "invariance_deviation": cert.invariance_deviation}
-    else:
-        anchor = np.asarray(config.get("anchor", [1.0] + [0.31] * (n - 1)),
-                            dtype=float)
-        cone = dirichlet_voronoi_cone(group, anchor)
-        check = fundamental_domain_check(group, cone,
-                                         int(config.get("samples", 10000)),
-                                         seed=seed)
-        cone_path = f"{run_dir}/cone.json"
-        with open(cone_path, "w") as fh:
-            json.dump({"anchor": cone.anchor.tolist(),
-                       "normals": cone.normals.tolist(), **check}, fh, indent=2)
-            fh.write("\n")
-        outputs.append(cone_path)
-        outcome = dict(check)
 
     write_manifest(run_dir, "construct", config, outcome, outputs, started)
     print(f"run directory: {run_dir}")
@@ -280,26 +220,23 @@ def _cmd_construct(config: dict, args) -> int:
 
 def _cmd_export(config: dict, args) -> int:
     from .bodies import prune
-    from .runio import (ConfigError, _require, new_run_directory,
-                        read_body_file, write_body_file, write_manifest,
-                        write_obj_mesh)
+    from .runio import (new_run_directory, resolve_export, write_body_file,
+                        write_manifest, write_obj_mesh)
 
     started = time.time()
-    body = read_body_file(_require(config, "body_file", str))
+    body, pruned, mesh = resolve_export(config)
     run_dir = new_run_directory(args.out, "export")
     outputs = []
-    if config.get("prune", True):
+    if pruned:
         body = prune(body)
     body_path = f"{run_dir}/body.txt"
     write_body_file(body_path, body)
     outputs.append(body_path)
-    if config.get("mesh", False):
-        if body.dim != 3:
-            raise ConfigError("mesh export requires n = 3")
+    if mesh:
         mesh_path = f"{run_dir}/body.obj"
         write_obj_mesh(mesh_path, body)
         outputs.append(mesh_path)
-    outcome = {"facets": body.facet_count, "pruned": bool(config.get("prune", True))}
+    outcome = {"facets": body.facet_count, "pruned": pruned}
     write_manifest(run_dir, "export", config, outcome, outputs, started)
     print(f"run directory: {run_dir}")
     return EXIT_OK

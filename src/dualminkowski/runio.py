@@ -4,6 +4,11 @@ One JSON config file fully determines a run; flags only pick the command,
 the config path, and the output root. Every output lands in a fresh run
 directory and is referenced from the manifest, so a run can be reproduced
 bit-for-bit from its manifest's resolved config (timestamps aside).
+
+This module is the one that reads a config. Each command's resolve function
+(resolve_problem, resolve_sweep, resolve_construct, resolve_export) checks
+every field the command reads, through one field rule, before the command
+makes its run directory.
 """
 
 from __future__ import annotations
@@ -11,14 +16,17 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import os
+import reprlib
 import time
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .bodies import StarBody, SupportPolytope, vertex_enumeration
+from .bodies import (StarBody, SupportPolytope, shifted_ball_polytope,
+                     vertex_enumeration)
 from .bounds import q_star
+from .constructions import dirichlet_voronoi_cone
 from .groups import (
     OrthogonalGroup,
     certify,
@@ -26,7 +34,7 @@ from .groups import (
     invariant_directions,
     standard_group,
 )
-from .sphere import build_grid
+from .sphere import build_grid, fibonacci_sphere_nodes
 from .solver import (HypothesisError, ProblemSpec, SolverConfig, _finite,
                      _integer)
 
@@ -39,6 +47,9 @@ __all__ = [
     "resolve_density",
     "resolve_problem",
     "resolve_solver_config",
+    "resolve_sweep",
+    "resolve_construct",
+    "resolve_export",
     "write_body_file",
     "read_body_file",
     "write_obj_mesh",
@@ -65,98 +76,152 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, field: str, kind=None):
-    if field not in cfg:
-        raise ConfigError(f"missing required field {field!r}")
-    value = cfg[field]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"field {field!r} must be {kind}, got {type(value)}")
+_REQUIRED = object()
+
+
+def _field(cfg: dict, name: str, ok, want: str, default=_REQUIRED):
+    """The value of a config field, or default when the field is absent.
+
+    cfg is the section that holds the field, keyed by the last part of the
+    dotted name. A missing required field, or a value that fails ok, raises
+    ConfigError naming the field (and what it must be)."""
+    key = name.rpartition(".")[2]
+    if key in cfg:
+        value = cfg[key]
+    elif default is _REQUIRED:
+        raise ConfigError(f"missing required field {name!r}")
+    else:
+        value = default
+    if not ok(value):
+        raise ConfigError(
+            f"field {name!r} must be {want}, got {reprlib.repr(value)}")
     return value
+
+
+# Field tests. Booleans are neither integers nor numbers; solver._integer and
+# solver._finite are the one integer test and the one number test.
+
+
+def _is(kind):
+    """Test for an instance of kind."""
+    return lambda x: isinstance(x, kind)
+
+
+def _positive(x) -> bool:
+    return _finite(x) and x > 0
+
+
+def _at_least(low: int):
+    """Test for an integer >= low."""
+    return lambda x: _integer(x) and x >= low
+
+
+def _numbers(x, count: int) -> bool:
+    """x is a list of count finite numbers."""
+    return isinstance(x, list) and len(x) == count and all(map(_finite, x))
+
+
+def _nonempty(x, ok) -> bool:
+    """x is a non-empty list whose entries all pass ok."""
+    return isinstance(x, list) and len(x) > 0 and all(map(ok, x))
+
+
+def _matrix(x, n: int) -> bool:
+    """x is an n x n matrix: n rows of n finite numbers, or n * n of them
+    in row-major order."""
+    return _numbers(x, n * n) or (isinstance(x, list) and len(x) == n
+                                  and all(_numbers(row, n) for row in x))
 
 
 def resolve_group(spec: dict, n: int) -> OrthogonalGroup:
+    """The group of a config's group section; it must act on R^n."""
     if "generators" in spec:
-        gens = [np.asarray(g, dtype=float).reshape(n, n)
-                for g in spec["generators"]]
-        return enumerate_group(gens, max_order=int(spec.get("max_order", 2000)),
-                               label=spec.get("label", "custom"))
-    name = _require(spec, "name", str)
-    params = {k: v for k, v in spec.items() if k != "name"}
-    if name == "direct-sum":
-        parts = [(p["name"], {k: v for k, v in p.items() if k != "name"})
-                 for p in _require(spec, "parts", list)]
-        params = {"parts": parts}
-    try:
-        return standard_group(name, n=n, **params)
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"group spec invalid: {exc}") from exc
+        gens = _field(spec, "group.generators",
+                      lambda gs: _nonempty(gs, lambda g: _matrix(g, n)),
+                      f"a non-empty list of {n} x {n} matrices of finite "
+                      "numbers")
+        max_order = _field(spec, "group.max_order", _at_least(1),
+                           "an integer >= 1", 2000)
+        label = _field(spec, "group.label", _is(str), "a string", "custom")
+        try:
+            group = enumerate_group(
+                [np.asarray(g, dtype=float).reshape(n, n) for g in gens],
+                max_order=max_order, label=label)
+        except ValueError as exc:
+            raise ConfigError(f"field 'group.generators': {exc}") from exc
+    else:
+        name = _field(spec, "group.name", _is(str), "a string")
+        params = {k: v for k, v in spec.items() if k != "name"}
+        if name == "direct-sum":
+            parts = _field(spec, "group.parts",
+                           lambda ps: _nonempty(
+                               ps, lambda p: isinstance(p, dict)
+                               and isinstance(p.get("name"), str)),
+                           "a non-empty list of groups, each with a name")
+            params = {"parts": [(p["name"], {k: v for k, v in p.items()
+                                             if k != "name"})
+                                for p in parts]}
+        try:
+            group = standard_group(name, n=n, **params)
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ConfigError(f"group spec invalid: {exc}") from exc
+    if group.dim != n:
+        raise ConfigError(f"field 'n' must be {group.dim}, the dimension of "
+                          f"the group, got {n}")
+    return group
 
 
 def resolve_star_body(spec: dict, n: int) -> StarBody:
-    kind = _require(spec, "kind", str)
+    """Q from a solve config's q_body section."""
+    kind = _field(spec, "q_body.kind", _is(str), "a string")
     if kind == "ball":
-        return StarBody.ball(n, float(spec.get("radius", 1.0)))
+        return StarBody.ball(n, float(_field(spec, "q_body.radius", _positive,
+                                             "a finite number > 0", 1.0)))
     if kind == "ellipsoid":
-        axes = np.asarray(_require(spec, "half_axes", list), dtype=float)
-        if axes.size != n:
-            raise ConfigError(f"ellipsoid needs {n} half-axes")
-        return StarBody.ellipsoid(axes)
+        return StarBody.ellipsoid(_field(
+            spec, "q_body.half_axes",
+            lambda axes: _numbers(axes, n) and min(axes) > 0,
+            f"{n} finite numbers > 0"))
     if kind == "body-file":
-        body = read_body_file(_require(spec, "path", str))
+        path = _field(spec, "q_body.path", _is(str), "a string")
+        body = read_body_file(path)
         if body.dim != n:
-            raise ConfigError("body file dimension mismatch")
-        return StarBody.from_polytope(body, label=f"file:{spec['path']}")
-    raise ConfigError(f"unknown star body kind {kind!r}")
-
-
-def _checked(field: str, value, ok, want: str):
-    """value, which must pass ok; otherwise a ConfigError names field."""
-    if not ok(value):
-        raise ConfigError(f"field {field!r} must be {want}, got {value!r}")
-    return value
-
-
-def _nonnegative(field: str, value) -> float:
-    """value as a float; it must be a finite number >= 0, not a boolean."""
-    return float(_checked(field, value, lambda x: _finite(x) and x >= 0,
-                          "a finite number >= 0"))
+            raise ConfigError(f"field 'q_body.path': the body file has "
+                              f"n = {body.dim}, not {n}")
+        return StarBody.from_polytope(body, label=f"file:{path}")
+    raise ConfigError(f"field 'q_body.kind': unknown star body kind {kind!r}")
 
 
 def resolve_density(spec: dict, n: int):
     """Density builders: 'constant' and a symmetrizable bump family.
 
-    Returns (density callable, label). Every field is checked here, so a bad
-    one raises ConfigError naming it before any direction or grid work."""
-    name = _require(spec, "density", str)
+    Returns (density callable, label)."""
+    name = _field(spec, "density", _is(str), "a string")
     if name == "constant":
-        c = _nonnegative("value", _require(spec, "value"))
-        if c <= 0:
-            raise ConfigError("constant density must be positive")
+        c = float(_field(spec, "value", _positive, "a finite number > 0"))
         return lambda pts: np.full(pts.shape[0], c), f"constant {c}"
     if name == "cosine-bump":
-        base = _nonnegative("base", spec.get("base", 1.0))
-        amp = _nonnegative("amplitude", spec.get("amplitude", 0.5))
-        power = _nonnegative("power", spec.get("power", 2.0))
-        axis = _require(spec, "axis", list)
-        if len(axis) != n or not all(map(_finite, axis)) or \
-                not any(axis):
-            raise ConfigError(f"field 'axis' must be {n} finite numbers, "
-                              f"not all zero, got {axis!r}")
-        axis = np.asarray(axis, dtype=float)
+        base, amp, power = (
+            float(_field(spec, key, lambda x: _finite(x) and x >= 0,
+                         "a finite number >= 0", default))
+            for key, default in (("base", 1.0), ("amplitude", 0.5),
+                                 ("power", 2.0)))
+        axis = np.asarray(_field(spec, "axis",
+                                 lambda a: _numbers(a, n) and any(a),
+                                 f"{n} finite numbers, not all zero"),
+                          dtype=float)
         axis = axis / np.linalg.norm(axis)
 
         def density(pts):
             return base + amp * np.maximum(pts @ axis, 0.0) ** power
 
         return density, f"cosine-bump base={base} amp={amp} power={power}"
-    raise ConfigError(f"unknown density {name!r}")
+    raise ConfigError(f"field 'density': unknown density {name!r}")
 
 
 def resolve_solver_config(spec: dict) -> SolverConfig:
-    if not isinstance(spec, dict):
-        raise ConfigError("solver section must be an object")
-    known = {f for f in SolverConfig.__dataclass_fields__}
-    unknown = set(spec) - known
+    """SolverConfig from a solve config's solver section."""
+    unknown = set(spec) - set(SolverConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
     try:
@@ -165,56 +230,47 @@ def resolve_solver_config(spec: dict) -> SolverConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _explicit_atoms(spec: dict, count: int) -> list:
-    """measure.atoms, checked to be count finite nonnegative numbers."""
-    atoms = spec["atoms"]
-    if not isinstance(atoms, list) or len(atoms) != count or \
-            not all(_finite(a) and a >= 0 for a in atoms):
-        raise ConfigError(f"field 'measure.atoms' must be a list of {count} "
-                          "finite nonnegative numbers, one per direction")
-    return atoms
-
-
 def resolve_problem(cfg: dict):
     """Resolve a solve config into (ProblemSpec, SolverConfig, extras).
 
-    Schema problems raise ConfigError naming the field, before any direction
-    work; the solver section is checked first, since it needs none of the
-    problem data, and the grid is built among the checks, since only
-    building it shows a scheme that does not fit n. The theorem's
-    hypotheses are checked by ProblemSpec, which raises HypothesisError
-    naming the violated condition (p outside (-q*, 0), a group with a fixed
-    vector, a non-invariant Q) after the directions are packed and before
-    any solver work.
+    extras holds the problem entries of the run manifest's outcome and the
+    export_mesh flag. Schema problems raise ConfigError naming the field,
+    before any direction work; the solver section is checked first, since
+    it needs none of the problem data, and the grid is built among the
+    checks, since only building it shows a scheme that does not fit n. The
+    theorem's hypotheses are checked by ProblemSpec, which raises
+    HypothesisError naming the violated condition (p outside (-q*, 0), a
+    group with a fixed vector, a non-invariant Q) after the directions are
+    packed and before any solver work.
     """
-    solver_cfg = resolve_solver_config(cfg.get("solver", {}))
-    n = _checked("n", _require(cfg, "n"), lambda x: _integer(x) and x >= 2,
-                 "an integer >= 2")
-    p = float(_checked("p", _require(cfg, "p"), _finite, "a finite number"))
-    q = float(_checked("q", _require(cfg, "q"), _finite, "a finite number"))
-    dir_spec = _checked("directions", cfg.get("directions", {}),
-                        lambda x: isinstance(x, dict), "an object")
-    count = _checked("directions.count", dir_spec.get("count", 642),
-                     lambda x: _integer(x) and x >= 1, "an integer >= 1")
-    dir_seed = _checked("directions.seed", dir_spec.get("seed", 0), _integer,
-                        "an integer")
-    grid_spec = _checked("grid", cfg.get("grid", {}),
-                         lambda x: isinstance(x, dict), "an object")
-    node_count = _checked("grid.node_count",
-                          grid_spec.get("node_count", 20000),
-                          lambda x: _integer(x) and x >= 8, "an integer >= 8")
-    grid_seed = _checked("grid.seed", grid_spec.get("seed", 0), _integer,
-                         "an integer")
+    solver_cfg = resolve_solver_config(
+        _field(cfg, "solver", _is(dict), "an object", {}))
+    n = _field(cfg, "n", _at_least(2), "an integer >= 2")
+    p = float(_field(cfg, "p", _finite, "a finite number"))
+    q = float(_field(cfg, "q", _finite, "a finite number"))
+    export_mesh = _field(cfg, "export_mesh", _is(bool), "true or false", False)
+    dir_spec = _field(cfg, "directions", _is(dict), "an object", {})
+    count = _field(dir_spec, "directions.count", _at_least(1),
+                   "an integer >= 1", 642)
+    dir_seed = _field(dir_spec, "directions.seed", _integer, "an integer", 0)
+    grid_spec = _field(cfg, "grid", _is(dict), "an object", {})
+    node_count = _field(grid_spec, "grid.node_count", _at_least(8),
+                        "an integer >= 8", 20000)
+    grid_seed = _field(grid_spec, "grid.seed", _integer, "an integer", 0)
+    scheme = _field(grid_spec, "grid.scheme", _is(str), "a string", "")
     try:  # with the fields above checked, only the scheme can fail here
-        grid = build_grid(n, node_count, grid_spec.get("scheme", ""),
-                          grid_seed)
+        grid = build_grid(n, node_count, scheme, grid_seed)
     except ValueError as exc:
         raise ConfigError(f"field 'grid.scheme': {exc}") from exc
-    group = resolve_group(_require(cfg, "group", dict), n)
-    q_body = resolve_star_body(cfg.get("q_body", {"kind": "ball"}), n)
-    measure_spec = _require(cfg, "measure", dict)
+    group = resolve_group(_field(cfg, "group", _is(dict), "an object"), n)
+    q_body = resolve_star_body(
+        _field(cfg, "q_body", _is(dict), "an object", {"kind": "ball"}), n)
+    measure_spec = _field(cfg, "measure", _is(dict), "an object")
     if "atoms" in measure_spec:
-        measure = _explicit_atoms(measure_spec, count)
+        measure = _field(measure_spec, "measure.atoms",
+                         lambda a: _numbers(a, count) and min(a) >= 0,
+                         f"a list of {count} finite nonnegative numbers, one "
+                         "per direction")
         label = "explicit atoms"
     else:
         measure, label = resolve_density(measure_spec, n)
@@ -227,8 +283,94 @@ def resolve_problem(cfg: dict):
         "q_star": q_star(q, n),
         "group_certificate": asdict(certify(group)),
         "density_label": label,
+        "export_mesh": export_mesh,
     }
     return spec, solver_cfg, extras
+
+
+def resolve_sweep(cfg: dict) -> tuple:
+    """The verify-bounds settings with their defaults: (dimensions,
+    q_values, boxes_per_case, (lo, hi), grid_nodes, seed)."""
+    dims = _field(cfg, "dimensions", lambda ns: _nonempty(ns, _at_least(2)),
+                  "a non-empty list of integers >= 2", [2, 3, 4])
+    q_values = _field(cfg, "q_values", lambda qs: _nonempty(qs, _positive),
+                      "a non-empty list of numbers > 0",
+                      [0.5, 1, 1.5, 2, 2.5, 3, 3.5])
+    per_case = _field(cfg, "boxes_per_case", _at_least(1), "an integer >= 1",
+                      100)
+    lo, hi = _field(cfg, "axis_range",
+                    lambda r: _numbers(r, 2) and 0 < r[0] <= r[1],
+                    "[lo, hi] with 0 < lo <= hi", [0.3, 30.0])
+    nodes = _field(cfg, "grid_nodes", _at_least(8), "an integer >= 8", 200000)
+    seed = _field(cfg, "seed", _at_least(0), "an integer >= 0", 0)
+    return (dims, [float(q) for q in q_values], per_case,
+            (float(lo), float(hi)), nodes, seed)
+
+
+_INTERSECTIONS = ("orbit-intersection-min", "orbit-intersection-max")
+
+
+def resolve_construct(cfg: dict) -> tuple:
+    """Resolve a construct config into (construction, group, seed, inputs).
+
+    inputs is (base body, probe grid or None) for the orbit intersections,
+    whose probe grid is built only for n = 3, and (cone, sample count) for
+    "dirichlet-voronoi"; an anchor that is not generic for the group is a
+    config error."""
+    kind = _field(cfg, "construction", _is(str), "a string", _INTERSECTIONS[0])
+    if kind not in _INTERSECTIONS + ("dirichlet-voronoi",):
+        raise ConfigError(
+            f"field 'construction': unknown construction {kind!r}")
+    if kind in _INTERSECTIONS:
+        base_spec = _field(cfg, "base", _is(dict), "an object", {})
+        if _field(base_spec, "base.kind", _is(str), "a string",
+                  "shifted-ball") != "shifted-ball":
+            raise ConfigError("field 'base.kind': only the shifted-ball base "
+                              "is built in")
+    n = _field(cfg, "n", _at_least(2), "an integer >= 2", 3)
+    group = resolve_group(_field(cfg, "group", _is(dict), "an object"), n)
+    seed = _field(cfg, "seed", _at_least(0), "an integer >= 0", 0)
+    if kind == "dirichlet-voronoi":
+        anchor = _field(cfg, "anchor", lambda a: _numbers(a, n) and any(a),
+                        f"{n} finite numbers, not all zero",
+                        [1.0] + [0.31] * (n - 1))
+        samples = _field(cfg, "samples", _at_least(1), "an integer >= 1",
+                         10000)
+        try:
+            cone = dirichlet_voronoi_cone(group, anchor)
+        except ValueError as exc:
+            raise ConfigError(f"field 'anchor': {exc}") from exc
+        return kind, group, seed, (cone, samples)
+    count = _field(base_spec, "base.normal_count", _at_least(8),
+                   "an integer >= 8", 160)
+    radius = float(_field(base_spec, "base.radius", _positive,
+                          "a finite number > 0", 2.0))
+    center = _field(base_spec, "base.center",
+                    lambda c: _numbers(c, n) and np.linalg.norm(c) < radius,
+                    f"{n} finite numbers of norm below base.radius {radius}",
+                    [0.5] + [0.0] * (n - 1))
+    probe_nodes = _field(cfg, "probe_nodes", _at_least(8), "an integer >= 8",
+                         800)
+    if n == 3:
+        dirs = fibonacci_sphere_nodes(count)
+    else:
+        dirs = build_grid(n, count, "monte-carlo" if n != 2 else "",
+                          seed=seed + 1).nodes
+    base = shifted_ball_polytope(dirs, radius,
+                                 np.asarray(center, dtype=float))
+    grid = build_grid(n, probe_nodes, seed=seed + 2) if n == 3 else None
+    return kind, group, seed, (base, grid)
+
+
+def resolve_export(cfg: dict) -> tuple:
+    """Resolve an export config into (body, prune, mesh)."""
+    body = read_body_file(_field(cfg, "body_file", _is(str), "a string"))
+    prune = _field(cfg, "prune", _is(bool), "true or false", True)
+    mesh = _field(cfg, "mesh", _is(bool), "true or false", False)
+    if mesh and body.dim != 3:
+        raise ConfigError(f"field 'mesh': mesh export requires n = 3, got a "
+                          f"body with n = {body.dim}")
+    return body, prune, mesh
 
 
 # ---------------------------------------------------------------------------

@@ -124,28 +124,33 @@ class ProblemSpec:
                            grid=grid, orbit_partition=part)
 
 
+# The step rule: backtracking Armijo on the objective value only (the
+# objective is piecewise-smooth across facet-activation boundaries, so no
+# curvature condition is imposed). A trial step starts at
+# min(INITIAL_STEP, STEP_GROWTH * last accepted step) and shrinks by SHRINK
+# until the objective drops by SLOPE_FACTOR * step * |grad|^2, giving up
+# below MIN_STEP. A run stalls when the objective drops by at most
+# STALL_TOLERANCE * max(1, |phi|) over STALL_WINDOW iterations.
+INITIAL_STEP = 0.1
+SHRINK = 0.5
+SLOPE_FACTOR = 1e-4
+MIN_STEP = 1e-14
+STEP_GROWTH = 4.0
+STALL_WINDOW = 15
+STALL_TOLERANCE = 1e-10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step rule: backtracking Armijo on the objective value only (the
-    objective is piecewise-smooth across facet-activation boundaries, so no
-    curvature condition is imposed).
-
-    The gradient tolerance applies to the orbit-reduced gradient. On a finite
-    grid the one-sided gradient cannot drop below the largest single-node
-    atom jump, so a stall there counts as convergence to the quadrature
-    floor; see minimize_entropy.
+    """The two settings of a solve: the iteration cap and the gradient
+    tolerance. The tolerance applies to the orbit-reduced gradient. On a
+    finite grid the one-sided gradient cannot drop below the largest
+    single-node atom jump, so a stall there counts as convergence to the
+    quadrature floor; see minimize_entropy.
     """
 
     max_iters: int = 500
     gradient_tolerance: float = 1e-7
-    initial_step: float = 0.1
-    shrink: float = 0.5
-    slope_factor: float = 1e-4
-    min_step: float = 1e-14
-    step_growth: float = 4.0  # line search warm-starts at growth * last step
-    stall_window: int = 15
-    stall_tolerance: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         for name, (ok, want) in _CONFIG_RANGES.items():
@@ -164,20 +169,11 @@ def _finite(x) -> bool:
         and math.isfinite(x)
 
 
-# SolverConfig field: (test, valid range). Each range keeps the solve well
-# defined: at least one iteration and one stall-window step, a line search
-# whose trial steps shrink to min_step and stop, and a finite warm start.
+# SolverConfig field: (test, valid range); at least one iteration, and a
+# tolerance that a finite gradient norm can reach.
 _CONFIG_RANGES = {
     "max_iters": (lambda x: _integer(x) and x >= 1, "an integer >= 1"),
     "gradient_tolerance": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
-    "initial_step": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
-    "shrink": (lambda x: _finite(x) and 0 < x < 1, "a number in (0, 1)"),
-    "slope_factor": (lambda x: _finite(x) and 0 < x < 1, "a number in (0, 1)"),
-    "min_step": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
-    "step_growth": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
-    "stall_window": (lambda x: _integer(x) and x >= 1, "an integer >= 1"),
-    "stall_tolerance": (lambda x: _finite(x) and x >= 0, "a finite number >= 0"),
-    "seed": (_integer, "an integer"),
 }
 
 
@@ -289,7 +285,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
 
     Convergence: the orbit-reduced gradient norm drops below the configured
     tolerance, or the iteration stalls (no objective progress over
-    stall_window iterations, or line-search underflow) with the gradient
+    STALL_WINDOW iterations, or line-search underflow) with the gradient
     within a factor 10 of the quadrature floor. The floor is the largest
     single-node atom contribution: below it the one-sided gradient of the
     piecewise-smooth discrete objective carries no information, and only a
@@ -326,7 +322,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
     reason = "max-iterations"
     node_jump = 0.0
     diam = 2.0 * initial_circum
-    last_step = config.initial_step / config.step_growth
+    last_step = INITIAL_STEP / STEP_GROWTH
     phi_after_rescale_pred = None
     t0 = time.perf_counter()
     iteration = 0
@@ -358,17 +354,16 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
             converged = True  # below single-node resolution of the grid
             reason = "quadrature-floor"
             break
-        w = config.stall_window
-        if len(phi_trace) > w and \
-                phi_trace[-w - 1] - phi <= config.stall_tolerance * max(1.0, abs(phi)):
+        if len(phi_trace) > STALL_WINDOW and phi_trace[-STALL_WINDOW - 1] - phi \
+                <= STALL_TOLERANCE * max(1.0, abs(phi)):
             converged = at_quadrature_floor(gnorm)
             reason = "quadrature-floor" if converged else "stalled"
             break
 
-        step = min(config.initial_step, config.step_growth * last_step)
+        step = min(INITIAL_STEP, STEP_GROWTH * last_step)
         accepted = False
-        target_drop = config.slope_factor * gnorm * gnorm
-        while step >= config.min_step:
+        target_drop = SLOPE_FACTOR * gnorm * gnorm
+        while step >= MIN_STEP:
             theta_new = theta - step * ghat
             h_new = np.exp(theta_new)[red.orbit_of]
             if np.any(h_new < floor):
@@ -379,7 +374,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
             if phi_new <= phi - step * target_drop:
                 accepted = True
                 break
-            step *= config.shrink
+            step *= SHRINK
         if not accepted:
             converged = at_quadrature_floor(gnorm)
             reason = "quadrature-floor" if converged else "line-search-underflow"

@@ -247,8 +247,8 @@ class TestSolveCommand:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("solver_cfg", [{"max_iters": 0},
-                                            {"shrink": 1.0},
-                                            {"stall_window": 0}])
+                                            {"gradient_tolerance": 0.0},
+                                            {"shrink": 0.5}])
     def test_bad_solver_field_fails_before_any_work(self, tmp_path, capsys,
                                                    monkeypatch, solver_cfg):
         from dualminkowski import runio
@@ -261,7 +261,10 @@ class TestSolveCommand:
         out = tmp_path / "runs"
         assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
         field = next(iter(solver_cfg))
-        assert f"config error: solver field {field!r}" in capsys.readouterr().err
+        # shrink is a line-search constant now, not a setting
+        message = (f"unknown solver fields: [{field!r}]" if field == "shrink"
+                   else f"solver field {field!r}")
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("change, field", [
@@ -280,6 +283,16 @@ class TestSolveCommand:
         ({"directions": {"count": 0}}, "directions.count"),
         ({"directions": {"count": "162"}}, "directions.count"),
         ({"directions": {"count": 162, "seed": None}}, "directions.seed"),
+        ({"q_body": {"kind": "ball", "radius": True}}, "q_body.radius"),
+        ({"q_body": {"kind": "ball", "radius": "2"}}, "q_body.radius"),
+        ({"q_body": {"kind": "ellipsoid", "half_axes": [1, "a", 2]}},
+         "q_body.half_axes"),
+        ({"group": {"generators": [[[0.0, -1.0], [1.0, 0.0]]]}},
+         "group.generators"),
+        ({"group": {"generators": [np.eye(3).tolist()], "max_order": "x"}},
+         "group.max_order"),
+        ({"n": 2}, "n"),
+        ({"export_mesh": "no"}, "export_mesh"),
     ])
     def test_bad_problem_field_fails_before_any_work(self, tmp_path, capsys,
                                                     monkeypatch, change,
@@ -342,6 +355,8 @@ class TestVerifyBoundsCommand:
         ("dimensions", []),
         ("grid_nodes", 4),
         ("seed", -1),
+        ("boxes_per_case", 2.0),
+        ("dimensions", [2.0]),
     ])
     def test_bad_config_leaves_no_run_directory(self, tmp_path, capsys,
                                                 field, value):
@@ -430,6 +445,31 @@ class TestConstructCommand:
         assert err.startswith("config error: ") and message in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("change, field", [
+        ({"n": True}, "n"),
+        ({"group": {"name": "cyclic", "order": 5}}, "n"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"probe_nodes": 4}, "probe_nodes"),
+        ({"base": {"radius": "2"}}, "base.radius"),
+        ({"base": {"radius": 1.0, "center": [0.5, 1.0, 0.0]}}, "base.center"),
+        ({"base": {"normal_count": 3}}, "base.normal_count"),
+        ({"construction": "dirichlet-voronoi", "samples": 0}, "samples"),
+        ({"construction": "dirichlet-voronoi", "anchor": [1.0, 0.3]},
+         "anchor"),
+        ({"construction": "dirichlet-voronoi", "n": 2,
+          "group": {"name": "negation"}}, "anchor"),  # -I: never generic
+    ])
+    def test_bad_field_leaves_no_run_directory(self, tmp_path, capsys,
+                                               change, field):
+        cfg = {"construction": "orbit-intersection-min", "n": 3,
+               "group": {"name": "simplex-symmetry", "m": 3}, **change}
+        out = tmp_path / "runs"
+        assert main(["construct", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_ERROR
+        assert f"config error: field {field!r}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_dirichlet_voronoi(self, tmp_path):
         cfg = write_config(tmp_path, {
             "construction": "dirichlet-voronoi",
@@ -467,12 +507,27 @@ class TestExportCommand:
             capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_mesh_requires_n3(self, tmp_path):
+    def test_mesh_requires_n3(self, tmp_path, capsys):
         square = cube_polytope(2)
         body_path = str(tmp_path / "square.txt")
         write_body_file(body_path, square)
         cfg = write_config(tmp_path, {"body_file": body_path, "mesh": True})
-        assert main(["export", cfg, "--out", str(tmp_path / "r")]) == EXIT_ERROR
+        out = tmp_path / "runs"
+        assert main(["export", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "config error: field 'mesh': mesh export requires n = 3")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("field", ["prune", "mesh"])
+    def test_flags_must_be_booleans(self, tmp_path, capsys, field):
+        body_path = str(tmp_path / "cube.txt")
+        write_body_file(body_path, cube_polytope(3))
+        cfg = write_config(tmp_path, {"body_file": body_path, field: "no"})
+        out = tmp_path / "runs"
+        assert main(["export", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert f"config error: field {field!r} must be true or false" in \
+            capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestBodyFileFormat:

@@ -66,3 +66,23 @@ def test_every_definition_is_referenced():
         if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
         <= count)
     assert unused == []
+
+
+def test_runio_alone_handles_config():
+    """runio is the one module that reads a config: no other module raises
+    ConfigError or imports a private runio name."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[-1] == "runio":
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+            if isinstance(node, ast.Raise) and path.name != "runio.py":
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                    found.append(f"{path.name}:{node.lineno} raises "
+                                 "ConfigError")
+    assert found == []
