@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dualminkowski.measures import (
     dual_curvature_measure,
     entropy_value,
 )
+from dualminkowski.runio import ConfigError, resolve_solver_config
 from dualminkowski.solver import (
     ProblemSpec,
     SolverConfig,
@@ -126,12 +128,28 @@ class TestProblemSpec:
 class TestSolverConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5),
-        ("max_iters", True), ("gradient_tolerance", math.nan),
-        ("gradient_tolerance", 0.0),
+        ("max_iters", True), ("step_growth", 0.0),
+        ("step_growth", math.inf), ("shrink", 1.0), ("shrink", 1.5),
+        ("shrink", 0.0), ("min_step", 0.0), ("min_step", -1e-14),
+        ("gradient_tolerance", math.nan),
+        ("gradient_tolerance", 0.0), ("slope_factor", 0.0),
+        ("slope_factor", 1.0), ("stall_tolerance", -1.0),
+        ("stall_tolerance", math.nan),
     ])
     def test_invalid_value_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"solver field '{field}'"):
-            SolverConfig(**{field: value})
+        """A solver section with a bad value fails naming the field: a range
+        error for the two settings, an unknown-field error for the
+        line-search and stall values, which are solver constants."""
+        if field in SolverConfig.__dataclass_fields__:
+            with pytest.raises(ValueError, match=f"solver field '{field}'"):
+                SolverConfig(**{field: value})
+            match = f"solver field '{field}'"
+        else:
+            with pytest.raises(TypeError):
+                SolverConfig(**{field: value})
+            match = re.escape(f"unknown solver fields: ['{field}']")
+        with pytest.raises(ConfigError, match=match):
+            resolve_solver_config({field: value})
 
     def test_defaults_and_edges_accepted(self):
         SolverConfig()
@@ -143,8 +161,6 @@ class TestSolverConfig:
     def test_removed_setting_rejected(self, field):
         """The line-search and stall values are solver constants and the
         seed is gone: a config that names one is a config error."""
-        from dualminkowski.runio import ConfigError, resolve_solver_config
-
         assert hasattr(solver, field.upper()) == (field != "seed")
         with pytest.raises(TypeError):
             SolverConfig(**{field: 1})
