@@ -8,6 +8,7 @@ export. Star bodies carry a positive radial function directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .groups import OrthogonalGroup
-from .sphere import SphericalGrid, first_of_clusters, probe_grid
+from .sphere import (SphericalGrid, first_of_clusters, probe_grid,
+                     require_finite)
 
 __all__ = [
     "SupportPolytope",
@@ -42,15 +44,27 @@ __all__ = [
 ]
 
 _POS_DENOM_TOL = 1e-14
+# radial_profile evaluates blocks of at most this many node-facet ratios
+RADIAL_BLOCK_CELLS = 4_000_000
+# prune keeps the halfspaces whose slack is at most this fraction of max h
+PRUNE_TOL = 1e-9
+# is_invariant accepts a largest radial deviation up to this
+INVARIANCE_TOL = 1e-9
+# facet_polygons puts a vertex on a facet plane within this fraction of the
+# largest vertex coordinate
+FACET_PLANE_TOL = 1e-7
+# StarBody.is_invariant accepts a largest radial deviation up to this
+STAR_INVARIANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SupportPolytope:
     """K = {x : <x, v_i> <= h_i} with 0 in the interior.
 
-    Invariants enforced at construction: unit normals, h_i >= h_floor > 0,
-    at least n+1 halfspaces, and the normals positively span R^n (checked as
-    max_i <u, v_i> > 0 on a probe grid), which makes K bounded with 0 interior.
+    Invariants enforced at construction: finite entries, unit normals,
+    h_i >= h_floor > 0, at least n+1 halfspaces, and the normals positively
+    span R^n (checked as max_i <u, v_i> > 0 on a probe grid), which makes K
+    bounded with 0 interior.
     """
 
     dim: int
@@ -67,6 +81,10 @@ class SupportPolytope:
             raise ValueError("support numbers must match normal count")
         if normals.shape[0] < self.dim + 1:
             raise ValueError("need at least n+1 halfspaces")
+        require_finite("normals", normals)
+        require_finite("support", support)
+        if not math.isfinite(self.h_floor):
+            raise ValueError(f"h_floor must be finite, got {self.h_floor!r}")
         norms = np.linalg.norm(normals, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise ValueError("normals must be unit vectors within 1e-10")
@@ -99,8 +117,7 @@ class SupportPolytope:
         return replace(self, support=np.asarray(new_h, dtype=float))
 
 
-def radial_profile(body: SupportPolytope, points: np.ndarray,
-                   _block_cells: int = 4_000_000):
+def radial_profile(body: SupportPolytope, points: np.ndarray):
     """Radial function and supporting-facet index at each unit direction.
 
     rho(u) = min over {i : <u, v_i> > 0} of h_i / <u, v_i>; the argmin (ties
@@ -112,7 +129,7 @@ def radial_profile(body: SupportPolytope, points: np.ndarray,
     m = pts.shape[0]
     rho = np.empty(m)
     idx = np.empty(m, dtype=np.intp)
-    step = max(1, _block_cells // body.facet_count)
+    step = max(1, RADIAL_BLOCK_CELLS // body.facet_count)
     for start in range(0, m, step):
         block = pts[start:start + step]
         denom = block @ body.normals.T
@@ -284,9 +301,9 @@ def _near_active(body: SupportPolytope, tol: float) -> np.ndarray:
     return achieved >= body.support - tol * scale
 
 
-def prune(body: SupportPolytope, tol: float = 1e-9) -> SupportPolytope:
+def prune(body: SupportPolytope) -> SupportPolytope:
     """Drop halfspaces whose constraint is redundant (h_K(v_i) < h_i)."""
-    active = _near_active(body, tol)
+    active = _near_active(body, PRUNE_TOL)
     if not np.any(active):
         raise ValueError("pruning removed every facet")
     return SupportPolytope(dim=body.dim, normals=body.normals[active],
@@ -344,7 +361,7 @@ def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
     try:
         verts = vertex_enumeration(body)
         inradius = float(np.min(np.max(body.normals @ verts.T, axis=1)))
-    except Exception:
+    except QhullError:
         inradius = min(support_eval(body, v) for v in body.normals)
     return {
         "centroid": centroid,
@@ -357,12 +374,12 @@ def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
 
 def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
                  grid: SphericalGrid | None = None,
-                 tol: float = 1e-9,
                  active: SupportPolytope | None = None) -> tuple[bool, float]:
     """Whether rho_K(g u) == rho_K(u) on the grid for every group element.
 
     Probes only the halfspaces of active_part(body); a caller that already
-    has it passes it as active. Returns (within tolerance, max deviation).
+    has it passes it as active. Returns (max deviation <= INVARIANCE_TOL,
+    max deviation).
     """
     if grid is None:
         grid = probe_grid(body.dim)
@@ -373,7 +390,7 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
     rho_all, _ = radial_profile(probed, stacked)
     deviations = np.abs(rho_all.reshape(group.order, -1) - rho[None, :])
     worst = float(np.max(deviations))
-    return worst <= tol, worst
+    return worst <= INVARIANCE_TOL, worst
 
 
 def centered(body: SupportPolytope, grid: SphericalGrid | None = None,
@@ -421,7 +438,7 @@ def shifted_ball_polytope(directions: np.ndarray, radius: float,
     return SupportPolytope(dim=dirs.shape[1], normals=dirs, support=h)
 
 
-def facet_polygons(body: SupportPolytope, tol: float = 1e-7):
+def facet_polygons(body: SupportPolytope):
     """For n = 3: ordered vertex loops of each nonempty facet.
 
     Returns a list of (facet_index, (k, 3) vertex array ordered around the
@@ -433,7 +450,8 @@ def facet_polygons(body: SupportPolytope, tol: float = 1e-7):
     scale = float(np.max(np.abs(verts))) or 1.0
     out = []
     for i in range(body.facet_count):
-        on_plane = np.abs(verts @ body.normals[i] - body.support[i]) <= tol * scale
+        on_plane = np.abs(verts @ body.normals[i] - body.support[i]) \
+            <= FACET_PLANE_TOL * scale
         face = verts[on_plane]
         if face.shape[0] < 3:
             continue
@@ -477,8 +495,7 @@ class StarBody:
 
     dim: int
     radial_fn: object
-    sandwich: float = field(default=0.0)
-    label: str = ""
+    sandwich: float = field(init=False)
 
     def __post_init__(self):
         probe = probe_grid(self.dim)
@@ -486,12 +503,7 @@ class StarBody:
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ValueError("radial function must be positive and finite")
         c = max(float(np.max(vals)), 1.0 / float(np.min(vals)), 1.0)
-        if self.sandwich <= 0.0:
-            object.__setattr__(self, "sandwich", c)
-        elif c > self.sandwich * (1 + 1e-9):
-            raise ValueError(
-                f"declared sandwich constant {self.sandwich} violated ({c:.6g})"
-            )
+        object.__setattr__(self, "sandwich", c)
 
     def radial(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -512,8 +524,7 @@ class StarBody:
     @staticmethod
     def ball(n: int, radius: float = 1.0) -> "StarBody":
         r = float(radius)
-        return StarBody(dim=n, radial_fn=lambda pts: np.full(pts.shape[0], r),
-                        label=f"ball(r={r})")
+        return StarBody(dim=n, radial_fn=lambda pts: np.full(pts.shape[0], r))
 
     @staticmethod
     def ellipsoid(half_axes) -> "StarBody":
@@ -524,17 +535,15 @@ class StarBody:
         def rho(pts):
             return 1.0 / np.sqrt(np.sum((pts / axes[None, :]) ** 2, axis=1))
 
-        return StarBody(dim=axes.size, radial_fn=rho,
-                        label=f"ellipsoid{tuple(axes)}")
+        return StarBody(dim=axes.size, radial_fn=rho)
 
     @staticmethod
-    def from_polytope(body: SupportPolytope, label: str = "") -> "StarBody":
+    def from_polytope(body: SupportPolytope) -> "StarBody":
         def rho(pts):
             values, _ = radial_profile(body, pts)
             return values
 
-        return StarBody(dim=body.dim, radial_fn=rho,
-                        label=label or "polytope-radial")
+        return StarBody(dim=body.dim, radial_fn=rho)
 
     @staticmethod
     def box(half_axes) -> "StarBody":
@@ -560,9 +569,9 @@ class StarBody:
                     np.minimum(out, ratio, out=out)
             return out
 
-        return StarBody(dim=axes.size, radial_fn=rho, label=f"box{tuple(axes)}")
+        return StarBody(dim=axes.size, radial_fn=rho)
 
-    def transformed(self, phi: np.ndarray, label: str = "") -> "StarBody":
+    def transformed(self, phi: np.ndarray) -> "StarBody":
         """The image phi Q, via rho_{phi Q}(x) = rho_Q(phi^-1 x)."""
         phi_inv = np.linalg.inv(np.asarray(phi, dtype=float))
         base = self
@@ -570,13 +579,12 @@ class StarBody:
         def rho(pts):
             return base.radial_homogeneous(pts @ phi_inv.T)
 
-        return StarBody(dim=self.dim, radial_fn=rho,
-                        label=label or f"transformed({self.label})")
+        return StarBody(dim=self.dim, radial_fn=rho)
 
-    def is_invariant(self, group: OrthogonalGroup, tol: float = 1e-8) -> tuple[bool, float]:
+    def is_invariant(self, group: OrthogonalGroup) -> tuple[bool, float]:
         probe = probe_grid(self.dim)
         vals = self.radial(probe.nodes)
         worst = 0.0
         for g in group.elements:
             worst = max(worst, float(np.max(np.abs(self.radial(probe.nodes @ g.T) - vals))))
-        return worst <= tol, worst
+        return worst <= STAR_INVARIANCE_TOL, worst

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 INTEGER_BRANCH_GATE = 1e-9
+# santalo_product passes the forward bound when V(K) V(K*) is at most
+# (1 + SANTALO_SLACK) kappa_n^2
+SANTALO_SLACK = 0.02
 
 
 def q_star(q: float, n: int) -> float:
@@ -237,8 +240,7 @@ def verify_box(box: BoxSpec, q: float, grid: SphericalGrid) -> BoundsReport:
 # volume products
 
 
-def santalo_product(body: SupportPolytope, grid: SphericalGrid,
-                    slack: float = 0.02) -> dict:
+def santalo_product(body: SupportPolytope, grid: SphericalGrid) -> dict:
     """Volume product V(K) V(K*) against its upper bound kappa_n^2 (needs a
     centered body) and the strict lower bound kappa_n^2 / 4^n.
 
@@ -257,6 +259,8 @@ def santalo_product(body: SupportPolytope, grid: SphericalGrid,
     product = vol * vol_polar
     kappa_sq = unit_ball_volume(n) ** 2
     floor = kappa_sq / 4.0 ** n
+    forward = product <= kappa_sq * (1.0 + SANTALO_SLACK) if centered_ok \
+        else None
     return {
         "product": product,
         "volume": vol,
@@ -264,7 +268,7 @@ def santalo_product(body: SupportPolytope, grid: SphericalGrid,
         "kappa_sq": kappa_sq,
         "kuperberg_floor": floor,
         "centered": centered_ok,
-        "pass_forward": product <= kappa_sq * (1.0 + slack) if centered_ok else None,
+        "pass_forward": forward,
         "pass_floor": product > floor,
     }
 

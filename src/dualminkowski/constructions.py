@@ -31,6 +31,20 @@ __all__ = [
     "radial_extremum_is_unique",
 ]
 
+# radial_extremum_is_unique counts a probe node as extremal when its radius
+# is within this relative margin of the extremum
+EXTREMUM_MARGIN = 1e-4
+# random_generic_rotation draws at most ROTATION_TRIES rotations h, and
+# accepts one whose -h z lies at least ROTATION_MARGIN from the orbit of h z
+ROTATION_TRIES = 200
+ROTATION_MARGIN = 1e-3
+# dirichlet_voronoi_cone rejects an anchor z with some g z (g not the
+# identity) within ANCHOR_MARGIN of z or of -z
+ANCHOR_MARGIN = 1e-6
+# DirichletVoronoiCone.contains allows <n, x> up to CONE_TOL on every
+# constraint; strictly_contains requires <n, x> below -CONE_TOL
+CONE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class AsymmetryCertificate:
@@ -74,10 +88,9 @@ def certify_asymmetry(body: SupportPolytope, grid: SphericalGrid | None = None,
 
 
 def radial_extremum_is_unique(body: SupportPolytope, mode: str = "min",
-                              margin: float = 1e-4,
                               grid: SphericalGrid | None = None):
     """Check (on a probe grid) that the radial extremum is attained at a
-    single direction cluster, with the stated margin to the runner-up.
+    single direction cluster, with EXTREMUM_MARGIN to the runner-up.
 
     Returns (ok, extremal direction). The hypothesis in the generator is
     open-dense; this margin test makes it checkable on discrete data.
@@ -87,11 +100,11 @@ def radial_extremum_is_unique(body: SupportPolytope, mode: str = "min",
     rho, _ = radial_profile(body, grid.nodes)
     if mode == "min":
         star = float(np.min(rho))
-        near = rho <= star + margin * star
+        near = rho <= star + EXTREMUM_MARGIN * star
         arg = int(np.argmin(rho))
     elif mode == "max":
         star = float(np.max(rho))
-        near = rho >= star - margin * star
+        near = rho >= star - EXTREMUM_MARGIN * star
         arg = int(np.argmax(rho))
     else:
         raise ValueError("mode must be 'min' or 'max'")
@@ -102,27 +115,27 @@ def radial_extremum_is_unique(body: SupportPolytope, mode: str = "min",
     return ok, u_star
 
 
-def random_generic_rotation(group: OrthogonalGroup, z: np.ndarray, seed: int = 0,
-                            max_tries: int = 200,
-                            margin: float = 1e-3) -> np.ndarray:
-    """Haar-sample h in O(n) until -h z stays `margin` away from the orbit of
-    h z. The rejected set has measure zero, so acceptance is near-immediate;
-    rejection keeps the almost-every-rotation hypothesis checkable.
+def random_generic_rotation(group: OrthogonalGroup, z: np.ndarray,
+                            seed: int = 0) -> np.ndarray:
+    """Haar-sample h in O(n) until -h z stays ROTATION_MARGIN away from the
+    orbit of h z, in at most ROTATION_TRIES draws. The rejected set has
+    measure zero, so acceptance is near-immediate; rejection keeps the
+    almost-every-rotation hypothesis checkable.
     """
     z = np.asarray(z, dtype=float)
     z = z / np.linalg.norm(z)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(ROTATION_TRIES):
         m = rng.standard_normal((group.dim, group.dim))
         qmat, r = np.linalg.qr(m)
         h = qmat * np.sign(np.diag(r))[None, :]
         hz = h @ z
         orbit = group.apply(hz[None])[:, 0, :]
-        if float(np.min(np.linalg.norm(orbit + hz[None], axis=1))) >= margin:
+        gap = float(np.min(np.linalg.norm(orbit + hz[None], axis=1)))
+        if gap >= ROTATION_MARGIN:
             return h
-    raise ValueError(
-        f"no generic rotation found in {max_tries} tries (margin {margin})"
-    )
+    raise ValueError(f"no generic rotation found in {ROTATION_TRIES} tries "
+                     f"(margin {ROTATION_MARGIN:g})")
 
 
 def _pool_orbit_constraints(group: OrthogonalGroup, base: SupportPolytope,
@@ -189,7 +202,8 @@ def orbit_intersection_body(group: OrthogonalGroup, base: SupportPolytope,
     _checked_group(group)
     ok, u_min = radial_extremum_is_unique(base, "min", grid=grid)
     if not ok:
-        raise ValueError("base body lacks a unique minimal radius (margin 1e-4)")
+        raise ValueError("base body lacks a unique minimal radius "
+                         f"(margin {EXTREMUM_MARGIN:g})")
     if rotation is None:
         rotation = random_generic_rotation(group, u_min, seed=seed)
     body = _pool_orbit_constraints(group, base, rotation)
@@ -213,7 +227,8 @@ def orbit_intersection_body_circum(group: OrthogonalGroup, base: SupportPolytope
     _checked_group(group)
     ok, u_max = radial_extremum_is_unique(base, "max", grid=grid)
     if not ok:
-        raise ValueError("base body lacks a unique maximal radius (margin 1e-4)")
+        raise ValueError("base body lacks a unique maximal radius "
+                         f"(margin {EXTREMUM_MARGIN:g})")
     rho_max, _ = radial_profile(base, u_max[None])
     if rotation is None:
         rotation = random_generic_rotation(group, u_max, seed=seed)
@@ -243,25 +258,25 @@ class DirichletVoronoiCone:
     anchor: np.ndarray
     normals: np.ndarray  # rows g z - z, duplicates merged, g != identity
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.normals.shape[0] == 0:
             return np.ones(pts.shape[0], dtype=bool)
-        return np.all(pts @ self.normals.T <= tol, axis=1)
+        return np.all(pts @ self.normals.T <= CONE_TOL, axis=1)
 
-    def strictly_contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def strictly_contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.normals.shape[0] == 0:
             return np.ones(pts.shape[0], dtype=bool)
-        return np.all(pts @ self.normals.T < -tol, axis=1)
+        return np.all(pts @ self.normals.T < -CONE_TOL, axis=1)
 
 
-def dirichlet_voronoi_cone(group: OrthogonalGroup, anchor: np.ndarray,
-                           margin: float = 1e-6) -> DirichletVoronoiCone:
+def dirichlet_voronoi_cone(group: OrthogonalGroup,
+                           anchor: np.ndarray) -> DirichletVoronoiCone:
     """Fundamental cone of the orbit of a generic unit anchor point.
 
     Genericity required of the anchor: g z != z and g z != -z for every
-    non-identity g, with the stated margin; callers should perturb and retry
+    non-identity g, with ANCHOR_MARGIN; callers should perturb and retry
     on rejection. One homogeneous halfspace per non-identity element, with
     duplicate normals merged.
     """
@@ -270,7 +285,8 @@ def dirichlet_voronoi_cone(group: OrthogonalGroup, anchor: np.ndarray,
     eye = np.eye(group.dim)
     gz = np.array([g @ z for g in group.elements
                    if np.max(np.abs(g - eye)) > 1e-12]).reshape(-1, group.dim)
-    if np.any(np.linalg.norm(np.stack([gz - z, gz + z]), axis=2) <= margin):
+    gaps = np.linalg.norm(np.stack([gz - z, gz + z]), axis=2)
+    if np.any(gaps <= ANCHOR_MARGIN):
         raise ValueError(
             "anchor is non-generic for this group (orbit point collides "
             "with the anchor or its antipode); perturb and retry"

@@ -37,6 +37,11 @@ __all__ = [
 ORTHOGONALITY_TOL = 1e-10
 MATCH_TOL = 1e-8  # matrix dedup/closure tolerance; see module notes
 MERGE_TOL = 1e-6  # directions this close are one point of an orbit
+# _orbits: images of a seed within STABILIZER_TOL of it are its images under
+# the approximate stabilizer, and an image within ORBIT_DEDUPE_TOL of an
+# earlier kept image of the same orbit is dropped
+STABILIZER_TOL = 1e-6
+ORBIT_DEDUPE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class OrthogonalGroup:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.einsum("kij,nj->kni", self.elements, pts)
 
-    def check_closure(self, tol: float = MATCH_TOL) -> float:
+    def check_closure(self) -> float:
         """Max distance from any product gh to its nearest element."""
         worst = 0.0
         for g in self.elements:
@@ -83,7 +88,7 @@ class OrthogonalGroup:
             for prod in products:
                 dist = np.min(np.max(np.abs(self.elements - prod[None]), axis=(1, 2)))
                 worst = max(worst, float(dist))
-        if worst > tol:
+        if worst > MATCH_TOL:
             raise ValueError(f"element list not closed under product: {worst:.3e}")
         return worst
 
@@ -101,12 +106,12 @@ class GroupCertificate:
         return not self.has_nonzero_fixed_point and not self.contains_negation
 
 
-def _match_index(stack: np.ndarray, matrix: np.ndarray, tol: float = MATCH_TOL):
+def _match_index(stack: np.ndarray, matrix: np.ndarray):
     if stack.shape[0] == 0:
         return None
     dist = np.max(np.abs(stack - matrix[None]), axis=(1, 2))
     i = int(np.argmin(dist))
-    return i if dist[i] <= tol else None
+    return i if dist[i] <= MATCH_TOL else None
 
 
 def enumerate_group(generators, max_order: int = 10000, label: str = "") -> OrthogonalGroup:
@@ -209,7 +214,7 @@ def cyclic_rotation(order: int) -> OrthogonalGroup:
     return OrthogonalGroup(dim=2, elements=np.array(elems), label=f"cyclic({order})")
 
 
-def direct_sum(parts: list[OrthogonalGroup], label: str = "") -> OrthogonalGroup:
+def direct_sum(parts: list[OrthogonalGroup]) -> OrthogonalGroup:
     """Block-diagonal product group acting on the orthogonal sum of the factors."""
     if not parts:
         raise ValueError("need at least one factor")
@@ -223,8 +228,8 @@ def direct_sum(parts: list[OrthogonalGroup], label: str = "") -> OrthogonalGroup
             g[ofs:ofs + k, ofs:ofs + k] = block
             ofs += k
         elems.append(g)
-    label = label or "(+)".join(p.label or "?" for p in parts)
-    return OrthogonalGroup(dim=n, elements=np.array(elems), label=label)
+    return OrthogonalGroup(dim=n, elements=np.array(elems),
+                           label="(+)".join(p.label or "?" for p in parts))
 
 
 def _orthonormalize_stack(elems: np.ndarray) -> np.ndarray:
@@ -288,14 +293,13 @@ def certify(group: OrthogonalGroup) -> GroupCertificate:
     )
 
 
-def orbits(group: OrthogonalGroup, directions: np.ndarray,
-           merge_tol: float = MERGE_TOL) -> list[list[int]]:
+def orbits(group: OrthogonalGroup, directions: np.ndarray) -> list[list[int]]:
     """Partition direction indices into group orbits.
 
     Two directions fall in one orbit when some group element maps one onto the
-    other within merge_tol (Euclidean). Each orbit list starts with its
+    other within MERGE_TOL (Euclidean). Each orbit list starts with its
     representative (smallest index). Raises if two distinct input directions
-    are closer than merge_tol, since matching would then be ambiguous.
+    are closer than MERGE_TOL, since matching would then be ambiguous.
     """
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != group.dim:
@@ -307,12 +311,12 @@ def orbits(group: OrthogonalGroup, directions: np.ndarray,
     tree = cKDTree(dirs)
     dist, idx = tree.query(dirs, k=2)
     a = int(np.argmin(dist[:, 1]))
-    if dist[a, 1] < merge_tol:
+    if dist[a, 1] < MERGE_TOL:
         b = idx[a][idx[a] != a][0]  # a coincident point may rank first
         raise ValueError(f"directions {a} and {b} are {dist[a, 1]:.3e} "
-                         "apart, below merge_tol")
+                         f"apart, below MERGE_TOL = {MERGE_TOL:g}")
     dist, nearest = tree.query(group.apply(dirs))  # nearest to each g @ u
-    near = dist <= merge_tol
+    near = dist <= MERGE_TOL
     src, dst = np.nonzero(near)[1], nearest[near]
     # connected components of the matches: every direction takes the least
     # label of its matches, then the label of its label, until nothing moves
@@ -357,28 +361,29 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(row) for row in x])
 
 
-def _images_near(group: OrthogonalGroup, u: np.ndarray, tol: float):
+def _images_near(group: OrthogonalGroup, u: np.ndarray):
     """Images g @ u of every row of u, shape (rows, order, n), and which of
-    them lie within tol of their row."""
+    them lie within STABILIZER_TOL of their row."""
     images = np.einsum("kij,mj->mki", group.elements, u)
-    return images, np.linalg.norm(images - u[:, None], axis=2) <= tol
+    gaps = np.linalg.norm(images - u[:, None], axis=2)
+    return images, gaps <= STABILIZER_TOL
 
 
-def _orbits(group: OrthogonalGroup, seeds, snap_tol: float = 1e-6,
-            tol: float = 1e-9) -> list[np.ndarray]:
+def _orbits(group: OrthogonalGroup, seeds) -> list[np.ndarray]:
     """Deduplicated orbit {g @ u} of every seed row, built for all seeds at once.
 
     Each seed is normalised and then, twice, replaced by the normalised mean
-    of its images within snap_tol (the images under its approximate
+    of its images within STABILIZER_TOL (the images under its approximate
     stabilizer). That projects it onto the exact fixed subspace of the
     stabilizer, so its orbit images cluster to machine precision. Images
-    within tol of an earlier kept image of the same orbit are dropped.
+    within ORBIT_DEDUPE_TOL of an earlier kept image of the same orbit are
+    dropped.
     """
     u = np.asarray(seeds, dtype=float).reshape(-1, group.dim)
     u = u / _row_norms(u)[:, None]
     snapping = np.ones(u.shape[0], dtype=bool)
     for _ in range(2):
-        images, near = _images_near(group, u, snap_tol)
+        images, near = _images_near(group, u)
         # -0.0 is the exact additive identity, so the masked sum equals the
         # sum over the stabilizer images alone; the identity's image is
         # summed too, and it differs from u in the last bit
@@ -387,9 +392,9 @@ def _orbits(group: OrthogonalGroup, seeds, snap_tol: float = 1e-6,
         norm = _row_norms(avg)
         snapping &= norm >= 1e-9
         u = np.divide(avg, norm[:, None], out=u, where=snapping[:, None])
-    images, _ = _images_near(group, u, snap_tol)
+    images, _ = _images_near(group, u)
     flat = images.reshape(-1, group.dim)
-    keep = first_of_clusters(flat, tol,
+    keep = first_of_clusters(flat, ORBIT_DEDUPE_TOL,
                              np.repeat(np.arange(len(u)), group.order))
     ends = np.cumsum(keep.reshape(len(u), group.order).sum(axis=1))
     # views into one array, the last piece empty: a copy per seed would

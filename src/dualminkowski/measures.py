@@ -39,13 +39,16 @@ __all__ = [
     "transform_polytope",
 ]
 
+# dual_curvature_via_boundary splits each fan triangle of a facet into
+# BOUNDARY_SUBDIVISIONS ** 2 triangles for its midpoint rule
+BOUNDARY_SUBDIVISIONS = 16
+
 
 @dataclass(frozen=True)
 class FacetMeasure:
     """Per-facet totals of a curvature measure (one atom per body normal)."""
 
     atoms: np.ndarray
-    grid_id: str
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))
@@ -69,7 +72,6 @@ class MeasureSpec:
 
     directions: np.ndarray
     atoms: np.ndarray
-    grid_id: str = ""
     density_label: str = ""
 
     def __post_init__(self):
@@ -106,8 +108,7 @@ class MeasureSpec:
             idx = np.argmax(grid.nodes[sl] @ dirs.T, axis=1)
             atoms += np.bincount(idx, weights=grid.weights[sl] * values[sl],
                                  minlength=dirs.shape[0])
-        return MeasureSpec(directions=dirs, atoms=atoms, grid_id=grid.grid_id,
-                           density_label=label)
+        return MeasureSpec(directions=dirs, atoms=atoms, density_label=label)
 
     @staticmethod
     def from_atoms(atoms, directions, label: str = "") -> "MeasureSpec":
@@ -157,7 +158,7 @@ def dual_curvature_measure(body: SupportPolytope, q_body: StarBody, q: float,
     """
     values, idx = _integrand(body, q_body, q, grid)
     atoms = np.bincount(idx, weights=values, minlength=body.facet_count)
-    return FacetMeasure(atoms=atoms, grid_id=grid.grid_id)
+    return FacetMeasure(atoms=atoms)
 
 
 def lp_dual_curvature_measure(body: SupportPolytope, q_body: StarBody,
@@ -169,12 +170,11 @@ def lp_dual_curvature_measure(body: SupportPolytope, q_body: StarBody,
     the true support value there is irrelevant).
     """
     base = dual_curvature_measure(body, q_body, q, grid)
-    return FacetMeasure(atoms=base.atoms * body.support ** (-p),
-                        grid_id=grid.grid_id)
+    return FacetMeasure(atoms=base.atoms * body.support ** (-p))
 
 
 def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
-                                q: float, subdivisions: int = 16) -> FacetMeasure:
+                                q: float) -> FacetMeasure:
     """Independent facet atoms from the boundary integral (n = 3 only).
 
     Atom i = (h_i / n) * integral over facet i of rho_Q^{n-q}(x) dA(x),
@@ -196,9 +196,10 @@ def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
         k = polygon.shape[0]
         for j in range(k):
             tri = np.array([center, polygon[j], polygon[(j + 1) % k]])
-            total += _triangle_quadrature(tri, q_body, n - q, subdivisions)
+            total += _triangle_quadrature(tri, q_body, n - q,
+                                          BOUNDARY_SUBDIVISIONS)
         atoms[i] = body.support[i] / n * total
-    return FacetMeasure(atoms=atoms, grid_id="boundary-integral")
+    return FacetMeasure(atoms=atoms)
 
 
 def _triangle_quadrature(tri: np.ndarray, q_body: StarBody, power: float,

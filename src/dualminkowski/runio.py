@@ -183,13 +183,25 @@ def resolve_star_body(spec: dict, n: int) -> StarBody:
             lambda axes: _numbers(axes, n) and min(axes) > 0,
             f"{n} finite numbers > 0"))
     if kind == "body-file":
-        path = _field(spec, "q_body.path", _is(str), "a string")
-        body = read_body_file(path)
+        body = _body_file(spec, "q_body.path")
         if body.dim != n:
             raise ConfigError(f"field 'q_body.path': the body file has "
                               f"n = {body.dim}, not {n}")
-        return StarBody.from_polytope(body, label=f"file:{path}")
+        return StarBody.from_polytope(body)
     raise ConfigError(f"field 'q_body.kind': unknown star body kind {kind!r}")
+
+
+def _body_file(cfg: dict, name: str) -> SupportPolytope:
+    """The body in the file that a config field names; a file that cannot
+    be read, or holds no valid body, raises ConfigError naming the field."""
+    path = _field(cfg, name, _is(str), "a string")
+    try:
+        return read_body_file(path)
+    except OSError as exc:
+        raise ConfigError(f"field {name!r}: cannot read body file "
+                          f"{path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"field {name!r}: {exc}") from exc
 
 
 def resolve_density(spec: dict, n: int):
@@ -364,7 +376,7 @@ def resolve_construct(cfg: dict) -> tuple:
 
 def resolve_export(cfg: dict) -> tuple:
     """Resolve an export config into (body, prune, mesh)."""
-    body = read_body_file(_field(cfg, "body_file", _is(str), "a string"))
+    body = _body_file(cfg, "body_file")
     prune = _field(cfg, "prune", _is(bool), "true or false", True)
     mesh = _field(cfg, "mesh", _is(bool), "true or false", False)
     if mesh and body.dim != 3:
@@ -383,15 +395,16 @@ def write_body_file(path: str, body: SupportPolytope) -> None:
     Layout: dimension, facet count, then one normal per line (full-precision
     floats), then one support number per line.
     """
+    # %-formatting writes the bytes of f"{x:.17g}" on each numpy scalar in
+    # about half the time; a row at a time keeps few Python floats alive
+    row = " ".join(["%.17g"] * body.dim) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"n {body.dim}\n")
-        fh.write(f"facets {body.facet_count}\n")
-        fh.write("normals\n")
-        for row in body.normals:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(f"n {body.dim}\nfacets {body.facet_count}\nnormals\n")
+        for normal in body.normals:
+            fh.write(row % tuple(normal.tolist()))
         fh.write("support\n")
         for h in body.support:
-            fh.write(f"{h:.17g}\n")
+            fh.write("%.17g\n" % h)
 
 
 def read_body_file(path: str) -> SupportPolytope:
@@ -453,6 +466,7 @@ def new_run_directory(root: str, command: str) -> str:
 def write_manifest(run_dir: str, command: str, resolved_config: dict,
                    outcome: dict, outputs: list[str],
                    started_at: float) -> str:
+    finished_at = time.time()
     manifest = {
         "tool_version": __version__,
         "command": command,
@@ -460,8 +474,8 @@ def write_manifest(run_dir: str, command: str, resolved_config: dict,
         "outcome": outcome,
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "started_at_unix": started_at,
-        "finished_at_unix": time.time(),
-        "wall_time_s": time.time() - started_at,
+        "finished_at_unix": finished_at,
+        "wall_time_s": finished_at - started_at,
     }
     path = os.path.join(run_dir, "manifest.json")
     with open(path, "w") as fh:

@@ -64,7 +64,7 @@ class ProblemSpec:
     directions: np.ndarray
     grid: SphericalGrid
     orbit_partition: list = field(default=None)
-    s_exponent: float = field(default=None)
+    s_exponent: float = field(init=False)
 
     def __post_init__(self):
         try:
@@ -75,7 +75,7 @@ class ProblemSpec:
         if certify(self.group).has_nonzero_fixed_point:
             raise HypothesisError("group has a nonzero fixed vector; "
                                   "coercivity of the entropy functional fails")
-        ok, dev = self.q_body.is_invariant(self.group, tol=1e-8)
+        ok, dev = self.q_body.is_invariant(self.group)
         if not ok:
             raise HypothesisError(
                 f"Q is not group-invariant (deviation {dev:.3e})")

@@ -27,6 +27,7 @@ __all__ = [
     "icosphere_nodes",
     "stable_sum",
     "first_of_clusters",
+    "require_finite",
 ]
 
 SCHEMES = ("uniform-angle", "fibonacci-sphere", "monte-carlo")
@@ -123,6 +124,18 @@ def first_of_clusters(points, radius: float, group_of=None) -> np.ndarray:
     return keep
 
 
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the array and its first row (entry, for a
+    vector) that holds a non-finite value."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    part, bad = ("row", ~finite.all(axis=1)) if values.ndim > 1 \
+        else ("entry", ~finite)
+    i = int(np.argmax(bad))
+    raise ValueError(f"{name} {part} {i} is not finite: {values[i]}")
+
+
 @dataclass(frozen=True)
 class SphericalGrid:
     """Quadrature nodes and weights on S^{n-1}.
@@ -137,7 +150,7 @@ class SphericalGrid:
     weights: np.ndarray
     scheme: str
     seed: int = 0
-    grid_id: str = field(default="", compare=False)
+    grid_id: str = field(init=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -146,6 +159,8 @@ class SphericalGrid:
             raise ValueError(f"nodes must have shape (N, {self.dim})")
         if weights.shape != (nodes.shape[0],):
             raise ValueError("weights must match node count")
+        require_finite("nodes", nodes)
+        require_finite("weights", weights)
         norms = np.linalg.norm(nodes, axis=1)
         worst = np.max(np.abs(norms - 1.0))
         if worst > _NODE_NORM_TOL:
@@ -163,9 +178,9 @@ class SphericalGrid:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if not self.grid_id:
-            gid = f"{self.scheme}:n{self.dim}:N{nodes.shape[0]}:s{self.seed}"
-            object.__setattr__(self, "grid_id", gid)
+        object.__setattr__(
+            self, "grid_id",
+            f"{self.scheme}:n{self.dim}:N{nodes.shape[0]}:s{self.seed}")
 
     @property
     def node_count(self) -> int:

@@ -62,6 +62,28 @@ class TestConstruction:
     def test_default_floor_from_geometric_mean(self, cube):
         assert cube.h_floor == pytest.approx(1e-6)
 
+    @pytest.mark.parametrize("part, index, value, message", [
+        ("normals", (1, 0), math.nan, r"normals row 1 is not finite"),
+        ("normals", (4, 2), math.inf, r"normals row 4 is not finite"),
+        ("support", 5, math.nan, r"support entry 5 is not finite: nan"),
+        ("support", 2, math.inf, r"support entry 2 is not finite: inf"),
+    ])
+    def test_non_finite_entries_named(self, cube, part, index, value,
+                                      message):
+        """Every comparison with nan is false, so the other checks would
+        pass a nan through; an inf support number would set the floor to
+        inf."""
+        arrays = {"normals": cube.normals.copy(),
+                  "support": cube.support.copy()}
+        arrays[part][index] = value
+        with pytest.raises(ValueError, match=message):
+            SupportPolytope(dim=3, **arrays)
+
+    def test_non_finite_floor_rejected(self, cube):
+        with pytest.raises(ValueError, match="h_floor must be finite"):
+            SupportPolytope(dim=3, normals=cube.normals,
+                            support=cube.support, h_floor=math.nan)
+
 
 class TestRadial:
     def test_cube_axis(self, cube):
@@ -232,6 +254,30 @@ class TestGeometryStats:
         body = SupportPolytope(dim=3, normals=tetra_directions, support=h)
         stats = geometry_stats(body, grid3_small)
         assert np.linalg.norm(stats["centroid"]) <= 1e-3 * stats["circumradius"]
+
+
+    def test_other_errors_of_vertex_enumeration_propagate(self, cube, grid3,
+                                                          monkeypatch):
+        """Only a Qhull failure falls back to one LP per normal."""
+        def broken(body):
+            raise ValueError("broken enumeration")
+
+        monkeypatch.setattr(bodies, "vertex_enumeration", broken)
+        with pytest.raises(ValueError, match="broken enumeration"):
+            geometry_stats(cube, grid3)
+
+    def test_qhull_failure_falls_back_to_lp(self, cube, grid3_small,
+                                            monkeypatch):
+        from scipy.spatial import QhullError
+
+        want = geometry_stats(cube, grid3_small)["inradius"]
+
+        def failing(body):
+            raise QhullError("degenerate")
+
+        monkeypatch.setattr(bodies, "vertex_enumeration", failing)
+        got = geometry_stats(cube, grid3_small)["inradius"]
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestInvariance:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -91,7 +92,7 @@ class TestParseConfig:
         spec, _, extras = resolve_problem(load_config(write_config(tmp_path,
                                                                    cfg)))
         want = np.asarray(raw, dtype=float)
-        for orbit in orbits(spec.group, spec.directions, merge_tol=1e-6):
+        for orbit in orbits(spec.group, spec.directions):
             want[orbit] = np.mean(want[orbit])
         assert not np.array_equal(want, raw)
         assert np.array_equal(spec.mu.atoms, want)
@@ -309,6 +310,31 @@ class TestSolveCommand:
         assert f"config error: field {field!r}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing.txt", "cannot read body file .*: No such file or directory"),
+        (".", "cannot read body file .*: Is a directory"),
+        ("nan.txt", "support entry 1 is not finite: nan"),
+    ], ids=["missing", "directory", "nan-support"])
+    def test_bad_q_body_file_fails_before_any_work(self, tmp_path, capsys,
+                                                   monkeypatch, target,
+                                                   reason):
+        from dualminkowski import runio
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("directions built before the Q check")
+
+        monkeypatch.setattr(runio, "invariant_directions", no_work)
+        _edited_cube_file(tmp_path / "nan.txt", "support\n1\n1",
+                          "support\n1\nnan")
+        cfg = write_config(tmp_path, dict(
+            SOLVE_CONFIG, q_body={"kind": "body-file",
+                                  "path": str(tmp_path / target)}))
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.match(rf"config error: field 'q_body.path': {reason}", err)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_broken_config_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -507,6 +533,29 @@ class TestExportCommand:
             capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("target, edit, reason", [
+        ("missing.txt", None,
+         "cannot read body file .*: No such file or directory"),
+        (".", None, "cannot read body file .*: Is a directory"),
+        ("bad.txt", ("support\n1\n1", "support\n1\nnan"),
+         "support entry 1 is not finite: nan"),
+        ("bad.txt", ("support\n1\n1", "support\n1\ninf"),
+         "support entry 1 is not finite: inf"),
+        ("bad.txt", ("\n0 0 1\n", "\nnan 0 1\n"),
+         r"normals row 2 is not finite: \[nan"),
+    ], ids=["missing", "directory", "nan-support", "inf-support",
+            "nan-normal"])
+    def test_bad_body_file_is_config_error(self, tmp_path, capsys, target,
+                                           edit, reason):
+        if edit:
+            _edited_cube_file(tmp_path / target, *edit)
+        cfg = write_config(tmp_path, {"body_file": str(tmp_path / target)})
+        out = tmp_path / "runs"
+        assert main(["export", cfg, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.match(rf"config error: field 'body_file': {reason}", err)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_mesh_requires_n3(self, tmp_path, capsys):
         square = cube_polytope(2)
         body_path = str(tmp_path / "square.txt")
@@ -530,7 +579,47 @@ class TestExportCommand:
         assert not out.exists() or not any(out.iterdir())
 
 
+def _edited_cube_file(path, old, new):
+    """The unit cube's body file with the first old replaced by new."""
+    write_body_file(str(path), cube_polytope(3))
+    path.write_text(path.read_text().replace(old, new, 1))
+
+
+def _per_scalar_body_file(path, body):
+    """The body file format written one numpy scalar at a time."""
+    with open(path, "w") as fh:
+        fh.write(f"n {body.dim}\n")
+        fh.write(f"facets {body.facet_count}\n")
+        fh.write("normals\n")
+        for row in body.normals:
+            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("support\n")
+        for h in body.support:
+            fh.write(f"{h:.17g}\n")
+
+
 class TestBodyFileFormat:
+    def test_matches_per_scalar_formatting(self, tmp_path):
+        """Formatting the Python floats of tolist() writes the bytes of
+        formatting each numpy scalar, -0.0 included, on a pooled construct
+        body."""
+        from dualminkowski.bodies import SupportPolytope, shifted_ball_polytope
+        from dualminkowski.constructions import orbit_intersection_body
+        from dualminkowski.groups import simplex_symmetry
+        from dualminkowski.sphere import fibonacci_sphere_nodes
+
+        base = shifted_ball_polytope(fibonacci_sphere_nodes(160), 2.0,
+                                     np.array([0.5, 0.0, 0.0]))
+        pooled, _ = orbit_intersection_body(simplex_symmetry(3), base, seed=3)
+        body = SupportPolytope(
+            dim=3, normals=np.vstack([pooled.normals, -np.eye(3)]),
+            support=np.concatenate([pooled.support, [5.0, 5.0, 5.0]]))
+        assert body.facet_count == 3843
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_body_file(str(got), body)
+        _per_scalar_body_file(str(want), body)
+        assert "\n-1 -0 -0\n" in want.read_text()
+        assert got.read_bytes() == want.read_bytes()
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(60)
         from conftest import random_polytope
@@ -575,3 +664,19 @@ class TestBodyFileFormat:
 
 def test_selftest_command():
     assert main(["selftest"]) == EXIT_OK
+
+
+def test_manifest_reads_the_clock_once(tmp_path, monkeypatch):
+    """wall_time_s is finished_at_unix - started_at_unix exactly."""
+    from types import SimpleNamespace
+
+    from dualminkowski import runio
+
+    ticks = iter([10.0, 20.0])
+    monkeypatch.setattr(runio, "time",
+                        SimpleNamespace(time=lambda: next(ticks)))
+    path = runio.write_manifest(str(tmp_path), "export", {}, {}, [], 4.0)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    assert manifest["finished_at_unix"] == 10.0
+    assert manifest["wall_time_s"] == 6.0

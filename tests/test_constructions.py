@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dualminkowski import constructions
 from dualminkowski.bodies import (
     SupportPolytope,
     active_part,
@@ -82,36 +83,38 @@ class TestGenericRotation:
         g = cyclic_rotation(3)
         z = np.array([1.0, 0.0])
         for seed in range(20):
-            h = random_generic_rotation(g, z, seed=seed, margin=1e-3)
+            h = random_generic_rotation(g, z, seed=seed)
             hz = h @ z
             orbit = g.apply(hz[None])[:, 0, :]
-            assert np.min(np.linalg.norm(orbit + hz[None], axis=1)) >= 1e-3
+            assert np.min(np.linalg.norm(orbit + hz[None], axis=1)) >= \
+                constructions.ROTATION_MARGIN
 
-    def test_acceptance_rate_high(self):
+    def test_acceptance_rate_high(self, monkeypatch):
         """Rejection has measure zero; nearly every first draw is accepted."""
+        monkeypatch.setattr(constructions, "ROTATION_TRIES", 1)
         g = cyclic_rotation(3)
         z = np.array([1.0, 0.0])
         accepted_first = 0
         for seed in range(200):
-            h = random_generic_rotation(g, z, seed=seed, max_tries=1,
-                                        margin=1e-3)
+            h = random_generic_rotation(g, z, seed=seed)
             accepted_first += 1
         assert accepted_first == 200
 
-    def test_margin_monotonicity(self):
+    def test_margin_monotonicity(self, monkeypatch):
         """A larger margin can only reject more first draws."""
+        monkeypatch.setattr(constructions, "ROTATION_TRIES", 1)
         g = simplex_symmetry(3)
         z = np.array([0.0, 0.0, 1.0])
 
         def first_draw_ok(margin):
+            monkeypatch.setattr(constructions, "ROTATION_MARGIN", margin)
             count = 0
             for seed in range(100):
                 try:
-                    random_generic_rotation(g, z, seed=seed, max_tries=1,
-                                            margin=margin)
+                    random_generic_rotation(g, z, seed=seed)
                     count += 1
-                except ValueError:
-                    pass
+                except ValueError as exc:
+                    assert f"in 1 tries (margin {margin:g})" in str(exc)
             return count
 
         assert first_draw_ok(0.4) >= first_draw_ok(0.8)

@@ -158,8 +158,8 @@ class TestOrbits:
     def test_merge_tol_collision_reported(self):
         g = cyclic_rotation(3)
         dirs = np.array([[1.0, 0.0], [math.cos(1e-8), math.sin(1e-8)]])
-        with pytest.raises(ValueError, match="below merge_tol"):
-            orbits(g, dirs, merge_tol=1e-6)
+        with pytest.raises(ValueError, match="below MERGE_TOL = 1e-06"):
+            orbits(g, dirs)
 
     def test_coincident_directions_named(self):
         g = cyclic_rotation(3)

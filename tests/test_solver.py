@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dualminkowski import solver
+from dualminkowski import bodies, solver
 from dualminkowski.bodies import (
     RadialKernel,
     StarBody,
@@ -339,7 +339,9 @@ def _assert_matches_radial_profile(nodes, normals, h, kernels):
     body = SupportPolytope(dim=3, normals=normals, support=h)
     for kernel, points in zip(kernels, (nodes, -nodes)):
         # small blocks: radial_profile's blocking must not change its bits
-        rho, idx = radial_profile(body, points, _block_cells=37 * len(h))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bodies, "RADIAL_BLOCK_CELLS", 37 * len(h))
+            rho, idx = radial_profile(body, points)
         got = kernel.profile(h)
         assert _same_bits(got[0], rho) and _same_bits(got[1], idx)
         got = kernel.profile(h, want_idx=False)

@@ -1,6 +1,9 @@
 """Source-level guards over the package modules."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -86,3 +89,105 @@ def test_runio_alone_handles_config():
                     found.append(f"{path.name}:{node.lineno} raises "
                                  "ConfigError")
     assert found == []
+
+
+# Every defaulted parameter ("module.function(param)") and defaulted
+# dataclass init field ("module.Class.field") of the package. A tuning value
+# that no caller sets is a named module constant instead, so a new default
+# needs an edit here.
+KNOBS = {
+    "bodies.SupportPolytope.h_floor",
+    "bodies.RadialKernel.profile(want_idx)",
+    "bodies.support_profile(vertices)",
+    "bodies.is_invariant(grid)",
+    "bodies.is_invariant(active)",
+    "bodies.centered(grid)",
+    "bodies.centered(iterations)",
+    "bodies.ball_polytope(radius)",
+    "bodies.cube_polytope(half_width)",
+    "bodies.StarBody.ball(radius)",
+    "cli.main(argv)",
+    "constructions.certify_asymmetry(grid)",
+    "constructions.certify_asymmetry(invariance_deviation)",
+    "constructions.certify_asymmetry(active)",
+    "constructions.radial_extremum_is_unique(mode)",
+    "constructions.radial_extremum_is_unique(grid)",
+    "constructions.random_generic_rotation(seed)",
+    "constructions.orbit_intersection_body(rotation)",
+    "constructions.orbit_intersection_body(seed)",
+    "constructions.orbit_intersection_body(grid)",
+    "constructions.orbit_intersection_body_circum(rotation)",
+    "constructions.orbit_intersection_body_circum(seed)",
+    "constructions.orbit_intersection_body_circum(grid)",
+    "constructions.fundamental_domain_check(sample_count)",
+    "constructions.fundamental_domain_check(seed)",
+    "groups.OrthogonalGroup.generator_indices",
+    "groups.OrthogonalGroup.label",
+    "groups.enumerate_group(max_order)",
+    "groups.enumerate_group(label)",
+    "groups.standard_group(n)",
+    "groups.invariant_directions(seed)",
+    "measures.MeasureSpec.density_label",
+    "measures.MeasureSpec.from_density(group)",
+    "measures.MeasureSpec.from_density(label)",
+    "measures.MeasureSpec.from_atoms(label)",
+    "runio._field(default)",
+    "solver.ProblemSpec.orbit_partition",
+    "solver.ProblemSpec.build(density_label)",
+    "solver.SolverConfig.max_iters",
+    "solver.SolverConfig.gradient_tolerance",
+    "solver.SolutionReport.atoms",
+    "solver.SolutionReport.euler_lagrange_gap",
+    "solver.minimize_entropy(config)",
+    "solver.minimize_entropy(initial_orbit_values)",
+    "solver.solve_problem(config)",
+    "sphere.first_of_clusters(group_of)",
+    "sphere.SphericalGrid.seed",
+    "sphere.build_grid(scheme)",
+    "sphere.build_grid(seed)",
+}
+
+
+def _defaulted(prefix, function):
+    return {f"{prefix}({name})"
+            for name, param in inspect.signature(function).parameters.items()
+            if param.default is not inspect.Parameter.empty}
+
+
+def _knobs(module) -> set:
+    """Defaulted parameters of the functions and methods a module defines,
+    and defaulted init fields of its dataclasses; a dataclass's generated
+    __init__ repeats its fields and is skipped."""
+    short = module.__name__.rpartition(".")[2]
+    found = set()
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found |= _defaulted(f"{short}.{name}", obj)
+        if not inspect.isclass(obj):
+            continue
+        is_dataclass = dataclasses.is_dataclass(obj)
+        if is_dataclass:
+            found |= {f"{short}.{name}.{f.name}"
+                      for f in dataclasses.fields(obj)
+                      if f.init and (f.default is not dataclasses.MISSING or
+                                     f.default_factory
+                                     is not dataclasses.MISSING)}
+        for attr, member in vars(obj).items():
+            member = getattr(member, "__func__", member)  # static, class
+            if inspect.isfunction(member) and \
+                    not (is_dataclass and attr == "__init__"):
+                found |= _defaulted(f"{short}.{name}.{attr}", member)
+    return found
+
+
+def test_knob_inventory():
+    """No default without a caller: the package's defaulted parameters and
+    init fields are exactly KNOBS."""
+    modules = [importlib.import_module(f"dualminkowski.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"]
+    found = set().union(*map(_knobs, modules))
+    assert sorted(found - KNOBS) == []
+    assert sorted(KNOBS - found) == []

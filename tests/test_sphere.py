@@ -81,6 +81,20 @@ def test_grid_invariant_enforcement():
         SphericalGrid(dim=2, nodes=nodes, weights=np.ones(4), scheme="uniform-angle")
 
 
+@pytest.mark.parametrize("part, index, message", [
+    ("nodes", (3, 1), r"nodes row 3 is not finite"),
+    ("weights", 7, r"weights entry 7 is not finite: nan"),
+])
+def test_grid_rejects_nan(part, index, message):
+    """A nan fails no comparison, so the norm and weight checks alone would
+    pass it."""
+    grid = build_grid(3, 100)
+    arrays = {"nodes": grid.nodes.copy(), "weights": grid.weights.copy()}
+    arrays[part][index] = math.nan
+    with pytest.raises(ValueError, match=message):
+        SphericalGrid(dim=3, scheme=grid.scheme, **arrays)
+
+
 def test_integrate_constant_and_moments(grid3):
     assert integrate(grid3, lambda u: np.ones(len(u))) == pytest.approx(
         4.0 * math.pi, rel=1e-9)
