@@ -9,7 +9,7 @@ export. Star bodies carry a positive radial function directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,16 +27,12 @@ __all__ = [
     "RadialKernel",
     "support_eval",
     "support_profile",
-    "polar_radial",
-    "wulff_shape",
     "geometry_stats",
     "is_invariant",
     "vertex_enumeration",
     "polar_body",
     "prune",
     "active_part",
-    "translate",
-    "centered",
     "ball_polytope",
     "cube_polytope",
     "shifted_ball_polytope",
@@ -242,31 +238,6 @@ def support_profile(body: SupportPolytope, points: np.ndarray,
     return np.max(pts @ vertices.T, axis=1)
 
 
-def polar_radial(body: SupportPolytope, u: np.ndarray) -> float:
-    """Radial function of the polar body: rho_{K*}(u) = 1 / h_K(u)."""
-    return 1.0 / support_eval(body, u)
-
-
-def wulff_shape(base: SupportPolytope, phi: np.ndarray, t: float) -> SupportPolytope:
-    """Perturbed body with support numbers h_i + t * phi_i on the same normals.
-
-    No pruning: redundant constraints are kept so the parametrization stays
-    smooth in h. Raises when any perturbed support number drops below the
-    positivity floor of the base body.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != base.support.shape:
-        raise ValueError("perturbation must have one value per normal")
-    new_h = base.support + t * phi
-    low = np.nonzero(new_h < base.h_floor)[0]
-    if low.size:
-        raise ValueError(
-            f"support number {int(low[0])} would cross the floor "
-            f"{base.h_floor:.3e} (value {new_h[int(low[0])]:.3e})"
-        )
-    return base.with_support(new_h)
-
-
 def vertex_enumeration(body: SupportPolytope) -> np.ndarray:
     """All vertices of the halfspace intersection (origin used as the
     interior point, which the positivity floor guarantees feasible)."""
@@ -333,15 +304,6 @@ def active_part(body: SupportPolytope) -> SupportPolytope:
                    support=body.support[keep])
 
 
-def translate(body: SupportPolytope, z: np.ndarray) -> SupportPolytope:
-    """The translate K - z on the same normal set (h_i -> h_i - <v_i, z>)."""
-    z = np.asarray(z, dtype=float)
-    new_h = body.support - body.normals @ z
-    if np.any(new_h <= 0.0):
-        raise ValueError("translation moves the origin outside the body")
-    return SupportPolytope(dim=body.dim, normals=body.normals, support=new_h)
-
-
 def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
     """Centroid, diameter, inradius, circumradius estimators on a grid.
 
@@ -391,21 +353,6 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
     deviations = np.abs(rho_all.reshape(group.order, -1) - rho[None, :])
     worst = float(np.max(deviations))
     return worst <= INVARIANCE_TOL, worst
-
-
-def centered(body: SupportPolytope, grid: SphericalGrid | None = None,
-             iterations: int = 4) -> SupportPolytope:
-    """Translate the body until the centroid estimate sits at the origin."""
-    if grid is None:
-        grid = probe_grid(body.dim)
-    out = body
-    for _ in range(iterations):
-        stats = geometry_stats(out, grid)
-        shift = stats["centroid"]
-        if np.linalg.norm(shift) <= 1e-12 * stats["circumradius"]:
-            break
-        out = translate(out, shift)
-    return out
 
 
 def ball_polytope(directions: np.ndarray, radius: float = 1.0) -> SupportPolytope:
@@ -486,24 +433,18 @@ def facet_area(polygon: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StarBody:
-    """A star body given by a positive radial function on unit vectors.
-
-    sandwich is the smallest c >= 1 with c^-1 <= rho <= c on the probe grid
-    (the constant appearing in the compactness estimates). The radial callable
-    must be vectorized: (N, n) unit rows in, N positive values out.
+    """A star body given by a positive radial function on unit vectors,
+    checked positive and finite on the probe grid. The radial callable must
+    be vectorized: (N, n) unit rows in, N positive values out.
     """
 
     dim: int
     radial_fn: object
-    sandwich: float = field(init=False)
 
     def __post_init__(self):
-        probe = probe_grid(self.dim)
-        vals = self.radial(probe.nodes)
+        vals = self.radial(probe_grid(self.dim).nodes)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ValueError("radial function must be positive and finite")
-        c = max(float(np.max(vals)), 1.0 / float(np.min(vals)), 1.0)
-        object.__setattr__(self, "sandwich", c)
 
     def radial(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -516,10 +457,6 @@ class StarBody:
         if np.any(norms < 1e-14):
             raise ValueError("radial function undefined at zero")
         return self.radial(pts / norms[:, None]) / norms
-
-    def gauge(self, points: np.ndarray) -> np.ndarray:
-        """Minkowski gauge ||x||_Q = 1 / rho_Q(x)."""
-        return 1.0 / self.radial_homogeneous(points)
 
     @staticmethod
     def ball(n: int, radius: float = 1.0) -> "StarBody":

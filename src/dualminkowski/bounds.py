@@ -16,7 +16,7 @@ here are re-derived along the same proof path and are provably valid:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .measures import dual_mixed_volume
 from .sphere import SphericalGrid, sphere_area, stable_sum, unit_ball_volume
 
 __all__ = [
-    "ExponentPair",
     "BoxSpec",
     "BoundsReport",
     "q_star",
@@ -36,7 +35,6 @@ __all__ = [
     "verify_box",
     "santalo_product",
     "bs_dual_product",
-    "inradius_diagnostic",
 ]
 
 INTEGER_BRANCH_GATE = 1e-9
@@ -76,18 +74,6 @@ def q_star(q: float, n: int) -> float:
         raise RuntimeError(f"q* = {value} for q = {q}, n = {n} is not "
                            "maximal")
     return value
-
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """q together with its dual exponent for a given dimension."""
-
-    q: float
-    n: int
-    q_star: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_star", q_star(self.q, self.n))
 
 
 def admissible_exponent_s(p: float, q: float, n: int) -> float:
@@ -306,20 +292,3 @@ def bs_dual_product(body: SupportPolytope, q_body_1: StarBody,
     rho_q2 = q_body_2.radial(grid.nodes)
     v_r_polar = stable_sum(h ** (-r) * rho_q2 ** (n - r) * grid.weights) / n
     return v_q ** (1.0 / q) * v_r_polar ** (1.0 / r)
-
-
-def inradius_diagnostic(body: SupportPolytope, q_body: StarBody, q: float,
-                        grid: SphericalGrid) -> dict:
-    """Ratio inradius / V~_q(K, Q)^{1/q}, the quantity whose uniform positive
-    floor (for bodies inside a fixed ball and sandwiched Q) underlies the
-    compactness step. Logged, not asserted: the floor constant is not
-    explicit.
-    """
-    t = dual_mixed_volume(body, q_body, q, grid)
-    stats = geometry_stats(body, grid)
-    return {
-        "dual_volume": t,
-        "inradius": stats["inradius"],
-        "circumradius": stats["circumradius"],
-        "ratio": stats["inradius"] / t ** (1.0 / q),
-    }

@@ -66,15 +66,14 @@ def _cmd_solve(config: dict, args) -> int:
     from .runio import (new_run_directory, resolve_problem, write_body_file,
                         write_csv, write_facet_measure_csv, write_manifest,
                         write_obj_mesh)
-    from .solver import assemble_solution, minimize_entropy
+    from .solver import solve_problem
 
     started = time.time()
     spec, solver_cfg, extras = resolve_problem(config)
     export_mesh = extras.pop("export_mesh")
     run_dir = new_run_directory(args.out, "solve")
 
-    body_tilde, report = minimize_entropy(spec, solver_cfg)
-    report = assemble_solution(body_tilde, spec, report)
+    report = solve_problem(spec, solver_cfg)
 
     outputs = []
     body_path = f"{run_dir}/body.txt"

@@ -53,7 +53,6 @@ class OrthogonalGroup:
 
     dim: int
     elements: np.ndarray
-    generator_indices: tuple[int, ...] = ()
     label: str = ""
 
     def __post_init__(self):
@@ -79,18 +78,6 @@ class OrthogonalGroup:
         """All images g @ p for g in the group; shape (order, N, n)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.einsum("kij,nj->kni", self.elements, pts)
-
-    def check_closure(self) -> float:
-        """Max distance from any product gh to its nearest element."""
-        worst = 0.0
-        for g in self.elements:
-            products = np.einsum("ij,kjl->kil", g, self.elements)
-            for prod in products:
-                dist = np.min(np.max(np.abs(self.elements - prod[None]), axis=(1, 2)))
-                worst = max(worst, float(dist))
-        if worst > MATCH_TOL:
-            raise ValueError(f"element list not closed under product: {worst:.3e}")
-        return worst
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,6 @@ def enumerate_group(generators, max_order: int = 10000, label: str = "") -> Orth
     elements = [np.eye(n)]
     stack = np.array(elements)
     frontier = [0]
-    gen_indices: list[int] = []
     while frontier:
         new_frontier = []
         for idx in frontier:
@@ -152,10 +138,7 @@ def enumerate_group(generators, max_order: int = 10000, label: str = "") -> Orth
                             "group may be infinite or tolerance too tight"
                         )
         frontier = new_frontier
-    for g in generators:
-        gen_indices.append(_match_index(stack, np.asarray(g, dtype=float)))
-    return OrthogonalGroup(dim=n, elements=stack,
-                           generator_indices=tuple(gen_indices), label=label)
+    return OrthogonalGroup(dim=n, elements=stack, label=label)
 
 
 def _simplex_vertex_basis(m: int) -> np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "dual_curvature_measure",
     "lp_dual_curvature_measure",
     "dual_curvature_via_boundary",
+    "entropy_state",
     "entropy_value",
     "entropy_gradient",
     "affine_invariance_check",
@@ -72,7 +73,6 @@ class MeasureSpec:
 
     directions: np.ndarray
     atoms: np.ndarray
-    density_label: str = ""
 
     def __post_init__(self):
         dirs = np.ascontiguousarray(np.asarray(self.directions, dtype=float))
@@ -88,14 +88,9 @@ class MeasureSpec:
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def total_mass(self) -> float:
-        return stable_sum(self.atoms)
-
     @staticmethod
     def from_density(density, grid: SphericalGrid, directions: np.ndarray,
-                     group: OrthogonalGroup | None = None,
-                     label: str = "") -> "MeasureSpec":
+                     group: OrthogonalGroup | None = None) -> "MeasureSpec":
         f = symmetrize_density(group, density) if group is not None else density
         values = np.asarray(f(grid.nodes), dtype=float)
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
@@ -108,13 +103,12 @@ class MeasureSpec:
             idx = np.argmax(grid.nodes[sl] @ dirs.T, axis=1)
             atoms += np.bincount(idx, weights=grid.weights[sl] * values[sl],
                                  minlength=dirs.shape[0])
-        return MeasureSpec(directions=dirs, atoms=atoms, density_label=label)
+        return MeasureSpec(directions=dirs, atoms=atoms)
 
     @staticmethod
-    def from_atoms(atoms, directions, label: str = "") -> "MeasureSpec":
+    def from_atoms(atoms, directions) -> "MeasureSpec":
         return MeasureSpec(directions=np.asarray(directions, dtype=float),
-                           atoms=np.asarray(atoms, dtype=float),
-                           density_label=label)
+                           atoms=np.asarray(atoms, dtype=float))
 
     def orbit_totals(self, orbit_partition: list[list[int]]) -> np.ndarray:
         return np.array([stable_sum(self.atoms[o]) for o in orbit_partition])
@@ -235,37 +229,49 @@ def _check_alignment(body: SupportPolytope, mu: MeasureSpec):
         raise ValueError("measure atoms must live on the body's normal set")
 
 
+def entropy_state(h: np.ndarray, mu_atoms: np.ndarray, p: float, q: float,
+                  volume: float, atoms: np.ndarray | None):
+    """The entropy functional and its log-gradient at support numbers h.
+
+    phi = (1/p) log sum_i h_i^p mu_i - (1/q) log V, with V the dual volume
+    V~_q(K, Q). Given the curvature atoms C~_{q,i} (which sum to V), the
+    log-gradient h_i dphi/dh_i = h_i^p mu_i / (sum_j h_j^p mu_j) - C~_{q,i} / V
+    follows from the first variation of the dual volume along the body's
+    own Wulff family (a unit bump of h_i changes V by q C~_{q,i} / h_i); it
+    sums to 0, the scale invariance of phi. Returns (phi, log-gradient), the
+    log-gradient None when atoms is None.
+    """
+    weighted = h ** p * mu_atoms
+    mass = stable_sum(weighted)
+    if not (mass > 0 and volume > 0):
+        raise ValueError(f"degenerate entropy state: mass term {mass!r}, "
+                         f"dual volume {volume!r}; both must be positive")
+    phi = math.log(mass) / p - math.log(volume) / q
+    if atoms is None:
+        return phi, None
+    return phi, weighted / mass - atoms / volume
+
+
 def entropy_value(body: SupportPolytope, mu: MeasureSpec, q_body: StarBody,
                   p: float, q: float, grid: SphericalGrid) -> float:
     """(1/p) log sum_i h_i^p mu_i - (1/q) log V~_q(K, Q); scale-invariant."""
     if p >= 0 or q <= 0:
         raise ValueError("the entropy functional is used with p < 0 < q")
     _check_alignment(body, mu)
-    mass_term = stable_sum(body.support ** p * mu.atoms)
     volume = dual_mixed_volume(body, q_body, q, grid)
-    if mass_term <= 0 or volume <= 0:
-        raise ValueError("non-positive log argument in entropy functional")
-    return math.log(mass_term) / p - math.log(volume) / q
+    return entropy_state(body.support, mu.atoms, p, q, volume, None)[0]
 
 
 def entropy_gradient(body: SupportPolytope, mu: MeasureSpec, q_body: StarBody,
                      p: float, q: float, grid: SphericalGrid) -> np.ndarray:
-    """Analytic gradient of the entropy functional in the support numbers.
-
-    d/dh_i = h_i^{p-1} mu_i / (sum_j h_j^p mu_j) - C~_{q,i} / (h_i V~_q),
-    using that a unit bump of h_i changes V~_q by q C~_{q,i} / h_i (the
-    first-variation of the dual volume along the body's own Wulff family).
-    The pairing <grad, h> vanishes identically: both terms contract to 1.
-    """
+    """Analytic gradient of the entropy functional in the support numbers:
+    the log-gradient of entropy_state divided by h. The pairing <grad, h>
+    vanishes identically."""
     _check_alignment(body, mu)
-    h = body.support
-    weighted = h ** p * mu.atoms
-    mass_term = stable_sum(weighted)
     curv = dual_curvature_measure(body, q_body, q, grid)
-    volume = curv.total()
-    if mass_term <= 0 or volume <= 0:
-        raise ValueError("degenerate entropy state")
-    return (weighted / h) / mass_term - curv.atoms / (h * volume)
+    _, log_grad = entropy_state(body.support, mu.atoms, p, q, curv.total(),
+                                curv.atoms)
+    return log_grad / body.support
 
 
 # ---------------------------------------------------------------------------

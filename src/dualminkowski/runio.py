@@ -133,6 +133,31 @@ def _matrix(x, n: int) -> bool:
                                   and all(_numbers(row, n) for row in x))
 
 
+# The integer parameter of each catalogue group: "cyclic" takes its order,
+# the others their dimension, which defaults to the config's n at the top
+# level and must be given by each part of a direct sum.
+_GROUP_PARAM = {"simplex-symmetry": "m", "simplex-rotation": "m",
+                "cube-rotation": "m", "cyclic": "order", "negation": "n"}
+
+
+def _catalogue(spec: dict, prefix: str, n: int | None) -> tuple:
+    """(name, standard_group parameters) of a catalogue group section, its
+    integer parameter checked; n is None inside a direct sum."""
+    name = _field(spec, f"{prefix}.name", _is(str), "a string")
+    if name == "direct-sum":
+        parts = _field(spec, f"{prefix}.parts",
+                       lambda ps: _nonempty(ps, _is(dict)),
+                       "a non-empty list of group objects")
+        return name, {"parts": [_catalogue(part, f"{prefix}.parts[{i}]", None)
+                                for i, part in enumerate(parts)]}
+    key = _GROUP_PARAM.get(name)
+    if key is None:  # standard_group names the unknown group
+        return name, {}
+    default = _REQUIRED if n is None or key == "order" else n
+    return name, {key: _field(spec, f"{prefix}.{key}", _integer,
+                              "an integer", default)}
+
+
 def resolve_group(spec: dict, n: int) -> OrthogonalGroup:
     """The group of a config's group section; it must act on R^n."""
     if "generators" in spec:
@@ -150,20 +175,10 @@ def resolve_group(spec: dict, n: int) -> OrthogonalGroup:
         except ValueError as exc:
             raise ConfigError(f"field 'group.generators': {exc}") from exc
     else:
-        name = _field(spec, "group.name", _is(str), "a string")
-        params = {k: v for k, v in spec.items() if k != "name"}
-        if name == "direct-sum":
-            parts = _field(spec, "group.parts",
-                           lambda ps: _nonempty(
-                               ps, lambda p: isinstance(p, dict)
-                               and isinstance(p.get("name"), str)),
-                           "a non-empty list of groups, each with a name")
-            params = {"parts": [(p["name"], {k: v for k, v in p.items()
-                                             if k != "name"})
-                                for p in parts]}
+        name, params = _catalogue(spec, "group", n)
         try:
-            group = standard_group(name, n=n, **params)
-        except (TypeError, KeyError, ValueError) as exc:
+            group = standard_group(name, **params)
+        except ValueError as exc:
             raise ConfigError(f"group spec invalid: {exc}") from exc
     if group.dim != n:
         raise ConfigError(f"field 'n' must be {group.dim}, the dimension of "
@@ -289,7 +304,7 @@ def resolve_problem(cfg: dict):
 
     directions = invariant_directions(group, count, seed=dir_seed)
     spec = ProblemSpec.build(n, p, q, group, q_body, measure, directions,
-                             grid, density_label=label)
+                             grid)
     extras = {
         "s_exponent": spec.s_exponent,
         "q_star": q_star(q, n),
@@ -414,6 +429,9 @@ def read_body_file(path: str) -> SupportPolytope:
         if not lines[0].startswith("n "):
             raise ValueError(f"first line must be 'n <dim>', got {lines[0]!r}")
         n = int(lines[0].split()[1])
+        if not lines[1].startswith("facets "):
+            raise ValueError(
+                f"second line must be 'facets <count>', got {lines[1]!r}")
         count = int(lines[1].split()[1])
         if lines[2] != "normals":
             raise ValueError(f"expected 'normals' header, got {lines[2]!r}")
@@ -422,7 +440,11 @@ def read_body_file(path: str) -> SupportPolytope:
         if lines[3 + count] != "support":
             raise ValueError(f"expected 'support' header after {count} "
                              f"normals, got {lines[3 + count]!r}")
-        support = np.array([float(ln) for ln in lines[4 + count:4 + 2 * count]])
+        rest = lines[4 + count:]
+        if len(rest) != count:
+            raise ValueError(f"expected {count} support numbers after the "
+                             f"'support' header, got {len(rest)} lines")
+        support = np.array([float(ln) for ln in rest])
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed body file {path}: {exc}") from exc
     return SupportPolytope(dim=n, normals=normals, support=support)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,8 @@ from scipy.spatial import cKDTree
 from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
 from .groups import OrthogonalGroup, certify, orbits
-from .measures import (MeasureSpec, dual_curvature_measure, integrand_values,
-                       lp_dual_curvature_measure)
+from .measures import (MeasureSpec, dual_curvature_measure, entropy_state,
+                       integrand_values, lp_dual_curvature_measure)
 from .sphere import SphericalGrid, stable_sum
 
 __all__ = [
@@ -104,7 +103,7 @@ class ProblemSpec:
     @staticmethod
     def build(dim: int, p: float, q: float, group: OrthogonalGroup,
               q_body: StarBody, measure, directions: np.ndarray,
-              grid: SphericalGrid, density_label: str = "") -> "ProblemSpec":
+              grid: SphericalGrid) -> "ProblemSpec":
         """Assemble a spec from a density (symmetrized, then binned to the
         directions) or from one atom per direction, orbit-averaging the
         atoms (the grid itself is not group-symmetric, so raw binned atoms
@@ -118,7 +117,7 @@ class ProblemSpec:
         atoms = mu.atoms.copy()
         for orbit in part:
             atoms[orbit] = np.mean(atoms[orbit])
-        mu = MeasureSpec.from_atoms(atoms, directions, label=density_label)
+        mu = MeasureSpec.from_atoms(atoms, directions)
         return ProblemSpec(dim=dim, p=p, q=q, group=group, q_body=q_body,
                            mu=mu, directions=np.asarray(directions, dtype=float),
                            grid=grid, orbit_partition=part)
@@ -195,7 +194,6 @@ class SolutionReport:
     iterations: int
     kernel_passes: int  # node-facet passes; a diameter sample is two
     candidate_rebuilds: int  # candidate-list builds, first builds included
-    wall_time: float
     orbit_values_trace: list
     # support-weighted curvature atoms of body, set by assemble_solution
     atoms: np.ndarray | None = None
@@ -249,24 +247,22 @@ class _EntropyKernel:
 
     def phi(self, h: np.ndarray) -> tuple[float, float]:
         """Return (phi, dual volume) at h."""
-        mass = stable_sum(h ** self.spec.p * self.spec.mu.atoms)
+        spec = self.spec
         vol = self.dual_volume(h)
-        return math.log(mass) / self.spec.p - math.log(vol) / self.spec.q, vol
+        phi, _ = entropy_state(h, spec.mu.atoms, spec.p, spec.q, vol, None)
+        return phi, vol
 
     def state(self, h: np.ndarray):
         """Return (phi, full log-gradient, curvature atoms, dual volume,
         node_jump), where node_jump is the largest single-node contribution
         to the normalized atoms: the resolution limit of the gradient."""
-        p, q = self.spec.p, self.spec.q
+        spec = self.spec
         rho, idx = self.radial.profile(h)
-        values = integrand_values(rho, self.q_weight, q, self.spec.grid)
+        values = integrand_values(rho, self.q_weight, spec.q, spec.grid)
         atoms = np.bincount(idx, weights=values, minlength=h.size)
         vol = stable_sum(atoms)
-        weighted = h ** p * self.spec.mu.atoms
-        mass = stable_sum(weighted)
-        phi = math.log(mass) / p - math.log(vol) / q
-        # gradient in log h: h * dPhi/dh
-        log_grad = weighted / mass - atoms / vol
+        phi, log_grad = entropy_state(h, spec.mu.atoms, spec.p, spec.q, vol,
+                                      atoms)
         node_jump = float(np.max(values)) / vol
         return phi, log_grad, atoms, vol, node_jump
 
@@ -324,7 +320,6 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
     diam = 2.0 * initial_circum
     last_step = INITIAL_STEP / STEP_GROWTH
     phi_after_rescale_pred = None
-    t0 = time.perf_counter()
     iteration = 0
 
     def at_quadrature_floor(gnorm: float) -> bool:
@@ -396,7 +391,6 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         iterations=iteration + 1,
         kernel_passes=kernel.radial.passes + kernel.antipodal.passes,
         candidate_rebuilds=kernel.radial.rebuilds + kernel.antipodal.rebuilds,
-        wall_time=time.perf_counter() - t0,
         orbit_values_trace=orbit_trace,
     )
     return body, report

@@ -9,7 +9,7 @@ triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,9 +22,7 @@ __all__ = [
     "build_grid",
     "probe_grid",
     "integrate",
-    "integrate_with_stderr",
     "fibonacci_sphere_nodes",
-    "icosphere_nodes",
     "stable_sum",
     "first_of_clusters",
     "require_finite",
@@ -150,7 +148,6 @@ class SphericalGrid:
     weights: np.ndarray
     scheme: str
     seed: int = 0
-    grid_id: str = field(init=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -178,9 +175,6 @@ class SphericalGrid:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(
-            self, "grid_id",
-            f"{self.scheme}:n{self.dim}:N{nodes.shape[0]}:s{self.seed}")
 
     @property
     def node_count(self) -> int:
@@ -198,45 +192,6 @@ def fibonacci_sphere_nodes(count: int) -> np.ndarray:
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     nodes = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     return _renormalize(nodes)
-
-
-def icosphere_nodes(level: int) -> np.ndarray:
-    """Vertices of an icosahedron subdivided `level` times, projected to S^2.
-
-    Yields 12, 42, 162, 642, ... = 10*4^level + 2 unit vectors.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    t = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
-        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
-        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
-        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
-    ]
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
-    for _ in range(level):
-        midpoint_cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint_cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint_cache[key] = len(verts) - 1
-            return midpoint_cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return _renormalize(np.array(verts))
 
 
 def _renormalize(nodes: np.ndarray) -> np.ndarray:
@@ -284,24 +239,10 @@ def build_grid(n: int, node_count: int, scheme: str = "", seed: int = 0) -> Sphe
 def probe_grid(n: int) -> SphericalGrid:
     """The one probe grid of the package: 720 nodes for n = 2, 1280 for
     n = 3 and 3000 above, default scheme, seed 101. Positive spanning,
-    sandwich constants, invariance and asymmetry certificates probe it
+    star-body positivity, invariance and asymmetry certificates probe it
     unless given a grid of their own."""
     counts = {2: 720, 3: 1280}
     return build_grid(n, counts.get(n, 3000), seed=101)
-
-
-def _evaluate(grid: SphericalGrid, f) -> np.ndarray:
-    """Evaluate f on all grid nodes; f maps an (N, n) array to an (N,) array."""
-    values = np.asarray(f(grid.nodes), dtype=float)
-    if values.shape != (grid.node_count,):
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected ({grid.node_count},)"
-        )
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ValueError(f"integrand is non-finite at node {idx}: {values[idx]!r}")
-    return values
 
 
 def integrate(grid: SphericalGrid, f) -> float:
@@ -311,14 +252,13 @@ def integrate(grid: SphericalGrid, f) -> float:
     returning N finite values. The reduction order is fixed (node index
     order), so repeated evaluation is bit-stable.
     """
-    values = _evaluate(grid, f)
+    values = np.asarray(f(grid.nodes), dtype=float)
+    if values.shape != (grid.node_count,):
+        raise ValueError(
+            f"integrand returned shape {values.shape}, expected ({grid.node_count},)"
+        )
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise ValueError(f"integrand is non-finite at node {idx}: {values[idx]!r}")
     return stable_sum(values * grid.weights)
-
-
-def integrate_with_stderr(grid: SphericalGrid, f) -> tuple[float, float]:
-    """Integral plus a Monte-Carlo standard-error estimate from node variance."""
-    values = _evaluate(grid, f)
-    total = stable_sum(values * grid.weights)
-    area = sphere_area(grid.dim)
-    stderr = area * float(np.std(values)) / math.sqrt(grid.node_count)
-    return total, stderr

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
-from dualminkowski.bodies import SupportPolytope, centered, radial_profile
-from dualminkowski.groups import simplex_symmetry, invariant_directions
-from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
+from dualminkowski.bodies import SupportPolytope, geometry_stats, radial_profile
+from dualminkowski.groups import MATCH_TOL, simplex_symmetry, invariant_directions
+from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +69,29 @@ def random_polytope(rng, n_facets, dim=3, jitter=0.08, h_lo=0.9, h_hi=1.1,
         return body
 
 
+def translate(body, z):
+    """The translate K - z on the same normal set (h_i -> h_i - <v_i, z>)."""
+    z = np.asarray(z, dtype=float)
+    new_h = body.support - body.normals @ z
+    if np.any(new_h <= 0.0):
+        raise ValueError("translation moves the origin outside the body")
+    return SupportPolytope(dim=body.dim, normals=body.normals, support=new_h)
+
+
+def centered(body, grid=None, iterations=4):
+    """Translate the body until the centroid estimate sits at the origin."""
+    if grid is None:
+        grid = probe_grid(body.dim)
+    out = body
+    for _ in range(iterations):
+        stats = geometry_stats(out, grid)
+        shift = stats["centroid"]
+        if np.linalg.norm(shift) <= 1e-12 * stats["circumradius"]:
+            break
+        out = translate(out, shift)
+    return out
+
+
 def random_centered_polytope(rng, dim, grid, min_cover=0.25):
     """Random polytope recentered at its centroid. Normal sets that barely
     positively span produce sliver bodies on which vertex enumeration (and
@@ -128,3 +151,62 @@ def reference_box_radial(axes, pts):
 
 def reference_stable_sum(values):
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+
+
+# Test data: icosphere direction sets, and the closure check of an element
+# list.
+
+
+def icosphere_nodes(level):
+    """Vertices of an icosahedron subdivided `level` times, projected to S^2.
+
+    Yields 12, 42, 162, 642, ... = 10*4^level + 2 unit vectors.
+    """
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = [
+        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
+        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
+        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
+    ]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    for _ in range(level):
+        midpoint_cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in midpoint_cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint_cache[key] = len(verts) - 1
+            return midpoint_cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    nodes = np.array(verts)
+    return nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+
+
+def check_closure(group):
+    """Max distance from any product gh to its nearest element; raises above
+    the package's matching tolerance."""
+    worst = 0.0
+    for g in group.elements:
+        products = np.einsum("ij,kjl->kil", g, group.elements)
+        for prod in products:
+            dist = np.min(np.max(np.abs(group.elements - prod[None]),
+                                 axis=(1, 2)))
+            worst = max(worst, float(dist))
+    if worst > MATCH_TOL:
+        raise ValueError(f"element list not closed under product: {worst:.3e}")
+    return worst

@@ -71,8 +71,7 @@ def report(criterion, passed, detail):
 def flagship(tetra_group, tetra_directions, grid3):
     spec = ProblemSpec.build(3, P_EXP, Q_EXP, tetra_group, BALL3,
                              lambda U: np.full(U.shape[0], DENSITY_C),
-                             tetra_directions, grid3,
-                             density_label="constant 1/3")
+                             tetra_directions, grid3)
     t0 = time.perf_counter()
     solution = solve_problem(spec)
     wall = time.perf_counter() - t0

@@ -10,28 +10,24 @@ from dualminkowski.bodies import (
     StarBody,
     SupportPolytope,
     ball_polytope,
-    centered,
     cube_polytope,
     facet_area,
     facet_polygons,
     geometry_stats,
     is_invariant,
     polar_body,
-    polar_radial,
     prune,
     radial_eval,
     radial_profile,
     shifted_ball_polytope,
     support_eval,
     support_profile,
-    translate,
     vertex_enumeration,
-    wulff_shape,
 )
 from dualminkowski.groups import OrthogonalGroup, cube_rotation, cyclic_rotation
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
 
-from conftest import reference_box_radial, random_polytope
+from conftest import centered, reference_box_radial, random_polytope, translate
 
 
 @pytest.fixture(scope="module")
@@ -173,15 +169,16 @@ class TestPolar:
         # circumscribed facets overshoot the ball by ~covering-angle^2/2
         body = ball_polytope(fibonacci_sphere_nodes(1280), radius=2.0)
         u = np.array([0.1, 0.7, 0.7]) / np.linalg.norm([0.1, 0.7, 0.7])
-        assert polar_radial(body, u) == pytest.approx(0.5, rel=5e-3)
+        rho, _ = radial_eval(polar_body(body), u)
+        assert rho == pytest.approx(0.5, rel=5e-3)
 
     def test_cube_polar_is_cross_polytope(self, cube):
         rng = np.random.default_rng(7)
         for _ in range(5):
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
-            assert polar_radial(cube, u) == pytest.approx(
-                1.0 / np.abs(u).sum(), rel=1e-9)
+            rho, _ = radial_eval(polar_body(cube), u)
+            assert rho == pytest.approx(1.0 / np.abs(u).sum(), rel=1e-9)
 
     def test_polar_involution(self):
         rng = np.random.default_rng(8)
@@ -194,14 +191,17 @@ class TestPolar:
 
 
 class TestWulff:
+    """The Wulff family K(h + t phi) on fixed normals, as the solver steps
+    through it: with_support on the same normal set."""
+
     def test_zero_step_identity(self, cube):
         phi = np.linspace(-0.2, 0.3, 6)
-        out = wulff_shape(cube, phi, 0.0)
+        out = cube.with_support(cube.support + 0.0 * phi)
         assert np.array_equal(out.support, cube.support)
 
     def test_scaling_direction(self, cube):
         lam = 1.7
-        out = wulff_shape(cube, cube.support, lam - 1.0)
+        out = cube.with_support(cube.support + (lam - 1.0) * cube.support)
         probe = fibonacci_sphere_nodes(50)
         rho_out, _ = radial_profile(out, probe)
         rho_in, _ = radial_profile(cube, probe)
@@ -217,15 +217,15 @@ class TestWulff:
         rng = np.random.default_rng(9)
         for orbit in part:
             phi[orbit] = rng.uniform(-0.2, 0.2)
-        out = wulff_shape(body, phi, 0.5)
+        out = body.with_support(body.support + 0.5 * phi)
         ok, dev = is_invariant(out, tetra_group)
         assert ok, dev
 
     def test_floor_violation_reports_index(self, cube):
         phi = np.zeros(6)
         phi[3] = -1.0
-        with pytest.raises(ValueError, match="3"):
-            wulff_shape(cube, phi, 1.0)
+        with pytest.raises(ValueError, match="support number 3 .* below floor"):
+            cube.with_support(cube.support + 1.0 * phi)
 
 
 class TestGeometryStats:
@@ -406,10 +406,9 @@ class TestTransforms:
 class TestStarBody:
     def test_ball(self):
         q = StarBody.ball(3, radius=2.0)
-        assert q.sandwich == pytest.approx(2.0)
         pts = fibonacci_sphere_nodes(10)
         assert np.allclose(q.radial(pts), 2.0)
-        assert np.allclose(q.gauge(4.0 * pts), 2.0)
+        assert np.allclose(q.radial_homogeneous(4.0 * pts), 0.5)
 
     def test_ellipsoid(self):
         q = StarBody.ellipsoid([1.0, 2.0, 4.0])

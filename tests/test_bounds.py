@@ -6,19 +6,17 @@ import pytest
 from dualminkowski.bodies import StarBody, ball_polytope, cube_polytope
 from dualminkowski.bounds import (
     BoxSpec,
-    ExponentPair,
     admissible_exponent_s,
     box_bounds,
     box_dual_volume_mc,
     bs_dual_product,
-    inradius_diagnostic,
     q_star,
     santalo_product,
     verify_box,
 )
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, unit_ball_volume
 
-from conftest import random_centered_polytope
+from conftest import random_centered_polytope, translate
 
 
 class TestQStar:
@@ -48,10 +46,6 @@ class TestQStar:
             q_star(0.0, 3)
         with pytest.raises(ValueError):
             q_star(-1.0, 3)
-
-    def test_exponent_pair(self):
-        pair = ExponentPair(q=2.0, n=3)
-        assert pair.q_star == pytest.approx(4.0)
 
 
 class TestAdmissibleExponent:
@@ -163,8 +157,6 @@ class TestSantalo:
         assert rep["pass_forward"] and rep["pass_floor"]
 
     def test_off_center_forward_skipped(self, grid3_small):
-        from dualminkowski.bodies import translate
-
         body = translate(cube_polytope(3), np.array([0.4, 0.0, 0.0]))
         rep = santalo_product(body, grid3_small)
         assert rep["pass_forward"] is None
@@ -223,31 +215,3 @@ class TestDualVolumeProduct:
         theta_hat = max(max(values), 1.0 / min(values))
         assert min(values) > 0
         assert theta_hat < 50.0  # sanity ceiling; the point is boundedness
-
-
-class TestInradiusDiagnostic:
-    def test_ball_closed_form(self, grid3):
-        body = ball_polytope(fibonacci_sphere_nodes(1280), radius=0.9)
-        rep = inradius_diagnostic(body, StarBody.ball(3), 2.0, grid3)
-        assert rep["ratio"] == pytest.approx(unit_ball_volume(3) ** -0.5,
-                                             rel=0.01)
-
-    def test_scale_invariance(self, grid3_small):
-        rng = np.random.default_rng(44)
-        body = random_centered_polytope(rng, 3, grid3_small)
-        ball = StarBody.ball(3)
-        r1 = inradius_diagnostic(body, ball, 2.0, grid3_small)["ratio"]
-        r2 = inradius_diagnostic(body.with_support(2.0 * body.support), ball,
-                                 2.0, grid3_small)["ratio"]
-        assert r2 == pytest.approx(r1, rel=1e-9)
-
-    def test_thin_box_family_floor(self, grid3):
-        """Shrinking one axis with the circumradius pinned: the ratio stays
-        above a positive floor (recorded empirically)."""
-        ball = StarBody.ball(3)
-        ratios = []
-        for eps in (0.5, 0.2, 0.1, 0.05):
-            body = cube_polytope(3).with_support(
-                np.tile(np.array([eps, 1.0, 1.0]), 2))
-            ratios.append(inradius_diagnostic(body, ball, 2.0, grid3)["ratio"])
-        assert min(ratios) > 0.02

@@ -25,6 +25,7 @@ from dualminkowski.runio import (
     resolve_problem,
     write_body_file,
 )
+from dualminkowski.sphere import stable_sum
 
 SOLVE_CONFIG = {
     "n": 3,
@@ -52,6 +53,18 @@ def manifest_of(run_root):
         return json.load(fh), os.path.join(run_root, runs[-1])
 
 
+# Edits of the unit cube's body file (see _edited_cube_file) that
+# read_body_file rejects, and the reasons it gives: lines after the support
+# section, and a second line that is not "facets <count>".
+APPEND_LINES = ("support\n1\n1\n1\n1\n1\n1\n",
+                "support\n1\n1\n1\n1\n1\n1\n7\n8\nhello\n")
+TRAILING_LINES = ("malformed body file .*: expected 6 support numbers after "
+                  "the 'support' header, got 9 lines")
+RENAME_FACETS = ("facets 6\n", "count 6\n")
+BAD_FACETS_LINE = ("malformed body file .*: second line must be "
+                   "'facets <count>', got 'count 6'")
+
+
 class TestParseConfig:
     def test_minimal_solve_config_resolves(self, tmp_path):
         path = write_config(tmp_path, SOLVE_CONFIG)
@@ -59,7 +72,8 @@ class TestParseConfig:
         assert extras["s_exponent"] == pytest.approx(4.0 / 3.0)
         assert extras["q_star"] == pytest.approx(4.0)
         assert solver_cfg.max_iters == 120
-        assert spec.mu.total_mass == pytest.approx(4 * math.pi / 3, rel=1e-6)
+        assert stable_sum(spec.mu.atoms) == pytest.approx(4 * math.pi / 3,
+                                                          rel=1e-6)
 
     def test_p_below_range_is_hypothesis_error(self, tmp_path):
         bad = dict(SOLVE_CONFIG, p=-5.0)
@@ -97,7 +111,6 @@ class TestParseConfig:
         assert not np.array_equal(want, raw)
         assert np.array_equal(spec.mu.atoms, want)
         assert extras["density_label"] == "explicit atoms"
-        assert spec.mu.density_label == "explicit atoms"
 
     def test_direct_sum_group_config(self):
         from dualminkowski.runio import resolve_group
@@ -108,6 +121,12 @@ class TestParseConfig:
                       {"name": "cyclic", "order": 3}],
         }, n=4)
         assert group.dim == 4 and group.order == 9
+
+    def test_negation_group_reads_its_n(self):
+        from dualminkowski.runio import resolve_group
+
+        group = resolve_group({"name": "negation", "n": 3}, n=3)
+        assert group.dim == 3 and group.order == 2
 
     def test_generator_list_group_config(self):
         import math as m
@@ -310,11 +329,56 @@ class TestSolveCommand:
         assert f"config error: field {field!r}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("group, message", [
+        ({"name": "negation", "n": 2}, "field 'n' must be 2"),
+        ({"name": "simplex-symmetry", "m": "3"},
+         "field 'group.m' must be an integer, got '3'"),
+        ({"name": "simplex-symmetry", "m": 2.5},
+         "field 'group.m' must be an integer, got 2.5"),
+        ({"name": "simplex-symmetry", "m": True},
+         "field 'group.m' must be an integer, got True"),
+        ({"name": "negation", "n": 3.0},
+         "field 'group.n' must be an integer, got 3.0"),
+        ({"name": "cyclic"}, "missing required field 'group.order'"),
+        ({"name": "cyclic", "order": False},
+         "field 'group.order' must be an integer, got False"),
+        ({"name": "direct-sum", "parts": [{"name": "cyclic", "order": "3"}]},
+         "field 'group.parts[0].order' must be an integer, got '3'"),
+        ({"name": "direct-sum", "parts": [{"name": "cyclic", "order": 3},
+                                          {"name": "negation", "n": True}]},
+         "field 'group.parts[1].n' must be an integer, got True"),
+        ({"name": "direct-sum", "parts": [{"name": "simplex-symmetry"}]},
+         "missing required field 'group.parts[0].m'"),
+        ({"name": "direct-sum", "parts": [{"order": 3}]},
+         "missing required field 'group.parts[0].name'"),
+    ], ids=["negation-n-mismatch", "m-string", "m-float", "m-bool",
+            "n-float", "no-order", "order-bool", "part-order-string",
+            "part-n-bool", "part-no-m", "part-no-name"])
+    def test_bad_group_parameter_fails_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch, group,
+                                                       message):
+        """Catalogue parameters are config fields: integers, booleans
+        rejected, named in the error."""
+        from dualminkowski import runio
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("directions built before the group check")
+
+        monkeypatch.setattr(runio, "invariant_directions", no_work)
+        cfg = write_config(tmp_path, dict(SOLVE_CONFIG, group=group))
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("target, reason", [
         ("missing.txt", "cannot read body file .*: No such file or directory"),
         (".", "cannot read body file .*: Is a directory"),
         ("nan.txt", "support entry 1 is not finite: nan"),
-    ], ids=["missing", "directory", "nan-support"])
+        ("long.txt", TRAILING_LINES),
+        ("header.txt", BAD_FACETS_LINE),
+    ], ids=["missing", "directory", "nan-support", "trailing-lines",
+            "bad-facets-line"])
     def test_bad_q_body_file_fails_before_any_work(self, tmp_path, capsys,
                                                    monkeypatch, target,
                                                    reason):
@@ -326,6 +390,8 @@ class TestSolveCommand:
         monkeypatch.setattr(runio, "invariant_directions", no_work)
         _edited_cube_file(tmp_path / "nan.txt", "support\n1\n1",
                           "support\n1\nnan")
+        _edited_cube_file(tmp_path / "long.txt", *APPEND_LINES)
+        _edited_cube_file(tmp_path / "header.txt", *RENAME_FACETS)
         cfg = write_config(tmp_path, dict(
             SOLVE_CONFIG, q_body={"kind": "body-file",
                                   "path": str(tmp_path / target)}))
@@ -543,8 +609,10 @@ class TestExportCommand:
          "support entry 1 is not finite: inf"),
         ("bad.txt", ("\n0 0 1\n", "\nnan 0 1\n"),
          r"normals row 2 is not finite: \[nan"),
+        ("bad.txt", APPEND_LINES, TRAILING_LINES),
+        ("bad.txt", RENAME_FACETS, BAD_FACETS_LINE),
     ], ids=["missing", "directory", "nan-support", "inf-support",
-            "nan-normal"])
+            "nan-normal", "trailing-lines", "bad-facets-line"])
     def test_bad_body_file_is_config_error(self, tmp_path, capsys, target,
                                            edit, reason):
         if edit:

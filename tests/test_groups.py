@@ -19,7 +19,9 @@ from dualminkowski.groups import (
     standard_group,
     symmetrize_density,
 )
-from dualminkowski.sphere import build_grid, icosphere_nodes, integrate
+from dualminkowski.sphere import build_grid, integrate
+
+from conftest import check_closure, icosphere_nodes
 
 
 def rotation2(theta):
@@ -41,7 +43,7 @@ class TestEnumeration:
     def test_cyclic_from_generator(self):
         g = enumerate_group([rotation2(2.0 * math.pi / 3.0)])
         assert g.order == 3
-        g.check_closure()
+        check_closure(g)
 
     def test_triangle_symmetries_from_reflections(self):
         full = simplex_symmetry(2)

@@ -54,7 +54,7 @@ def ball_spec(small_setup):
     group, directions, grid = small_setup
     return ProblemSpec.build(3, P, Q_EXP, group, BALL3,
                              lambda U: np.full(U.shape[0], 1.0 / 3.0),
-                             directions, grid, density_label="constant 1/3")
+                             directions, grid)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def bump_spec(small_setup):
     group, directions, grid = small_setup
     density = lambda U: 0.2 + np.maximum(U[:, 0], 0.0) ** 2
     return ProblemSpec.build(3, P, Q_EXP, group, BALL3, density, directions,
-                             grid, density_label="bump")
+                             grid)
 
 
 class TestProblemSpec:
@@ -433,6 +433,20 @@ class TestPrunedKernel:
         tiny = RadialKernel(np.array([[1e-15, 1.0, 0.0]]), np.eye(3)[:1])
         with pytest.raises(ValueError, match="positively span"):
             tiny.profile(np.ones(1))
+
+    def test_degenerate_entropy_state_named(self, small_setup):
+        """A mass term that underflows to 0 (h^p below the smallest double)
+        is the named error of measures.entropy_state in both the line-search
+        and the gradient evaluation, not a bare math domain error."""
+        group, directions, grid = small_setup
+        spec = ProblemSpec.build(3, -3.0, Q_EXP, group, BALL3,
+                                 lambda U: np.full(U.shape[0], 1.0 / 3.0),
+                                 directions, grid)
+        kernel = solver._EntropyKernel(spec)
+        h = np.full(len(directions), 1e110)
+        for evaluate in (kernel.phi, kernel.state):
+            with pytest.raises(ValueError, match="degenerate entropy state"):
+                evaluate(h)
 
     def test_minimize_matches_dense_reference(self, bump_spec, monkeypatch):
         body, report = minimize_entropy(bump_spec)

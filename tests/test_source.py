@@ -71,6 +71,73 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def _public_names():
+    """Every public function, class, method and dataclass field the package
+    defines, as {name: ["module.Class.name", ...]}."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            members = [(node.name, node.name)] \
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                members += [(item.name, f"{node.name}.{item.name}")
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+                members += [(item.target.id, f"{node.name}.{item.target.id}")
+                            for item in node.body
+                            if isinstance(item, ast.AnnAssign)]
+            for name, dotted in members:
+                if not name.startswith("_"):
+                    found.setdefault(name, []).append(f"{path.stem}.{dotted}")
+    return found
+
+
+def _referenced_names(paths):
+    """The names, attributes and import aliases the files refer to. A
+    dataclass field's own declaration is not a reference."""
+    used = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        declared = {id(item.target) for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    for item in node.body if isinstance(item, ast.AnnAssign)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in declared:
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def _traced_names(path):
+    """The attribute paths that the benchmark's LAYERS list traces."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets] == ["LAYERS"]:
+            return {part for entry in node.value.elts
+                    for part in entry.elts[1].value.split(".")}
+    raise AssertionError(f"no LAYERS list in {path}")
+
+
+def test_every_public_name_has_a_caller():
+    """Every public function, method and dataclass field of the package is
+    referred to by the program (the package or its benchmark) or by the
+    acceptance suite. Unit tests alone do not count: what only they call
+    moves into tests/ or goes. Only code counts, not docstrings or strings,
+    apart from the attribute paths the benchmark traces by name."""
+    root = PACKAGE.parents[1]
+    program = sorted(PACKAGE.glob("*.py")) + \
+        sorted((root / "perfbench").glob("*.py")) + \
+        [root / "tests" / "test_acceptance.py"]
+    used = _referenced_names(program) | \
+        _traced_names(root / "perfbench" / "spans.py")
+    unused = sorted(dotted for name, where in _public_names().items()
+                    if name not in used for dotted in where)
+    assert unused == []
+
+
 def test_runio_alone_handles_config():
     """runio is the one module that reads a config: no other module raises
     ConfigError or imports a private runio name."""
@@ -101,8 +168,6 @@ KNOBS = {
     "bodies.support_profile(vertices)",
     "bodies.is_invariant(grid)",
     "bodies.is_invariant(active)",
-    "bodies.centered(grid)",
-    "bodies.centered(iterations)",
     "bodies.ball_polytope(radius)",
     "bodies.cube_polytope(half_width)",
     "bodies.StarBody.ball(radius)",
@@ -121,19 +186,14 @@ KNOBS = {
     "constructions.orbit_intersection_body_circum(grid)",
     "constructions.fundamental_domain_check(sample_count)",
     "constructions.fundamental_domain_check(seed)",
-    "groups.OrthogonalGroup.generator_indices",
     "groups.OrthogonalGroup.label",
     "groups.enumerate_group(max_order)",
     "groups.enumerate_group(label)",
     "groups.standard_group(n)",
     "groups.invariant_directions(seed)",
-    "measures.MeasureSpec.density_label",
     "measures.MeasureSpec.from_density(group)",
-    "measures.MeasureSpec.from_density(label)",
-    "measures.MeasureSpec.from_atoms(label)",
     "runio._field(default)",
     "solver.ProblemSpec.orbit_partition",
-    "solver.ProblemSpec.build(density_label)",
     "solver.SolverConfig.max_iters",
     "solver.SolverConfig.gradient_tolerance",
     "solver.SolutionReport.atoms",

@@ -10,15 +10,13 @@ from dualminkowski.sphere import (
     SphericalGrid,
     build_grid,
     first_of_clusters,
-    icosphere_nodes,
     integrate,
-    integrate_with_stderr,
     sphere_area,
     stable_sum,
     unit_ball_volume,
 )
 
-from conftest import reference_stable_sum
+from conftest import icosphere_nodes, reference_stable_sum
 
 
 def test_sphere_constants():
@@ -59,7 +57,6 @@ def test_grid_determinism():
     a = build_grid(4, 500, "monte-carlo", seed=3)
     b = build_grid(4, 500, "monte-carlo", seed=3)
     assert np.array_equal(a.nodes, b.nodes)
-    assert a.grid_id == b.grid_id
 
 
 def test_build_grid_rejections():
@@ -127,7 +124,9 @@ def test_monte_carlo_seeds_agree_within_three_stderr():
     runs = []
     for seed in (1, 2):
         g = build_grid(4, 40000, "monte-carlo", seed=seed)
-        runs.append(integrate_with_stderr(g, f))
+        # standard error of the equal-weight mean, from the node variance
+        stderr = sphere_area(4) * float(np.std(f(g.nodes))) / math.sqrt(40000)
+        runs.append((integrate(g, f), stderr))
     (v1, s1), (v2, s2) = runs
     assert abs(v1 - v2) <= 3.0 * math.hypot(s1, s2)
 
