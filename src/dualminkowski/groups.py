@@ -37,6 +37,7 @@ __all__ = [
 ORTHOGONALITY_TOL = 1e-10
 MATCH_TOL = 1e-8  # matrix dedup/closure tolerance; see module notes
 MERGE_TOL = 1e-6  # directions this close are one point of an orbit
+MAX_ORDER = 10000  # enumerate_group's default bound on the closure
 # _orbits: images of a seed within STABILIZER_TOL of it are its images under
 # the approximate stabilizer, and an image within ORBIT_DEDUPE_TOL of an
 # earlier kept image of the same orbit is dropped
@@ -101,7 +102,8 @@ def _match_index(stack: np.ndarray, matrix: np.ndarray):
     return i if dist[i] <= MATCH_TOL else None
 
 
-def enumerate_group(generators, max_order: int = 10000, label: str = "") -> OrthogonalGroup:
+def enumerate_group(generators, max_order: int = MAX_ORDER,
+                    label: str = "") -> OrthogonalGroup:
     """Breadth-first closure of a generating set of orthogonal matrices.
 
     Raises if the closure exceeds max_order elements, which signals either an
@@ -598,14 +600,32 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
     of probe points (greedy hole filling)."""
     k, s, n = stack.shape
     p = probe.shape[0]
-    # squared distance from each candidate orbit to each probe, from BLAS:
-    # within slack of the pinned einsum value
+    # cand_d2[j, i] is the squared distance from probe j to candidate orbit
+    # i, from BLAS. Row j is filled the first time a round reads probe j:
+    # rounds read only the probes in the deepest holes, so most rows are
+    # never computed. When and in which product a row is filled changes
+    # only its BLAS rounding, and every value stays within slack of the
+    # pinned einsum value; a pick that slack could change is taken again
+    # from einsum below, so the picks do not depend on the filling order.
     flat = stack.reshape(k * s, n)
-    cand_d2 = np.empty((k, p))
-    block = max(1, 500_000 // (p * s))  # keeps each product in cache
-    for a in range(0, k, block):
-        grams = flat[a * s:(a + block) * s] @ probe.T
-        cand_d2[a:a + block] = 2.0 - 2.0 * grams.reshape(-1, s, p).max(axis=1)
+    cand_d2 = np.empty((p, k))
+    filled = np.zeros(p, dtype=bool)
+
+    def rows(cols: np.ndarray) -> np.ndarray:
+        """A copy of the rows cols of cand_d2, the missing ones filled in
+        one product blocked over candidates (blocking over probes makes
+        each product a matrix-vector call when k * s is large)."""
+        new = cols[~filled[cols]]
+        if new.size:
+            at = probe[new].T
+            block = max(1, 500_000 // (new.size * s))  # each product in cache
+            for a in range(0, k, block):
+                grams = flat[a * s:(a + block) * s] @ at
+                top = grams.reshape(-1, s, new.size).max(axis=1)
+                cand_d2[new, a:a + block] = (2.0 - 2.0 * top).T
+            filled[new] = True
+        return cand_d2[cols]
+
     slack = 3.0 * _DOT_SLACK
     if placed.shape[0]:
         mind2 = np.min(2.0 - 2.0 * probe @ placed.T, axis=1)
@@ -623,13 +643,15 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
         # candidate fills all of them.
         theta = np.partition(mind2, p - depth)[p - depth]
         cols = np.flatnonzero(mind2 > theta)
-        covered = np.minimum(cand_d2[:, cols], mind2[cols])
-        cover = covered.max(axis=1, initial=-np.inf)
+        covered = rows(cols)
+        np.minimum(covered, mind2[cols, None], out=covered)
+        cover = covered.max(axis=0, initial=-np.inf)
         cover[~alive] = np.inf
         if cover.min() <= theta + 2.0 * slack:
             cols = np.arange(p)
-            covered = np.minimum(cand_d2, mind2)
-            cover = covered.max(axis=1)
+            covered = rows(cols)
+            np.minimum(covered, mind2[:, None], out=covered)
+            cover = covered.max(axis=0)
             cover[~alive] = np.inf
         close = np.flatnonzero(cover <= cover.min() + 2.0 * slack)
         if close.size == 1:
@@ -637,13 +659,13 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
         else:
             # the exact cover of a close candidate is attained at one of the
             # probes whose bracket reaches its largest value
-            rows, at = np.nonzero(
-                covered[close] >= (cover[close] - 2.0 * slack)[:, None])
-            grams = np.einsum("qsn,qn->qs", stack[close[rows]],
+            at, which = np.nonzero(
+                covered[:, close] >= cover[close] - 2.0 * slack)
+            grams = np.einsum("qsn,qn->qs", stack[close[which]],
                               probe[cols[at]])
             vals = np.minimum(2.0 - 2.0 * grams.max(axis=1), mind2[cols[at]])
             exact = np.full(close.size, -np.inf)
-            np.maximum.at(exact, rows, vals)
+            np.maximum.at(exact, which, vals)
             best = int(close[np.argmin(exact)])  # first index on ties
         picked.append(best)
         chosen = stack[best]

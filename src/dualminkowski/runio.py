@@ -14,6 +14,7 @@ makes its run directory.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 import os
 import reprlib
@@ -28,6 +29,7 @@ from .bodies import (StarBody, SupportPolytope, shifted_ball_polytope,
 from .bounds import q_star
 from .constructions import dirichlet_voronoi_cone
 from .groups import (
+    MAX_ORDER,
     OrthogonalGroup,
     certify,
     enumerate_group,
@@ -133,34 +135,73 @@ def _matrix(x, n: int) -> bool:
                                   and all(_numbers(row, n) for row in x))
 
 
-# The integer parameter of each catalogue group: "cyclic" takes its order,
+def _known(spec: dict, prefix: str, keys: set) -> None:
+    """Raise ConfigError naming the fields of a section outside keys."""
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ConfigError(f"unknown {prefix} fields: {unknown}")
+
+
+# The integer parameter of each catalogue group ("cyclic" takes its order,
 # the others their dimension, which defaults to the config's n at the top
-# level and must be given by each part of a direct sum.
-_GROUP_PARAM = {"simplex-symmetry": "m", "simplex-rotation": "m",
-                "cube-rotation": "m", "cyclic": "order", "negation": "n"}
+# level and must be given by each part of a direct sum), and the factors
+# whose product is the number of matrices its constructor builds: (m+1)! for
+# both simplex groups (the rotations are kept from the full group), 2^m m!
+# for the cube rotations, the order of a cyclic group.
+_GROUP_PARAM = {
+    "simplex-symmetry": ("m", lambda m: range(2, m + 2)),
+    "simplex-rotation": ("m", lambda m: range(2, m + 2)),
+    "cube-rotation": ("m", lambda m: itertools.chain(
+        itertools.repeat(2, m), range(2, m + 1))),
+    "cyclic": ("order", lambda order: [order]),
+    "negation": ("n", lambda n: [2]),
+}
+
+
+def _matrices(name: str, factors, value) -> int:
+    """The product of factors, the number of matrices a catalogue group
+    builds; above MAX_ORDER it raises ConfigError naming the field that
+    holds value, before any matrix is built. The product stops at the cap,
+    so a huge parameter costs no time."""
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > MAX_ORDER:
+            raise ConfigError(
+                f"field {name!r} must give a group built from at most "
+                f"{MAX_ORDER} matrices, got {reprlib.repr(value)}")
+    return total
 
 
 def _catalogue(spec: dict, prefix: str, n: int | None) -> tuple:
-    """(name, standard_group parameters) of a catalogue group section, its
-    integer parameter checked; n is None inside a direct sum."""
+    """(name, standard_group parameters, matrices built) of a catalogue
+    group section, its fields and its size checked; n is None inside a
+    direct sum."""
     name = _field(spec, f"{prefix}.name", _is(str), "a string")
     if name == "direct-sum":
+        _known(spec, prefix, {"name", "parts"})
         parts = _field(spec, f"{prefix}.parts",
                        lambda ps: _nonempty(ps, _is(dict)),
                        "a non-empty list of group objects")
-        return name, {"parts": [_catalogue(part, f"{prefix}.parts[{i}]", None)
-                                for i, part in enumerate(parts)]}
-    key = _GROUP_PARAM.get(name)
-    if key is None:  # standard_group names the unknown group
-        return name, {}
+        parts = [_catalogue(part, f"{prefix}.parts[{i}]", None)
+                 for i, part in enumerate(parts)]
+        size = _matrices(f"{prefix}.parts", (s for _, _, s in parts),
+                         spec["parts"])
+        return name, {"parts": [(nm, ps) for nm, ps, _ in parts]}, size
+    if name not in _GROUP_PARAM:  # standard_group names the unknown group
+        return name, {}, 1
+    key, factors = _GROUP_PARAM[name]
+    _known(spec, prefix, {"name", key})
     default = _REQUIRED if n is None or key == "order" else n
-    return name, {key: _field(spec, f"{prefix}.{key}", _integer,
-                              "an integer", default)}
+    value = _field(spec, f"{prefix}.{key}", _integer, "an integer", default)
+    return name, {key: value}, _matrices(f"{prefix}.{key}", factors(value),
+                                         value)
 
 
 def resolve_group(spec: dict, n: int) -> OrthogonalGroup:
     """The group of a config's group section; it must act on R^n."""
     if "generators" in spec:
+        _known(spec, "group", {"generators", "max_order", "label"})
         gens = _field(spec, "group.generators",
                       lambda gs: _nonempty(gs, lambda g: _matrix(g, n)),
                       f"a non-empty list of {n} x {n} matrices of finite "
@@ -175,7 +216,7 @@ def resolve_group(spec: dict, n: int) -> OrthogonalGroup:
         except ValueError as exc:
             raise ConfigError(f"field 'group.generators': {exc}") from exc
     else:
-        name, params = _catalogue(spec, "group", n)
+        name, params, _ = _catalogue(spec, "group", n)
         try:
             group = standard_group(name, **params)
         except ValueError as exc:
@@ -248,9 +289,7 @@ def resolve_density(spec: dict, n: int):
 
 def resolve_solver_config(spec: dict) -> SolverConfig:
     """SolverConfig from a solve config's solver section."""
-    unknown = set(spec) - set(SolverConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
+    _known(spec, "solver", set(SolverConfig.__dataclass_fields__))
     try:
         return SolverConfig(**spec)
     except ValueError as exc:

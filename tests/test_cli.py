@@ -359,6 +359,80 @@ class TestSolveCommand:
                                                        message):
         """Catalogue parameters are config fields: integers, booleans
         rejected, named in the error."""
+        self._assert_config_error(tmp_path, capsys, monkeypatch, group,
+                                  message)
+
+    @pytest.mark.parametrize("group, message", [
+        ({"name": "simplex-symmetry", "M": 4}, "unknown group fields: ['M']"),
+        ({"name": "cyclic", "order": 5, "oder": 3},
+         "unknown group fields: ['oder']"),
+        ({"name": "negation", "n": 3, "m": 3, "label": "x"},
+         "unknown group fields: ['label', 'm']"),
+        ({"name": "direct-sum", "parts": [{"name": "cyclic", "order": 3}],
+          "order": 3}, "unknown group fields: ['order']"),
+        ({"name": "direct-sum", "parts": [{"name": "cyclic", "order": 3},
+                                          {"name": "cyclic", "m": 3,
+                                           "order": 5}]},
+         "unknown group.parts[1] fields: ['m']"),
+        ({"generators": [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0]]], "max_ordr": 5},
+         "unknown group fields: ['max_ordr']"),
+        ({"generators": [np.eye(3).tolist()], "name": "cyclic"},
+         "unknown group fields: ['name']"),
+    ], ids=["catalogue-M", "cyclic-oder", "negation-two", "direct-sum-order",
+            "part-m", "generators-max-ordr", "generators-name"])
+    def test_unknown_group_field_fails_before_any_work(self, tmp_path, capsys,
+                                                      monkeypatch, group,
+                                                      message):
+        """A misspelt group field is an error, not a silently used
+        default."""
+        self._assert_config_error(tmp_path, capsys, monkeypatch, group,
+                                  message)
+
+    @pytest.mark.parametrize("group, field, value", [
+        ({"name": "simplex-symmetry", "m": 7}, "group.m", "7"),
+        ({"name": "simplex-rotation", "m": 7}, "group.m", "7"),
+        ({"name": "simplex-symmetry", "m": 10 ** 12}, "group.m",
+         "1000000000000"),
+        ({"name": "cube-rotation", "m": 7}, "group.m", "7"),
+        ({"name": "cyclic", "order": 10001}, "group.order", "10001"),
+        ({"name": "direct-sum", "parts": [{"name": "simplex-symmetry",
+                                           "m": 7}]},
+         "group.parts[0].m", "7"),
+        ({"name": "direct-sum", "parts": [{"name": "cyclic", "order": 101},
+                                          {"name": "cyclic", "order": 101}]},
+         "group.parts", "[{'name': 'cyclic', 'order': 101}, {"),
+    ], ids=["simplex-7", "simplex-rotation-7", "simplex-huge", "cube-7",
+            "cyclic-10001", "part-simplex-7", "direct-sum-product"])
+    def test_oversized_group_fails_before_it_is_built(self, tmp_path, capsys,
+                                                     monkeypatch, group,
+                                                     field, value):
+        """The number of matrices a catalogue group builds, (m+1)! for the
+        simplex groups, 2^m m! for the cube rotations, the order of a cyclic
+        group and the product of the parts of a direct sum, is bounded by
+        the 10000 that enumerate_group allows, before any is built."""
+        from dualminkowski import runio
+
+        def no_group(*args, **kwargs):
+            raise AssertionError("group built before the size check")
+
+        monkeypatch.setattr(runio, "standard_group", no_group)
+        self._assert_config_error(
+            tmp_path, capsys, monkeypatch, group,
+            f"field {field!r} must give a group built from at most 10000 "
+            f"matrices, got {value}")
+
+    def test_largest_catalogue_groups_pass_the_size_check(self):
+        from dualminkowski.runio import resolve_group
+
+        assert resolve_group({"name": "cube-rotation"}, n=5).order == 1920
+        assert resolve_group({"name": "cyclic", "order": 9999},
+                             n=2).order == 9999
+
+    @staticmethod
+    def _assert_config_error(tmp_path, capsys, monkeypatch, group, message):
+        """The solve with this group section exits with a config error that
+        starts with message, before any direction work or run directory."""
         from dualminkowski import runio
 
         def no_work(*args, **kwargs):

@@ -450,12 +450,16 @@ class TestPinnedToReference:
 
     @pytest.mark.parametrize("make, count", [
         (lambda: simplex_symmetry(3), 162),
+        (lambda: simplex_symmetry(3), 642),
         (lambda: cyclic_rotation(5), 90),
         (lambda: simplex_symmetry(2), 60),
         (lambda: direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 450),
-    ], ids=["tetrahedral-162", "cyclic5-90", "triangle-60",
+    ], ids=["tetrahedral-162", "tetrahedral-642", "cyclic5-90", "triangle-60",
             "cyclic3+cyclic5-450"])
     def test_directions_match_reference(self, make, count, monkeypatch):
+        """The tetrahedral cases compute only the probe distances their
+        rounds read; the other three also fall back to all probes, which
+        computes every distance."""
         group = make()
         got = invariant_directions(group, count)
         monkeypatch.setattr(groups, "_orbits", _ref_orbits)
