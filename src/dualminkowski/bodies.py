@@ -362,11 +362,10 @@ def ball_polytope(directions: np.ndarray, radius: float = 1.0) -> SupportPolytop
                            support=np.full(dirs.shape[0], float(radius)))
 
 
-def cube_polytope(n: int, half_width: float = 1.0) -> SupportPolytope:
-    """The cube [-a, a]^n with its 2n axis normals."""
+def cube_polytope(n: int) -> SupportPolytope:
+    """The cube [-1, 1]^n with its 2n axis normals."""
     normals = np.vstack([np.eye(n), -np.eye(n)])
-    return SupportPolytope(dim=n, normals=normals,
-                           support=np.full(2 * n, float(half_width)))
+    return SupportPolytope(dim=n, normals=normals, support=np.ones(2 * n))
 
 
 def shifted_ball_polytope(directions: np.ndarray, radius: float,

@@ -190,8 +190,7 @@ def _certificate(body: SupportPolytope, group: OrthogonalGroup,
 
 
 def orbit_intersection_body(group: OrthogonalGroup, base: SupportPolytope,
-                            rotation: np.ndarray | None = None, seed: int = 0,
-                            grid: SphericalGrid | None = None):
+                            seed: int = 0, grid: SphericalGrid | None = None):
     """Invariant body from a base with unique minimal radius.
 
     Returns (body, certificate). The intersection of the rotated orbit is
@@ -204,15 +203,13 @@ def orbit_intersection_body(group: OrthogonalGroup, base: SupportPolytope,
     if not ok:
         raise ValueError("base body lacks a unique minimal radius "
                          f"(margin {EXTREMUM_MARGIN:g})")
-    if rotation is None:
-        rotation = random_generic_rotation(group, u_min, seed=seed)
+    rotation = random_generic_rotation(group, u_min, seed=seed)
     body = _pool_orbit_constraints(group, base, rotation)
     cert = _certificate(body, group, grid)
     return body, cert
 
 
 def orbit_intersection_body_circum(group: OrthogonalGroup, base: SupportPolytope,
-                                   rotation: np.ndarray | None = None,
                                    seed: int = 0,
                                    grid: SphericalGrid | None = None):
     """Dual variant: base with unique maximal radius.
@@ -230,8 +227,7 @@ def orbit_intersection_body_circum(group: OrthogonalGroup, base: SupportPolytope
         raise ValueError("base body lacks a unique maximal radius "
                          f"(margin {EXTREMUM_MARGIN:g})")
     rho_max, _ = radial_profile(base, u_max[None])
-    if rotation is None:
-        rotation = random_generic_rotation(group, u_max, seed=seed)
+    rotation = random_generic_rotation(group, u_max, seed=seed)
     body = _pool_orbit_constraints(group, base, rotation)
     cert = _certificate(body, group, grid)
     hz = rotation @ u_max

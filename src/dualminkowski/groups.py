@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .sphere import first_of_clusters, sphere_area
+from .sphere import fibonacci_sphere_nodes, first_of_clusters, sphere_area
 
 __all__ = [
     "OrthogonalGroup",
@@ -122,25 +122,27 @@ def enumerate_group(generators, max_order: int = MAX_ORDER,
     # inverses (= transposes) keep the closure a group even for one-sided words
     gens = gens + [g.T.copy() for g in gens]
 
-    elements = [np.eye(n)]
-    stack = np.array(elements)
+    # one slot past max_order holds the element that overflows the bound
+    stack = np.empty((max_order + 1, n, n))
+    stack[0] = np.eye(n)
+    count = 1
     frontier = [0]
     while frontier:
         new_frontier = []
         for idx in frontier:
             for g in gens:
-                prod = g @ elements[idx]
-                if _match_index(stack, prod) is None:
-                    elements.append(prod)
-                    stack = np.asarray(elements)
-                    new_frontier.append(len(elements) - 1)
-                    if len(elements) > max_order:
+                prod = g @ stack[idx]
+                if _match_index(stack[:count], prod) is None:
+                    stack[count] = prod
+                    new_frontier.append(count)
+                    count += 1
+                    if count > max_order:
                         raise ValueError(
                             f"group closure exceeded max_order={max_order}; "
                             "group may be infinite or tolerance too tight"
                         )
         frontier = new_frontier
-    return OrthogonalGroup(dim=n, elements=stack, label=label)
+    return OrthogonalGroup(dim=n, elements=stack[:count].copy(), label=label)
 
 
 def _simplex_vertex_basis(m: int) -> np.ndarray:
@@ -414,8 +416,6 @@ def _special_seeds(group: OrthogonalGroup) -> list[np.ndarray]:
 
 def _candidate_stream(n: int, m: int, seed: int) -> np.ndarray:
     """m quasi-uniform full-sphere seed candidates (deterministic per seed)."""
-    from .sphere import fibonacci_sphere_nodes
-
     if n == 2:
         theta = 2.0 * math.pi * (np.arange(m) * 0.6180339887498949 % 1.0)
         return np.column_stack([np.cos(theta), np.sin(theta)])

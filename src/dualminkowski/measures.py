@@ -23,11 +23,9 @@ from .bodies import (
     facet_polygons,
     radial_profile,
 )
-from .groups import OrthogonalGroup, symmetrize_density
 from .sphere import SphericalGrid, stable_sum
 
 __all__ = [
-    "FacetMeasure",
     "MeasureSpec",
     "dual_mixed_volume",
     "dual_curvature_measure",
@@ -43,21 +41,6 @@ __all__ = [
 # dual_curvature_via_boundary splits each fan triangle of a facet into
 # BOUNDARY_SUBDIVISIONS ** 2 triangles for its midpoint rule
 BOUNDARY_SUBDIVISIONS = 16
-
-
-@dataclass(frozen=True)
-class FacetMeasure:
-    """Per-facet totals of a curvature measure (one atom per body normal)."""
-
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))
-        atoms.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-
-    def total(self) -> float:
-        return stable_sum(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -89,10 +72,9 @@ class MeasureSpec:
         object.__setattr__(self, "atoms", atoms)
 
     @staticmethod
-    def from_density(density, grid: SphericalGrid, directions: np.ndarray,
-                     group: OrthogonalGroup | None = None) -> "MeasureSpec":
-        f = symmetrize_density(group, density) if group is not None else density
-        values = np.asarray(f(grid.nodes), dtype=float)
+    def from_density(density, grid: SphericalGrid,
+                     directions: np.ndarray) -> "MeasureSpec":
+        values = np.asarray(density(grid.nodes), dtype=float)
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("density must be finite and nonnegative")
         dirs = np.asarray(directions, dtype=float)
@@ -109,9 +91,6 @@ class MeasureSpec:
     def from_atoms(atoms, directions) -> "MeasureSpec":
         return MeasureSpec(directions=np.asarray(directions, dtype=float),
                            atoms=np.asarray(atoms, dtype=float))
-
-    def orbit_totals(self, orbit_partition: list[list[int]]) -> np.ndarray:
-        return np.array([stable_sum(self.atoms[o]) for o in orbit_partition])
 
 
 def integrand_values(rho: np.ndarray, q_weight: np.ndarray, q: float,
@@ -143,7 +122,7 @@ def dual_mixed_volume(body: SupportPolytope, q_body: StarBody, q: float,
 
 
 def dual_curvature_measure(body: SupportPolytope, q_body: StarBody, q: float,
-                           grid: SphericalGrid) -> FacetMeasure:
+                           grid: SphericalGrid) -> np.ndarray:
     """Facet atoms of the q-th dual curvature measure of K relative to Q.
 
     Bin i collects (1/n) rho_K^q rho_Q^{n-q} w over the nodes whose radial
@@ -151,24 +130,23 @@ def dual_curvature_measure(body: SupportPolytope, q_body: StarBody, q: float,
     volume exactly. Redundant facets receive zero.
     """
     values, idx = _integrand(body, q_body, q, grid)
-    atoms = np.bincount(idx, weights=values, minlength=body.facet_count)
-    return FacetMeasure(atoms=atoms)
+    return np.bincount(idx, weights=values, minlength=body.facet_count)
 
 
 def lp_dual_curvature_measure(body: SupportPolytope, q_body: StarBody,
                               p: float, q: float,
-                              grid: SphericalGrid) -> FacetMeasure:
+                              grid: SphericalGrid) -> np.ndarray:
     """Support-weighted atoms: atom_i of C~_q times h_i^{-p}.
 
     h_i is used directly even for redundant facets (their atom is zero, so
     the true support value there is irrelevant).
     """
     base = dual_curvature_measure(body, q_body, q, grid)
-    return FacetMeasure(atoms=base.atoms * body.support ** (-p))
+    return base * body.support ** (-p)
 
 
 def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
-                                q: float) -> FacetMeasure:
+                                q: float) -> np.ndarray:
     """Independent facet atoms from the boundary integral (n = 3 only).
 
     Atom i = (h_i / n) * integral over facet i of rho_Q^{n-q}(x) dA(x),
@@ -193,7 +171,7 @@ def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
             total += _triangle_quadrature(tri, q_body, n - q,
                                           BOUNDARY_SUBDIVISIONS)
         atoms[i] = body.support[i] / n * total
-    return FacetMeasure(atoms=atoms)
+    return atoms
 
 
 def _triangle_quadrature(tri: np.ndarray, q_body: StarBody, power: float,
@@ -268,9 +246,9 @@ def entropy_gradient(body: SupportPolytope, mu: MeasureSpec, q_body: StarBody,
     the log-gradient of entropy_state divided by h. The pairing <grad, h>
     vanishes identically."""
     _check_alignment(body, mu)
-    curv = dual_curvature_measure(body, q_body, q, grid)
-    _, log_grad = entropy_state(body.support, mu.atoms, p, q, curv.total(),
-                                curv.atoms)
+    atoms = dual_curvature_measure(body, q_body, q, grid)
+    _, log_grad = entropy_state(body.support, mu.atoms, p, q,
+                                stable_sum(atoms), atoms)
     return log_grad / body.support
 
 
@@ -310,10 +288,10 @@ def affine_invariance_check(body: SupportPolytope, q_body: StarBody, q: float,
 
     body_t = transform_polytope(body, phi)
     q_t = q_body.transformed(phi)
-    atoms_l = dual_curvature_measure(body_t, q_t, q, grid_a).atoms
+    atoms_l = dual_curvature_measure(body_t, q_t, q, grid_a)
     lhs = stable_sum(np.asarray(g(body_t.normals), dtype=float) * atoms_l)
 
-    atoms_r = dual_curvature_measure(body, q_body, q, grid_b).atoms
+    atoms_r = dual_curvature_measure(body, q_body, q, grid_b)
     # body_t.normals are exactly the renormalized phi^{-T} v_i
     rhs = stable_sum(np.asarray(g(body_t.normals), dtype=float) * atoms_r)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

@@ -206,8 +206,9 @@ def resolve_group(spec: dict, n: int) -> OrthogonalGroup:
                       lambda gs: _nonempty(gs, lambda g: _matrix(g, n)),
                       f"a non-empty list of {n} x {n} matrices of finite "
                       "numbers")
-        max_order = _field(spec, "group.max_order", _at_least(1),
-                           "an integer >= 1", 2000)
+        max_order = _field(spec, "group.max_order",
+                           lambda x: _integer(x) and 1 <= x <= MAX_ORDER,
+                           f"an integer in [1, {MAX_ORDER}]", 2000)
         label = _field(spec, "group.label", _is(str), "a string", "custom")
         try:
             group = enumerate_group(

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
-from .groups import OrthogonalGroup, certify, orbits
+from .groups import OrthogonalGroup, certify, orbits, symmetrize_density
 from .measures import (MeasureSpec, dual_curvature_measure, entropy_state,
                        integrand_values, lp_dual_curvature_measure)
 from .sphere import SphericalGrid, stable_sum
@@ -30,8 +30,7 @@ __all__ = [
     "ProblemSpec",
     "SolverConfig",
     "SolutionReport",
-    "OrbitReduction",
-    "reduce_to_orbits",
+    "orbit_sums",
     "minimize_entropy",
     "assemble_solution",
     "euler_lagrange_check",
@@ -51,7 +50,10 @@ class ProblemSpec:
     unless -q* < p < 0 (recording the implied integrability exponent), the
     group has no nonzero fixed vector, and Q is group-invariant; and
     ValueError unless the direction set is exactly group-stable and the
-    measure is non-trivial with orbit-constant atoms.
+    measure sits on it. It also holds the orbit map of the directions
+    (orbit_partition, and orbit_of, the orbit index of each direction) and
+    replaces the measure's atoms by their orbit means, so mu is
+    group-invariant, as the theorem asks, for every spec.
     """
 
     dim: int
@@ -62,8 +64,9 @@ class ProblemSpec:
     mu: MeasureSpec
     directions: np.ndarray
     grid: SphericalGrid
-    orbit_partition: list = field(default=None)
     s_exponent: float = field(init=False)
+    orbit_partition: list = field(init=False)
+    orbit_of: np.ndarray = field(init=False)
 
     def __post_init__(self):
         try:
@@ -82,45 +85,39 @@ class ProblemSpec:
         worst = float(np.max(cKDTree(dirs).query(self.group.apply(dirs))[0]))
         if worst > 1e-9:
             raise ValueError(f"direction set is not group-stable ({worst:.3e})")
-        if self.orbit_partition is None:
-            object.__setattr__(self, "orbit_partition",
-                               orbits(self.group, dirs))
+        part = orbits(self.group, dirs)
         if self.mu.directions.shape != dirs.shape or \
                 not np.allclose(self.mu.directions, dirs, atol=1e-12):
             raise ValueError("measure atoms must sit on the problem directions")
-        atoms = self.mu.atoms
-        spread = max(
-            float(np.max(atoms[o]) - np.min(atoms[o])) for o in self.orbit_partition
-        )
-        if spread > 1e-10 * max(float(np.max(atoms)), 1e-300):
-            raise ValueError(
-                f"measure atoms are not orbit-constant (spread {spread:.3e}); "
-                "symmetrize the measure first"
-            )
+        # the grid itself is not group-symmetric, so atoms binned from a
+        # density carry a sub-percent asymmetry artifact
+        atoms = self.mu.atoms.copy()
+        orbit_of = np.empty(dirs.shape[0], dtype=np.intp)
+        for k, orbit in enumerate(part):
+            atoms[orbit] = np.mean(atoms[orbit])
+            orbit_of[orbit] = k
         dirs.setflags(write=False)
+        orbit_of.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "orbit_partition", part)
+        object.__setattr__(self, "orbit_of", orbit_of)
+        object.__setattr__(self, "mu",
+                           MeasureSpec.from_atoms(atoms, self.mu.directions))
 
     @staticmethod
     def build(dim: int, p: float, q: float, group: OrthogonalGroup,
               q_body: StarBody, measure, directions: np.ndarray,
               grid: SphericalGrid) -> "ProblemSpec":
         """Assemble a spec from a density (symmetrized, then binned to the
-        directions) or from one atom per direction, orbit-averaging the
-        atoms (the grid itself is not group-symmetric, so raw binned atoms
-        carry a sub-percent asymmetry artifact)."""
-        part = orbits(group, np.asarray(directions, dtype=float))
+        directions) or from one atom per direction."""
         if callable(measure):
-            mu = MeasureSpec.from_density(measure, grid, directions,
-                                          group=group)
+            mu = MeasureSpec.from_density(symmetrize_density(group, measure),
+                                          grid, directions)
         else:
             mu = MeasureSpec.from_atoms(measure, directions)
-        atoms = mu.atoms.copy()
-        for orbit in part:
-            atoms[orbit] = np.mean(atoms[orbit])
-        mu = MeasureSpec.from_atoms(atoms, directions)
         return ProblemSpec(dim=dim, p=p, q=q, group=group, q_body=q_body,
                            mu=mu, directions=np.asarray(directions, dtype=float),
-                           grid=grid, orbit_partition=part)
+                           grid=grid)
 
 
 # The step rule: backtracking Armijo on the objective value only (the
@@ -201,30 +198,9 @@ class SolutionReport:
     euler_lagrange_gap: float = float("nan")
 
 
-@dataclass(frozen=True)
-class OrbitReduction:
-    """Maps between orbit-level parameters and per-direction vectors."""
-
-    partition: list
-    orbit_of: np.ndarray
-
-    def expand(self, orbit_values: np.ndarray) -> np.ndarray:
-        return np.asarray(orbit_values, dtype=float)[self.orbit_of]
-
-    def collapse(self, full_gradient: np.ndarray) -> np.ndarray:
-        return np.array([stable_sum(full_gradient[o]) for o in self.partition])
-
-    @property
-    def orbit_count(self) -> int:
-        return len(self.partition)
-
-
-def reduce_to_orbits(spec: ProblemSpec) -> OrbitReduction:
-    part = spec.orbit_partition
-    orbit_of = np.empty(spec.directions.shape[0], dtype=np.intp)
-    for k, orbit in enumerate(part):
-        orbit_of[orbit] = k
-    return OrbitReduction(partition=part, orbit_of=orbit_of)
+def orbit_sums(spec: ProblemSpec, values: np.ndarray) -> np.ndarray:
+    """The stable_sum of per-direction values over each orbit of the spec."""
+    return np.array([stable_sum(values[o]) for o in spec.orbit_partition])
 
 
 class _EntropyKernel:
@@ -289,23 +265,23 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
     non-convergence.
     """
     config = config or SolverConfig()
-    red = reduce_to_orbits(spec)
+    orbit_count = len(spec.orbit_partition)
     kernel = _EntropyKernel(spec)
     q = spec.q
 
     if initial_orbit_values is None:
-        theta = np.zeros(red.orbit_count)
+        theta = np.zeros(orbit_count)
     else:
         vals = np.asarray(initial_orbit_values, dtype=float)
-        if vals.shape != (red.orbit_count,) or np.any(vals <= 0):
+        if vals.shape != (orbit_count,) or np.any(vals <= 0):
             raise ValueError("initial orbit values must be positive, one per orbit")
         theta = np.log(vals)
 
     # normalize onto the unit-volume slice; fix the positivity floor there
-    h = np.exp(theta)[red.orbit_of]
+    h = np.exp(theta)[spec.orbit_of]
     scale = kernel.dual_volume(h) ** (-1.0 / q)
     theta = theta + math.log(scale)
-    h = np.exp(theta)[red.orbit_of]
+    h = np.exp(theta)[spec.orbit_of]
     floor = 1e-6 * float(np.exp(np.mean(np.log(h))))
     initial_circum = kernel.diameter(h) / 2.0
 
@@ -327,7 +303,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
 
     for iteration in range(config.max_iters):
         phi, log_grad, atoms, vol, node_jump = kernel.state(h)
-        ghat = red.collapse(log_grad)
+        ghat = orbit_sums(spec, log_grad)
         gnorm = float(np.linalg.norm(ghat))
         # scale-direction pairing <grad, h> = sum of the log-gradient
         pairing_max = max(pairing_max, abs(float(stable_sum(log_grad))))
@@ -360,11 +336,11 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         target_drop = SLOPE_FACTOR * gnorm * gnorm
         while step >= MIN_STEP:
             theta_new = theta - step * ghat
-            h_new = np.exp(theta_new)[red.orbit_of]
+            h_new = np.exp(theta_new)[spec.orbit_of]
             if np.any(h_new < floor):
                 floor_hit = True
                 theta_new = np.maximum(theta_new, math.log(floor))
-                h_new = np.exp(theta_new)[red.orbit_of]
+                h_new = np.exp(theta_new)[spec.orbit_of]
             phi_new, vol_new = kernel.phi(h_new)
             if phi_new <= phi - step * target_drop:
                 accepted = True
@@ -377,7 +353,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         last_step = step
 
         theta = theta_new - math.log(vol_new) / q
-        h = np.exp(theta)[red.orbit_of]
+        h = np.exp(theta)[spec.orbit_of]
         phi_after_rescale_pred = phi_new  # scale invariance: must match next phi
 
     body = SupportPolytope(dim=spec.dim, normals=spec.directions, support=h,
@@ -413,7 +389,7 @@ def assemble_solution(body_tilde: SupportPolytope, spec: ProblemSpec,
     solution = body_tilde.with_support(body_tilde.support * factor)
 
     atoms = lp_dual_curvature_measure(solution, spec.q_body, spec.p, spec.q,
-                                      spec.grid).atoms
+                                      spec.grid)
     vol = stable_sum(atoms * solution.support ** spec.p) / factor ** spec.q
     if abs(vol - 1.0) > 1e-8:
         raise ValueError(f"minimizer must have unit dual volume, got {vol}")
@@ -428,9 +404,8 @@ def assemble_solution(body_tilde: SupportPolytope, spec: ProblemSpec,
 def _orbit_gaps(atoms: np.ndarray, spec: ProblemSpec) -> tuple[float, float]:
     """The residual (relative l1 gap of the orbit sums of support-weighted
     atoms and of mu) and the largest relative gap of one orbit of mu-mass."""
-    part = spec.orbit_partition
-    want = spec.mu.orbit_totals(part)
-    gaps = np.abs(np.array([stable_sum(atoms[o]) for o in part]) - want)
+    want = orbit_sums(spec, spec.mu.atoms)
+    gaps = np.abs(orbit_sums(spec, atoms) - want)
     held = want > 0
     return (float(np.sum(gaps) / np.sum(want)),
             float(np.max(gaps[held] / want[held], initial=0.0)))
@@ -441,7 +416,7 @@ def euler_lagrange_check(body_tilde: SupportPolytope, lam: float,
     """Max orbit-wise relative gap in the stationarity identity
     mu_O = lambda * sum over the orbit of (curvature atom) * h^{-p}."""
     atoms = dual_curvature_measure(body_tilde, spec.q_body, spec.q,
-                                   spec.grid).atoms
+                                   spec.grid)
     return _orbit_gaps(lam * atoms * body_tilde.support ** (-spec.p), spec)[1]
 
 

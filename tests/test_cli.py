@@ -313,6 +313,8 @@ class TestSolveCommand:
          "group.max_order"),
         ({"n": 2}, "n"),
         ({"export_mesh": "no"}, "export_mesh"),
+        ({"group": {"generators": [np.eye(3).tolist()], "max_order": 10001}},
+         "group.max_order"),
     ])
     def test_bad_problem_field_fails_before_any_work(self, tmp_path, capsys,
                                                     monkeypatch, change,

@@ -140,16 +140,6 @@ class TestOrbitIntersection:
         with pytest.raises(ValueError, match="unique minimal radius"):
             orbit_intersection_body(tetra_group, body, grid=cert_grid)
 
-    def test_supplied_rotation_matches_seeded(self, tetra_group, shifted_base,
-                                              cert_grid):
-        h = random_generic_rotation(tetra_group, np.array([-1.0, 0.0, 0.0]),
-                                    seed=3)
-        body_a, _ = orbit_intersection_body(tetra_group, shifted_base,
-                                            rotation=h, grid=cert_grid)
-        body_b, _ = orbit_intersection_body(tetra_group, shifted_base, seed=3,
-                                            grid=cert_grid)
-        assert np.allclose(body_a.support, body_b.support)
-
     def test_constraint_pool_is_group_stable(self, tetra_group, shifted_base,
                                              cert_grid):
         body, _ = orbit_intersection_body(tetra_group, shifted_base, seed=1,

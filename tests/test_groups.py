@@ -63,6 +63,27 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="orthogonal"):
             enumerate_group([np.array([[1.0, 0.1], [0.0, 1.0]])])
 
+    def test_max_order_is_inclusive(self):
+        """A closure of exactly max_order elements is accepted; one more
+        element is the error."""
+        gens = [rotation2(2.0 * math.pi / 6.0)]
+        assert enumerate_group(gens, max_order=6).order == 6
+        with pytest.raises(ValueError, match="max_order=5"):
+            enumerate_group(gens, max_order=5)
+
+    @pytest.mark.parametrize("gens", [
+        [rotation2(2.0 * math.pi / 5.0), np.diag([1.0, -1.0])],
+        list(cube_rotation(3).elements[[4, 8]]),
+        list(simplex_symmetry(3).elements[[1, 8]]),
+    ])
+    def test_elements_pinned_to_list_closure(self, gens):
+        """The preallocated stack gives the elements of the former
+        list-and-restack closure, bit for bit and in the same order."""
+        got = enumerate_group(gens).elements
+        want = _ref_enumerate_elements(gens)
+        assert len(got) in (10, 24)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestStandardGroups:
     def test_cyclic5(self):
@@ -262,6 +283,28 @@ class TestInvariantDirections:
 # References for the batched orbit builder and the BLAS-bracketed packing:
 # the scalar, one-seed-at-a-time and all-einsum code the direction sets are
 # pinned to. The package must reproduce them bit for bit.
+
+
+def _ref_enumerate_elements(generators):
+    """The former enumerate_group loop: a list of elements, restacked after
+    every append."""
+    gens = [np.asarray(g, dtype=float) for g in generators]
+    gens = gens + [g.T.copy() for g in gens]
+    elements = [np.eye(gens[0].shape[0])]
+    stack = np.array(elements)
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for idx in frontier:
+            for g in gens:
+                prod = g @ elements[idx]
+                dist = np.max(np.abs(stack - prod[None]), axis=(1, 2))
+                if dist.min() > groups.MATCH_TOL:
+                    elements.append(prod)
+                    stack = np.asarray(elements)
+                    new_frontier.append(len(elements) - 1)
+        frontier = new_frontier
+    return stack
 
 
 def _ref_snap_to_stabilizer(group, seed, tol=1e-6):

@@ -18,6 +18,7 @@ from dualminkowski.groups import (
     cyclic_rotation,
     enumerate_group,
     invariant_directions,
+    orbits,
     simplex_symmetry,
     standard_group,
 )
@@ -33,7 +34,7 @@ from dualminkowski.solver import (
     assemble_solution,
     euler_lagrange_check,
     minimize_entropy,
-    reduce_to_orbits,
+    orbit_sums,
     solve_problem,
 )
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, stable_sum
@@ -105,14 +106,35 @@ class TestProblemSpec:
             ProblemSpec(dim=3, p=P, q=Q_EXP, group=group, q_body=BALL3, mu=mu,
                         directions=dirs, grid=grid)
 
-    def test_non_orbit_constant_atoms_rejected(self, small_setup):
+    def test_direct_spec_stores_orbit_means(self, small_setup):
+        """A spec built directly from atoms that are not orbit-constant
+        holds their orbit means, bit-equal to ProblemSpec.build's."""
         group, directions, grid = small_setup
-        atoms = np.ones(len(directions))
-        atoms[0] *= 1.5
+        atoms = np.random.default_rng(4).uniform(0.5, 1.5, len(directions))
         mu = MeasureSpec.from_atoms(atoms, directions)
-        with pytest.raises(ValueError, match="orbit-constant"):
-            ProblemSpec(dim=3, p=P, q=Q_EXP, group=group, q_body=BALL3, mu=mu,
-                        directions=directions, grid=grid)
+        spec = ProblemSpec(dim=3, p=P, q=Q_EXP, group=group, q_body=BALL3,
+                           mu=mu, directions=directions, grid=grid)
+        built = ProblemSpec.build(3, P, Q_EXP, group, BALL3, atoms, directions,
+                                  grid)
+        assert _same_bits(spec.mu.atoms, built.mu.atoms)
+        for k, orbit in enumerate(spec.orbit_partition):
+            assert np.all(spec.orbit_of[orbit] == k)
+            assert np.all(spec.mu.atoms[orbit] == np.mean(atoms[orbit]))
+        assert not np.array_equal(spec.mu.atoms, atoms)
+
+    def test_orbits_run_once_per_build(self, small_setup, monkeypatch):
+        group, directions, grid = small_setup
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return orbits(*args)
+
+        monkeypatch.setattr(solver, "orbits", counted)
+        ProblemSpec.build(3, P, Q_EXP, group, BALL3,
+                          lambda U: np.full(U.shape[0], 1.0 / 3.0),
+                          directions, grid)
+        assert len(calls) == 1
 
     def test_negation_group_accepted(self):
         """Origin symmetry is the classical special case and must work."""
@@ -170,45 +192,48 @@ class TestSolverConfig:
 
 class TestOrbitReduction:
     def test_expand_collapse_shapes(self, ball_spec):
-        red = reduce_to_orbits(ball_spec)
-        values = np.linspace(1.0, 2.0, red.orbit_count)
-        full = red.expand(values)
+        count = len(ball_spec.orbit_partition)
+        values = np.linspace(1.0, 2.0, count)
+        full = values[ball_spec.orbit_of]
         assert full.shape == (len(ball_spec.directions),)
-        for k, orbit in enumerate(red.partition):
+        sizes = orbit_sums(ball_spec, np.ones(len(full)))
+        assert sizes.shape == (count,)
+        for k, orbit in enumerate(ball_spec.orbit_partition):
             assert np.all(full[orbit] == values[k])
+            assert sizes[k] == len(orbit)
 
     def test_collapsed_gradient_matches_directional_derivative(self, ball_spec):
-        red = reduce_to_orbits(ball_spec)
+        count = len(ball_spec.orbit_partition)
         rng = np.random.default_rng(1)
-        values = rng.uniform(0.9, 1.2, red.orbit_count)
-        h = red.expand(values)
+        values = rng.uniform(0.9, 1.2, count)
+        h = values[ball_spec.orbit_of]
         from dualminkowski.bodies import SupportPolytope
         from dualminkowski.measures import entropy_gradient
 
         body = SupportPolytope(dim=3, normals=ball_spec.directions, support=h)
         grad = entropy_gradient(body, ball_spec.mu, ball_spec.q_body, P, Q_EXP,
                                 ball_spec.grid)
-        collapsed = red.collapse(grad)
+        collapsed = orbit_sums(ball_spec, grad)
         # directional derivative along one orbit's indicator
         k = 3
-        bump = np.zeros(red.orbit_count)
+        bump = np.zeros(count)
         bump[k] = 1.0
         d = 1e-6
-        up = entropy_value(body.with_support(h + d * red.expand(bump)),
+        up = entropy_value(body.with_support(h + d * bump[ball_spec.orbit_of]),
                            ball_spec.mu, ball_spec.q_body, P, Q_EXP,
                            ball_spec.grid)
-        dn = entropy_value(body.with_support(h - d * red.expand(bump)),
+        dn = entropy_value(body.with_support(h - d * bump[ball_spec.orbit_of]),
                            ball_spec.mu, ball_spec.q_body, P, Q_EXP,
                            ball_spec.grid)
         fd = (up - dn) / (2 * d)
         assert fd == pytest.approx(collapsed[k], rel=1e-5, abs=1e-10)
 
     def test_orbit_constant_support_is_invariant(self, ball_spec, tetra_group):
-        red = reduce_to_orbits(ball_spec)
         rng = np.random.default_rng(2)
         from dualminkowski.bodies import SupportPolytope
 
-        h = red.expand(rng.uniform(0.8, 1.3, red.orbit_count))
+        values = rng.uniform(0.8, 1.3, len(ball_spec.orbit_partition))
+        h = values[ball_spec.orbit_of]
         body = SupportPolytope(dim=3, normals=ball_spec.directions, support=h)
         ok, dev = is_invariant(body, tetra_group)
         assert ok and dev <= 1e-9
@@ -239,9 +264,9 @@ class TestMinimize:
 
     def test_restart_reaches_same_minimum(self, ball_spec):
         _, base_report = minimize_entropy(ball_spec)
-        red = reduce_to_orbits(ball_spec)
         rng = np.random.default_rng(3)
-        start = np.exp(rng.uniform(-0.25, 0.25, red.orbit_count))
+        count = len(ball_spec.orbit_partition)
+        start = np.exp(rng.uniform(-0.25, 0.25, count))
         _, perturbed_report = minimize_entropy(ball_spec,
                                                initial_orbit_values=start)
         assert perturbed_report.phi_trace[-1] == pytest.approx(
@@ -252,10 +277,9 @@ class TestMinimize:
 
         _, report = minimize_entropy(ball_spec,
                                      config=SolverConfig(max_iters=40))
-        red = reduce_to_orbits(ball_spec)
         for values in report.orbit_values_trace[::10]:
             body = SupportPolytope(dim=3, normals=ball_spec.directions,
-                                   support=red.expand(values))
+                                   support=values[ball_spec.orbit_of])
             ok, dev = is_invariant(body, tetra_group)
             assert ok, dev
 
@@ -289,11 +313,10 @@ class TestSolution:
         from dualminkowski.bodies import SupportPolytope
 
         body, report = minimize_entropy(bump_spec)
-        red = reduce_to_orbits(bump_spec)
 
         def gap_at(values):
             b = SupportPolytope(dim=3, normals=bump_spec.directions,
-                                support=red.expand(values))
+                                support=values[bump_spec.orbit_of])
             lam = float(np.sum(b.support ** P * bump_spec.mu.atoms))
             return euler_lagrange_check(b, lam, bump_spec)
 
@@ -377,7 +400,7 @@ class TestPrunedKernel:
             body = SupportPolytope(dim=3, normals=dirs, support=h)
             atoms = entropy.state(h)[2]
             want = dual_curvature_measure(body, bump_spec.q_body, Q_EXP,
-                                          bump_spec.grid).atoms
+                                          bump_spec.grid)
             assert _same_bits(atoms, want)
             assert entropy.dual_volume(h) == _dual_volume(body, bump_spec)
         assert built[6] <= 0.05 < built[5]

@@ -158,6 +158,47 @@ def test_runio_alone_handles_config():
     assert found == []
 
 
+# The package's import graph: each module and the package modules it imports,
+# at module level or inside a function ("__init__" is the package itself). A
+# new cross-module import needs an edit here.
+IMPORTS = {
+    "__init__": {"sphere"},
+    "bodies": {"groups", "sphere"},
+    "bounds": {"bodies", "measures", "sphere"},
+    "cli": {"bodies", "bounds", "constructions", "groups", "measures", "runio",
+            "solver", "sphere"},
+    "constructions": {"bodies", "groups", "sphere"},
+    "groups": {"sphere"},
+    "measures": {"bodies", "sphere"},
+    "runio": {"__init__", "bodies", "bounds", "constructions", "groups",
+              "solver", "sphere"},
+    "solver": {"bodies", "bounds", "groups", "measures", "sphere"},
+    "sphere": set(),
+}
+
+
+def _package_imports(path):
+    """The package modules a module imports; an absolute import of the
+    package keeps its full name, so it never matches IMPORTS."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.add(node.module or "__init__")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            found |= {name for name in names
+                      if name.split(".")[0] == "dualminkowski"}
+    return found
+
+
+def test_import_graph():
+    """The package's modules import one another exactly along IMPORTS."""
+    found = {path.stem: _package_imports(path)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found == IMPORTS
+
+
 # Every defaulted parameter ("module.function(param)") and defaulted
 # dataclass init field ("module.Class.field") of the package. A tuning value
 # that no caller sets is a named module constant instead, so a new default
@@ -169,7 +210,6 @@ KNOBS = {
     "bodies.is_invariant(grid)",
     "bodies.is_invariant(active)",
     "bodies.ball_polytope(radius)",
-    "bodies.cube_polytope(half_width)",
     "bodies.StarBody.ball(radius)",
     "cli.main(argv)",
     "constructions.certify_asymmetry(grid)",
@@ -178,10 +218,8 @@ KNOBS = {
     "constructions.radial_extremum_is_unique(mode)",
     "constructions.radial_extremum_is_unique(grid)",
     "constructions.random_generic_rotation(seed)",
-    "constructions.orbit_intersection_body(rotation)",
     "constructions.orbit_intersection_body(seed)",
     "constructions.orbit_intersection_body(grid)",
-    "constructions.orbit_intersection_body_circum(rotation)",
     "constructions.orbit_intersection_body_circum(seed)",
     "constructions.orbit_intersection_body_circum(grid)",
     "constructions.fundamental_domain_check(sample_count)",
@@ -191,9 +229,7 @@ KNOBS = {
     "groups.enumerate_group(label)",
     "groups.standard_group(n)",
     "groups.invariant_directions(seed)",
-    "measures.MeasureSpec.from_density(group)",
     "runio._field(default)",
-    "solver.ProblemSpec.orbit_partition",
     "solver.SolverConfig.max_iters",
     "solver.SolverConfig.gradient_tolerance",
     "solver.SolutionReport.atoms",
