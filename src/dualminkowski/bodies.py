@@ -147,8 +147,8 @@ def radial_profile(body: SupportPolytope, points: np.ndarray):
 # Relative slack on the pruning bound: a computed h / A carries under 1e-15
 # relative rounding, so the true exit facet always clears the loosened bound.
 _PRUNE_SLACK = 1e-12
-# Lists are built for 0.95 * min(h) / max(h): near r = 1 that keeps about 3%
-# of the facets per point, and r may fall 5% before a rebuild (~20 passes).
+# Lists are built for 0.95 * min(h) / max(h), so r may fall 5% before a
+# rebuild (~20 passes); a pass reads only the rows its own r can need.
 _REBUILD_MARGIN = 0.95
 
 
@@ -159,20 +159,26 @@ class RadialKernel:
     r = min(h) / max(h), facet i can attain min_j h_j / A[u, j] at u only if
     A[u, i] >= r * max_j A[u, j]. Each point keeps the facets that clear
     this bound at a built ratio and radial_profile's denominator test
-    A > _POS_DENOM_TOL, and a pass divides h by A on those lists only; they
-    are rebuilt from A when an h arrives whose r is below the built ratio.
-    Every facet attaining the minimum is on the list and the division is
-    radial_profile's, so rho and the exit facets (ties to the smallest
-    index) equal radial_profile's bit for bit.
+    A > _POS_DENOM_TOL, in order of falling A; the lists are rebuilt from A
+    when an h arrives whose r is below the built ratio. A point with fewer
+    candidates than the widest repeats its smallest-product one. Row k of
+    the lists has a reach, the largest A[u, i] / max_j A[u, j] over the
+    candidates it holds (repeats excluded), which does not grow with k, and
+    a pass divides h by A only on the rows whose reach clears its own r
+    (loosened by the same slack). Every facet attaining the minimum is in
+    those rows, and every other entry there is a real facet of its point,
+    so the division and the minimum are radial_profile's: rho and the exit
+    facets (ties to the smallest index) equal radial_profile's bit for bit.
     """
 
     def __init__(self, points: np.ndarray, normals: np.ndarray):
         self.points, self.normals = points, normals
-        # (built ratio, facet indices, inner products); the last two are
-        # (width, points), one point per column
+        # (built ratio, facet indices, inner products, reach of each row);
+        # the middle two are (width, points), one point per column
         self.lists = None
         self.passes = 0
         self.rebuilds = 0
+        self.cells = 0  # node-facet ratios the passes computed
 
     def _build(self, ratio: float) -> None:
         prods = self.points @ self.normals.T
@@ -187,11 +193,25 @@ class RadialKernel:
                                  prods.shape[1])
         counts = np.bincount(points, minlength=prods.shape[0])
         start = np.cumsum(counts) - counts
-        # pad each point with repeats of its first candidate (same value and
-        # index, so neither the minimum nor the exit facet can change)
-        padded = np.repeat(cols[start][None, :], int(counts.max()), axis=0)
-        padded[np.arange(points.size) - start[points], points] = cols
-        self.lists = ratio, padded, prods[np.arange(prods.shape[0]), padded]
+        rows = np.arange(points.size) - start[points]
+        shape = int(counts.max()), prods.shape[0]
+        # order each point's candidates by falling product; the zeros of the
+        # padding sort last and reach nothing
+        values = np.zeros(shape)
+        values[rows, points] = prods[points, cols]
+        order = np.argsort(-values, axis=0)
+        values = np.take_along_axis(values, order, axis=0)
+        reach = np.max(values / values[0], axis=1)
+        facets = np.zeros(shape, dtype=np.intp)
+        facets[rows, points] = cols
+        facets = np.take_along_axis(facets, order, axis=0)
+        # pad each point with repeats of its smallest-product candidate (a
+        # real facet, so neither the minimum nor the exit facet can change)
+        pad = np.arange(shape[0])[:, None] >= counts
+        last = counts - 1, np.arange(shape[1])
+        facets = np.where(pad, facets[last], facets)
+        values = np.where(pad, values[last], values)
+        self.lists = ratio, facets, values, reach
         self.rebuilds += 1
 
     def profile(self, h: np.ndarray, want_idx: bool = True):
@@ -203,14 +223,18 @@ class RadialKernel:
             raise ValueError("support numbers must be positive and finite")
         if self.lists is None or low / high < self.lists[0]:
             self._build(_REBUILD_MARGIN * float(low / high))
-        _, cols, values = self.lists
-        ratios = h[cols]
-        ratios /= values
+        _, cols, values, reach = self.lists
+        # row 0 holds each point's largest product, so width >= 1
+        width = np.count_nonzero(reach > (low / high) * (1.0 - _PRUNE_SLACK))
+        ratios = h[cols[:width]]
+        ratios /= values[:width]
+        self.cells += ratios.size
         rho = np.min(ratios, axis=0)
         if not want_idx:
             return rho, None
         # the dense argmin's first-index rule: smallest facet attaining rho
-        return rho, np.min(np.where(ratios == rho, cols, h.size), axis=0)
+        return rho, np.min(np.where(ratios == rho, cols[:width], h.size),
+                           axis=0)
 
 
 def radial_eval(body: SupportPolytope, u: np.ndarray) -> tuple[float, int]:

@@ -98,6 +98,7 @@ def _cmd_solve(config: dict, args) -> int:
         "iterations": report.iterations,
         "kernel_passes": report.kernel_passes,
         "candidate_rebuilds": report.candidate_rebuilds,
+        "kernel_cells": report.kernel_cells,
         "phi_final": report.phi_trace[-1] if report.phi_trace else None,
         "gradient_final": report.grad_trace[-1] if report.grad_trace else None,
         "gradient_floor": report.gradient_floor,

@@ -9,6 +9,7 @@ central negation.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -126,14 +127,27 @@ def enumerate_group(generators, max_order: int = MAX_ORDER,
     stack = np.empty((max_order + 1, n, n))
     stack[0] = np.eye(n)
     count = 1
+    # The found elements sorted by a generic linear key <w, g>: entries
+    # within MATCH_TOL of each other have keys within MATCH_TOL * |w|_1
+    # (widened against the rounding of the keys), so only the elements in
+    # that key window can match a product.
+    weights = np.sqrt(np.arange(2.0, n * n + 2.0)).reshape(n, n)
+    window = 2.0 * MATCH_TOL * float(np.sum(weights))
+    keys, order = [float(np.sum(weights * stack[0]))], [0]
     frontier = [0]
     while frontier:
         new_frontier = []
         for idx in frontier:
             for g in gens:
                 prod = g @ stack[idx]
-                if _match_index(stack[:count], prod) is None:
+                key = float(np.sum(weights * prod))
+                near = order[bisect.bisect_left(keys, key - window):
+                             bisect.bisect_right(keys, key + window)]
+                if _match_index(stack[near], prod) is None:
                     stack[count] = prod
+                    at = bisect.bisect_left(keys, key)
+                    keys.insert(at, key)
+                    order.insert(at, count)
                     new_frontier.append(count)
                     count += 1
                     if count > max_order:

@@ -191,6 +191,7 @@ class SolutionReport:
     iterations: int
     kernel_passes: int  # node-facet passes; a diameter sample is two
     candidate_rebuilds: int  # candidate-list builds, first builds included
+    kernel_cells: int  # node-facet ratios those passes computed
     orbit_values_trace: list
     # support-weighted curvature atoms of body, set by assemble_solution
     atoms: np.ndarray | None = None
@@ -367,6 +368,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         iterations=iteration + 1,
         kernel_passes=kernel.radial.passes + kernel.antipodal.passes,
         candidate_rebuilds=kernel.radial.rebuilds + kernel.antipodal.rebuilds,
+        kernel_cells=kernel.radial.cells + kernel.antipodal.cells,
         orbit_values_trace=orbit_trace,
     )
     return body, report

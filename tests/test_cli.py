@@ -183,6 +183,10 @@ class TestSolveCommand:
         iterations = manifest["outcome"]["iterations"]
         assert manifest["outcome"]["kernel_passes"] > iterations
         assert manifest["outcome"]["candidate_rebuilds"] >= 2
+        # each pass reads at least one candidate per node, never every facet
+        passes = manifest["outcome"]["kernel_passes"]
+        assert 4000 * passes <= manifest["outcome"]["kernel_cells"] \
+            < 4000 * 162 * passes
         assert set(manifest["outputs"]) == {"body.txt", "convergence.csv",
                                             "measure_atoms.csv"}
         body = read_body_file(os.path.join(run_dir, "body.txt"))

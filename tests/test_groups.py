@@ -59,6 +59,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="max_order"):
             enumerate_group([rotation2(1.0)], max_order=50)  # irrational angle
 
+    def test_infinite_group_rejected_at_the_largest_bound(self):
+        """Matching in a key window keeps the closure near-linear, so the
+        largest allowed bound is reached and raised at in well under a
+        second instead of seconds."""
+        with pytest.raises(ValueError, match=f"max_order={groups.MAX_ORDER}"):
+            enumerate_group([rotation2(1.0)], max_order=groups.MAX_ORDER)
+
     def test_non_orthogonal_generator_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
             enumerate_group([np.array([[1.0, 0.1], [0.0, 1.0]])])
@@ -83,6 +90,24 @@ class TestEnumeration:
         want = _ref_enumerate_elements(gens)
         assert len(got) in (10, 24)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, params", [
+        ("simplex-symmetry", {"m": 3}),
+        ("simplex-rotation", {"m": 3}),
+        ("cube-rotation", {"m": 3}),
+        ("cyclic", {"order": 7}),
+        ("direct-sum", {"parts": [("cyclic", {"order": 3}),
+                                  ("cyclic", {"order": 5})]}),
+    ])
+    def test_catalogue_closures_pinned_to_list_closure(self, name, params):
+        """The closure of a catalogue group's own elements is that group,
+        and its elements are the former list closure's bit for bit, in the
+        same order."""
+        catalogue = standard_group(name, **params).elements
+        got = enumerate_group(catalogue).elements
+        want = _ref_enumerate_elements(catalogue)
+        assert got.shape == want.shape == catalogue.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStandardGroups:

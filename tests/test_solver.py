@@ -382,6 +382,19 @@ class _ProfileKernel(RadialKernel):
         return rho, idx if want_idx else None
 
 
+def _lattice_ties():
+    """(nodes, normals): the axes and cube corners as normals, and nodes
+    that include the 26 lattice directions, whose products tie exactly."""
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    dirs = np.vstack([axes, corners / math.sqrt(3.0)])
+    lattice = np.array([v for v in itertools.product([-1.0, 0.0, 1.0],
+                                                     repeat=3) if any(v)])
+    nodes = np.vstack([lattice, fibonacci_sphere_nodes(200)])
+    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+    return nodes, dirs
+
+
 class TestPrunedKernel:
     def test_bit_equal_to_dense_across_spreads(self, bump_spec):
         nodes, dirs = bump_spec.grid.nodes, bump_spec.directions
@@ -389,14 +402,18 @@ class TestPrunedKernel:
         entropy = solver._EntropyKernel(bump_spec)
         rng = np.random.default_rng(5)
         m = len(dirs)
-        built = []
+        built, widths, full = [], [], []
         # spreads min(h)/max(h) falling to 0.05 force rebuilds; the rising
         # tail is served by lists built for a lower ratio
         for spread in (1.0, 0.999, 0.97, 0.9, 0.6, 0.3, 0.05, 0.5, 0.99):
             h = 1.3 * np.exp(rng.uniform(math.log(spread), 0.0, m))
             h[:2] = 1.3 * spread, 1.3
+            cells = kernels[0].cells
             _assert_matches_radial_profile(nodes, dirs, h, kernels)
             built.append(kernels[0].lists[0])
+            # rows read per pass, two passes per spread
+            widths.append((kernels[0].cells - cells) // (2 * len(nodes)))
+            full.append(kernels[0].lists[1].shape[0])
             body = SupportPolytope(dim=3, normals=dirs, support=h)
             atoms = entropy.state(h)[2]
             want = dual_curvature_measure(body, bump_spec.q_body, Q_EXP,
@@ -405,17 +422,16 @@ class TestPrunedKernel:
             assert entropy.dual_volume(h) == _dual_volume(body, bump_spec)
         assert built[6] <= 0.05 < built[5]
         assert built[-1] == built[6]
+        # the read prefix follows the spread, not the width of the lists:
+        # at constant h (spread 1) a pass computes under half the cells
+        assert widths[:7] == sorted(widths[:7]) and widths[0] < widths[6]
+        assert widths[8] < widths[7] < widths[6]
+        assert widths[0] < full[0] / 2 and widths[8] < full[8] / 2
         assert [k.passes for k in kernels] == [2 * len(built)] * 2
         assert [k.rebuilds for k in kernels] == [5, 5]
 
     def test_exact_ties_take_the_first_facet(self):
-        axes = np.vstack([np.eye(3), -np.eye(3)])
-        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
-        dirs = np.vstack([axes, corners / math.sqrt(3.0)])
-        lattice = np.array([v for v in itertools.product([-1.0, 0.0, 1.0],
-                                                         repeat=3) if any(v)])
-        nodes = np.vstack([lattice, fibonacci_sphere_nodes(200)])
-        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+        nodes, dirs = _lattice_ties()
         h = np.full(len(dirs), 0.8)
         prods = nodes @ dirs.T
         with np.errstate(divide="ignore"):
@@ -424,6 +440,26 @@ class TestPrunedKernel:
         assert np.count_nonzero(tied > 1) >= 12  # symmetric nodes tie exactly
         _assert_matches_radial_profile(
             nodes, dirs, h, (RadialKernel(nodes, dirs), RadialKernel(-nodes, dirs)))
+
+    def test_ties_at_the_prefix_boundary_are_all_read(self):
+        """At r = 1 the prefix ends at each node's largest product: a node
+        whose largest product is shared by two facets reads both."""
+        nodes, dirs = _lattice_ties()
+        kernel = RadialKernel(nodes, dirs)
+        h = np.full(len(dirs), 0.8)
+        body = SupportPolytope(dim=3, normals=dirs, support=h)
+        rho, idx = radial_profile(body, nodes)
+        got = kernel.profile(h)
+        assert _same_bits(got[0], rho) and _same_bits(got[1], idx)
+        prods = nodes @ dirs.T
+        at_top = prods == prods.max(axis=1, keepdims=True)
+        tied = np.flatnonzero(np.sum(at_top, axis=1) > 1)
+        assert len(tied) >= 12  # the (±1, ±1, 0) lattice nodes
+        width = kernel.cells // len(nodes)
+        assert width == 2 < kernel.lists[1].shape[0]
+        read = kernel.lists[1][:width]
+        for node in tied:
+            assert set(np.flatnonzero(at_top[node])) == set(read[:, node])
 
     def test_products_below_tolerance_are_skipped(self):
         # facet 1 meets the node (1, 0, 0) at a product of 5e-15: below
