@@ -80,9 +80,9 @@ def _cmd_solve(config: dict, args) -> int:
     write_body_file(body_path, report.body)
     outputs.append(body_path)
     csv_path = f"{run_dir}/convergence.csv"
-    write_csv(csv_path, ["iteration", "phi", "grad_norm", "diameter"],
-              [[i, report.phi_trace[i], report.grad_trace[i],
-                report.diameter_trace[i]] for i in range(len(report.phi_trace))])
+    write_csv(csv_path, ["iteration", "phi", "grad_norm", "circumradius"],
+              [[i, *row] for i, row in enumerate(zip(report.phi_trace,
+               report.grad_trace, report.circumradius_trace))])
     outputs.append(csv_path)
     atoms_path = f"{run_dir}/measure_atoms.csv"
     write_facet_measure_csv(atoms_path, report.body, report.atoms)
@@ -96,9 +96,9 @@ def _cmd_solve(config: dict, args) -> int:
         "converged": report.converged,
         "convergence_reason": report.convergence_reason,
         "iterations": report.iterations,
-        "kernel_passes": report.kernel_passes,
-        "candidate_rebuilds": report.candidate_rebuilds,
-        "kernel_cells": report.kernel_cells,
+        "kernel_passes": spec.radial.passes,
+        "candidate_rebuilds": spec.radial.rebuilds,
+        "kernel_cells": spec.radial.cells,
         "phi_final": report.phi_trace[-1] if report.phi_trace else None,
         "gradient_final": report.grad_trace[-1] if report.grad_trace else None,
         "gradient_floor": report.gradient_floor,
@@ -107,7 +107,7 @@ def _cmd_solve(config: dict, args) -> int:
         "euler_lagrange_gap": report.euler_lagrange_gap,
         "scale_invariance_gap": report.scale_invariance_gap,
         "floor_hit": report.floor_hit,
-        "diameter_alarm": report.diameter_alarm,
+        "circumradius_alarm": report.circumradius_alarm,
         **extras,
     }
     write_manifest(run_dir, "solve", config, outcome, outputs, started)

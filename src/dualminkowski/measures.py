@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (
+    RADIAL_BLOCK_CELLS,
     StarBody,
     SupportPolytope,
     facet_area,
@@ -79,7 +80,7 @@ class MeasureSpec:
             raise ValueError("density must be finite and nonnegative")
         dirs = np.asarray(directions, dtype=float)
         atoms = np.zeros(dirs.shape[0])
-        step = max(1, 4_000_000 // dirs.shape[0])
+        step = max(1, RADIAL_BLOCK_CELLS // dirs.shape[0])
         for start in range(0, grid.node_count, step):
             sl = slice(start, start + step)
             idx = np.argmax(grid.nodes[sl] @ dirs.T, axis=1)

@@ -541,19 +541,24 @@ def write_manifest(run_dir: str, command: str, resolved_config: dict,
     }
     path = os.path.join(run_dir, "manifest.json")
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_strict_json(manifest), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     return path
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+def _strict_json(obj):
+    """obj in plain Python types, non-finite floats as the strings "inf",
+    "-inf" and "nan": strict JSON has no Infinity or NaN token."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict_json(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return obj
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:

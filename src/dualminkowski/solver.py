@@ -21,8 +21,7 @@ from scipy.spatial import cKDTree
 from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
 from .groups import OrthogonalGroup, certify, orbits, symmetrize_density
-from .measures import (MeasureSpec, dual_curvature_measure, entropy_state,
-                       integrand_values, lp_dual_curvature_measure)
+from .measures import MeasureSpec, entropy_state, integrand_values
 from .sphere import SphericalGrid, stable_sum
 
 __all__ = [
@@ -53,7 +52,10 @@ class ProblemSpec:
     measure sits on it. It also holds the orbit map of the directions
     (orbit_partition, and orbit_of, the orbit index of each direction) and
     replaces the measure's atoms by their orbit means, so mu is
-    group-invariant, as the theorem asks, for every spec.
+    group-invariant, as the theorem asks, for every spec. Every solver pass
+    reads q_weight, rho_Q^{n-q} at the grid nodes, and radial, the one
+    RadialKernel on the nodes and directions: its lists are built on its
+    first pass, and its counters add up over every solve of the spec.
     """
 
     dim: int
@@ -67,6 +69,8 @@ class ProblemSpec:
     s_exponent: float = field(init=False)
     orbit_partition: list = field(init=False)
     orbit_of: np.ndarray = field(init=False)
+    q_weight: np.ndarray = field(init=False)
+    radial: RadialKernel = field(init=False)
 
     def __post_init__(self):
         try:
@@ -103,6 +107,10 @@ class ProblemSpec:
         object.__setattr__(self, "orbit_of", orbit_of)
         object.__setattr__(self, "mu",
                            MeasureSpec.from_atoms(atoms, self.mu.directions))
+        nodes = self.grid.nodes
+        object.__setattr__(self, "q_weight",
+                           self.q_body.radial(nodes) ** (self.grid.dim - self.q))
+        object.__setattr__(self, "radial", RadialKernel(nodes, dirs))
 
     @staticmethod
     def build(dim: int, p: float, q: float, group: OrthogonalGroup,
@@ -179,7 +187,7 @@ class SolutionReport:
     lam: float
     phi_trace: list
     grad_trace: list
-    diameter_trace: list
+    circumradius_trace: list  # max rho of each iterate, from its state pass
     scale_invariance_gap: float
     euler_pairing_max: float
     residual: float
@@ -187,11 +195,8 @@ class SolutionReport:
     convergence_reason: str
     gradient_floor: float
     floor_hit: bool
-    diameter_alarm: bool
+    circumradius_alarm: bool
     iterations: int
-    kernel_passes: int  # node-facet passes; a diameter sample is two
-    candidate_rebuilds: int  # candidate-list builds, first builds included
-    kernel_cells: int  # node-facet ratios those passes computed
     orbit_values_trace: list
     # support-weighted curvature atoms of body, set by assemble_solution
     atoms: np.ndarray | None = None
@@ -204,49 +209,37 @@ def orbit_sums(spec: ProblemSpec, values: np.ndarray) -> np.ndarray:
     return np.array([stable_sum(values[o]) for o in spec.orbit_partition])
 
 
-class _EntropyKernel:
-    """The entropy functional on the problem's fixed nodes and directions,
-    in the arithmetic of radial_profile and measures: the dual volume and
-    the atoms of state(h) equal dual_mixed_volume's and
-    dual_curvature_measure's bit for bit."""
+# The entropy functional on the spec's kernel: a pass's dual volume and atoms
+# equal dual_mixed_volume's and dual_curvature_measure's bit for bit.
 
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-        nodes = spec.grid.nodes
-        self.radial = RadialKernel(nodes, spec.directions)
-        self.antipodal = RadialKernel(-nodes, spec.directions)  # diameter
-        self.q_weight = spec.q_body.radial(nodes) ** (spec.grid.dim - spec.q)
 
-    def dual_volume(self, h: np.ndarray) -> float:
-        rho, _ = self.radial.profile(h, want_idx=False)
-        return stable_sum(integrand_values(rho, self.q_weight, self.spec.q,
-                                           self.spec.grid))
+def _dual_volume(spec: ProblemSpec, h: np.ndarray) -> float:
+    rho, _ = spec.radial.profile(h, want_idx=False)
+    return stable_sum(integrand_values(rho, spec.q_weight, spec.q, spec.grid))
 
-    def phi(self, h: np.ndarray) -> tuple[float, float]:
-        """Return (phi, dual volume) at h."""
-        spec = self.spec
-        vol = self.dual_volume(h)
-        phi, _ = entropy_state(h, spec.mu.atoms, spec.p, spec.q, vol, None)
-        return phi, vol
 
-    def state(self, h: np.ndarray):
-        """Return (phi, full log-gradient, curvature atoms, dual volume,
-        node_jump), where node_jump is the largest single-node contribution
-        to the normalized atoms: the resolution limit of the gradient."""
-        spec = self.spec
-        rho, idx = self.radial.profile(h)
-        values = integrand_values(rho, self.q_weight, spec.q, spec.grid)
-        atoms = np.bincount(idx, weights=values, minlength=h.size)
-        vol = stable_sum(atoms)
-        phi, log_grad = entropy_state(h, spec.mu.atoms, spec.p, spec.q, vol,
-                                      atoms)
-        node_jump = float(np.max(values)) / vol
-        return phi, log_grad, atoms, vol, node_jump
+def _phi(spec: ProblemSpec, h: np.ndarray) -> tuple[float, float]:
+    """Return (phi, dual volume) at h."""
+    vol = _dual_volume(spec, h)
+    phi, _ = entropy_state(h, spec.mu.atoms, spec.p, spec.q, vol, None)
+    return phi, vol
 
-    def diameter(self, h: np.ndarray) -> float:
-        rho, _ = self.radial.profile(h, want_idx=False)
-        rho_neg, _ = self.antipodal.profile(h, want_idx=False)
-        return float(np.max(rho + rho_neg))
+
+def _curvature_atoms(spec: ProblemSpec, h: np.ndarray):
+    """Return (curvature atoms, node values, rho) at h."""
+    rho, idx = spec.radial.profile(h)
+    values = integrand_values(rho, spec.q_weight, spec.q, spec.grid)
+    return np.bincount(idx, weights=values, minlength=h.size), values, rho
+
+
+def _state(spec: ProblemSpec, h: np.ndarray):
+    """Return (phi, full log-gradient, node_jump, circumradius), where
+    node_jump is the largest single-node contribution to the normalized
+    atoms: the resolution limit of the gradient."""
+    atoms, values, rho = _curvature_atoms(spec, h)
+    vol = stable_sum(atoms)
+    phi, log_grad = entropy_state(h, spec.mu.atoms, spec.p, spec.q, vol, atoms)
+    return phi, log_grad, float(np.max(values)) / vol, float(np.max(rho))
 
 
 def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
@@ -263,38 +256,38 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
     single-node atom contribution: below it the one-sided gradient of the
     piecewise-smooth discrete objective carries no information, and only a
     finer grid can push it down. A stall above that floor is flagged as
-    non-convergence.
+    non-convergence. The coercivity monitor raises circumradius_alarm when
+    an iterate's circumradius exceeds 5 times the first iterate's.
     """
     config = config or SolverConfig()
     orbit_count = len(spec.orbit_partition)
-    kernel = _EntropyKernel(spec)
     q = spec.q
 
     if initial_orbit_values is None:
         theta = np.zeros(orbit_count)
     else:
         vals = np.asarray(initial_orbit_values, dtype=float)
-        if vals.shape != (orbit_count,) or np.any(vals <= 0):
-            raise ValueError("initial orbit values must be positive, one per orbit")
+        if vals.shape != (orbit_count,) or \
+                not np.all(np.isfinite(vals) & (vals > 0)):
+            raise ValueError("initial orbit values must be positive and "
+                             "finite, one per orbit")
         theta = np.log(vals)
 
     # normalize onto the unit-volume slice; fix the positivity floor there
     h = np.exp(theta)[spec.orbit_of]
-    scale = kernel.dual_volume(h) ** (-1.0 / q)
+    scale = _dual_volume(spec, h) ** (-1.0 / q)
     theta = theta + math.log(scale)
     h = np.exp(theta)[spec.orbit_of]
     floor = 1e-6 * float(np.exp(np.mean(np.log(h))))
-    initial_circum = kernel.diameter(h) / 2.0
 
-    phi_trace, grad_trace, diam_trace, orbit_trace = [], [], [], []
+    phi_trace, grad_trace, circum_trace, orbit_trace = [], [], [], []
     scale_gap = 0.0
     pairing_max = 0.0
     floor_hit = False
-    diameter_alarm = False
+    circumradius_alarm = False
     converged = False
     reason = "max-iterations"
     node_jump = 0.0
-    diam = 2.0 * initial_circum
     last_step = INITIAL_STEP / STEP_GROWTH
     phi_after_rescale_pred = None
     iteration = 0
@@ -303,21 +296,19 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         return gnorm <= 10.0 * node_jump
 
     for iteration in range(config.max_iters):
-        phi, log_grad, atoms, vol, node_jump = kernel.state(h)
+        phi, log_grad, node_jump, circum = _state(spec, h)
         ghat = orbit_sums(spec, log_grad)
         gnorm = float(np.linalg.norm(ghat))
         # scale-direction pairing <grad, h> = sum of the log-gradient
         pairing_max = max(pairing_max, abs(float(stable_sum(log_grad))))
         if phi_after_rescale_pred is not None:
             scale_gap = max(scale_gap, abs(phi - phi_after_rescale_pred))
-        if iteration % 10 == 0:
-            diam = kernel.diameter(h)  # sampled: diagnostics only
         phi_trace.append(phi)
         grad_trace.append(gnorm)
-        diam_trace.append(diam)
+        circum_trace.append(circum)
         orbit_trace.append(np.exp(theta).copy())
-        if diam > 10.0 * initial_circum:
-            diameter_alarm = True  # coercivity monitor: input likely degenerate
+        if circum > 5.0 * circum_trace[0]:
+            circumradius_alarm = True  # coercivity monitor: degenerate input
         if gnorm <= config.gradient_tolerance:
             converged = True
             reason = "gradient-tolerance"
@@ -342,7 +333,7 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
                 floor_hit = True
                 theta_new = np.maximum(theta_new, math.log(floor))
                 h_new = np.exp(theta_new)[spec.orbit_of]
-            phi_new, vol_new = kernel.phi(h_new)
+            phi_new, vol_new = _phi(spec, h_new)
             if phi_new <= phi - step * target_drop:
                 accepted = True
                 break
@@ -361,15 +352,11 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
                            h_floor=min(floor, float(np.min(h))))
     report = SolutionReport(
         body=body, lam=float("nan"), phi_trace=phi_trace, grad_trace=grad_trace,
-        diameter_trace=diam_trace, scale_invariance_gap=scale_gap,
+        circumradius_trace=circum_trace, scale_invariance_gap=scale_gap,
         euler_pairing_max=pairing_max, residual=float("nan"),
         converged=converged, convergence_reason=reason, gradient_floor=node_jump,
-        floor_hit=floor_hit, diameter_alarm=diameter_alarm,
-        iterations=iteration + 1,
-        kernel_passes=kernel.radial.passes + kernel.antipodal.passes,
-        candidate_rebuilds=kernel.radial.rebuilds + kernel.antipodal.rebuilds,
-        kernel_cells=kernel.radial.cells + kernel.antipodal.cells,
-        orbit_values_trace=orbit_trace,
+        floor_hit=floor_hit, circumradius_alarm=circumradius_alarm,
+        iterations=iteration + 1, orbit_values_trace=orbit_trace,
     )
     return body, report
 
@@ -380,8 +367,8 @@ def assemble_solution(body_tilde: SupportPolytope, spec: ProblemSpec,
 
     lambda is the mass term at the minimizer; scaling by lambda^{1/(q-p)}
     makes the support-weighted curvature atoms match the prescribed atoms.
-    One radial pass gives the solution's atoms, and from them the
-    minimizer's dual volume, the residual and the Euler-Lagrange gap: by
+    One pass of the spec's kernel gives the solution's atoms, and from them
+    the minimizer's dual volume, the residual and the Euler-Lagrange gap: by
     homogeneity they equal lambda * (curvature atom) * h^{-p} of the minimizer.
     """
     lam = stable_sum(body_tilde.support ** spec.p * spec.mu.atoms)
@@ -390,8 +377,8 @@ def assemble_solution(body_tilde: SupportPolytope, spec: ProblemSpec,
     factor = lam ** (1.0 / (spec.q - spec.p))
     solution = body_tilde.with_support(body_tilde.support * factor)
 
-    atoms = lp_dual_curvature_measure(solution, spec.q_body, spec.p, spec.q,
-                                      spec.grid)
+    atoms = _curvature_atoms(spec, solution.support)[0] * \
+        solution.support ** (-spec.p)
     vol = stable_sum(atoms * solution.support ** spec.p) / factor ** spec.q
     if abs(vol - 1.0) > 1e-8:
         raise ValueError(f"minimizer must have unit dual volume, got {vol}")
@@ -416,9 +403,9 @@ def _orbit_gaps(atoms: np.ndarray, spec: ProblemSpec) -> tuple[float, float]:
 def euler_lagrange_check(body_tilde: SupportPolytope, lam: float,
                          spec: ProblemSpec) -> float:
     """Max orbit-wise relative gap in the stationarity identity
-    mu_O = lambda * sum over the orbit of (curvature atom) * h^{-p}."""
-    atoms = dual_curvature_measure(body_tilde, spec.q_body, spec.q,
-                                   spec.grid)
+    mu_O = lambda * sum over the orbit of (curvature atom) * h^{-p}; the
+    body's normals are the spec's directions."""
+    atoms = _curvature_atoms(spec, body_tilde.support)[0]
     return _orbit_gaps(lam * atoms * body_tilde.support ** (-spec.p), spec)[1]
 
 

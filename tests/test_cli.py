@@ -14,6 +14,7 @@ from dualminkowski.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_ERROR,
     EXIT_HYPOTHESIS,
+    EXIT_NONCONVERGED,
     EXIT_OK,
     main,
 )
@@ -146,24 +147,21 @@ class TestSolveCommand:
         measure = measures.lp_dual_curvature_measure
         profile = bodies.radial_profile
         minimize = solver.minimize_entropy
-        calls, minimized, profiles = [], [], []
+        calls, passes_minimized, profiles = [], [], []
 
         def counted(*args):
             calls.append(args)
             return measure(*args)
 
         def counted_profile(*args, **kwargs):
-            if minimized:
-                profiles.append(args)
+            profiles.append(args)
             return profile(*args, **kwargs)
 
-        def minimize_then_count(*args, **kwargs):
-            result = minimize(*args, **kwargs)
-            minimized.append(True)
+        def minimize_then_count(spec, *args, **kwargs):
+            result = minimize(spec, *args, **kwargs)
+            passes_minimized.append(spec.radial.passes)
             return result
 
-        # the solver's binding, and the module's for any local import
-        monkeypatch.setattr(solver, "lp_dual_curvature_measure", counted)
         monkeypatch.setattr(measures, "lp_dual_curvature_measure", counted)
         monkeypatch.setattr(solver, "minimize_entropy", minimize_then_count)
         for name, module in list(sys.modules.items()):
@@ -173,16 +171,18 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, SOLVE_CONFIG)
         out = str(tmp_path / "runs")
         assert main(["solve", cfg, "--out", out]) == EXIT_OK
-        assert len(calls) == 1  # measure_atoms.csv reuses the residual's atoms
-        # after minimising: one radial pass, over the rescaled solution
-        assert minimized and len(profiles) == 1
+        # every pass is the spec's kernel: no dense radial_profile pass, and
+        # measure_atoms.csv reuses the residual's atoms
+        assert calls == [] and profiles == []
         manifest, run_dir = manifest_of(out)
         assert manifest["command"] == "solve"
         assert manifest["outcome"]["converged"]
         assert manifest["outcome"]["s_exponent"] == pytest.approx(4.0 / 3.0)
         iterations = manifest["outcome"]["iterations"]
-        assert manifest["outcome"]["kernel_passes"] > iterations
-        assert manifest["outcome"]["candidate_rebuilds"] >= 2
+        # after minimising: one kernel pass, over the rescaled solution
+        assert manifest["outcome"]["kernel_passes"] == \
+            passes_minimized[0] + 1 > iterations
+        assert manifest["outcome"]["candidate_rebuilds"] == 1
         # each pass reads at least one candidate per node, never every facet
         passes = manifest["outcome"]["kernel_passes"]
         assert 4000 * passes <= manifest["outcome"]["kernel_cells"] \
@@ -193,7 +193,36 @@ class TestSolveCommand:
         assert body.facet_count == 162
         with open(os.path.join(run_dir, "convergence.csv")) as fh:
             header = fh.readline().strip().split(",")
-        assert header == ["iteration", "phi", "grad_norm", "diameter"]
+        assert header == ["iteration", "phi", "grad_norm", "circumradius"]
+
+    def test_iteration_cap_exits_3_with_strict_manifest(self, tmp_path):
+        """A solve cut at max_iters exits 3 and still writes its outputs.
+        At q = 1 the exponents q* and s are infinite, and the manifest
+        writes them as strings: strict JSON has no Infinity."""
+        payload = dict(SOLVE_CONFIG, q=1.0, solver={"max_iters": 3},
+                       measure={"density": "cosine-bump", "base": 1.0,
+                                "amplitude": 2.0, "power": 2.0,
+                                "axis": [0.3, 0.2, 0.93]})
+        out = str(tmp_path / "runs")
+        assert main(["solve", write_config(tmp_path, payload),
+                     "--out", out]) == EXIT_NONCONVERGED
+        run_dir = os.path.join(out, os.listdir(out)[0])
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(os.path.join(run_dir, "manifest.json")) as fh:
+            manifest = json.loads(fh.read(), parse_constant=refuse)
+        outcome = manifest["outcome"]
+        assert outcome["converged"] is False
+        assert outcome["convergence_reason"] == "max-iterations"
+        assert outcome["iterations"] == 3
+        assert outcome["q_star"] == outcome["s_exponent"] == "inf"
+        assert read_body_file(os.path.join(run_dir, "body.txt")).facet_count \
+            == 162
+        with open(os.path.join(run_dir, "convergence.csv")) as fh:
+            rows = fh.read().splitlines()
+        assert len(rows) == 1 + 3
 
     def test_manifest_determinism(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CONFIG)

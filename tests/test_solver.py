@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -58,12 +59,17 @@ def ball_spec(small_setup):
                              directions, grid)
 
 
-@pytest.fixture(scope="module")
-def bump_spec(small_setup):
+def _bump(small_setup):
+    """A fresh bump spec: its kernel's lists and counters start empty."""
     group, directions, grid = small_setup
     density = lambda U: 0.2 + np.maximum(U[:, 0], 0.0) ** 2
     return ProblemSpec.build(3, P, Q_EXP, group, BALL3, density, directions,
                              grid)
+
+
+@pytest.fixture(scope="module")
+def bump_spec(small_setup):
+    return _bump(small_setup)
 
 
 class TestProblemSpec:
@@ -399,7 +405,6 @@ class TestPrunedKernel:
     def test_bit_equal_to_dense_across_spreads(self, bump_spec):
         nodes, dirs = bump_spec.grid.nodes, bump_spec.directions
         kernels = RadialKernel(nodes, dirs), RadialKernel(-nodes, dirs)
-        entropy = solver._EntropyKernel(bump_spec)
         rng = np.random.default_rng(5)
         m = len(dirs)
         built, widths, full = [], [], []
@@ -415,11 +420,12 @@ class TestPrunedKernel:
             widths.append((kernels[0].cells - cells) // (2 * len(nodes)))
             full.append(kernels[0].lists[1].shape[0])
             body = SupportPolytope(dim=3, normals=dirs, support=h)
-            atoms = entropy.state(h)[2]
+            atoms = solver._curvature_atoms(bump_spec, h)[0]
             want = dual_curvature_measure(body, bump_spec.q_body, Q_EXP,
                                           bump_spec.grid)
             assert _same_bits(atoms, want)
-            assert entropy.dual_volume(h) == _dual_volume(body, bump_spec)
+            assert solver._dual_volume(bump_spec, h) == \
+                _dual_volume(body, bump_spec)
         assert built[6] <= 0.05 < built[5]
         assert built[-1] == built[6]
         # the read prefix follows the spread, not the width of the lists:
@@ -501,42 +507,97 @@ class TestPrunedKernel:
         spec = ProblemSpec.build(3, -3.0, Q_EXP, group, BALL3,
                                  lambda U: np.full(U.shape[0], 1.0 / 3.0),
                                  directions, grid)
-        kernel = solver._EntropyKernel(spec)
         h = np.full(len(directions), 1e110)
-        for evaluate in (kernel.phi, kernel.state):
+        for evaluate in (solver._phi, solver._state):
             with pytest.raises(ValueError, match="degenerate entropy state"):
-                evaluate(h)
+                evaluate(spec, h)
 
-    def test_minimize_matches_dense_reference(self, bump_spec, monkeypatch):
-        body, report = minimize_entropy(bump_spec)
+    def test_minimize_matches_dense_reference(self, small_setup, monkeypatch):
+        spec = _bump(small_setup)
+        body, report = minimize_entropy(spec)
+        # the reference spec's one kernel is radial_profile itself
         monkeypatch.setattr(solver, "RadialKernel", _ProfileKernel)
-        ref_body, ref = minimize_entropy(bump_spec)
+        ref_spec = _bump(small_setup)
+        assert isinstance(ref_spec.radial, _ProfileKernel)
+        ref_body, ref = minimize_entropy(ref_spec)
         assert report.iterations == ref.iterations > 10
         assert report.phi_trace == ref.phi_trace
         assert report.grad_trace == ref.grad_trace
-        assert report.diameter_trace == ref.diameter_trace
+        assert report.circumradius_trace == ref.circumradius_trace
         assert _same_bits(body.support, ref_body.support)
-        assert report.kernel_passes == ref.kernel_passes
+        assert spec.radial.passes == ref_spec.radial.passes
 
-    def test_kernel_pass_count(self, bump_spec, monkeypatch):
-        calls = {"phi": 0, "diameter": 0}
+    def test_kernel_pass_count(self, small_setup, monkeypatch):
+        spec = _bump(small_setup)
+        phi = solver._phi
+        trials = []
 
-        class Counting(solver._EntropyKernel):
-            def phi(self, h):
-                calls["phi"] += 1
-                return super().phi(h)
+        def counting(*args):
+            trials.append(args)
+            return phi(*args)
 
-            def diameter(self, h):
-                calls["diameter"] += 1
-                return super().diameter(h)
+        monkeypatch.setattr(solver, "_phi", counting)
+        body, report = minimize_entropy(spec)
+        # initial normalization, one state pass per iteration and one pass
+        # per line-search trial; renormalization reuses the accepted
+        # trial's volume and costs no pass
+        assert spec.radial.passes == 1 + report.iterations + len(trials)
+        assert len(trials) >= report.iterations - 1
+        assert spec.radial.rebuilds == 1
+        # assembly is one more pass of the same kernel
+        assemble_solution(body, spec, report)
+        assert spec.radial.passes == 2 + report.iterations + len(trials)
+        assert spec.radial.rebuilds == 1
 
-        monkeypatch.setattr(solver, "_EntropyKernel", Counting)
-        _, report = minimize_entropy(bump_spec)
-        # initial normalization, one state pass per iteration, one pass per
-        # line-search trial and two per diameter sample; renormalization
-        # reuses the accepted trial's volume and costs no pass
-        assert report.kernel_passes == \
-            1 + report.iterations + calls["phi"] + 2 * calls["diameter"]
-        assert calls["diameter"] == 1 + math.ceil(report.iterations / 10)
-        assert calls["phi"] >= report.iterations - 1
-        assert report.candidate_rebuilds >= 2
+
+class TestOneKernel:
+    """A solve runs every pass on the spec's one RadialKernel."""
+
+    def test_one_kernel_and_no_dense_pass(self, small_setup, monkeypatch):
+        built, dense = [], []
+
+        class Counted(RadialKernel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        def spy(*args, **kwargs):
+            dense.append(args)
+            return radial_profile(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "RadialKernel", Counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dualminkowski") and \
+                    getattr(module, "radial_profile", None) is radial_profile:
+                monkeypatch.setattr(module, "radial_profile", spy)
+        group, directions, grid = small_setup
+        spec = ProblemSpec.build(3, P, Q_EXP, group, BALL3,
+                                 lambda U: np.full(U.shape[0], 1.0 / 3.0),
+                                 directions, grid)
+        report = solve_problem(spec)
+        assert report.iterations > 1
+        assert len(built) == 1 and built[0][0] is spec.grid.nodes
+        assert dense == []
+
+    def test_circumradius_trace_is_max_rho(self, small_setup):
+        spec = _bump(small_setup)
+        _, report = minimize_entropy(spec)
+        assert len(report.circumradius_trace) == report.iterations > 10
+        for values, circum in zip(report.orbit_values_trace,
+                                  report.circumradius_trace):
+            body = SupportPolytope(dim=3, normals=spec.directions,
+                                   support=values[spec.orbit_of])
+            assert circum == float(np.max(radial_profile(body,
+                                                         spec.grid.nodes)[0]))
+        assert not report.circumradius_alarm
+
+    def test_initial_values_must_be_positive_and_finite(self, ball_spec):
+        count = len(ball_spec.orbit_partition)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            start = np.ones(count)
+            start[1] = bad
+            with pytest.raises(ValueError, match="positive and finite, one "
+                                                 "per orbit"):
+                minimize_entropy(ball_spec, initial_orbit_values=start)
+        with pytest.raises(ValueError, match="one per orbit"):
+            minimize_entropy(ball_spec, initial_orbit_values=np.ones(count + 1))
