@@ -118,8 +118,9 @@ def radial_profile(body: SupportPolytope, points: np.ndarray):
 
     rho(u) = min over {i : <u, v_i> > 0} of h_i / <u, v_i>; the argmin (ties
     to the smallest index) identifies the facet whose supporting hyperplane
-    contains the boundary point rho(u) u. Evaluation is blocked so the
-    intermediate ratio matrix stays within a fixed memory budget.
+    contains the boundary point rho(u) u. Evaluation is blocked, and each
+    block of products is divided in place and freed before the next, so one
+    block of RADIAL_BLOCK_CELLS ratios is held at a time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
@@ -127,14 +128,16 @@ def radial_profile(body: SupportPolytope, points: np.ndarray):
     idx = np.empty(m, dtype=np.intp)
     step = max(1, RADIAL_BLOCK_CELLS // body.facet_count)
     for start in range(0, m, step):
-        block = pts[start:start + step]
-        denom = block @ body.normals.T
+        ratios = pts[start:start + step] @ body.normals.T
+        # ~(A > tol), not A <= tol: a NaN product is no denominator either
+        off = ~(ratios > _POS_DENOM_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(denom > _POS_DENOM_TOL,
-                              body.support[None, :] / denom, np.inf)
+            np.divide(body.support, ratios, out=ratios)
+        ratios[off] = np.inf
         bi = np.argmin(ratios, axis=1)
         idx[start:start + step] = bi
-        rho[start:start + step] = ratios[np.arange(block.shape[0]), bi]
+        rho[start:start + step] = ratios[np.arange(bi.size), bi]
+        del ratios, off
     if not np.all(np.isfinite(rho)):
         bad = int(np.argmax(~np.isfinite(rho)))
         raise ValueError(
@@ -159,8 +162,10 @@ class RadialKernel:
     r = min(h) / max(h), facet i can attain min_j h_j / A[u, j] at u only if
     A[u, i] >= r * max_j A[u, j]. Each point keeps the facets that clear
     this bound at a built ratio and radial_profile's denominator test
-    A > _POS_DENOM_TOL, in order of falling A; the lists are rebuilt from A
-    when an h arrives whose r is below the built ratio. A point with fewer
+    A > _POS_DENOM_TOL, in order of falling A. The lists are built, and
+    rebuilt when an h arrives whose r is below the built ratio, from A in
+    radial_profile's row blocks: each block keeps only its candidates and is
+    freed before the next, so A is never held whole. A point with fewer
     candidates than the widest repeats its smallest-product one. Row k of
     the lists has a reach, the largest A[u, i] / max_j A[u, j] over the
     candidates it holds (repeats excluded), which does not grow with k, and
@@ -181,24 +186,36 @@ class RadialKernel:
         self.cells = 0  # node-facet ratios the passes computed
 
     def _build(self, ratio: float) -> None:
-        prods = self.points @ self.normals.T
-        top = np.max(prods, axis=1)
-        if not np.all(top > _POS_DENOM_TOL):
-            raise ValueError(
-                f"no positive denominator at point {int(np.argmin(top))}; "
-                "normals do not positively span")
-        # the slack makes the bound strict for the exit facet
-        cut = np.maximum((ratio * (1.0 - _PRUNE_SLACK)) * top, _POS_DENOM_TOL)
-        points, cols = np.divmod(np.flatnonzero(prods > cut[:, None]),
-                                 prods.shape[1])
-        counts = np.bincount(points, minlength=prods.shape[0])
+        # one block of products at a time, in radial_profile's row blocks;
+        # each block keeps only its candidates, as (point, facet, product)
+        n, m = self.points.shape[0], self.normals.shape[0]
+        step = max(1, RADIAL_BLOCK_CELLS // m)
+        found = []
+        for start in range(0, n, step):
+            prods = self.points[start:start + step] @ self.normals.T
+            top = np.max(prods, axis=1)
+            if not np.all(top > _POS_DENOM_TOL):
+                raise ValueError(
+                    f"no positive denominator at point "
+                    f"{start + int(np.argmin(top))}; "
+                    "normals do not positively span")
+            # the slack makes the bound strict for the exit facet
+            cut = np.maximum((ratio * (1.0 - _PRUNE_SLACK)) * top,
+                             _POS_DENOM_TOL)
+            r, c = np.divmod(np.flatnonzero(prods > cut[:, None]), m)
+            found.append((r + start, c, prods[r, c]))
+            del prods
+        points, cols, products = (np.concatenate(part)
+                                  for part in zip(*found))
+        del found
+        counts = np.bincount(points, minlength=n)
         start = np.cumsum(counts) - counts
         rows = np.arange(points.size) - start[points]
-        shape = int(counts.max()), prods.shape[0]
+        shape = int(counts.max()), n
         # order each point's candidates by falling product; the zeros of the
         # padding sort last and reach nothing
         values = np.zeros(shape)
-        values[rows, points] = prods[points, cols]
+        values[rows, points] = products
         order = np.argsort(-values, axis=0)
         values = np.take_along_axis(values, order, axis=0)
         reach = np.max(values / values[0], axis=1)

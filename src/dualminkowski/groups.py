@@ -542,7 +542,9 @@ def invariant_directions(group: OrthogonalGroup, count: int,
 
         def covering_of(selection: list[int]) -> float:
             pts = np.vstack([points_so_far] + [stack[i] for i in selection])
-            d2 = np.min(2.0 - 2.0 * probe @ pts.T, axis=1)
+            # 2 - 2x stays monotone after rounding: the largest product
+            # gives the smallest distance bit for bit
+            d2 = 2.0 - 2.0 * np.max(probe @ pts.T, axis=1)
             return float(np.max(d2))
 
         choices = [_pack_farthest(stack, clear0, sep_floor, n_generic)]
@@ -614,31 +616,38 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
     of probe points (greedy hole filling)."""
     k, s, n = stack.shape
     p = probe.shape[0]
-    # cand_d2[j, i] is the squared distance from probe j to candidate orbit
-    # i, from BLAS. Row j is filled the first time a round reads probe j:
-    # rounds read only the probes in the deepest holes, so most rows are
-    # never computed. When and in which product a row is filled changes
-    # only its BLAS rounding, and every value stays within slack of the
-    # pinned einsum value; a pick that slack could change is taken again
-    # from einsum below, so the picks do not depend on the filling order.
+    # cand_d2[slot[j], i] is the squared distance from probe j to candidate
+    # orbit i, from BLAS. Probe j's row is filled the first time a round
+    # reads it, in the next free slot: rounds read only the probes in the
+    # deepest holes, so most rows are never computed, and the filled rows
+    # stay one contiguous prefix (scattered rows would make most pages of
+    # the array resident). When and in which product a row is filled
+    # changes only its BLAS rounding, and every value stays within slack of
+    # the pinned einsum value; a pick that slack could change is taken
+    # again from einsum below, so the picks do not depend on the filling
+    # order.
     flat = stack.reshape(k * s, n)
     cand_d2 = np.empty((p, k))
-    filled = np.zeros(p, dtype=bool)
+    slot = np.full(p, -1)
+    used = 0
 
     def rows(cols: np.ndarray) -> np.ndarray:
-        """A copy of the rows cols of cand_d2, the missing ones filled in
-        one product blocked over candidates (blocking over probes makes
-        each product a matrix-vector call when k * s is large)."""
-        new = cols[~filled[cols]]
+        """A copy of the rows of probes cols, the missing ones filled in one
+        product blocked over candidates (blocking over probes makes each
+        product a matrix-vector call when k * s is large)."""
+        nonlocal used
+        new = cols[slot[cols] < 0]
         if new.size:
             at = probe[new].T
+            fill = cand_d2[used:used + new.size]
             block = max(1, 500_000 // (new.size * s))  # each product in cache
             for a in range(0, k, block):
                 grams = flat[a * s:(a + block) * s] @ at
                 top = grams.reshape(-1, s, new.size).max(axis=1)
-                cand_d2[new, a:a + block] = (2.0 - 2.0 * top).T
-            filled[new] = True
-        return cand_d2[cols]
+                fill[:, a:a + block] = (2.0 - 2.0 * top).T
+            slot[new] = np.arange(used, used + new.size)
+            used += new.size
+        return cand_d2[slot[cols]]
 
     slack = 3.0 * _DOT_SLACK
     if placed.shape[0]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
+from dualminkowski import bodies
 from dualminkowski.bodies import SupportPolytope, geometry_stats, radial_profile
 from dualminkowski.groups import MATCH_TOL, simplex_symmetry, invariant_directions
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
@@ -134,6 +135,67 @@ def dense_asymmetry(body, grid):
     gaps = np.abs(rho_pos - rho_neg)
     i = int(np.argmax(gaps))
     return float(gaps[i]), grid.nodes[i]
+
+
+# The dense forms that radial_profile and RadialKernel._build replaced with
+# one block of products at a time: references that those must reproduce bit
+# for bit.
+
+
+def reference_radial_profile(body, points):
+    """radial_profile with the ratios formed by np.where, not in place."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m = pts.shape[0]
+    rho = np.empty(m)
+    idx = np.empty(m, dtype=np.intp)
+    step = max(1, bodies.RADIAL_BLOCK_CELLS // body.facet_count)
+    for start in range(0, m, step):
+        block = pts[start:start + step]
+        denom = block @ body.normals.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(denom > bodies._POS_DENOM_TOL,
+                              body.support[None, :] / denom, np.inf)
+        bi = np.argmin(ratios, axis=1)
+        idx[start:start + step] = bi
+        rho[start:start + step] = ratios[np.arange(block.shape[0]), bi]
+    if not np.all(np.isfinite(rho)):
+        bad = int(np.argmax(~np.isfinite(rho)))
+        raise ValueError(
+            f"no positive denominator at direction {pts[bad]}; "
+            "normals do not positively span"
+        )
+    return rho, idx
+
+
+def reference_kernel_lists(points, normals, ratio):
+    """RadialKernel's lists, built from the whole product at once."""
+    prods = points @ normals.T
+    top = np.max(prods, axis=1)
+    if not np.all(top > bodies._POS_DENOM_TOL):
+        raise ValueError(
+            f"no positive denominator at point {int(np.argmin(top))}; "
+            "normals do not positively span")
+    cut = np.maximum((ratio * (1.0 - bodies._PRUNE_SLACK)) * top,
+                     bodies._POS_DENOM_TOL)
+    points, cols = np.divmod(np.flatnonzero(prods > cut[:, None]),
+                             prods.shape[1])
+    counts = np.bincount(points, minlength=prods.shape[0])
+    start = np.cumsum(counts) - counts
+    rows = np.arange(points.size) - start[points]
+    shape = int(counts.max()), prods.shape[0]
+    values = np.zeros(shape)
+    values[rows, points] = prods[points, cols]
+    order = np.argsort(-values, axis=0)
+    values = np.take_along_axis(values, order, axis=0)
+    reach = np.max(values / values[0], axis=1)
+    facets = np.zeros(shape, dtype=np.intp)
+    facets[rows, points] = cols
+    facets = np.take_along_axis(facets, order, axis=0)
+    pad = np.arange(shape[0])[:, None] >= counts
+    last = counts - 1, np.arange(shape[1])
+    facets = np.where(pad, facets[last], facets)
+    values = np.where(pad, values[last], values)
+    return ratio, facets, values, reach
 
 
 # The one-shot kernels that StarBody.box and sphere.stable_sum replaced with

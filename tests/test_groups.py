@@ -371,7 +371,8 @@ def _ref_pack_farthest(stack, clear0, sep_floor, rounds):
         score[best] = -np.inf
         grams = np.einsum("ksn,tn->kst", stack, chosen)
         d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * grams.max(axis=(1, 2))))
-        score = np.minimum(score, np.where(np.isfinite(score), d, -np.inf))
+        # picked orbits stay at -inf; one-point orbits start at +inf
+        score = np.minimum(score, np.where(score > -np.inf, d, -np.inf))
     return picked
 
 
@@ -489,7 +490,29 @@ class TestOrbitPartitionPinned:
         assert orbits(g, dirs) == _ref_orbit_partition(g, dirs) == [[0, 1, 2]]
 
 
+def _mirror_d3():
+    return enumerate_group([rotation2(2.0 * math.pi / 3.0), np.diag([1.0, -1.0])])
+
+
 class TestPinnedToReference:
+    @pytest.mark.parametrize("group", [simplex_symmetry(3), cyclic_rotation(5)],
+                             ids=["tetrahedral", "cyclic5"])
+    def test_pack_coverage_fills_every_probe_row(self, group):
+        """With no orbit placed every probe is infinitely far, so the first
+        round's deep-hole threshold is inf, no candidate covers a deep hole,
+        and the round falls back to all probes: every row of the cache is
+        filled, in one product."""
+        n = group.dim
+        stack = np.array([o for o in groups._orbits(
+            group, groups._candidate_stream(n, 400, 0))
+            if len(o) == group.order])
+        clear0 = np.ones(len(stack))
+        probe = groups._candidate_stream(n, 4096, 1)
+        args = stack, clear0, 0.05, 12, probe, np.zeros((0, n))
+        got = groups._pack_coverage(*args)
+        assert len(got) == 12
+        assert got == _ref_pack_coverage(*args)
+
     def test_orbits_of_flagship_candidates(self, tetra_group):
         # the generic candidate stream of the 642-direction flagship
         seeds = groups._candidate_stream(3, 1040, 0)
@@ -522,12 +545,19 @@ class TestPinnedToReference:
         (lambda: cyclic_rotation(5), 90),
         (lambda: simplex_symmetry(2), 60),
         (lambda: direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 450),
+        (_mirror_d3, 60),
+        (_mirror_d3, 63),
+        (lambda: OrthogonalGroup(dim=3, elements=np.eye(3)[None]), 100),
+        (lambda: standard_group("negation", n=3), 100),
     ], ids=["tetrahedral-162", "tetrahedral-642", "cyclic5-90", "triangle-60",
-            "cyclic3+cyclic5-450"])
+            "cyclic3+cyclic5-450", "mirror-d3-60", "mirror-d3-63",
+            "trivial-100", "negation-100"])
     def test_directions_match_reference(self, make, count, monkeypatch):
-        """The tetrahedral cases compute only the probe distances their
-        rounds read; the other three also fall back to all probes, which
-        computes every distance."""
+        """Every direction set the tests and the benchmark configs build
+        (all at direction seed 0). The tetrahedral cases compute only the
+        probe distances their rounds read; cyclic5-90, triangle-60 and
+        cyclic3+cyclic5-450 also fall back to all probes, which computes
+        every distance."""
         group = make()
         got = invariant_directions(group, count)
         monkeypatch.setattr(groups, "_orbits", _ref_orbits)

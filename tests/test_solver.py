@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from dualminkowski.solver import (
     solve_problem,
 )
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, stable_sum
+
+from conftest import reference_kernel_lists, reference_radial_profile
 
 P, Q_EXP = -1.0, 2.0
 BALL3 = StarBody.ball(3)
@@ -548,6 +551,121 @@ class TestPrunedKernel:
         assemble_solution(body, spec, report)
         assert spec.radial.passes == 2 + report.iterations + len(trials)
         assert spec.radial.rebuilds == 1
+
+
+def _same_lists(got, want):
+    return got[0] == want[0] and all(_same_bits(a, b)
+                                     for a, b in zip(got[1:], want[1:]))
+
+
+def _heap_peak_mib(run):
+    """Peak of the traced heap while run() runs, above the heap in use when
+    it starts, in MiB (numpy reports its array buffers to tracemalloc)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestBlockedPasses:
+    """radial_profile and the kernel's list build hold one block of
+    products at a time, with the dense forms' results bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", [None, 37])
+    @pytest.mark.parametrize("ratio", [0.95, 0.6, 0.3])
+    def test_lists_match_dense_build(self, grid3, tetra_directions, ratio,
+                                     block_rows, monkeypatch):
+        if block_rows is not None:
+            # 20000 nodes leave a last block of 20 rows
+            monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS",
+                                block_rows * len(tetra_directions))
+        kernel = RadialKernel(grid3.nodes, tetra_directions)
+        kernel._build(ratio)
+        want = reference_kernel_lists(grid3.nodes, tetra_directions, ratio)
+        assert _same_lists(kernel.lists, want)
+
+    def test_no_positive_denominator_reported_by_global_index(self,
+                                                              monkeypatch):
+        # the normals cover only the positive octant; point 50, in the
+        # eighth 7-row block, has no positive product
+        normals = np.eye(3)
+        points = np.abs(fibonacci_sphere_nodes(60)) + 0.1
+        points[50] = [-1.0, 0.0, 0.0]
+        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", 7 * 3)
+        with pytest.raises(ValueError, match=r"at point 50; normals do not "
+                           "positively span"):
+            RadialKernel(points, normals).profile(np.ones(3))
+        with pytest.raises(ValueError, match=r"at point 50; "):
+            reference_kernel_lists(points, normals, 0.95)
+
+    def _assert_profile_matches(self, body, points, block_rows=None):
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(bodies, "RADIAL_BLOCK_CELLS",
+                           block_rows * body.facet_count)
+            rho, idx = radial_profile(body, points)
+            ref_rho, ref_idx = reference_radial_profile(body, points)
+        assert _same_bits(rho, ref_rho) and _same_bits(idx, ref_idx)
+        return rho, idx
+
+    @pytest.mark.parametrize("block_rows", [None, 37])
+    def test_profile_matches_where_form_on_lattice_ties(self, block_rows):
+        nodes, dirs = _lattice_ties()
+        rng = np.random.default_rng(8)
+        for h in (np.full(len(dirs), 0.8), rng.uniform(0.5, 1.5, len(dirs))):
+            body = SupportPolytope(dim=3, normals=dirs, support=h)
+            # every node has negative products, and the antipodes too
+            for points in (nodes, -nodes):
+                self._assert_profile_matches(body, points, block_rows)
+
+    def test_profile_matches_where_form_at_the_tolerance(self):
+        # products 5e-15 and exactly 1e-14 at the node (1, 0, 0), both at or
+        # below the tolerance, on facets whose tiny support numbers would
+        # win the division
+        tilts = [np.array([t, 0.0, math.sqrt(1.0 - t * t)])
+                 for t in (5e-15, 1e-14)]
+        dirs = np.vstack([[1.0, 0.0, 0.0], *tilts, -np.eye(3),
+                          [0.0, 1.0, 0.0]])
+        assert (np.array([1.0, 0.0, 0.0]) @ dirs[2]) == 1e-14
+        h = np.array([1.0, 1e-16, 1e-16, 1.0, 1.0, 1.0, 1.0])
+        nodes = np.vstack([np.eye(3), fibonacci_sphere_nodes(100)])
+        body = SupportPolytope(dim=3, normals=dirs, support=h, h_floor=1e-16)
+        rho, idx = self._assert_profile_matches(body, nodes)
+        assert idx[0] == 0 and rho[0] == 1.0
+
+    def test_profile_error_matches_where_form(self):
+        # the normals span, but at (0, 0, -1) the one positive product is
+        # 5e-15, below the tolerance
+        dirs = np.vstack([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                          [0.0, 0.0, 1.0], [0.0, 1.0, -5e-15]])
+        body = SupportPolytope(dim=3, normals=dirs, support=np.ones(5))
+        points = np.vstack([fibonacci_sphere_nodes(40), [[0.0, 0.0, -1.0]]])
+        errors = []
+        for profile in (radial_profile, reference_radial_profile):
+            with pytest.raises(ValueError,
+                               match=r"no positive denominator at direction "
+                               r"\[ ?0\. +0\. +-1\.\]") as info:
+                profile(body, points)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_heap_peaks_at_flagship_size(self, grid3, tetra_directions):
+        """One 4e6-cell block is 30.5 MiB; the dense forms held the whole
+        20000 x 642 product (98 MiB) and copies of it."""
+        kernel = RadialKernel(grid3.nodes, tetra_directions)
+        assert _heap_peak_mib(lambda: kernel._build(0.95)) <= 50.0
+        h = np.exp(np.random.default_rng(3).uniform(-0.3, 0.3,
+                                                    len(tetra_directions)))
+        body = SupportPolytope(dim=3, normals=tetra_directions, support=h)
+        assert _heap_peak_mib(lambda: radial_profile(body, grid3.nodes)) \
+            <= 40.0
 
 
 class TestOneKernel:
