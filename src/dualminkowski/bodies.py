@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
+from scipy.spatial import (ConvexHull, HalfspaceIntersection, QhullError,
+                           cKDTree)
 
 from .groups import OrthogonalGroup
 from .sphere import (SphericalGrid, first_of_clusters, probe_grid,
@@ -59,8 +60,10 @@ class SupportPolytope:
 
     Invariants enforced at construction: finite entries, unit normals,
     h_i >= h_floor > 0, at least n+1 halfspaces, and the normals positively
-    span R^n (checked as max_i <u, v_i> > 0 on a probe grid), which makes K
-    bounded with 0 interior.
+    span R^n, which makes K bounded with 0 interior. Positive spanning is
+    checked exactly: max_i <u, v_i> > 0 for every u holds if and only if the
+    origin is strictly inside the convex hull of the normals (see
+    _uncovered_direction).
     """
 
     dim: int
@@ -93,10 +96,8 @@ class SupportPolytope:
             raise ValueError(
                 f"support number {i} = {support[i]:.3e} below floor {floor:.3e}"
             )
-        probe = probe_grid(self.dim)
-        cover = np.max(probe.nodes @ normals.T, axis=1)
-        if np.min(cover) <= 0.0:
-            u = probe.nodes[int(np.argmin(cover))]
+        u = _uncovered_direction(normals)
+        if u is not None:
             raise ValueError(
                 f"normals do not positively span R^{self.dim}: direction {u} uncovered"
             )
@@ -111,6 +112,36 @@ class SupportPolytope:
 
     def with_support(self, new_h: np.ndarray) -> "SupportPolytope":
         return replace(self, support=np.asarray(new_h, dtype=float))
+
+
+def _uncovered_direction(normals: np.ndarray) -> np.ndarray | None:
+    """A unit u with max_i <u, v_i> <= 0, or None when the normals
+    positively span.
+
+    They span exactly when the origin is strictly inside their convex hull,
+    whose facets <w, x> + c = 0 (w the outward unit normal) all have c < 0.
+    The hull of the at most 2n normals that maximise +-e_k is tried first;
+    when it holds the origin strictly inside, so does the hull of all. Else
+    the hull of all the normals decides. A facet with c >= 0 names u = w, as
+    max_i <w, v_i> = -c <= 0. Qhull fails on a flat set: the normals then
+    lie in the hyperplane through their mean orthogonal to the last right
+    singular vector w, and u = +-w, signed away from the mean, is uncovered.
+    """
+    extremes = np.unique(np.concatenate([np.argmax(normals, axis=0),
+                                         np.argmin(normals, axis=0)]))
+    try:
+        if np.all(ConvexHull(normals[extremes]).equations[:, -1] < 0.0):
+            return None
+    except QhullError:
+        pass  # fewer than n + 1 extremes, or a flat set of them
+    try:
+        facets = ConvexHull(normals).equations
+    except QhullError:
+        mean = np.mean(normals, axis=0)
+        w = np.linalg.svd(normals - mean, full_matrices=False)[2][-1]
+        return -w if w @ mean > 0.0 else w
+    worst = int(np.argmax(facets[:, -1]))
+    return facets[worst, :-1] if facets[worst, -1] >= 0.0 else None
 
 
 def radial_profile(body: SupportPolytope, points: np.ndarray):
@@ -205,29 +236,33 @@ class RadialKernel:
             r, c = np.divmod(np.flatnonzero(prods > cut[:, None]), m)
             found.append((r + start, c, prods[r, c]))
             del prods
-        points, cols, products = (np.concatenate(part)
-                                  for part in zip(*found))
-        del found
-        counts = np.bincount(points, minlength=n)
-        start = np.cumsum(counts) - counts
-        rows = np.arange(points.size) - start[points]
+        counts = sum(np.bincount(points, minlength=n) for points, _, _ in found)
+        first = np.cumsum(counts) - counts
         shape = int(counts.max()), n
+        # each point's candidates in rows 0, 1, ..., blocks freed as they go
+        values = np.zeros(shape)
+        facets = np.zeros(shape, dtype=np.intp)
+        done = 0
+        while found:
+            points, cols, products = found.pop(0)
+            rows = np.arange(done, done + points.size) - first[points]
+            values[rows, points] = products
+            facets[rows, points] = cols
+            done += points.size
+        del points, cols, products, rows
         # order each point's candidates by falling product; the zeros of the
         # padding sort last and reach nothing
-        values = np.zeros(shape)
-        values[rows, points] = products
         order = np.argsort(-values, axis=0)
         values = np.take_along_axis(values, order, axis=0)
-        reach = np.max(values / values[0], axis=1)
-        facets = np.zeros(shape, dtype=np.intp)
-        facets[rows, points] = cols
         facets = np.take_along_axis(facets, order, axis=0)
+        del order
+        reach = np.max(values / values[0], axis=1)
         # pad each point with repeats of its smallest-product candidate (a
         # real facet, so neither the minimum nor the exit facet can change)
         pad = np.arange(shape[0])[:, None] >= counts
         last = counts - 1, np.arange(shape[1])
-        facets = np.where(pad, facets[last], facets)
-        values = np.where(pad, values[last], values)
+        np.copyto(facets, facets[last], where=pad)
+        np.copyto(values, values[last], where=pad)
         self.lists = ratio, facets, values, reach
         self.rebuilds += 1
 
@@ -304,18 +339,20 @@ def polar_body(body: SupportPolytope) -> SupportPolytope:
                            support=1.0 / norms)
 
 
-def _near_active(body: SupportPolytope, tol: float) -> np.ndarray:
-    """Mask of the halfspaces whose slack h_i - max_K <x, v_i> is at most
-    tol * max h, the maximum taken over the enumerated vertices."""
+def _near_active(body: SupportPolytope,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the halfspaces whose slack h_i - max_K <x, v_i> is at most
+    tol * max h, the maximum taken over the enumerated vertices; those
+    vertices)."""
     verts = vertex_enumeration(body)
     achieved = np.max(body.normals @ verts.T, axis=1)
     scale = float(np.max(body.support))
-    return achieved >= body.support - tol * scale
+    return achieved >= body.support - tol * scale, verts
 
 
 def prune(body: SupportPolytope) -> SupportPolytope:
     """Drop halfspaces whose constraint is redundant (h_K(v_i) < h_i)."""
-    active = _near_active(body, PRUNE_TOL)
+    active, _ = _near_active(body, PRUNE_TOL)
     if not np.any(active):
         raise ValueError("pruning removed every facet")
     return SupportPolytope(dim=body.dim, normals=body.normals[active],
@@ -330,19 +367,21 @@ def prune(body: SupportPolytope) -> SupportPolytope:
 _PROBE_SLACK = 1e-6
 
 
-def active_part(body: SupportPolytope) -> SupportPolytope:
-    """The same body on the halfspaces that can attain its radial function.
+def active_part(body: SupportPolytope
+                ) -> tuple[SupportPolytope, np.ndarray | None]:
+    """(the same body on the halfspaces that can attain its radial function,
+    the vertices of the body that Qhull enumerated).
 
     The kept halfspaces keep their order, so radial_profile returns the same
     rho as on the full body (facet indices refer to the kept ones). When
-    Qhull fails every halfspace is kept.
+    Qhull fails every halfspace is kept and the vertices are None.
     """
     try:
-        keep = _near_active(body, _PROBE_SLACK)
+        keep, verts = _near_active(body, _PROBE_SLACK)
     except QhullError:
-        keep = np.ones(body.facet_count, dtype=bool)
+        keep, verts = np.ones(body.facet_count, dtype=bool), None
     return replace(body, normals=body.normals[keep],
-                   support=body.support[keep])
+                   support=body.support[keep]), verts
 
 
 def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
@@ -377,23 +416,48 @@ def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
 
 def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
                  grid: SphericalGrid | None = None,
-                 active: SupportPolytope | None = None) -> tuple[bool, float]:
-    """Whether rho_K(g u) == rho_K(u) on the grid for every group element.
+                 active: tuple[SupportPolytope, np.ndarray | None] | None
+                 = None) -> tuple[bool, float, str]:
+    """Whether rho_K(g u) == rho_K(u) for every u and group element g.
 
-    Probes only the halfspaces of active_part(body); a caller that already
-    has it passes it as active. Returns (max deviation <= INVARIANCE_TOL,
-    max deviation).
+    Returns (deviation <= INVARIANCE_TOL, deviation, method). Both methods
+    read only active_part(body); a caller that already has it passes it as
+    active.
+
+    "constraint-match" is exact. K = {x : <x, v_i> <= h_i} over the active
+    halfspaces, so g K = {x : <x, g v_i> <= h_i}. One k-d tree query matches
+    every image g v_i (all g, all i) with its nearest normal v_j; delta is
+    the largest |g v_i - v_j| and eps the largest |h_i - h_j|. With R the
+    largest vertex norm, each x in K has <x, g v_i> <= h_j + R delta <=
+    h_i + eps + R delta, so t K lies in g K for t = h_min / (h_min + eps +
+    R delta), i.e. rho_K(g^-1 u) >= t rho_K(u). G holds g^-1 too, so
+    |rho_K(g u) - rho_K(u)| <= (1 - t) R <= R (eps + R delta) / h_min for
+    every u, and that bound is the deviation. It decides when it is at most
+    INVARIANCE_TOL.
+
+    "probe" decides otherwise, and when Qhull failed on the body: the
+    largest |rho_K(g u) - rho_K(u)| over the grid nodes u.
     """
+    probed, verts = active_part(body) if active is None else active
+    if verts is not None:
+        images = group.apply(probed.normals).reshape(-1, body.dim)
+        _, match = cKDTree(probed.normals).query(images)
+        delta = float(np.max(np.linalg.norm(images - probed.normals[match],
+                                            axis=1)))
+        eps = float(np.max(np.abs(np.tile(probed.support, group.order)
+                                  - probed.support[match])))
+        radius = float(np.max(np.linalg.norm(verts, axis=1)))
+        bound = radius * (eps + radius * delta) / float(np.min(probed.support))
+        if bound <= INVARIANCE_TOL:
+            return True, bound, "constraint-match"
     if grid is None:
         grid = probe_grid(body.dim)
-    probed = active_part(body) if active is None else active
     rho, _ = radial_profile(probed, grid.nodes)
-    stacked = np.einsum("kij,nj->kni", group.elements,
-                        grid.nodes).reshape(-1, body.dim)
-    rho_all, _ = radial_profile(probed, stacked)
+    rho_all, _ = radial_profile(probed,
+                                group.apply(grid.nodes).reshape(-1, body.dim))
     deviations = np.abs(rho_all.reshape(group.order, -1) - rho[None, :])
     worst = float(np.max(deviations))
-    return worst <= INVARIANCE_TOL, worst
+    return worst <= INVARIANCE_TOL, worst, "probe"
 
 
 def ball_polytope(directions: np.ndarray, radius: float = 1.0) -> SupportPolytope:

@@ -201,6 +201,7 @@ def _cmd_construct(config: dict, args) -> int:
                 "max_gap": cert.max_gap,
                 "witness": cert.witness.tolist(),
                 "invariance_deviation": cert.invariance_deviation,
+                "invariance_method": cert.invariance_method,
                 "non_origin_symmetric": cert.non_origin_symmetric,
                 **checks,
             }, fh, indent=2)
@@ -210,7 +211,8 @@ def _cmd_construct(config: dict, args) -> int:
                    "active_constraints": cert.active_constraints,
                    "non_origin_symmetric": cert.non_origin_symmetric,
                    "max_gap": cert.max_gap,
-                   "invariance_deviation": cert.invariance_deviation}
+                   "invariance_deviation": cert.invariance_deviation,
+                   "invariance_method": cert.invariance_method}
 
     write_manifest(run_dir, "construct", config, outcome, outputs, started)
     print(f"run directory: {run_dir}")

@@ -52,13 +52,16 @@ class AsymmetryCertificate:
 
     max_gap is the largest |rho(u) - rho(-u)| over probe nodes. The body is
     declared non-origin-symmetric when the gap clearly dominates the noise
-    floor set by the invariance deviation. active_constraints counts the
-    halfspaces the probe evaluated (those of bodies.active_part).
+    floor set by the invariance deviation. invariance_method names the
+    bodies.is_invariant method that gave the deviation ("none" when no
+    invariance was measured). active_constraints counts the halfspaces the
+    probe evaluated (those of bodies.active_part).
     """
 
     max_gap: float
     witness: np.ndarray
     invariance_deviation: float
+    invariance_method: str
     active_constraints: int
 
     @property
@@ -67,23 +70,25 @@ class AsymmetryCertificate:
 
 
 def certify_asymmetry(body: SupportPolytope, grid: SphericalGrid | None = None,
-                      invariance_deviation: float = 0.0,
-                      active: SupportPolytope | None = None
-                      ) -> AsymmetryCertificate:
+                      invariance: tuple[float, str] = (0.0, "none"),
+                      active: tuple[SupportPolytope, np.ndarray | None]
+                      | None = None) -> AsymmetryCertificate:
     """Probe |rho(u) - rho(-u)| over a grid and report the worst direction.
 
-    Only the halfspaces of active_part(body) are evaluated; a caller that
-    already has it passes it as active.
+    invariance is the (deviation, method) that bodies.is_invariant returned
+    for the body. Only the halfspaces of active_part(body) are evaluated; a
+    caller that already has it passes it as active.
     """
     if grid is None:
         grid = probe_grid(body.dim)
-    probed = active_part(body) if active is None else active
+    probed, _ = active_part(body) if active is None else active
     rho_pos, _ = radial_profile(probed, grid.nodes)
     rho_neg, _ = radial_profile(probed, -grid.nodes)
     gaps = np.abs(rho_pos - rho_neg)
     i = int(np.argmax(gaps))
     return AsymmetryCertificate(max_gap=float(gaps[i]), witness=grid.nodes[i],
-                                invariance_deviation=invariance_deviation,
+                                invariance_deviation=invariance[0],
+                                invariance_method=invariance[1],
                                 active_constraints=probed.facet_count)
 
 
@@ -182,10 +187,10 @@ def _checked_group(group: OrthogonalGroup) -> None:
 
 def _certificate(body: SupportPolytope, group: OrthogonalGroup,
                  grid: SphericalGrid | None) -> AsymmetryCertificate:
-    """Both certificates of a pooled body, probing one active_part."""
+    """Both certificates of a pooled body, on one active_part."""
     active = active_part(body)
-    _, deviation = is_invariant(body, group, grid, active=active)
-    return certify_asymmetry(body, grid, invariance_deviation=deviation,
+    _, deviation, method = is_invariant(body, group, grid, active=active)
+    return certify_asymmetry(body, grid, invariance=(deviation, method),
                              active=active)
 
 

@@ -238,9 +238,9 @@ def build_grid(n: int, node_count: int, scheme: str = "", seed: int = 0) -> Sphe
 @lru_cache(maxsize=8)
 def probe_grid(n: int) -> SphericalGrid:
     """The one probe grid of the package: 720 nodes for n = 2, 1280 for
-    n = 3 and 3000 above, default scheme, seed 101. Positive spanning,
-    star-body positivity, invariance and asymmetry certificates probe it
-    unless given a grid of their own."""
+    n = 3 and 3000 above, default scheme, seed 101. Star-body positivity,
+    the invariance probe and asymmetry certificates probe it unless given a
+    grid of their own."""
     counts = {2: 720, 3: 1280}
     return build_grid(n, counts.get(n, 3000), seed=101)
 

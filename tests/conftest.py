@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import special_ortho_group
 
 from dualminkowski import bodies
-from dualminkowski.bodies import SupportPolytope, geometry_stats, radial_profile
+from dualminkowski.bodies import (SupportPolytope, active_part, geometry_stats,
+                                  radial_profile, vertex_enumeration)
 from dualminkowski.groups import MATCH_TOL, simplex_symmetry, invariant_directions
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
@@ -126,6 +127,29 @@ def dense_is_invariant(body, group, grid, tol=1e-9):
     deviations = np.abs(rho_all.reshape(group.order, -1) - rho[None, :])
     worst = float(np.max(deviations))
     return worst <= tol, worst
+
+
+def reference_invariance_bound(body, group):
+    """bodies.is_invariant's constraint-match bound R (eps + R delta) / h_min,
+    with each image g v_i matched by a scan of all inner products instead of
+    a k-d tree."""
+    active, verts = active_part(body)
+    images = group.apply(active.normals).reshape(-1, body.dim)
+    match = np.argmax(images @ active.normals.T, axis=1)
+    delta = float(np.max(np.linalg.norm(images - active.normals[match],
+                                        axis=1)))
+    eps = float(np.max(np.abs(np.tile(active.support, group.order)
+                              - active.support[match])))
+    radius = float(np.max(np.linalg.norm(verts, axis=1)))
+    return radius * (eps + radius * delta) / float(np.min(active.support))
+
+
+def assert_bound_covers_probe(bound, body, group, grid):
+    """A proven invariance bound, widened by 4 eps R for the rounding of the
+    probe's divisions, is at least the dense probe's deviation."""
+    radius = float(np.max(np.linalg.norm(vertex_enumeration(body), axis=1)))
+    _, probed = dense_is_invariant(body, group, grid)
+    assert bound + 4.0 * np.finfo(float).eps * radius >= probed
 
 
 def dense_asymmetry(body, grid):

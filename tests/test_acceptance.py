@@ -54,7 +54,8 @@ from dualminkowski.solver import (
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, \
     unit_ball_volume
 
-from conftest import random_centered_polytope, random_polytope
+from conftest import (assert_bound_covers_probe, random_centered_polytope,
+                      random_polytope)
 
 BALL3 = StarBody.ball(3)
 P_EXP, Q_EXP = -1.0, 2.0
@@ -234,7 +235,7 @@ def test_criterion_8_invariance_suite(flagship, tetra_group, tetra_directions,
     for values in solution.orbit_values_trace:
         body = SupportPolytope(dim=3, normals=tetra_directions,
                                support=values[spec.orbit_of])
-        _, dev = is_invariant(body, tetra_group, probe)
+        _, dev, _ = is_invariant(body, tetra_group, probe)
         worst_dev = max(worst_dev, dev)
     base = shifted_ball_polytope(fibonacci_sphere_nodes(160), 2.0,
                                  np.array([0.5, 0.0, 0.0]))
@@ -256,6 +257,22 @@ def test_criterion_8_invariance_suite(flagship, tetra_group, tetra_directions,
            f"(<=1e-3); scale-invariance gap "
            f"{solution.scale_invariance_gap:.2e} (<=1e-10); "
            f"<grad,h> max {solution.euler_pairing_max:.2e} (<=1e-9)")
+
+
+def test_criterion_8_bound_covers_probe_on_iterates(flagship, tetra_group,
+                                                    tetra_directions):
+    """Criterion 8's deviations on the flagship iterates are the proven
+    constraint-match bound, and each covers the dense probe's deviation
+    (every ninth iterate and the last, on criterion 8's probe grid)."""
+    spec, solution, _ = flagship
+    probe = build_grid(3, 800, seed=31)
+    trace = solution.orbit_values_trace
+    for values in trace[::9] + trace[-1:]:
+        body = SupportPolytope(dim=3, normals=tetra_directions,
+                               support=values[spec.orbit_of])
+        ok, dev, method = is_invariant(body, tetra_group, probe)
+        assert ok and method == "constraint-match"
+        assert_bound_covers_probe(dev, body, tetra_group, probe)
 
 
 def test_criterion_9_construction_certificates(tetra_group):

@@ -24,10 +24,13 @@ from dualminkowski.bodies import (
     support_profile,
     vertex_enumeration,
 )
-from dualminkowski.groups import OrthogonalGroup, cube_rotation, cyclic_rotation
-from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes
+from dualminkowski.groups import (OrthogonalGroup, cube_rotation,
+                                  cyclic_rotation, invariant_directions)
+from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
-from conftest import centered, reference_box_radial, random_polytope, translate
+from conftest import (assert_bound_covers_probe, centered, dense_is_invariant,
+                      reference_box_radial, reference_invariance_bound,
+                      random_polytope, translate)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,61 @@ class TestConstruction:
         dirs = dirs[dirs[:, 2] > 0.1]
         with pytest.raises(ValueError, match="positively span"):
             SupportPolytope(dim=3, normals=dirs, support=np.ones(len(dirs)))
+
+    def test_horizontal_normals_plus_pole_rejected(self):
+        """No halfspace bounds the body towards -e_z, although every node
+        of a probe grid sees a positive product."""
+        theta = 2.0 * math.pi * np.arange(64) / 64
+        dirs = np.vstack([np.column_stack([np.cos(theta), np.sin(theta),
+                                           np.zeros(64)]), [0.0, 0.0, 1.0]])
+        u = bodies._uncovered_direction(dirs)
+        assert u is not None and np.max(dirs @ u) <= 0.0
+        with pytest.raises(ValueError, match="positively span"):
+            SupportPolytope(dim=3, normals=dirs, support=np.ones(65))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_normals_in_one_hyperplane_rejected(self, dim):
+        """Normals in the hyperplane x_n = 0 (one line for n = 2): Qhull
+        fails on the flat set and the hyperplane's normal is named."""
+        rng = np.random.default_rng(dim)
+        dirs = rng.standard_normal((3 * dim, dim))
+        dirs[:, -1] = 0.0
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        u = bodies._uncovered_direction(dirs)
+        assert u is not None and np.max(dirs @ u) <= 0.0
+        with pytest.raises(ValueError, match="positively span"):
+            SupportPolytope(dim=dim, normals=dirs, support=np.ones(3 * dim))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_cross_polytope_normals_span_and_half_does_not(self, dim):
+        cube = cube_polytope(dim)
+        assert bodies._uncovered_direction(cube.normals) is None
+        # drop -e_1: the body is unbounded towards -e_1
+        dirs = np.vstack([np.eye(dim), -np.eye(dim)[1:],
+                          np.ones(dim) / math.sqrt(dim)])
+        u = bodies._uncovered_direction(dirs)
+        assert u is not None and np.max(dirs @ u) <= 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_accepted_random_sets_cover_a_dense_probe(self, dim):
+        """Each accepted set has a positive product at every node of a
+        20000-node probe; each rejected set names a direction that no
+        normal covers."""
+        rng = np.random.default_rng(40 + dim)
+        probe = rng.standard_normal((20000, dim))
+        probe /= np.linalg.norm(probe, axis=1, keepdims=True)
+        accepted = 0
+        for _ in range(60):
+            dirs = rng.standard_normal((int(rng.integers(dim + 1, 3 * dim)),
+                                        dim))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            u = bodies._uncovered_direction(dirs)
+            if u is None:
+                accepted += 1
+                assert np.min(np.max(probe @ dirs.T, axis=1)) > 0.0
+            else:
+                assert np.max(dirs @ u) <= 0.0
+        assert 0 < accepted < 60
 
     def test_unit_normals_required(self):
         normals = np.vstack([np.eye(2) * 1.001, -np.eye(2)])
@@ -218,7 +276,7 @@ class TestWulff:
         for orbit in part:
             phi[orbit] = rng.uniform(-0.2, 0.2)
         out = body.with_support(body.support + 0.5 * phi)
-        ok, dev = is_invariant(out, tetra_group)
+        ok, dev, _ = is_invariant(out, tetra_group)
         assert ok, dev
 
     def test_floor_violation_reports_index(self, cube):
@@ -282,22 +340,58 @@ class TestGeometryStats:
 
 class TestInvariance:
     def test_cube_under_own_rotations(self, cube):
-        ok, dev = is_invariant(cube, cube_rotation(3))
-        assert ok and dev <= 1e-10
+        group = cube_rotation(3)
+        ok, dev, method = is_invariant(cube, group)
+        assert ok and dev <= 1e-10 and method == "constraint-match"
+        assert dev == reference_invariance_bound(cube, group)
+        assert_bound_covers_probe(dev, cube, group, probe_grid(3))
 
     def test_cube_under_embedded_cyclic5(self, cube):
+        """No rotation by 72 degrees maps the cube's normals onto its own:
+        the probe decides, as it did before the constraint match."""
         c5 = cyclic_rotation(5)
         emb = np.array([np.block([[e, np.zeros((2, 1))],
                                   [np.zeros((1, 2)), np.eye(1)]])
                         for e in c5.elements])
         group = OrthogonalGroup(dim=3, elements=emb, label="embedded-c5")
-        ok, dev = is_invariant(cube, group)
-        assert not ok and dev > 0.1
+        ok, dev, method = is_invariant(cube, group)
+        assert not ok and dev > 0.1 and method == "probe"
+        assert (ok, dev) == dense_is_invariant(cube, group, probe_grid(3))
 
     def test_trivial_group(self, cube):
         g = OrthogonalGroup(dim=3, elements=np.eye(3)[None])
-        ok, dev = is_invariant(cube, g)
-        assert ok and dev == 0.0
+        ok, dev, method = is_invariant(cube, g)
+        assert ok and dev == 0.0 and method == "constraint-match"
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    @pytest.mark.parametrize("perturb", ["none", "support", "rotation"])
+    def test_bound_covers_probe_on_perturbed_bodies(self, tetra_group, scale,
+                                                    perturb):
+        """Bodies at most 1e-11 from invariant, so the match decides. The
+        support perturbation lives in eps, the rotation in delta (times
+        R^2), and scaling by 10 scales the deviation: each term of the
+        bound is needed to cover the probe."""
+        from scipy.spatial.transform import Rotation
+
+        from dualminkowski.groups import orbits
+
+        dirs = invariant_directions(tetra_group, 162)
+        rng = np.random.default_rng(3)
+        h = np.empty(len(dirs))
+        for orbit in orbits(tetra_group, dirs):
+            h[orbit] = rng.uniform(0.8, 1.3)
+        h *= scale
+        if perturb == "support":
+            h *= 1.0 + 1e-11 * rng.uniform(-1.0, 1.0, len(h))
+        if perturb == "rotation":
+            turn = Rotation.from_rotvec(3e-11 * np.array([0.3, -0.5, 0.8]))
+            dirs = dirs @ turn.as_matrix().T
+        body = SupportPolytope(dim=3, normals=dirs, support=h)
+        grid = build_grid(3, 800, seed=5)
+        ok, dev, method = is_invariant(body, tetra_group, grid)
+        assert ok and method == "constraint-match"
+        assert dev == reference_invariance_bound(body, tetra_group)
+        assert_bound_covers_probe(dev, body, tetra_group, grid)
 
 
 def _ref_vertex_enumeration(body):

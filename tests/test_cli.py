@@ -597,13 +597,15 @@ class TestConstructCommand:
                                              {"name": "cyclic", "order": 5}]}),
     ], ids=["n2", "n4"])
     def test_orbit_intersection_other_dimensions(self, tmp_path, n, group):
-        """The certificate equals the dense probes over every constraint of
-        the written body (on the default probe grid, since only n = 3 reads
+        """The certificate's deviation is the constraint-match bound of the
+        written body, and its asymmetry equals the dense probe over every
+        constraint (on the default probe grid, since only n = 3 reads
         probe_nodes)."""
         from dualminkowski.runio import resolve_group
         from dualminkowski.sphere import probe_grid
 
-        from conftest import dense_asymmetry, dense_is_invariant
+        from conftest import (assert_bound_covers_probe, dense_asymmetry,
+                              reference_invariance_bound)
 
         cfg = write_config(tmp_path, {
             "construction": "orbit-intersection-min",
@@ -619,15 +621,18 @@ class TestConstructCommand:
         with open(os.path.join(run_dir, "certificate.json")) as fh:
             cert = json.load(fh)
         body = read_body_file(os.path.join(run_dir, "body.txt"))
-        _, deviation = dense_is_invariant(body, resolve_group(group, n),
-                                          probe_grid(n))
-        gap, witness = dense_asymmetry(body, probe_grid(n))
+        resolved = resolve_group(group, n)
+        deviation = reference_invariance_bound(body, resolved)
+        assert cert["invariance_method"] == "constraint-match"
         assert cert["invariance_deviation"] == deviation
+        assert_bound_covers_probe(deviation, body, resolved, probe_grid(n))
+        gap, witness = dense_asymmetry(body, probe_grid(n))
         assert cert["max_gap"] == gap
         assert cert["witness"] == witness.tolist()
         outcome = manifest["outcome"]
         assert outcome["facets"] == body.facet_count
         assert 0 < outcome["active_constraints"] <= outcome["facets"]
+        assert outcome["invariance_method"] == "constraint-match"
 
     @pytest.mark.parametrize("change, message", [
         ({"group": None}, "missing required field 'group'"),

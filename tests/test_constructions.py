@@ -33,7 +33,8 @@ from dualminkowski.groups import (
 )
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
-from conftest import dense_asymmetry, dense_is_invariant
+from conftest import (assert_bound_covers_probe, dense_asymmetry,
+                      dense_is_invariant, reference_invariance_bound)
 
 
 @pytest.fixture(scope="module")
@@ -194,33 +195,54 @@ class TestAsymmetryCertificate:
         assert a.max_gap == pytest.approx(b.max_gap, rel=1e-12)
 
 
-def _assert_probes_match_dense(body, group, grid, cert=None):
-    """is_invariant and certify_asymmetry equal the dense probes bit for bit.
+def _assert_probes_match_dense(body, group, grid, method, cert=None):
+    """is_invariant decides by method, and its deviation is the reference
+    bound (constraint-match) or the dense probe's, bit for bit (probe);
+    certify_asymmetry equals the dense probe bit for bit.
 
     cert, when given, is the certificate a construction returned for body.
     """
     want_ok, want_dev = dense_is_invariant(body, group, grid)
-    got_ok, got_dev = is_invariant(body, group, grid)
-    assert got_ok == want_ok and got_dev == want_dev
+    got_ok, got_dev, got_method = is_invariant(body, group, grid)
+    assert got_method == method
+    if method == "probe":
+        assert got_ok == want_ok and got_dev == want_dev
+    else:
+        assert got_ok and got_dev == reference_invariance_bound(body, group)
+        assert_bound_covers_probe(got_dev, body, group, grid)
     if cert is None:
-        cert = certify_asymmetry(body, grid, invariance_deviation=got_dev)
-    assert cert.invariance_deviation == want_dev
+        cert = certify_asymmetry(body, grid, invariance=(got_dev, got_method))
+    assert cert.invariance_deviation == got_dev
+    assert cert.invariance_method == method
     gap, witness = dense_asymmetry(body, grid)
     assert cert.max_gap == gap and np.array_equal(cert.witness, witness)
-    assert cert.active_constraints == active_part(body).facet_count
+    assert cert.active_constraints == active_part(body)[0].facet_count
     assert 0 < cert.active_constraints <= body.facet_count
 
 
 class TestProbesEqualDense:
-    """The certificates probe active_part(body); the dense probes over every
-    halfspace are the reference."""
+    """The certificates read active_part(body); the dense probes over every
+    halfspace and the dense constraint match are the references."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pooled_bodies(self, tetra_group, shifted_base, cert_grid, seed):
         body, cert = orbit_intersection_body(tetra_group, shifted_base,
                                              seed=seed, grid=cert_grid)
         assert cert.active_constraints < body.facet_count
-        _assert_probes_match_dense(body, tetra_group, cert_grid, cert)
+        _assert_probes_match_dense(body, tetra_group, cert_grid,
+                                   "constraint-match", cert)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bound_covers_probe_on_pooled_bodies(self, tetra_group,
+                                                 shifted_base, cert_grid,
+                                                 seed):
+        """The probe reads the active part, which gives the full body's
+        radial function bit for bit."""
+        body, cert = orbit_intersection_body(tetra_group, shifted_base,
+                                             seed=seed, grid=cert_grid)
+        assert cert.invariance_method == "constraint-match"
+        assert_bound_covers_probe(cert.invariance_deviation,
+                                  active_part(body)[0], tetra_group, cert_grid)
 
     @pytest.mark.parametrize("construct", [orbit_intersection_body,
                                            orbit_intersection_body_circum])
@@ -240,29 +262,33 @@ class TestProbesEqualDense:
                                    grid=cert_grid)
         assert calls == [body.facet_count]
         monkeypatch.undo()
-        _assert_probes_match_dense(body, tetra_group, cert_grid, cert)
+        _assert_probes_match_dense(body, tetra_group, cert_grid,
+                                   "constraint-match", cert)
 
     def test_cube_every_constraint_active(self, cert_grid):
         cube = cube_polytope(3)
-        assert active_part(cube).facet_count == 6
-        _assert_probes_match_dense(cube, cube_rotation(3), cert_grid)
+        assert active_part(cube)[0].facet_count == 6
+        _assert_probes_match_dense(cube, cube_rotation(3), cert_grid,
+                                   "constraint-match")
 
     def test_duplicated_constraint(self, cert_grid):
         """Exact ties go to the first index; both copies stay."""
         normals = np.vstack([np.eye(3), -np.eye(3), np.eye(3)[:1]])
         body = SupportPolytope(dim=3, normals=normals, support=np.ones(7))
-        assert active_part(body).facet_count == 7
-        _assert_probes_match_dense(body, cube_rotation(3), cert_grid)
+        assert active_part(body)[0].facet_count == 7
+        _assert_probes_match_dense(body, cube_rotation(3), cert_grid,
+                                   "constraint-match")
 
     def test_constraints_touching_at_a_vertex(self, cert_grid):
         """Planes through the corner (1, 1, 1) and slightly beyond it, half
-        and twice the probe slack (1e-6 of max h) away."""
+        and twice the probe slack (1e-6 of max h) away. The rotations move
+        the corner normal onto no normal, so the probe decides."""
         corner = np.ones(3) / np.sqrt(3.0)
         normals = np.vstack([np.eye(3), -np.eye(3), corner, -corner, corner])
         top = np.sqrt(3.0)
         h = np.array([1.0] * 6 + [top, top + 0.5e-6 * top, top + 2e-6 * top])
         body = SupportPolytope(dim=3, normals=normals, support=h)
-        kept = active_part(body)
+        kept, _ = active_part(body)
         assert kept.facet_count == 8
         assert np.array_equal(kept.support, h[:8])
         # probe the corner directions themselves too
@@ -270,7 +296,7 @@ class TestProbesEqualDense:
         rho, _ = radial_profile(body, nodes)
         rho_kept, _ = radial_profile(kept, nodes)
         assert np.array_equal(rho, rho_kept)
-        _assert_probes_match_dense(body, cube_rotation(3), cert_grid)
+        _assert_probes_match_dense(body, cube_rotation(3), cert_grid, "probe")
 
     @pytest.mark.parametrize("group, n", [
         (cyclic_rotation(5), 2),
@@ -283,7 +309,7 @@ class TestProbesEqualDense:
                                      2.0, np.eye(n)[0] * 0.5)
         body, cert = orbit_intersection_body(group, base, seed=1, grid=grid)
         assert cert.active_constraints < body.facet_count
-        _assert_probes_match_dense(body, group, grid, cert)
+        _assert_probes_match_dense(body, group, grid, "constraint-match", cert)
 
 
 def _ref_pool_orbit_constraints(group, base, rotation):

@@ -213,7 +213,7 @@ KNOBS = {
     "bodies.StarBody.ball(radius)",
     "cli.main(argv)",
     "constructions.certify_asymmetry(grid)",
-    "constructions.certify_asymmetry(invariance_deviation)",
+    "constructions.certify_asymmetry(invariance)",
     "constructions.certify_asymmetry(active)",
     "constructions.radial_extremum_is_unique(mode)",
     "constructions.radial_extremum_is_unique(grid)",
