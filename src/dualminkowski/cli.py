@@ -167,7 +167,7 @@ def _cmd_construct(config: dict, args) -> int:
                                 orbit_intersection_body,
                                 orbit_intersection_body_circum)
     from .runio import (new_run_directory, resolve_construct, write_body_file,
-                        write_manifest)
+                        write_json, write_manifest)
 
     started = time.time()
     kind, group, seed, inputs = resolve_construct(config)
@@ -178,10 +178,8 @@ def _cmd_construct(config: dict, args) -> int:
         cone, samples = inputs
         check = fundamental_domain_check(group, cone, samples, seed=seed)
         cone_path = f"{run_dir}/cone.json"
-        with open(cone_path, "w") as fh:
-            json.dump({"anchor": cone.anchor.tolist(),
-                       "normals": cone.normals.tolist(), **check}, fh, indent=2)
-            fh.write("\n")
+        write_json(cone_path, {"anchor": cone.anchor, "normals": cone.normals,
+                               **check})
         outputs.append(cone_path)
         outcome = dict(check)
     else:
@@ -196,16 +194,14 @@ def _cmd_construct(config: dict, args) -> int:
         write_body_file(body_path, body)
         outputs.append(body_path)
         cert_path = f"{run_dir}/certificate.json"
-        with open(cert_path, "w") as fh:
-            json.dump({
-                "max_gap": cert.max_gap,
-                "witness": cert.witness.tolist(),
-                "invariance_deviation": cert.invariance_deviation,
-                "invariance_method": cert.invariance_method,
-                "non_origin_symmetric": cert.non_origin_symmetric,
-                **checks,
-            }, fh, indent=2)
-            fh.write("\n")
+        write_json(cert_path, {
+            "max_gap": cert.max_gap,
+            "witness": cert.witness,
+            "invariance_deviation": cert.invariance_deviation,
+            "invariance_method": cert.invariance_method,
+            "non_origin_symmetric": cert.non_origin_symmetric,
+            **checks,
+        })
         outputs.append(cert_path)
         outcome = {"facets": body.facet_count,
                    "active_constraints": cert.active_constraints,

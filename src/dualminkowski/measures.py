@@ -33,7 +33,6 @@ __all__ = [
     "lp_dual_curvature_measure",
     "dual_curvature_via_boundary",
     "entropy_state",
-    "entropy_value",
     "entropy_gradient",
     "affine_invariance_check",
     "transform_polytope",
@@ -229,16 +228,6 @@ def entropy_state(h: np.ndarray, mu_atoms: np.ndarray, p: float, q: float,
     if atoms is None:
         return phi, None
     return phi, weighted / mass - atoms / volume
-
-
-def entropy_value(body: SupportPolytope, mu: MeasureSpec, q_body: StarBody,
-                  p: float, q: float, grid: SphericalGrid) -> float:
-    """(1/p) log sum_i h_i^p mu_i - (1/q) log V~_q(K, Q); scale-invariant."""
-    if p >= 0 or q <= 0:
-        raise ValueError("the entropy functional is used with p < 0 < q")
-    _check_alignment(body, mu)
-    volume = dual_mixed_volume(body, q_body, q, grid)
-    return entropy_state(body.support, mu.atoms, p, q, volume, None)[0]
 
 
 def entropy_gradient(body: SupportPolytope, mu: MeasureSpec, q_body: StarBody,

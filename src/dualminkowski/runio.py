@@ -450,16 +450,15 @@ def write_body_file(path: str, body: SupportPolytope) -> None:
     Layout: dimension, facet count, then one normal per line (full-precision
     floats), then one support number per line.
     """
-    # %-formatting writes the bytes of f"{x:.17g}" on each numpy scalar in
-    # about half the time; a row at a time keeps few Python floats alive
+    # %-formatting the Python floats of tolist() writes the bytes of
+    # f"{x:.17g}" on each numpy scalar; one format and one write a section
     row = " ".join(["%.17g"] * body.dim) + "\n"
+    count = body.facet_count
     with open(path, "w") as fh:
-        fh.write(f"n {body.dim}\nfacets {body.facet_count}\nnormals\n")
-        for normal in body.normals:
-            fh.write(row % tuple(normal.tolist()))
+        fh.write(f"n {body.dim}\nfacets {count}\nnormals\n")
+        fh.write(row * count % tuple(body.normals.ravel().tolist()))
         fh.write("support\n")
-        for h in body.support:
-            fh.write("%.17g\n" % h)
+        fh.write("%.17g\n" * count % tuple(body.support.tolist()))
 
 
 def read_body_file(path: str) -> SupportPolytope:
@@ -540,11 +539,16 @@ def write_manifest(run_dir: str, command: str, resolved_config: dict,
         "wall_time_s": finished_at - started_at,
     }
     path = os.path.join(run_dir, "manifest.json")
+    write_json(path, manifest)
+    return path
+
+
+def write_json(path: str, obj) -> None:
+    """obj as strict JSON (see _strict_json), indented, keys sorted."""
     with open(path, "w") as fh:
-        json.dump(_strict_json(manifest), fh, indent=2, sort_keys=True,
+        json.dump(_strict_json(obj), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
-    return path
 
 
 def _strict_json(obj):

@@ -34,19 +34,18 @@ from dualminkowski.constructions import (
     fundamental_domain_check,
     orbit_intersection_body,
 )
-from dualminkowski.groups import orbits, standard_group
+from dualminkowski.groups import standard_group
 from dualminkowski.measures import (
     MeasureSpec,
     affine_invariance_check,
     dual_curvature_measure,
     dual_curvature_via_boundary,
-    entropy_gradient,
-    entropy_value,
-    lp_dual_curvature_measure,
 )
 from dualminkowski.solver import (
     ProblemSpec,
     SolverConfig,
+    _phi,
+    _state,
     minimize_entropy,
     orbit_sums,
     solve_problem,
@@ -110,41 +109,40 @@ def test_criterion_2_density_scaling_law(flagship, tetra_group,
 def test_criterion_3_gradient_correctness(tetra_group, tetra_directions, grid3):
     """Analytic gradient vs central differences on smooth points.
 
-    The objective is piecewise smooth in the support numbers (node-to-facet
-    assignment changes on a measure-zero set), so a finite-difference probe
-    is a valid derivative oracle only when both endpoints share the facet
-    assignment; probes that straddle an assignment boundary shrink their
-    step until they sit on a single smooth piece.
+    Both sides are the solver's own arithmetic on the flagship spec: the
+    analytic gradient is solver._state's log-gradient divided by h, the
+    central differences are of solver._phi, and the facet assignment comes
+    from the spec's RadialKernel. The objective is piecewise smooth in the
+    support numbers (node-to-facet assignment changes on a measure-zero
+    set), so a finite-difference probe is a valid derivative oracle only
+    when both endpoints share the facet assignment; probes that straddle an
+    assignment boundary shrink their step until they sit on a single smooth
+    piece.
     """
-    part = orbits(tetra_group, tetra_directions)
-    mu = MeasureSpec.from_density(lambda U: np.full(U.shape[0], DENSITY_C),
-                                  grid3, tetra_directions)
+    spec = ProblemSpec.build(3, P_EXP, Q_EXP, tetra_group, BALL3,
+                             lambda U: np.full(U.shape[0], DENSITY_C),
+                             tetra_directions, grid3)
     rng = np.random.default_rng(101)
     worst = 0.0
     checked = 0
     for _ in range(5):
         h = np.empty(len(tetra_directions))
-        for orbit in part:
+        for orbit in spec.orbit_partition:
             h[orbit] = rng.uniform(0.8, 1.25)
-        body = SupportPolytope(dim=3, normals=tetra_directions, support=h)
-        grad = entropy_gradient(body, mu, BALL3, P_EXP, Q_EXP, grid3)
+        grad = _state(spec, h)[1] / h
         for i in rng.choice(len(h), 20, replace=False):
             d = 1e-5 * h[i]
             while d >= 1e-9 * h[i]:
                 hp, hm = h.copy(), h.copy()
                 hp[i] += d
                 hm[i] -= d
-                _, idx_p = radial_profile(body.with_support(hp), grid3.nodes)
-                _, idx_m = radial_profile(body.with_support(hm), grid3.nodes)
-                if np.array_equal(idx_p, idx_m):
+                if np.array_equal(spec.radial.profile(hp)[1],
+                                  spec.radial.profile(hm)[1]):
                     break
                 d *= 0.25
             else:
                 continue  # probe sits exactly on an assignment boundary
-            fd = (entropy_value(body.with_support(hp), mu, BALL3, P_EXP, Q_EXP,
-                                grid3)
-                  - entropy_value(body.with_support(hm), mu, BALL3, P_EXP,
-                                  Q_EXP, grid3)) / (2 * d)
+            fd = (_phi(spec, hp)[0] - _phi(spec, hm)[0]) / (2 * d)
             worst = max(worst, abs(fd - grad[i]) / max(abs(fd), 1e-300))
             checked += 1
     report(3, worst <= 1e-4 and checked >= 95,
@@ -355,7 +353,8 @@ def test_criterion_12_grid_refinement(flagship, tetra_group, tetra_directions):
     At the ball fixed point the same-grid residual sits at the solver floor,
     so refinement is judged against reference atoms binned on a 1.28M-node
     grid: the gap is then pure node-to-direction binning error, which halving
-    the covering angle (4x nodes) should cut by at least 1.5x.
+    the covering angle (4x nodes) should cut by at least 1.5x. The solved
+    measure is each solution's own atoms, from its assembly pass.
     """
     spec20, solution20, _ = flagship
     part = spec20.orbit_partition
@@ -374,14 +373,12 @@ def test_criterion_12_grid_refinement(flagship, tetra_group, tetra_directions):
         ref[orbit] = np.mean(ref[orbit])
     ref_orbit = orbit_sums(spec20, ref)
 
-    def residual(solution, spec):
-        atoms = lp_dual_curvature_measure(solution.body, BALL3, P_EXP, Q_EXP,
-                                          spec.grid)
-        got = orbit_sums(spec20, atoms)
+    def residual(solution):
+        got = orbit_sums(spec20, solution.atoms)
         return float(np.sum(np.abs(got - ref_orbit)) / np.sum(ref_orbit))
 
-    res5 = residual(solution5, spec5)
-    res20 = residual(solution20, spec20)
+    res5 = residual(solution5)
+    res20 = residual(solution20)
     ratio = res5 / res20
     report(12, ratio >= 1.5,
            f"measure residual vs reference atoms: {res5:.3e} at 5000 nodes "

@@ -224,6 +224,29 @@ class TestSolveCommand:
             rows = fh.read().splitlines()
         assert len(rows) == 1 + 3
 
+    def test_stall_above_the_floor_exits_3(self, tmp_path):
+        """An n = 2 bump solve at q = 1 stops on the stall test with its
+        gradient far above the quadrature floor: reason "stalled", exit 3.
+        This pins the stop rule as it stands; a change to that rule may
+        move this solve to another reason, with the reason recorded."""
+        payload = {
+            "n": 2, "p": -0.5, "q": 1.0,
+            "group": {"name": "cyclic", "order": 5},
+            "measure": {"density": "cosine-bump", "base": 1.0,
+                        "amplitude": 2.0, "power": 2.0, "axis": [0.6, 0.8]},
+            "directions": {"count": 200},
+            "grid": {"node_count": 5000},
+            "solver": {"gradient_tolerance": 1e-7},
+        }
+        out = str(tmp_path / "runs")
+        assert main(["solve", write_config(tmp_path, payload),
+                     "--out", out]) == EXIT_NONCONVERGED
+        outcome = manifest_of(out)[0]["outcome"]
+        assert outcome["converged"] is False
+        assert outcome["convergence_reason"] == "stalled"
+        assert outcome["iterations"] < 500
+        assert outcome["gradient_final"] > 10.0 * outcome["gradient_floor"]
+
     def test_manifest_determinism(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CONFIG)
         out_a = str(tmp_path / "runs_a")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dualminkowski import solver
 from dualminkowski.bodies import (
     StarBody,
     SupportPolytope,
@@ -18,10 +19,10 @@ from dualminkowski.measures import (
     dual_curvature_via_boundary,
     dual_mixed_volume,
     entropy_gradient,
-    entropy_value,
     lp_dual_curvature_measure,
     transform_polytope,
 )
+from dualminkowski.solver import ProblemSpec
 from dualminkowski.sphere import SphericalGrid, build_grid, fibonacci_sphere_nodes, \
     stable_sum, unit_ball_volume
 
@@ -195,64 +196,67 @@ class TestBoundaryOracle:
 
 
 class TestEntropy:
+    """The entropy functional is solver._phi on a ProblemSpec, and
+    entropy_gradient is the dense route to the solver's gradient."""
+
     P, Q = -1.0, 2.0
 
-    def test_scale_invariance(self, grid3, invariant_body, uniform_mu):
-        base = entropy_value(invariant_body, uniform_mu, BALL3, self.P, self.Q,
-                             grid3)
-        for lam in (0.5, 2.0, 10.0):
-            scaled = invariant_body.with_support(lam * invariant_body.support)
-            val = entropy_value(scaled, uniform_mu, BALL3, self.P, self.Q, grid3)
-            assert abs(val - base) <= 1e-10
+    def _spec(self, group, directions, grid, measure, p=P):
+        return ProblemSpec.build(3, p, self.Q, group, BALL3, measure,
+                                 directions, grid)
 
-    def test_ball_closed_form(self, grid3):
-        """h = 1 and uniform density c: (1/p) log(c n kappa) - (1/q) log kappa."""
-        dirs = fibonacci_sphere_nodes(642)
-        body = ball_polytope(dirs)
+    def test_scale_invariance(self, tetra_group, tetra_directions, grid3,
+                              invariant_body):
+        spec = self._spec(tetra_group, tetra_directions, grid3,
+                          lambda U: np.full(U.shape[0], 1.0 / 3.0))
+        h = invariant_body.support
+        base = solver._phi(spec, h)[0]
+        for lam in (0.5, 2.0, 10.0):
+            assert abs(solver._phi(spec, lam * h)[0] - base) <= 1e-10
+
+    def test_ball_closed_form(self, tetra_group, tetra_directions, grid3):
+        """h = 1 on group-stable directions and uniform density c:
+        (1/p) log(c n kappa) - (1/q) log kappa."""
         c = 0.4
-        mu = MeasureSpec.from_density(lambda U: np.full(U.shape[0], c), grid3,
-                                      dirs)
-        val = entropy_value(body, mu, BALL3, self.P, self.Q, grid3)
+        spec = self._spec(tetra_group, tetra_directions, grid3,
+                          lambda U: np.full(U.shape[0], c))
+        val = solver._phi(spec, np.ones(len(tetra_directions)))[0]
         expected = math.log(c * 3 * KAPPA3) / self.P - math.log(KAPPA3) / self.Q
         assert val == pytest.approx(expected, abs=5e-3)
 
-    def test_finite_at_floor(self, grid3_small, tetra_directions):
-        h = np.full(len(tetra_directions), 1.0)
+    def test_finite_at_floor(self, tetra_group, tetra_directions, grid3_small):
+        ones = np.ones(len(tetra_directions))
+        spec = self._spec(tetra_group, tetra_directions, grid3_small, ones)
+        h = ones.copy()
         h[:24] = 1e-6  # at the default floor
-        body = SupportPolytope(dim=3, normals=tetra_directions, support=h,
-                               h_floor=1e-6)
-        mu = MeasureSpec.from_atoms(np.ones(len(tetra_directions)),
-                                    tetra_directions)
-        val = entropy_value(body, mu, BALL3, self.P, self.Q, grid3_small)
-        assert math.isfinite(val)
+        assert math.isfinite(solver._phi(spec, h)[0])
 
-    def test_degenerate_state_named(self, grid3_small, tetra_directions):
+    def test_degenerate_state_named(self, tetra_group, tetra_directions,
+                                    grid3_small):
         """A mass term that underflows to 0 (h^p below the smallest double)
-        is the named error of entropy_state, for the value and the
-        gradient alike."""
+        is the named error of entropy_state, for the solver's value and the
+        dense gradient alike."""
+        spec = self._spec(tetra_group, tetra_directions, grid3_small,
+                          np.ones(len(tetra_directions)), p=-3.0)
         body = ball_polytope(tetra_directions, radius=1e110)
-        mu = MeasureSpec.from_atoms(np.ones(len(tetra_directions)),
-                                    tetra_directions)
-        for evaluate in (entropy_value, entropy_gradient):
-            with pytest.raises(ValueError, match="degenerate entropy state"):
-                evaluate(body, mu, BALL3, -3.0, self.Q, grid3_small)
+        with pytest.raises(ValueError, match="degenerate entropy state"):
+            solver._phi(spec, body.support)
+        with pytest.raises(ValueError, match="degenerate entropy state"):
+            entropy_gradient(body, spec.mu, BALL3, spec.p, self.Q, grid3_small)
 
-    def test_gradient_vs_finite_differences(self, grid3, invariant_body,
-                                            uniform_mu):
-        grad = entropy_gradient(invariant_body, uniform_mu, BALL3, self.P,
-                                self.Q, grid3)
+    def test_gradient_matches_solver_state(self, tetra_group, tetra_directions,
+                                           grid3):
+        """entropy_gradient is the solver's log-gradient divided by h, bit
+        for bit, on a bump spec at random invariant supports."""
+        spec = self._spec(tetra_group, tetra_directions, grid3,
+                          lambda U: 0.2 + np.maximum(U[:, 0], 0.0) ** 2)
         rng = np.random.default_rng(27)
-        h = invariant_body.support
-        for i in rng.choice(len(h), 8, replace=False):
-            d = 1e-5 * h[i]
-            hp, hm = h.copy(), h.copy()
-            hp[i] += d
-            hm[i] -= d
-            fd = (entropy_value(invariant_body.with_support(hp), uniform_mu,
-                                BALL3, self.P, self.Q, grid3)
-                  - entropy_value(invariant_body.with_support(hm), uniform_mu,
-                                  BALL3, self.P, self.Q, grid3)) / (2 * d)
-            assert abs(fd - grad[i]) <= 1e-4 * max(abs(fd), 1e-12)
+        for _ in range(4):
+            h = rng.uniform(0.8, 1.25, len(spec.orbit_partition))[spec.orbit_of]
+            body = SupportPolytope(dim=3, normals=spec.directions, support=h)
+            got = entropy_gradient(body, spec.mu, spec.q_body, spec.p, spec.q,
+                                   spec.grid)
+            assert got.tobytes() == (solver._state(spec, h)[1] / h).tobytes()
 
     def test_scale_direction_orthogonality(self, grid3, invariant_body,
                                            uniform_mu):

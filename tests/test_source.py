@@ -111,13 +111,13 @@ def _referenced_names(paths):
     return used
 
 
-def _traced_names(path):
-    """The attribute paths that the benchmark's LAYERS list traces."""
+def _layers():
+    """The benchmark's LAYERS list: (module, attribute path, span name)."""
+    path = PACKAGE.parents[1] / "perfbench" / "spans.py"
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, ast.Assign) and \
                 [t.id for t in node.targets] == ["LAYERS"]:
-            return {part for entry in node.value.elts
-                    for part in entry.elts[1].value.split(".")}
+            return ast.literal_eval(node.value)
     raise AssertionError(f"no LAYERS list in {path}")
 
 
@@ -132,10 +132,26 @@ def test_every_public_name_has_a_caller():
         sorted((root / "perfbench").glob("*.py")) + \
         [root / "tests" / "test_acceptance.py"]
     used = _referenced_names(program) | \
-        _traced_names(root / "perfbench" / "spans.py")
+        {part for _, dotted, _ in _layers() for part in dotted.split(".")}
     unused = sorted(dotted for name, where in _public_names().items()
                     if name not in used for dotted in where)
     assert unused == []
+
+
+def test_every_traced_name_resolves():
+    """Every attribute path the benchmark traces, a function or
+    "Class.method", is defined in its module or class, where the tracer
+    looks it up: a change that removes one fails here, not in a traced
+    benchmark run."""
+    missing = []
+    for module, dotted, _ in _layers():
+        owner = importlib.import_module(module)
+        *classes, name = dotted.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        if name not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}.{dotted}")
+    assert missing == []
 
 
 def test_runio_alone_handles_config():
