@@ -80,9 +80,12 @@ def _cmd_solve(config: dict, args) -> int:
     write_body_file(body_path, report.body)
     outputs.append(body_path)
     csv_path = f"{run_dir}/convergence.csv"
-    write_csv(csv_path, ["iteration", "phi", "grad_norm", "circumradius"],
+    steps = report.step_trace + [""] * (report.iterations
+                                        - len(report.step_trace))
+    write_csv(csv_path,
+              ["iteration", "phi", "grad_norm", "circumradius", "step"],
               [[i, *row] for i, row in enumerate(zip(report.phi_trace,
-               report.grad_trace, report.circumradius_trace))])
+               report.grad_trace, report.circumradius_trace, steps))])
     outputs.append(csv_path)
     atoms_path = f"{run_dir}/measure_atoms.csv"
     write_facet_measure_csv(atoms_path, report.body, report.atoms)
@@ -97,6 +100,8 @@ def _cmd_solve(config: dict, args) -> int:
         "convergence_reason": report.convergence_reason,
         "iterations": report.iterations,
         "kernel_passes": spec.radial.passes,
+        "line_search_passes": report.line_search_passes,
+        "quasi_newton_resets": report.quasi_newton_resets,
         "candidate_rebuilds": spec.radial.rebuilds,
         "kernel_cells": spec.radial.cells,
         "phi_final": report.phi_trace[-1] if report.phi_trace else None,

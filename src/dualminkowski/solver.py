@@ -3,10 +3,11 @@
 Minimizes the scale-invariant entropy functional over group-invariant bodies
 normalized to unit dual volume, then rescales the minimizer so its
 support-weighted curvature atoms reproduce the prescribed measure. The
-iteration is projected gradient descent in the logarithm of the orbit-reduced
-support numbers: multiplicative steps respect positivity, the orbit
-parametrization keeps every iterate exactly invariant, and rescaling back to
-the unit-dual-volume slice is free because the objective is scale-invariant.
+iteration is a quasi-Newton (dense BFGS) descent in theta, the logarithm of
+the orbit-reduced support numbers: multiplicative steps respect positivity,
+the orbit parametrization keeps every iterate exactly invariant, and
+rescaling back to the unit-dual-volume slice is free because the objective is
+scale-invariant.
 """
 
 from __future__ import annotations
@@ -128,18 +129,28 @@ class ProblemSpec:
                            grid=grid)
 
 
-# The step rule: backtracking Armijo on the objective value only (the
-# objective is piecewise-smooth across facet-activation boundaries, so no
-# curvature condition is imposed). A trial step starts at
-# min(INITIAL_STEP, STEP_GROWTH * last accepted step) and shrinks by SHRINK
-# until the objective drops by SLOPE_FACTOR * step * |grad|^2, giving up
-# below MIN_STEP. A run stalls when the objective drops by at most
-# STALL_TOLERANCE * max(1, |phi|) over STALL_WINDOW iterations.
+# The step rule: the direction is d = -H g, with g the orbit-reduced gradient
+# and H a dense BFGS inverse-Hessian estimate in theta; a trial step starts
+# at 1. Without a usable H (the first iteration, a curvature pair with
+# s.y <= CURVATURE_TOL |s| |y|, or a d that is not a descent direction) H is
+# dropped and the step is steepest descent, d = -g, starting at
+# min(INITIAL_STEP, STEP_GROWTH * last accepted steepest-descent step). Every
+# trial is capped at max |step d| <= MAX_THETA_STEP, which keeps one step
+# from spreading the support numbers so far that the kernel must rebuild its
+# lists for nearly every facet. The line search is backtracking Armijo on the
+# objective value only (the objective is piecewise-smooth across
+# facet-activation boundaries, so no curvature condition is imposed): the
+# step shrinks by SHRINK until the objective drops by
+# SLOPE_FACTOR * step * |g.d|, giving up below MIN_STEP. A run stalls when the
+# objective drops by at most STALL_TOLERANCE * max(1, |phi|) over
+# STALL_WINDOW iterations.
 INITIAL_STEP = 0.1
 SHRINK = 0.5
 SLOPE_FACTOR = 1e-4
 MIN_STEP = 1e-14
 STEP_GROWTH = 4.0
+MAX_THETA_STEP = 0.5
+CURVATURE_TOL = 1e-12
 STALL_WINDOW = 15
 STALL_TOLERANCE = 1e-10
 
@@ -198,6 +209,13 @@ class SolutionReport:
     circumradius_alarm: bool
     iterations: int
     orbit_values_trace: list
+    # accepted line-search step of each iteration that took a step
+    step_trace: list
+    # objective passes of the line-search trials
+    line_search_passes: int
+    # BFGS estimates dropped for a failed curvature pair or a non-descent
+    # direction
+    quasi_newton_resets: int
     # support-weighted curvature atoms of body, set by assemble_solution
     atoms: np.ndarray | None = None
     # largest per-orbit relative gap of those atoms, set by assemble_solution
@@ -240,6 +258,16 @@ def _state(spec: ProblemSpec, h: np.ndarray):
     vol = stable_sum(atoms)
     phi, log_grad = entropy_state(h, spec.mu.atoms, spec.p, spec.q, vol, atoms)
     return phi, log_grad, float(np.max(values)) / vol, float(np.max(rho))
+
+
+def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The BFGS update of the inverse-Hessian estimate H by the curvature
+    pair (s, y), which needs s.y > 0: the result is symmetric, positive
+    definite when H is, and maps y to s."""
+    rho = 1.0 / float(s @ y)
+    Hy = H @ y
+    return H + (rho * rho * float(y @ Hy) + rho) * np.outer(s, s) \
+        - rho * (np.outer(Hy, s) + np.outer(s, Hy))
 
 
 def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
@@ -291,6 +319,11 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
     last_step = INITIAL_STEP / STEP_GROWTH
     phi_after_rescale_pred = None
     iteration = 0
+    step_trace = []
+    trials = 0
+    resets = 0
+    inv_hessian = None
+    previous = None  # (theta, ghat) of the last iteration that took a step
 
     def at_quadrature_floor(gnorm: float) -> bool:
         return gnorm <= 10.0 * node_jump
@@ -323,11 +356,32 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
             reason = "quadrature-floor" if converged else "stalled"
             break
 
-        step = min(INITIAL_STEP, STEP_GROWTH * last_step)
+        if previous is not None:
+            s = theta - previous[0]
+            y = ghat - previous[1]
+            sy = float(s @ y)
+            if sy > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+                if inv_hessian is None:
+                    inv_hessian = sy / float(y @ y) * np.eye(orbit_count)
+                inv_hessian = _bfgs_update(inv_hessian, s, y)
+            elif inv_hessian is not None:
+                inv_hessian = None
+                resets += 1
+        if inv_hessian is not None and not ghat @ inv_hessian @ ghat > 0:
+            inv_hessian = None  # -H g is not a descent direction
+            resets += 1
+        if inv_hessian is None:
+            direction = -ghat
+            step = min(INITIAL_STEP, STEP_GROWTH * last_step)
+        else:
+            direction = -(inv_hessian @ ghat)
+            step = 1.0
+        step = min(step, MAX_THETA_STEP / float(np.max(np.abs(direction))))
         accepted = False
-        target_drop = SLOPE_FACTOR * gnorm * gnorm
+        target_drop = -SLOPE_FACTOR * float(ghat @ direction)
         while step >= MIN_STEP:
-            theta_new = theta - step * ghat
+            trials += 1
+            theta_new = theta + step * direction
             h_new = np.exp(theta_new)[spec.orbit_of]
             if np.any(h_new < floor):
                 floor_hit = True
@@ -342,7 +396,10 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
             converged = at_quadrature_floor(gnorm)
             reason = "quadrature-floor" if converged else "line-search-underflow"
             break
-        last_step = step
+        if inv_hessian is None:
+            last_step = step
+        step_trace.append(step)
+        previous = theta, ghat
 
         theta = theta_new - math.log(vol_new) / q
         h = np.exp(theta)[spec.orbit_of]
@@ -357,6 +414,8 @@ def minimize_entropy(spec: ProblemSpec, config: SolverConfig | None = None,
         converged=converged, convergence_reason=reason, gradient_floor=node_jump,
         floor_hit=floor_hit, circumradius_alarm=circumradius_alarm,
         iterations=iteration + 1, orbit_values_trace=orbit_trace,
+        step_trace=step_trace, line_search_passes=trials,
+        quasi_newton_resets=resets,
     )
     return body, report
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -193,7 +194,8 @@ class TestSolveCommand:
         assert body.facet_count == 162
         with open(os.path.join(run_dir, "convergence.csv")) as fh:
             header = fh.readline().strip().split(",")
-        assert header == ["iteration", "phi", "grad_norm", "circumradius"]
+        assert header == ["iteration", "phi", "grad_norm", "circumradius",
+                          "step"]
 
     def test_iteration_cap_exits_3_with_strict_manifest(self, tmp_path):
         """A solve cut at max_iters exits 3 and still writes its outputs.
@@ -226,9 +228,10 @@ class TestSolveCommand:
 
     def test_stall_above_the_floor_exits_3(self, tmp_path):
         """An n = 2 bump solve at q = 1 stops on the stall test with its
-        gradient far above the quadrature floor: reason "stalled", exit 3.
-        This pins the stop rule as it stands; a change to that rule may
-        move this solve to another reason, with the reason recorded."""
+        gradient far above the quadrature floor: reason "stalled", exit 3,
+        after 113 iterations (310 with steepest-descent steps). This pins
+        the stop rule as it stands; a change to that rule may move this
+        solve to another reason, with the reason recorded."""
         payload = {
             "n": 2, "p": -0.5, "q": 1.0,
             "group": {"name": "cyclic", "order": 5},
@@ -246,6 +249,34 @@ class TestSolveCommand:
         assert outcome["convergence_reason"] == "stalled"
         assert outcome["iterations"] < 500
         assert outcome["gradient_final"] > 10.0 * outcome["gradient_floor"]
+
+    def test_tight_tolerance_bump_reaches_the_floor(self, tmp_path):
+        """The benchmark's bump solve at gradient_tolerance 1e-7, below its
+        quadrature floor: it stops on "quadrature-floor" and exits 0, in 46
+        iterations (steepest-descent steps ran out at max_iters 500)."""
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench", "configs.py")
+        module_spec = importlib.util.spec_from_file_location(
+            "perfbench_configs", path)
+        configs = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(configs)
+        payload = configs.solve_bump(0)
+        payload["solver"]["gradient_tolerance"] = 1e-7
+        out = str(tmp_path / "runs")
+        assert main(["solve", write_config(tmp_path, payload),
+                     "--out", out]) == EXIT_OK
+        outcome = manifest_of(out)[0]["outcome"]
+        assert outcome["convergence_reason"] == "quadrature-floor"
+        assert outcome["iterations"] < 100
+        assert outcome["kernel_passes"] == 2 + outcome["iterations"] + \
+            outcome["line_search_passes"]
+        assert isinstance(outcome["quasi_newton_resets"], int)
+        with open(os.path.join(manifest_of(out)[1], "convergence.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        assert rows[0][-1] == "step" and len(rows) == 1 + outcome["iterations"]
+        # every iteration but the last took a step
+        assert all(float(row[-1]) > 0 for row in rows[1:-1])
+        assert rows[-1][-1] == ""
 
     def test_manifest_determinism(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CONFIG)

@@ -282,6 +282,78 @@ class TestMinimize:
             assert ok, dev
 
 
+class TestQuasiNewton:
+    def test_bfgs_update_keeps_secant_and_positive_definite(self):
+        rng = np.random.default_rng(4)
+        size = 28
+        H = np.eye(size)
+        for _ in range(40):
+            s = rng.normal(size=size)
+            y = s + 0.5 * rng.normal(size=size)
+            if s @ y <= 0:
+                y = -y
+            H = solver._bfgs_update(H, s, y)
+            assert np.array_equal(H, H.T)
+            assert np.min(np.linalg.eigvalsh(H)) > 0
+            np.testing.assert_allclose(H @ y, s, rtol=0, atol=1e-11 *
+                                       np.max(np.abs(s)))
+
+    def test_failed_curvature_pair_takes_steepest_descent(self, small_setup,
+                                                          monkeypatch):
+        """A pair with s.y <= 0 (here y = 0: iteration 2 sees iteration 1's
+        gradient again) drops the BFGS estimate, and iteration 2's first
+        trial is the steepest-descent step from the last such step."""
+        spec = _bump(small_setup)
+        reduce = solver.orbit_sums
+        gradients, first_trials = [], {}
+
+        def frozen(spec, values):
+            gradients.append(reduce(spec, values))
+            return gradients[1] if len(gradients) == 3 else gradients[-1]
+
+        phi = solver._phi
+
+        def trial(spec, h):
+            first_trials.setdefault(len(gradients), h)
+            return phi(spec, h)
+
+        monkeypatch.setattr(solver, "orbit_sums", frozen)
+        monkeypatch.setattr(solver, "_phi", trial)
+        _, report = minimize_entropy(spec, SolverConfig(max_iters=4))
+        assert report.quasi_newton_resets == 1
+        g = gradients[1]
+        step = min(solver.INITIAL_STEP,
+                   solver.STEP_GROWTH * report.step_trace[0],
+                   solver.MAX_THETA_STEP / np.max(np.abs(g)))
+        theta = np.log(report.orbit_values_trace[2])
+        np.testing.assert_allclose(first_trials[3],
+                                   np.exp(theta - step * g)[spec.orbit_of],
+                                   rtol=1e-12)
+        # iteration 1 took the full quasi-Newton step
+        assert report.step_trace[1] == 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_theta_cap_bounds_the_list_ratio(self, small_setup, seed):
+        """From a start drawn log-uniformly in [0.2, 5], the solve stops as
+        it does from the flat start, and the capped trials never make the
+        kernel build its lists below ratio 0.01 (uncapped trials go to
+        1.5e-6 at seed 1 and 1e-19 at seed 2)."""
+        group, directions, grid = small_setup
+
+        def fresh():
+            return ProblemSpec.build(3, P, Q_EXP, group, BALL3,
+                                     lambda U: np.full(U.shape[0], 1.0 / 3.0),
+                                     directions, grid)
+
+        flat = minimize_entropy(fresh())[1]
+        spec = fresh()
+        start = np.exp(np.random.default_rng(seed).uniform(
+            math.log(0.2), math.log(5.0), len(spec.orbit_partition)))
+        _, report = minimize_entropy(spec, initial_orbit_values=start)
+        assert report.convergence_reason == flat.convergence_reason
+        assert spec.radial.lists[0] >= 0.01
+
+
 class TestSolution:
     def test_ball_fixed_point(self, ball_spec):
         report = solve_problem(ball_spec)
@@ -533,6 +605,7 @@ class TestPrunedKernel:
         # initial normalization, one state pass per iteration and one pass
         # per line-search trial; renormalization reuses the accepted
         # trial's volume and costs no pass
+        assert report.line_search_passes == len(trials)
         assert spec.radial.passes == 1 + report.iterations + len(trials)
         assert len(trials) >= report.iterations - 1
         assert spec.radial.rebuilds == 1
