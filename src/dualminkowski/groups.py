@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .sphere import fibonacci_sphere_nodes, first_of_clusters, sphere_area
+from .sphere import (fibonacci_sphere_nodes, first_of_clusters, greedy_keep,
+                     near_pairs, sphere_area)
 
 __all__ = [
     "OrthogonalGroup",
@@ -356,10 +357,12 @@ def symmetrize_density(group: OrthogonalGroup, f):
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, one vector at a time: np.linalg.norm along
-    an axis can differ in the last bit, and the direction sets are pinned to
-    the per-vector norm."""
-    return np.array([np.linalg.norm(row) for row in x])
+    """Euclidean norm of each row, bit-equal to np.linalg.norm of the row
+    alone: both take the square root of one dot product per row, and a
+    stacked (1, n) @ (n, 1) matmul makes that dot call row by row.
+    np.linalg.norm along an axis sums differently and can differ in the
+    last bit, and the direction sets are pinned to the per-vector norm."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
 
 
 def _images_near(group: OrthogonalGroup, u: np.ndarray):
@@ -401,6 +404,27 @@ def _orbits(group: OrthogonalGroup, seeds) -> list[np.ndarray]:
     # views into one array, the last piece empty: a copy per seed would
     # scatter a thousand small blocks over the heap and raise peak memory
     return np.split(flat[keep], ends)[:-1]
+
+
+def _distinct_special_orbits(group: OrthogonalGroup) -> list[np.ndarray]:
+    """The _orbits of the _special_seeds, each orbit once, in seed order.
+
+    Two orbits are equal or disjoint, so one point decides whether an orbit
+    was met before: an orbit is kept when its first point lies at least
+    1e-7 from every point of the kept orbits before it. That is an
+    in-order greedy rule over the pairs (earlier orbit, later orbit) where
+    a point of the earlier one lies within 1e-7 of the first point of the
+    later one.
+    """
+    orbs = _orbits(group, _special_seeds(group))
+    sizes = np.array([o.shape[0] for o in orbs], dtype=np.intp)
+    owner = np.repeat(np.arange(len(orbs)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    points = np.concatenate(orbs) if orbs else np.zeros((0, group.dim))
+    i, j, dist = near_pairs(points, 1e-7, None)
+    hit = (dist < 1e-7) & (starts[owner[j]] == j) & (owner[i] < owner[j])
+    keep = greedy_keep(len(orbs), owner[i[hit]], owner[j[hit]])
+    return [o for o, kept in zip(orbs, keep) if kept]
 
 
 def _special_seeds(group: OrthogonalGroup) -> list[np.ndarray]:
@@ -453,14 +477,7 @@ def invariant_directions(group: OrthogonalGroup, count: int,
     if count < 1:
         raise ValueError("count must be positive")
 
-    # small orbits, each once: two orbits are equal or disjoint, so one
-    # point of a new orbit decides whether it was placed already
-    special: list[np.ndarray] = []
-    seen = np.zeros((0, n))
-    for orb in _orbits(group, _special_seeds(group)):
-        if np.all(np.linalg.norm(seen - orb[0], axis=1) >= 1e-7):
-            special.append(orb)
-            seen = np.vstack([seen, orb])
+    special = _distinct_special_orbits(group)
     special_sizes = [o.shape[0] for o in special]
 
     generic_size = group.order  # a generic point has a trivial stabilizer
@@ -492,19 +509,6 @@ def invariant_directions(group: OrthogonalGroup, count: int,
     accepted: list[np.ndarray] = []
     points_so_far = np.zeros((0, n))
 
-    def clearance(orb: np.ndarray) -> float:
-        """Min distance of orbit points to placed points and to each other."""
-        internal = np.inf
-        if orb.shape[0] > 1:
-            gram = orb @ orb.T
-            np.fill_diagonal(gram, -1.0)
-            internal = math.sqrt(max(0.0, 2.0 - 2.0 * float(np.max(gram))))
-        if not points_so_far.shape[0]:
-            return internal
-        gram = orb @ points_so_far.T
-        external = math.sqrt(max(0.0, 2.0 - 2.0 * float(np.max(gram))))
-        return min(internal, external)
-
     def add_orbit(orb: np.ndarray):
         nonlocal points_so_far
         accepted.append(orb)
@@ -518,10 +522,11 @@ def invariant_directions(group: OrthogonalGroup, count: int,
         size = special_sizes[idx]
         pool = [special[idx]] + [o for j, o in enumerate(special)
                                  if j != idx and special_sizes[j] == size]
-        best = max(pool, key=clearance)
-        if clearance(best) < 1e-7:
+        clear = _clearances(np.array(pool), points_so_far)
+        best = int(np.argmax(clear))  # the first on ties
+        if clear[best] < 1e-7:
             raise ValueError("small symmetry orbits collide irreparably")
-        add_orbit(best)
+        add_orbit(pool[best])
 
     # generic orbits: greedy packing over precomputed candidate orbits. Two
     # heuristics are available (fill the deepest coverage hole / stay farthest
@@ -537,7 +542,7 @@ def invariant_directions(group: OrthogonalGroup, count: int,
             raise ValueError("not enough generic orbit candidates")
         stack = np.array(cands)  # (K, generic_size, n)
         sep_floor = 0.2 * (sphere_area(n) / max(count, 1)) ** (1.0 / (n - 1))
-        clear0 = np.array([clearance(o) for o in cands])
+        clear0 = _clearances(stack, points_so_far)
         probe = _candidate_stream(n, 4096, seed + 1)
 
         def covering_of(selection: list[int]) -> float:
@@ -571,11 +576,44 @@ def invariant_directions(group: OrthogonalGroup, count: int,
 # value brackets the einsum value to within _DOT_SLACK, and only decisions
 # inside that bracket are taken again from einsum.
 _DOT_SLACK = 1e-12
+# blocked products hold at most this many values at once (4 MB), or this
+# many when they stay in cache (512 kB)
+_BLOCK_VALUES = 500_000
+_CACHE_VALUES = 2 ** 16
+# _orbit_slack checks the closure of s element maps of n x n in about
+# s**3 * n**2 flops, and gives up above this many (0.1 s or so; an order of
+# about 200 for n = 4)
+_CLOSURE_FLOPS = 2 ** 27
 
 
 def _chord(gram):
     """Distance between unit vectors with inner product gram."""
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * gram))
+
+
+def _clearances(stack: np.ndarray, placed: np.ndarray) -> np.ndarray:
+    """Least distance from each orbit of stack (K, s, n) to the placed
+    points (t, n) and between its own points; inf for a one-point orbit
+    with nothing placed.
+
+    A stacked matmul makes, orbit by orbit, the BLAS call that the product
+    of one orbit makes, so every value equals the one-orbit value bit for
+    bit. The chord is monotone after rounding, so the chord of the largest
+    product is the least of the chords.
+    """
+    k, s, _ = stack.shape
+    top = np.full(k, -np.inf)
+    block = max(1, _BLOCK_VALUES // (s * (s + placed.shape[0])))
+    for a in range(0, k, block):
+        part = stack[a:a + block]
+        if s > 1:
+            gram = np.matmul(part, part.transpose(0, 2, 1))
+            gram[:, np.arange(s), np.arange(s)] = -1.0
+            top[a:a + block] = gram.max(axis=(1, 2))
+        if placed.shape[0]:
+            outer = np.matmul(part, placed.T).max(axis=(1, 2))
+            np.maximum(top[a:a + block], outer, out=top[a:a + block])
+    return _chord(top)
 
 
 def _separation(stack: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -584,17 +622,68 @@ def _separation(stack: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     return _chord(np.einsum("ksn,tn->kst", stack, chosen).max(axis=(1, 2)))
 
 
-def _separation_bounds(stack: np.ndarray, chosen: np.ndarray):
-    """Lower and upper bounds of _separation from one BLAS product."""
+def _orbit_slack(stack: np.ndarray) -> float:
+    """A bound delta with max_{s,t} <X_s, Y_t> <= max_t <X_0, Y_t> + delta
+    for any two rows X, Y of stack (K, s, n); inf when it is not measured.
+
+    The rows are full orbits, X_s = g_s x for one list of elements, so
+    <X_s, Y_t> = <x, g_s^T g_t y>, and g_s^T g_t is g_0^T g_r for some r up
+    to the closure defect of the list. The elements are read back from the
+    stack as the least-squares maps B_s with X_s ~ X_0 B_s over all rows
+    (row vectors). For any maps, with rho the largest fit residual, N the
+    largest point norm and D = max_{s,t} min_r |B_s B_t^T - B_0 B_r^T|
+    (Frobenius), <X_s, Y_t> exceeds <X_0, Y_r> by at most
+    N^2 D + 2 rho (2 N + rho). The products and norms that measure rho, N
+    and D round by about 1e-16, well inside the _DOT_SLACK that
+    _separation_bounds adds.
+    """
     k, s, n = stack.shape
-    top = (stack.reshape(k * s, n) @ chosen.T).reshape(k, -1).max(axis=1)
-    return _chord(top + _DOT_SLACK), _chord(top - _DOT_SLACK)
+    if s ** 3 * n ** 2 > _CLOSURE_FLOPS:
+        return math.inf
+    firsts, flat = stack[:, 0], stack.reshape(k, s * n)
+    fit = np.linalg.lstsq(firsts, flat, rcond=None)[0]
+    rho = float(np.max(np.linalg.norm(
+        (firsts @ fit - flat).reshape(-1, n), axis=1)))
+    maps = fit.reshape(n, s, n).transpose(1, 0, 2)
+    # row s * a + t is B_a B_t^T, so the first s rows are the B_0 B_r^T
+    pairs = np.matmul(maps[:, None], maps.transpose(0, 2, 1)[None])
+    pairs = pairs.reshape(s * s, n * n)
+    defect = 0.0
+    block = max(1, _BLOCK_VALUES // s)
+    for a in range(0, s * s, block):
+        part = pairs[a:a + block]
+        near = pairs[np.argmax(part @ pairs[:s].T, axis=1)]
+        defect = max(defect,
+                     float(np.max(np.linalg.norm(part - near, axis=1))))
+    top = float(np.max(np.linalg.norm(stack.reshape(-1, n), axis=1)))
+    return top * top * defect + 2.0 * rho * (2.0 * top + rho)
+
+
+def _separation_gauge(stack: np.ndarray):
+    """The points whose products with a chosen orbit of stack bracket
+    _separation, and the extra slack of that bracket: the first point of
+    every orbit and _orbit_slack when it is measured, else every point
+    and no extra slack."""
+    delta = _orbit_slack(stack)
+    if math.isfinite(delta):
+        return np.ascontiguousarray(stack[:, :1]), delta
+    return stack, 0.0
+
+
+def _separation_bounds(gauge, chosen: np.ndarray):
+    """Lower and upper bounds of _separation from one BLAS product with the
+    points of a _separation_gauge."""
+    points, delta = gauge
+    k, s, n = points.shape
+    top = (points.reshape(k * s, n) @ chosen.T).reshape(k, -1).max(axis=1)
+    return _chord(top + delta + _DOT_SLACK), _chord(top - _DOT_SLACK)
 
 
 def _pack_farthest(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
                    rounds: int) -> list[int] | None:
     """Pick orbits one by one, always the one with maximal clearance."""
     score = clear0.copy()
+    gauge = _separation_gauge(stack)
     picked: list[int] = []
     for _ in range(rounds):
         best = int(np.argmax(score))
@@ -603,7 +692,7 @@ def _pack_farthest(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
         picked.append(best)
         chosen = stack[best]
         score[best] = -np.inf
-        lower, _ = _separation_bounds(stack, chosen)
+        lower, _ = _separation_bounds(gauge, chosen)
         rows = np.flatnonzero(lower < score)  # the others keep their score
         score[rows] = np.minimum(score[rows], _separation(stack[rows], chosen))
     return picked
@@ -621,33 +710,43 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
     # reads it, in the next free slot: rounds read only the probes in the
     # deepest holes, so most rows are never computed, and the filled rows
     # stay one contiguous prefix (scattered rows would make most pages of
-    # the array resident). When and in which product a row is filled
+    # the array resident). When and in which product a value is computed
     # changes only its BLAS rounding, and every value stays within slack of
     # the pinned einsum value; a pick that slack could change is taken
     # again from einsum below, so the picks do not depend on the filling
     # order.
-    flat = stack.reshape(k * s, n)
+    by_point = np.ascontiguousarray(stack.transpose(1, 0, 2))  # (s, k, n)
     cand_d2 = np.empty((p, k))
     slot = np.full(p, -1)
     used = 0
 
     def rows(cols: np.ndarray) -> np.ndarray:
-        """A copy of the rows of probes cols, the missing ones filled in one
-        product blocked over candidates (blocking over probes makes each
-        product a matrix-vector call when k * s is large)."""
+        """A copy of the rows of probes cols, the missing ones filled in
+        blocks of probes: one product per orbit point index, kept in a
+        running maximum that stays in cache."""
         nonlocal used
         new = cols[slot[cols] < 0]
-        if new.size:
-            at = probe[new].T
-            fill = cand_d2[used:used + new.size]
-            block = max(1, 500_000 // (new.size * s))  # each product in cache
-            for a in range(0, k, block):
-                grams = flat[a * s:(a + block) * s] @ at
-                top = grams.reshape(-1, s, new.size).max(axis=1)
-                fill[:, a:a + block] = (2.0 - 2.0 * top).T
-            slot[new] = np.arange(used, used + new.size)
-            used += new.size
+        fill = cand_d2[used:used + new.size]
+        block = max(1, _CACHE_VALUES // k)
+        for a in range(0, new.size, block):
+            at = probe[new[a:a + block]].T
+            top = by_point[0] @ at
+            for points in by_point[1:]:
+                np.maximum(top, points @ at, out=top)
+            fill[a:a + block] = (2.0 - 2.0 * top).T
+        slot[new] = np.arange(used, used + new.size)
+        used += new.size
         return cand_d2[slot[cols]]
+
+    def columns(ids: np.ndarray) -> np.ndarray:
+        """d2 from every probe to the candidates ids, shape (p, ids.size)."""
+        out = np.empty((p, ids.size))
+        block = max(1, _BLOCK_VALUES // (s * p))
+        for a in range(0, ids.size, block):
+            grams = probe @ stack[ids[a:a + block]].reshape(-1, n).T
+            out[:, a:a + block] = 2.0 - 2.0 * grams.reshape(p, -1, s).max(
+                axis=2)
+        return out
 
     slack = 3.0 * _DOT_SLACK
     if placed.shape[0]:
@@ -655,50 +754,73 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
     else:
         mind2 = np.full(p, np.inf)
     alive = clear0 > sep_floor
-    depth = max(1, p // 16)
+    gauge = _separation_gauge(stack)
+    spread = np.arange(0, p, 16)
     picked: list[int] = []
     for _ in range(rounds):
         if not np.any(alive):
             return None
         # A candidate's cover is its largest min(mind2, d2) over the probes.
-        # Probes outside the deepest holes (mind2 <= theta) cannot set a
-        # cover above theta, so look at the deep holes alone unless some
-        # candidate fills all of them.
-        theta = np.partition(mind2, p - depth)[p - depth]
-        cols = np.flatnonzero(mind2 > theta)
-        covered = rows(cols)
-        np.minimum(covered, mind2[cols, None], out=covered)
-        cover = covered.max(axis=0, initial=-np.inf)
-        cover[~alive] = np.inf
-        if cover.min() <= theta + 2.0 * slack:
-            cols = np.arange(p)
-            covered = rows(cols)
-            np.minimum(covered, mind2[:, None], out=covered)
+        # Probes outside the depth deepest holes (mind2 <= theta) cannot set
+        # a cover above theta, so once every candidate's cover over the
+        # deep holes exceeds theta, the deep holes decide every cover. The
+        # depth doubles from 4 up to p / 16 until that holds.
+        ids, cols, depth = np.arange(k), spread[:0], 4
+        while depth <= p // 16:
+            theta = np.partition(mind2, p - depth)[p - depth]
+            cols = np.flatnonzero(mind2 > theta)
+            raw = rows(cols)
+            covered = np.minimum(raw, mind2[cols, None])
+            cover = covered.max(axis=0, initial=-np.inf)
+            if np.min(cover[alive]) > theta + 2.0 * slack:
+                break
+            depth *= 2
+        else:
+            # Over any probes a cover is at least its value there, so the
+            # candidates whose cover over the deep holes and every 16th
+            # probe is no more than one full cover, plus the slack, hold
+            # every least cover; their covers are taken over every probe.
+            cols = np.union1d(cols, spread)
+            lower = np.minimum(rows(cols), mind2[cols, None]).max(axis=0)
+            lower[~alive] = np.inf
+            first = np.argmin(lower, keepdims=True)
+            bound = np.max(np.minimum(columns(first)[:, 0], mind2))
+            ids = np.flatnonzero(lower <= bound + 2.0 * slack)
+            cols, raw = np.arange(p), columns(ids)
+            covered = np.minimum(raw, mind2[:, None])
             cover = covered.max(axis=0)
-            cover[~alive] = np.inf
+        cover[~alive[ids]] = np.inf
         close = np.flatnonzero(cover <= cover.min() + 2.0 * slack)
         if close.size == 1:
-            best = int(close[0])
+            best = int(ids[close[0]])
         else:
             # the exact cover of a close candidate is attained at one of the
-            # probes whose bracket reaches its largest value
+            # probes whose bracket reaches its largest value. Where the
+            # bracket of d2 lies wholly above mind2, min(mind2, d2) is
+            # mind2 exactly, so only the other pairs need einsum.
             at, which = np.nonzero(
                 covered[:, close] >= cover[close] - 2.0 * slack)
-            grams = np.einsum("qsn,qn->qs", stack[close[which]],
-                              probe[cols[at]])
-            vals = np.minimum(2.0 - 2.0 * grams.max(axis=1), mind2[cols[at]])
+            j, i = cols[at], ids[close[which]]
+            vals = mind2[j]
+            need = np.flatnonzero(raw[at, close[which]] - slack <= vals)
+            grams = np.einsum("qsn,qn->qs", stack[i[need]], probe[j[need]])
+            vals[need] = np.minimum(2.0 - 2.0 * grams.max(axis=1), vals[need])
             exact = np.full(close.size, -np.inf)
             np.maximum.at(exact, which, vals)
-            best = int(close[np.argmin(exact)])  # first index on ties
+            best = int(ids[close[np.argmin(exact)]])  # first index on ties
         picked.append(best)
         chosen = stack[best]
-        row = 2.0 - 2.0 * np.einsum("pn,sn->ps", probe, chosen).max(axis=1)
-        mind2 = np.minimum(mind2, row)
+        # mind2 moves only at the probes whose BLAS bracket of the new
+        # orbit's d2 reaches below it; elsewhere min(mind2, d2) is mind2
+        near = np.flatnonzero(
+            2.0 - 2.0 * (probe @ chosen.T).max(axis=1) - slack < mind2)
+        row = 2.0 - 2.0 * np.einsum("pn,sn->ps", probe[near],
+                                    chosen).max(axis=1)
+        mind2[near] = np.minimum(mind2[near], row)
         alive[best] = False
-        lower, upper = _separation_bounds(stack, chosen)
+        lower, upper = _separation_bounds(gauge, chosen)
         keep = lower > sep_floor
         unsure = np.flatnonzero(alive & ~keep & (upper > sep_floor))
         keep[unsure] = _separation(stack[unsure], chosen) > sep_floor
         alive &= keep
     return picked
-

@@ -223,8 +223,12 @@ class SolutionReport:
 
 
 def orbit_sums(spec: ProblemSpec, values: np.ndarray) -> np.ndarray:
-    """The stable_sum of per-direction values over each orbit of the spec."""
-    return np.array([stable_sum(values[o]) for o in spec.orbit_partition])
+    """The stable_sum of per-direction values over each orbit of the spec:
+    math.fsum of the orbit's entries, which stable_sum equals bit for bit,
+    all read from one list of the values."""
+    flat = np.asarray(values, dtype=float).tolist()
+    return np.array([math.fsum([flat[i] for i in orbit])
+                     for orbit in spec.orbit_partition])
 
 
 # The entropy functional on the spec's kernel: a pass's dual volume and atoms

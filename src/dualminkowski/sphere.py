@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "SphericalGrid",
@@ -24,6 +23,8 @@ __all__ = [
     "integrate",
     "fibonacci_sphere_nodes",
     "stable_sum",
+    "near_pairs",
+    "greedy_keep",
     "first_of_clusters",
     "require_finite",
 ]
@@ -99,27 +100,70 @@ def stable_sum(values) -> float:
     return math.fsum(parts)
 
 
+def near_pairs(points, radius: float, labels):
+    """Every pair of rows (i, j), i < j, with equal labels (one label for
+    all rows when labels is None) that lie within radius, among a few more,
+    as (i, j, row norm of the difference).
+
+    The rows are sorted by label and then by their projection onto a
+    generic unit vector. Rows within radius have projections within radius
+    of each other, so comparing each row with the next ones in that order
+    while the projections stay within 4 radii, far above rounding, finds
+    every such pair; rows whose projections nearly tie without being close
+    only cost time.
+    """
+    pts = np.asarray(points, dtype=float)
+    m, n = pts.shape
+    w = np.sqrt(np.arange(2.0, n + 2.0))
+    key = pts @ (w / np.linalg.norm(w))
+    lab = np.zeros(m, dtype=np.intp) if labels is None else np.asarray(labels)
+    order = np.lexsort((key, lab))
+    key, lab = key[order], lab[order]
+    # a pair d places apart in the sorted order is in the window only if
+    # the pair d - 1 apart from the same row is, so the rows to check shrink
+    found = [np.zeros((2, 0), dtype=np.intp)]
+    at, d = np.arange(m), 1
+    while at.size:
+        at = at[at < m - d]
+        at = at[(lab[at + d] == lab[at]) &
+                (key[at + d] - key[at] <= 4.0 * radius)]
+        found.append(order[np.stack([at, at + d])])
+        d += 1
+    pairs = np.sort(np.concatenate(found, axis=1), axis=0)
+    return pairs[0], pairs[1], np.linalg.norm(pts[pairs[0]] - pts[pairs[1]],
+                                              axis=1)
+
+
+def greedy_keep(count: int, earlier: np.ndarray,
+                later: np.ndarray) -> np.ndarray:
+    """Mask of the items 0..count-1 that an in-order greedy pass keeps: an
+    item is kept when no earlier kept item is paired with it (pairs given
+    as earlier[k] < later[k]).
+
+    That rule fixes every item from the items before it, so the greedy
+    mask is the one mask that satisfies it. Applying the rule to all items
+    at once until the mask stops changing finds that mask: an item is
+    settled one sweep after every earlier item paired with it is, so a
+    chain of k paired items takes about k sweeps and a clique of
+    near-duplicates two.
+    """
+    keep = np.ones(count, dtype=bool)
+    while True:
+        new = np.ones_like(keep)
+        new[later[keep[earlier]]] = False
+        if np.array_equal(new, keep):
+            return keep
+        keep = new
+
+
 def first_of_clusters(points, radius: float, group_of=None) -> np.ndarray:
     """Mask of the rows a greedy in-order dedupe keeps, the package's one
     near-duplicate rule: a row is dropped when an earlier kept row lies
     within radius (row norm of the difference), and with group_of (one
-    label per row) only rows of one label merge. A k-d tree at 4x the
-    radius, far above rounding, finds the candidate pairs."""
-    pts = np.asarray(points, dtype=float)
-    # an extra coordinate puts rows of different labels 8 radii apart
-    where = pts if group_of is None else \
-        np.column_stack([pts, 8.0 * radius * np.asarray(group_of)])
-    pairs = cKDTree(where).query_pairs(4.0 * radius, output_type="ndarray")
-    # by the later row, then the earlier: a row is settled before any pair
-    # in which it is the earlier row
-    pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
-    close = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]],
-                           axis=1) <= radius
-    keep = np.ones(pts.shape[0], dtype=bool)
-    for i, j in pairs[close]:
-        if keep[i]:
-            keep[j] = False
-    return keep
+    label per row) only rows of one label merge."""
+    earlier, later, dist = near_pairs(points, radius, group_of)
+    close = dist <= radius
+    return greedy_keep(np.shape(points)[0], earlier[close], later[close])
 
 
 def require_finite(name: str, values: np.ndarray) -> None:

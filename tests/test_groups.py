@@ -490,6 +490,36 @@ class TestOrbitPartitionPinned:
         assert orbits(g, dirs) == _ref_orbit_partition(g, dirs) == [[0, 1, 2]]
 
 
+def _rotation3(axis, angle):
+    """Rotation by angle about axis (Rodrigues)."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * k @ k
+
+
+def _icosahedral(bend):
+    """The rotation group of the icosahedron (order 60) from a 5-fold turn
+    with irrational entries, one entry of it moved by bend, and a half
+    turn: the enumerated elements close only up to rounding, or up to about
+    bend."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    five = _rotation3([0.0, 1.0, phi], 2.0 * math.pi / 5.0)
+    five[0, 1] += bend
+    return enumerate_group([five, np.diag([-1.0, -1.0, 1.0])])
+
+
+def _generic_stack(group, count):
+    return np.array([o for o in groups._orbits(
+        group, groups._candidate_stream(group.dim, count, 0))
+        if len(o) == group.order])
+
+
+def _use_references(monkeypatch):
+    monkeypatch.setattr(groups, "_orbits", _ref_orbits)
+    monkeypatch.setattr(groups, "_pack_farthest", _ref_pack_farthest)
+    monkeypatch.setattr(groups, "_pack_coverage", _ref_pack_coverage)
+
+
 def _mirror_d3():
     return enumerate_group([rotation2(2.0 * math.pi / 3.0), np.diag([1.0, -1.0])])
 
@@ -497,11 +527,11 @@ def _mirror_d3():
 class TestPinnedToReference:
     @pytest.mark.parametrize("group", [simplex_symmetry(3), cyclic_rotation(5)],
                              ids=["tetrahedral", "cyclic5"])
-    def test_pack_coverage_fills_every_probe_row(self, group):
+    def test_pack_coverage_with_nothing_placed(self, group):
         """With no orbit placed every probe is infinitely far, so the first
-        round's deep-hole threshold is inf, no candidate covers a deep hole,
-        and the round falls back to all probes: every row of the cache is
-        filled, in one product."""
+        round's deep holes all lie at inf and decide no cover. The round
+        bounds every cover from below over every 16th probe, and takes the
+        full cover of only the candidates that bound cannot rule out."""
         n = group.dim
         stack = np.array([o for o in groups._orbits(
             group, groups._candidate_stream(n, 400, 0))
@@ -564,3 +594,53 @@ class TestPinnedToReference:
         monkeypatch.setattr(groups, "_pack_farthest", _ref_pack_farthest)
         monkeypatch.setattr(groups, "_pack_coverage", _ref_pack_coverage)
         assert _same_bits(got, invariant_directions(group, count))
+
+
+class TestLargeAndBentGroupsPinned:
+    """The paths the flagship cases skip: a group of order 120 with 612
+    special seeds and a plan without a small orbit, so that the first
+    coverage round has nothing placed; the cube group at 600; and groups
+    whose elements close only up to rounding, or up to a bend far above
+    it."""
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: simplex_symmetry(4), 600),
+        (lambda: cube_rotation(3), 600),
+        (lambda: _icosahedral(0.0), 162),
+        (lambda: _icosahedral(5e-12), 162),
+    ], ids=["simplex4-600", "cube-rotation-600", "icosahedral-162",
+            "bent-icosahedral-162"])
+    def test_directions_match_reference(self, make, count, monkeypatch):
+        group = make()
+        got = invariant_directions(group, count)
+        _use_references(monkeypatch)
+        assert _same_bits(got, invariant_directions(group, count))
+
+    @pytest.mark.parametrize("bend, low, high", [
+        (0.0, 0.0, 1e-13), (5e-12, 1e-12, 1e-9)], ids=["exact", "bent"])
+    def test_orbit_slack_bounds_every_pair(self, bend, low, high):
+        """The largest product of two full orbits exceeds the largest
+        product of the first orbit's first point by at most the measured
+        slack (einsum against BLAS, within _DOT_SLACK). The bent group's
+        slack follows its closure defect, far above rounding."""
+        stack = _generic_stack(_icosahedral(bend), 200)
+        delta = groups._orbit_slack(stack)
+        assert low < delta < high
+        for b in range(0, len(stack), 17):
+            full = np.einsum("ksn,tn->kst", stack, stack[b]).max(axis=(1, 2))
+            first = (stack[:, 0] @ stack[b].T).max(axis=1)
+            assert np.all(full <= first + delta + groups._DOT_SLACK)
+            assert np.all(first <= full + groups._DOT_SLACK)
+
+    def test_unmeasured_slack_brackets_every_product(self, monkeypatch):
+        """Above the flop bound the slack is not measured, the bracket
+        takes every point of every orbit, and the picks stay pinned."""
+        monkeypatch.setattr(groups, "_CLOSURE_FLOPS", 0)
+        stack = _generic_stack(simplex_symmetry(3), 100)
+        assert groups._orbit_slack(stack) == math.inf
+        points, delta = groups._separation_gauge(stack)
+        assert points is stack and delta == 0.0
+        group = simplex_symmetry(3)
+        got = invariant_directions(group, 162)
+        _use_references(monkeypatch)
+        assert _same_bits(got, invariant_directions(group, 162))

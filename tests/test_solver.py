@@ -210,6 +210,27 @@ class TestOrbitReduction:
             assert np.all(full[orbit] == values[k])
             assert sizes[k] == len(orbit)
 
+    @pytest.mark.parametrize("spoil", [None, math.inf, math.nan],
+                             ids=["finite", "inf", "nan"])
+    def test_orbit_sums_are_fsum_per_orbit(self, ball_spec, spoil):
+        """Each orbit's sum is math.fsum of its values bit for bit, the
+        value stable_sum is defined to give, here over entries spread across
+        24 orders of magnitude; a non-finite entry spoils its own orbit's
+        sum only."""
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(len(ball_spec.directions)) * \
+            10.0 ** rng.integers(-12, 12, len(ball_spec.directions))
+        if spoil is not None:
+            values[ball_spec.orbit_partition[2][1]] = spoil
+        want = np.array([math.fsum(values[o].tolist())
+                         for o in ball_spec.orbit_partition])
+        got = orbit_sums(ball_spec, values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.isfinite(got).sum() == len(got) - (spoil is not None)
+        assert got.tobytes() == np.array(
+            [stable_sum(values[o]) for o in ball_spec.orbit_partition]
+        ).tobytes()
+
     def test_collapsed_gradient_matches_directional_derivative(self, ball_spec):
         count = len(ball_spec.orbit_partition)
         rng = np.random.default_rng(1)

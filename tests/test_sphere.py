@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from dualminkowski import sphere
 from dualminkowski.sphere import (
@@ -11,6 +12,7 @@ from dualminkowski.sphere import (
     build_grid,
     first_of_clusters,
     integrate,
+    near_pairs,
     sphere_area,
     stable_sum,
     unit_ball_volume,
@@ -254,3 +256,101 @@ def test_first_of_clusters_matches_all_pairs_greedy():
         got = first_of_clusters(pts, 1e-9, group_of=group_of)
         assert got.tolist() == want
         assert 0 < np.count_nonzero(~got) < len(pts) - 30
+
+
+def _ref_first_of_clusters(points, radius, group_of=None):
+    """The former first_of_clusters: candidate pairs from a k-d tree at 4x
+    the radius (an extra coordinate 8 radii per label apart), taken by the
+    later row and then the earlier in one Python loop."""
+    pts = np.asarray(points, dtype=float)
+    where = pts if group_of is None else \
+        np.column_stack([pts, 8.0 * radius * np.asarray(group_of)])
+    pairs = cKDTree(where).query_pairs(4.0 * radius, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+    close = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]],
+                           axis=1) <= radius
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for i, j in pairs[close]:
+        if keep[i]:
+            keep[j] = False
+    return keep
+
+
+def _clusters(rng, centres, copies, spread):
+    """copies points around each of centres random centres, each within
+    spread of its centre, shuffled; and the centre of each point."""
+    base = rng.standard_normal((centres, 3))
+    offsets = rng.standard_normal((centres * copies, 3))
+    offsets *= spread * rng.uniform(0.0, 1.0, (centres * copies, 1)) / \
+        np.linalg.norm(offsets, axis=1, keepdims=True)
+    order = rng.permutation(centres * copies)
+    owner = np.repeat(np.arange(centres), copies)[order]
+    return base[owner] + offsets[order], owner
+
+
+_R = 1e-9
+_DIRECTION = np.array([0.48, -0.6, 0.64])
+
+
+@pytest.mark.parametrize("case", [
+    "chain", "cliques", "cliques-labelled", "overlapping", "empty", "one-row"])
+def test_first_of_clusters_pinned_to_loop(case):
+    """The fixed point keeps exactly the rows the in-order loop keeps. On a
+    chain 0.6 radius apart the loop keeps every other row: a row is
+    compared with kept rows only, and the next kept one is 1.2 radii
+    away."""
+    rng = np.random.default_rng(7)
+    labels = None
+    if case == "chain":
+        pts = np.arange(60)[:, None] * 0.6 * _R * _DIRECTION
+    elif case in ("cliques", "cliques-labelled"):
+        # every pair of one clique lies within 0.9 radius
+        pts, owner = _clusters(rng, 40, 9, 0.45 * _R)
+        if case == "cliques-labelled":
+            labels = rng.integers(3, size=len(pts))
+    elif case == "overlapping":
+        pts, _ = _clusters(rng, 40, 9, 1.5 * _R)
+    else:
+        pts = np.zeros((0 if case == "empty" else 1, 3))
+    got = first_of_clusters(pts, _R, group_of=labels)
+    assert got.dtype == bool and got.tolist() == \
+        _ref_first_of_clusters(pts, _R, group_of=labels).tolist()
+    if case == "chain":
+        assert got.tolist() == [k % 2 == 0 for k in range(60)]
+    elif case.startswith("cliques"):
+        tags = owner if labels is None else owner * 3 + labels
+        assert np.count_nonzero(got) == len(set(tags.tolist()))
+
+
+def test_first_of_clusters_pinned_on_orbit_images():
+    """The images of every special seed of a group of order 120, one label
+    per seed: cliques of up to 24 images that coincide up to rounding."""
+    from dualminkowski import groups
+    group = groups.simplex_symmetry(4)
+    u = np.array(groups._special_seeds(group))
+    images, _ = groups._images_near(group, u)
+    flat = images.reshape(-1, 4)
+    labels = np.repeat(np.arange(len(u)), group.order)
+    got = first_of_clusters(flat, groups.ORBIT_DEDUPE_TOL, labels)
+    want = _ref_first_of_clusters(flat, groups.ORBIT_DEDUPE_TOL, labels)
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(~got) > len(flat) // 2
+
+
+def test_near_pairs_finds_every_close_pair():
+    """Every pair of one label within the radius is among the pairs, each
+    once as (earlier, later), with the row norm of its difference."""
+    rng = np.random.default_rng(3)
+    pts, _ = _clusters(rng, 30, 6, 2.0 * _R)
+    labels = rng.integers(2, size=len(pts))
+    for lab in (None, labels):
+        i, j, dist = near_pairs(pts, _R, lab)
+        assert np.all(i < j)
+        assert len(set(zip(i.tolist(), j.tolist()))) == len(i)
+        assert np.array_equal(dist, np.linalg.norm(pts[i] - pts[j], axis=1))
+        gaps = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        same = np.ones_like(gaps, dtype=bool) if lab is None else \
+            lab[:, None] == lab[None]
+        want = {(a, b) for a, b in zip(*np.nonzero(
+            (gaps <= _R) & same)) if a < b}
+        assert want and want <= set(zip(i.tolist(), j.tolist()))
