@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import StarBody, SupportPolytope, geometry_stats, support_profile, \
-    vertex_enumeration
+from .bodies import StarBody, SupportPolytope, box_radial, geometry_stats, \
+    support_profile, vertex_enumeration
 from .measures import dual_mixed_volume
 from .sphere import SphericalGrid, sphere_area, stable_sum, unit_ball_volume
 
@@ -105,8 +105,8 @@ class BoxSpec:
         a = np.ascontiguousarray(np.asarray(self.half_axes, dtype=float))
         if a.ndim != 1 or a.size < 2:
             raise ValueError("need at least two half-axes")
-        if np.any(a <= 0):
-            raise ValueError("half-axes must be positive")
+        if not np.all((a > 0) & (a < np.inf)):
+            raise ValueError("half-axes must be positive and finite")
         if np.any(np.diff(a) < 0):
             raise ValueError("half-axes must be sorted ascending")
         a.setflags(write=False)
@@ -115,9 +115,6 @@ class BoxSpec:
     @property
     def dim(self) -> int:
         return self.half_axes.size
-
-    def star_body(self) -> StarBody:
-        return StarBody.box(self.half_axes)
 
     def volume(self) -> float:
         return float(np.prod(2.0 * self.half_axes))
@@ -205,17 +202,36 @@ def box_bounds(box: BoxSpec, q: float) -> BoundsReport:
 
 
 def box_dual_volume_mc(box: BoxSpec, q: float, grid: SphericalGrid) -> float:
-    """Quadrature oracle for the box dual volume, from the exact box radial."""
+    """Quadrature oracle for the box dual volume, from the exact box radial.
+
+    The radial is bodies.box_radial on the grid's cached abs_columns, the
+    one implementation StarBody.box also uses, so every box on a grid
+    reuses one |u_i| pass and gets the bits StarBody.box(...).radial gives
+    on the grid nodes.
+    """
     if grid.dim != box.dim:
         raise ValueError("grid dimension must match the box")
-    rho = box.star_body().radial(grid.nodes)
+    rho = box_radial(box.half_axes, grid.abs_columns)
     return stable_sum(rho ** q * grid.weights) / box.dim
 
 
 def verify_box(box: BoxSpec, q: float, grid: SphericalGrid) -> BoundsReport:
-    """Bracket check: does the quadrature value fall inside [lower, upper]?"""
+    """Bracket check: does the quadrature value fall inside [lower, upper]?
+
+    Raises ValueError, naming the box, when the bracket ends or the
+    quadrature value are not all finite and positive (say, a power of the
+    radial that underflows on extreme half-axes): there is no bracket to
+    check then.
+    """
     report = box_bounds(box, q)
     observed = box_dual_volume_mc(box, q, grid)
+    if not all(0.0 < v < math.inf
+               for v in (report.lower, observed, report.upper)):
+        axes = ", ".join(f"{a:.6g}" for a in box.half_axes)
+        raise ValueError(
+            f"degenerate bracket for n = {box.dim}, q = {q:g}, half-axes "
+            f"[{axes}]: lower {report.lower:.6g}, observed {observed:.6g}, "
+            f"upper {report.upper:.6g}; each must be finite and positive")
     passed = report.lower <= observed <= report.upper
     return BoundsReport(lower=report.lower, upper=report.upper,
                         observed=observed, passed=passed, branch=report.branch,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dualminkowski.bodies import StarBody, ball_polytope, cube_polytope
+from dualminkowski.bodies import StarBody, ball_polytope, box_radial, \
+    cube_polytope
 from dualminkowski.bounds import (
     BoxSpec,
     admissible_exponent_s,
@@ -14,7 +15,8 @@ from dualminkowski.bounds import (
     santalo_product,
     verify_box,
 )
-from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, unit_ball_volume
+from dualminkowski.sphere import SphericalGrid, build_grid, \
+    fibonacci_sphere_nodes, sphere_area, stable_sum, unit_ball_volume
 
 from conftest import random_centered_polytope, translate
 
@@ -78,6 +80,11 @@ class TestBoxSpec:
         with pytest.raises(ValueError, match="positive"):
             BoxSpec(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_finite_required(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BoxSpec(np.array([1.0, bad]))
+
     def test_volume(self):
         assert BoxSpec(np.array([1.0, 2.0])).volume() == pytest.approx(8.0)
 
@@ -131,6 +138,52 @@ class TestBoxBounds:
         v1 = box_dual_volume_mc(box, q, mc_grids[3])
         v2 = box_dual_volume_mc(BoxSpec(lam * box.half_axes), q, mc_grids[3])
         assert v2 == pytest.approx(lam ** q * v1, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cached_columns_match_star_body(self, n):
+        """The oracle's radial on the grid's cached |u_i| columns equals
+        StarBody.box(axes).radial bit for bit, on a grid whose nodes have
+        exact-zero, subnormal and tiny coordinates and on free points with
+        NaN and infinite coordinates, and the oracle is the weighted sum
+        of that radial."""
+        rng = np.random.default_rng(60 + n)
+        axes = np.sort(np.exp(rng.uniform(math.log(0.3), math.log(30.0), n)))
+        star = StarBody.box(axes)
+        unit = rng.standard_normal((3000, n))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        tiny = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-300, 2e-300, -1e-290])
+        edge = tiny[rng.integers(0, tiny.size, (300, n))]
+        edge[np.arange(300), rng.integers(0, n, 300)] = \
+            rng.choice([-1.0, 1.0], 300)
+        nodes = np.vstack([unit, edge, -np.eye(n)])
+        grid = SphericalGrid(dim=n, nodes=nodes, scheme="monte-carlo",
+                             weights=np.full(len(nodes), sphere_area(n)
+                                             / len(nodes)))
+        with np.errstate(over="ignore"):  # a / 5e-324, masked to inf
+            want = star.radial(grid.nodes)
+            got = box_radial(axes, grid.abs_columns)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        q = 1.5
+        with np.errstate(over="ignore"):
+            observed = box_dual_volume_mc(BoxSpec(axes), q, grid)
+        assert observed == stable_sum(want ** q * grid.weights) / n
+        free = np.array([np.nan, np.inf, -np.inf, 0.0, 5e-324, 0.5])
+        pts = free[rng.integers(0, free.size, (400, n))]
+        with np.errstate(over="ignore"):
+            got = box_radial(axes, np.ascontiguousarray(np.abs(pts).T))
+            want = star.radial(pts)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_degenerate_value_names_the_box(self, mc_grids):
+        """A radial power that underflows to 0 leaves no bracket to check:
+        verify_box names the box instead of returning a value whose log
+        margin cannot be taken."""
+        axes = np.array([1.8e-166, 5.3e-106, 3.2e120])
+        with pytest.raises(ValueError, match=(
+                r"degenerate bracket for n = 3, q = 2, half-axes \[1\.8e-166, "
+                r"5\.3e-106, 3\.2e\+120\]: lower \S+, observed 0, upper \S+; "
+                r"each must be finite and positive")):
+            verify_box(BoxSpec(axes), 2.0, mc_grids[3])
 
     def test_random_boxes_light_sweep(self, mc_grids):
         rng = np.random.default_rng(40)

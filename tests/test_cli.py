@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -598,6 +599,35 @@ class TestVerifyBoundsCommand:
                                math.log(upper / observed)))
         assert 0 < outcome["worst_margin"] == pytest.approx(min(margins),
                                                             rel=1e-9)
+
+    def test_bounds_csv_pinned(self, tmp_path):
+        """The whole box path (grids, radial, quadrature, brackets, CSV
+        cells), n = 8 included, where row norms fall back to
+        np.linalg.norm."""
+        cfg = write_config(tmp_path, {"dimensions": [2, 3, 4, 8],
+                                      "boxes_per_case": 2,
+                                      "grid_nodes": 20000})
+        out = str(tmp_path / "runs")
+        assert main(["verify-bounds", cfg, "--out", out]) == EXIT_OK
+        _, run_dir = manifest_of(out)
+        with open(os.path.join(run_dir, "bounds.csv"), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == ("0057df94ae0ec9fba0aaf2b9bfc47c9a"
+                          "2c9558f1bc54be4750b65db3f62f30d4")
+
+    def test_degenerate_value_is_named(self, tmp_path, capsys):
+        """Extreme axes underflow the quadrature value to 0: the command
+        fails naming the box, not with a bare math domain error."""
+        cfg = write_config(tmp_path, {"dimensions": [3], "q_values": [2],
+                                      "boxes_per_case": 1, "grid_nodes": 1000,
+                                      "axis_range": [1e-200, 1e200]})
+        out = str(tmp_path / "runs")
+        assert main(["verify-bounds", cfg, "--out", out]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.match(r"error: degenerate bracket for n = 3, q = 2, "
+                        r"half-axes \[1\.81831e-166, 5\.29911e-106, "
+                        r"3\.23434e\+120\]: lower \S+, observed 0, upper \S+; "
+                        r"each must be finite and positive$", err)
 
     @pytest.mark.parametrize("field, value", [
         ("boxes_per_case", 0),

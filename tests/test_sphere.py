@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -59,6 +60,47 @@ def test_grid_determinism():
     a = build_grid(4, 500, "monte-carlo", seed=3)
     b = build_grid(4, 500, "monte-carlo", seed=3)
     assert np.array_equal(a.nodes, b.nodes)
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((4, 200000, "monte-carlo", 0),
+     "7904a8587c1572afd8e5680c5ada95d041a77602ba0c995326b7ee06ffe2c6f3"),
+    ((3, 20000, "fibonacci-sphere", 0),
+     "3129e0785d413f82de45c19c90e95b530032b703783ac0ac26559bfb44850692"),
+    ((2, 720, "uniform-angle", 0),
+     "417143b9d6e38d98f98ffd63901b570689c47cd279c70d761ac70ba51ab15c8c"),
+])
+def test_grid_nodes_pinned(args, digest):
+    """Node bits of one grid per scheme, as the double normalisation with
+    np.linalg.norm row norms gave them; every quadrature value rests on
+    them."""
+    nodes = build_grid(*args).nodes
+    assert hashlib.sha256(nodes.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_row_norms_match_linalg_norm(n):
+    """Column sums below 8 coordinates and the np.linalg.norm fallback from
+    8 up both give np.linalg.norm(x, axis=1) bit for bit, on Gaussian rows,
+    on rows with zeros, subnormals and huge entries, and on a transposed
+    (Fortran-ordered) view."""
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, -0.0, 5e-324, 1e-160, 3.0, -7.5, 1e150])
+    x = np.vstack([rng.standard_normal((20000, n)),
+                   special[rng.integers(0, special.size, (500, n))]])
+    for rows in (x, np.ascontiguousarray(x.T).T):
+        want = np.linalg.norm(rows, axis=1)
+        got = sphere._row_norms(rows)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_abs_columns_cached_and_read_only():
+    grid = build_grid(3, 500, "monte-carlo", seed=2)
+    cols = grid.abs_columns
+    assert cols is grid.abs_columns
+    assert cols.shape == (3, 500) and cols.flags.c_contiguous
+    assert not cols.flags.writeable
+    assert np.array_equal(cols, np.abs(grid.nodes).T)
 
 
 def test_build_grid_rejections():
