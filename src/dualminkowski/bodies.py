@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import (ConvexHull, HalfspaceIntersection, QhullError,
-                           cKDTree)
 
 from .groups import OrthogonalGroup
 from .sphere import (SphericalGrid, first_of_clusters, probe_grid,
@@ -42,8 +39,9 @@ __all__ = [
 ]
 
 _POS_DENOM_TOL = 1e-14
-# radial_profile evaluates blocks of at most this many node-facet ratios
-RADIAL_BLOCK_CELLS = 4_000_000
+# radial_profile, RadialKernel's list build and MeasureSpec.from_density
+# form at most this many node-facet products at a time (7.6 MiB)
+RADIAL_BLOCK_CELLS = 1_000_000
 # prune keeps the halfspaces whose slack is at most this fraction of max h
 PRUNE_TOL = 1e-9
 # is_invariant accepts a largest radial deviation up to this
@@ -128,6 +126,8 @@ def _uncovered_direction(normals: np.ndarray) -> np.ndarray | None:
     lie in the hyperplane through their mean orthogonal to the last right
     singular vector w, and u = +-w, signed away from the mean, is uncovered.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     extremes = np.unique(np.concatenate([np.argmax(normals, axis=0),
                                          np.argmin(normals, axis=0)]))
     try:
@@ -298,6 +298,8 @@ def radial_eval(body: SupportPolytope, u: np.ndarray) -> tuple[float, int]:
 
 def support_eval(body: SupportPolytope, u: np.ndarray) -> float:
     """Support function h_K(u) = max <x, u> over K, by linear programming."""
+    from scipy.optimize import linprog
+
     u = np.asarray(u, dtype=float)
     res = linprog(-u, A_ub=body.normals, b_ub=body.support,
                   bounds=[(None, None)] * body.dim, method="highs")
@@ -318,6 +320,8 @@ def support_profile(body: SupportPolytope, points: np.ndarray,
 def vertex_enumeration(body: SupportPolytope) -> np.ndarray:
     """All vertices of the halfspace intersection (origin used as the
     interior point, which the positivity floor guarantees feasible)."""
+    from scipy.spatial import HalfspaceIntersection
+
     halfspaces = np.column_stack([body.normals, -body.support])
     hs = HalfspaceIntersection(halfspaces, np.zeros(body.dim))
     verts = hs.intersections
@@ -377,6 +381,8 @@ def active_part(body: SupportPolytope
     rho as on the full body (facet indices refer to the kept ones). When
     Qhull fails every halfspace is kept and the vertices are None.
     """
+    from scipy.spatial import QhullError
+
     try:
         keep, verts = _near_active(body, _PROBE_SLACK)
     except QhullError:
@@ -394,6 +400,8 @@ def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
     Inradius uses the support values at the body's own normals. These are
     probe-grid estimators and feed diagnostics only.
     """
+    from scipy.spatial import QhullError
+
     rho, _ = radial_profile(body, grid.nodes)
     rho_neg, _ = radial_profile(body, -grid.nodes)
     n = body.dim
@@ -441,6 +449,8 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
     """
     probed, verts = active_part(body) if active is None else active
     if verts is not None:
+        from scipy.spatial import cKDTree
+
         images = group.apply(probed.normals).reshape(-1, body.dim)
         _, match = cKDTree(probed.normals).query(images)
         delta = float(np.max(np.linalg.norm(images - probed.normals[match],

@@ -3,7 +3,8 @@
 Each run reads one JSON config, writes a fresh run directory under the
 output root, and exits with a code that distinguishes the failure class:
 0 success, 1 usage or internal error, 2 hypothesis violation, 3 solver
-non-convergence, 4 bound violation found.
+non-convergence, 4 bound violation found. Any other error raised after the
+run directory exists leaves error.json there (see runio.write_error).
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ def main(argv=None) -> int:
             cmd.add_argument("config", help="path to the JSON run config")
         cmd.add_argument("--out", default="runs", help="output root directory")
     args = parser.parse_args(argv)
+    args.run_dir = None  # set by _run_directory
 
-    from .runio import ConfigError, HypothesisError, load_config
+    from .runio import ConfigError, HypothesisError, load_config, write_error
 
     try:
         if args.command == "selftest":
@@ -59,19 +61,29 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - surface anything with context
         print(f"error: {exc}", file=sys.stderr)
+        if args.run_dir is not None:
+            write_error(args.run_dir, args.command, config, exc)
         return EXIT_ERROR
 
 
+def _run_directory(args, command: str) -> str:
+    """A fresh run directory, kept on args for main's error report."""
+    from .runio import new_run_directory
+
+    args.run_dir = new_run_directory(args.out, command)
+    return args.run_dir
+
+
 def _cmd_solve(config: dict, args) -> int:
-    from .runio import (new_run_directory, resolve_problem, write_body_file,
-                        write_csv, write_facet_measure_csv, write_manifest,
+    from .runio import (resolve_problem, write_body_file, write_csv,
+                        write_facet_measure_csv, write_manifest,
                         write_obj_mesh)
     from .solver import solve_problem
 
     started = time.time()
     spec, solver_cfg, extras = resolve_problem(config)
     export_mesh = extras.pop("export_mesh")
-    run_dir = new_run_directory(args.out, "solve")
+    run_dir = _run_directory(args, "solve")
 
     report = solve_problem(spec, solver_cfg)
 
@@ -125,13 +137,12 @@ def _cmd_solve(config: dict, args) -> int:
 
 def _cmd_verify_bounds(config: dict, args) -> int:
     from .bounds import BoxSpec, verify_box
-    from .runio import (new_run_directory, resolve_sweep, write_csv,
-                        write_manifest)
+    from .runio import resolve_sweep, write_csv, write_manifest
     from .sphere import build_grid
 
     started = time.time()
     dims, q_values, per_case, (lo, hi), nodes, seed = resolve_sweep(config)
-    run_dir = new_run_directory(args.out, "verify-bounds")
+    run_dir = _run_directory(args, "verify-bounds")
 
     rows, failures, total = [], 0, 0
     branch_counts: dict[str, int] = {}
@@ -171,12 +182,12 @@ def _cmd_construct(config: dict, args) -> int:
     from .constructions import (fundamental_domain_check,
                                 orbit_intersection_body,
                                 orbit_intersection_body_circum)
-    from .runio import (new_run_directory, resolve_construct, write_body_file,
-                        write_json, write_manifest)
+    from .runio import (resolve_construct, write_body_file, write_json,
+                        write_manifest)
 
     started = time.time()
     kind, group, seed, inputs = resolve_construct(config)
-    run_dir = new_run_directory(args.out, "construct")
+    run_dir = _run_directory(args, "construct")
     outputs = []
 
     if kind == "dirichlet-voronoi":
@@ -223,12 +234,12 @@ def _cmd_construct(config: dict, args) -> int:
 
 def _cmd_export(config: dict, args) -> int:
     from .bodies import prune
-    from .runio import (new_run_directory, resolve_export, write_body_file,
-                        write_manifest, write_obj_mesh)
+    from .runio import (resolve_export, write_body_file, write_manifest,
+                        write_obj_mesh)
 
     started = time.time()
     body, pruned, mesh = resolve_export(config)
-    run_dir = new_run_directory(args.out, "export")
+    run_dir = _run_directory(args, "export")
     outputs = []
     if pruned:
         body = prune(body)

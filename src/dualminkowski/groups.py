@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .sphere import (fibonacci_sphere_nodes, first_of_clusters, greedy_keep,
                      near_pairs, sphere_area)
@@ -303,6 +302,8 @@ def orbits(group: OrthogonalGroup, directions: np.ndarray) -> list[list[int]]:
     representative (smallest index). Raises if two distinct input directions
     are closer than MERGE_TOL, since matching would then be ambiguous.
     """
+    from scipy.spatial import cKDTree
+
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != group.dim:
         raise ValueError(f"directions must have shape (N, {group.dim})")
@@ -546,11 +547,8 @@ def invariant_directions(group: OrthogonalGroup, count: int,
         probe = _candidate_stream(n, 4096, seed + 1)
 
         def covering_of(selection: list[int]) -> float:
-            pts = np.vstack([points_so_far] + [stack[i] for i in selection])
-            # 2 - 2x stays monotone after rounding: the largest product
-            # gives the smallest distance bit for bit
-            d2 = 2.0 - 2.0 * np.max(probe @ pts.T, axis=1)
-            return float(np.max(d2))
+            return _covering(probe, np.vstack(
+                [points_so_far] + [stack[i] for i in selection]))
 
         choices = [_pack_farthest(stack, clear0, sep_floor, n_generic)]
         if n_generic <= 64:
@@ -589,6 +587,19 @@ _CLOSURE_FLOPS = 2 ** 27
 def _chord(gram):
     """Distance between unit vectors with inner product gram."""
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * gram))
+
+
+def _covering(probe: np.ndarray, pts: np.ndarray) -> float:
+    """Largest squared distance from a probe row to its nearest row of pts.
+
+    2 - 2x stays monotone after rounding, so the largest product gives the
+    smallest distance bit for bit. The products are taken in blocks of probe
+    rows, each the same BLAS values as in the whole product.
+    """
+    block = max(1, _BLOCK_VALUES // pts.shape[0])
+    return max(float(np.max(2.0 - 2.0 * np.max(probe[a:a + block] @ pts.T,
+                                               axis=1)))
+               for a in range(0, probe.shape[0], block))
 
 
 def _clearances(stack: np.ndarray, placed: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (
-    RADIAL_BLOCK_CELLS,
     StarBody,
     SupportPolytope,
     facet_area,
@@ -74,17 +73,21 @@ class MeasureSpec:
     @staticmethod
     def from_density(density, grid: SphericalGrid,
                      directions: np.ndarray) -> "MeasureSpec":
+        from .bodies import RADIAL_BLOCK_CELLS  # read at call time
+
         values = np.asarray(density(grid.nodes), dtype=float)
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("density must be finite and nonnegative")
         dirs = np.asarray(directions, dtype=float)
-        atoms = np.zeros(dirs.shape[0])
+        # the nearest direction of each node, in row blocks; one bincount
+        # then sums every atom in node order, whatever the block size
+        idx = np.empty(grid.node_count, dtype=np.intp)
         step = max(1, RADIAL_BLOCK_CELLS // dirs.shape[0])
         for start in range(0, grid.node_count, step):
-            sl = slice(start, start + step)
-            idx = np.argmax(grid.nodes[sl] @ dirs.T, axis=1)
-            atoms += np.bincount(idx, weights=grid.weights[sl] * values[sl],
-                                 minlength=dirs.shape[0])
+            idx[start:start + step] = np.argmax(
+                grid.nodes[start:start + step] @ dirs.T, axis=1)
+        atoms = np.bincount(idx, weights=grid.weights * values,
+                            minlength=dirs.shape[0])
         return MeasureSpec(directions=dirs, atoms=atoms)
 
     @staticmethod

@@ -19,6 +19,7 @@ import json
 import os
 import reprlib
 import time
+import traceback
 from dataclasses import asdict
 
 import numpy as np
@@ -56,6 +57,7 @@ __all__ = [
     "read_body_file",
     "write_obj_mesh",
     "write_manifest",
+    "write_error",
     "write_csv",
     "new_run_directory",
 ]
@@ -541,6 +543,19 @@ def write_manifest(run_dir: str, command: str, resolved_config: dict,
     path = os.path.join(run_dir, "manifest.json")
     write_json(path, manifest)
     return path
+
+
+def write_error(run_dir: str, command: str, resolved_config: dict,
+                exc: BaseException) -> None:
+    """error.json in the run directory of a failed command: the command,
+    its config, the error and its traceback."""
+    write_json(os.path.join(run_dir, "error.json"), {
+        "tool_version": __version__,
+        "command": command,
+        "resolved_config": resolved_config,
+        "error": f"{type(exc).__name__}: {exc}",
+        "traceback": "".join(traceback.format_exception(exc)),
+    })
 
 
 def write_json(path: str, obj) -> None:

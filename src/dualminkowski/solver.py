@@ -17,7 +17,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
@@ -74,6 +73,8 @@ class ProblemSpec:
     radial: RadialKernel = field(init=False)
 
     def __post_init__(self):
+        from scipy.spatial import cKDTree
+
         try:
             s = admissible_exponent_s(self.p, self.q, self.dim)
         except ValueError as exc:

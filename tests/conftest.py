@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ def tetra_group():
 @pytest.fixture(scope="session")
 def tetra_directions(tetra_group):
     return invariant_directions(tetra_group, 642)
+
+
+def heap_peak_mib(run):
+    """Peak of the traced heap while run() runs, above the heap in use when
+    it starts, in MiB (numpy reports its array buffers to tracemalloc)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def random_polytope(rng, n_facets, dim=3, jitter=0.08, h_lo=0.9, h_hi=1.1,

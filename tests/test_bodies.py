@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -398,8 +399,8 @@ def _ref_vertex_enumeration(body):
     """Qhull's raw intersection count and the all-pairs greedy dedupe
     vertex_enumeration is pinned to."""
     halfspaces = np.column_stack([body.normals, -body.support])
-    verts = bodies.HalfspaceIntersection(halfspaces,
-                                         np.zeros(body.dim)).intersections
+    verts = scipy.spatial.HalfspaceIntersection(
+        halfspaces, np.zeros(body.dim)).intersections
     scale = float(np.max(np.abs(verts))) or 1.0
     kept = []
     for v in verts:
@@ -460,7 +461,8 @@ class TestVertexDedupePinned:
             def __init__(self, halfspaces, interior):
                 self.intersections = chain
 
-        monkeypatch.setattr(bodies, "HalfspaceIntersection", ChainQhull)
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection",
+                            ChainQhull)
         raw, want = _ref_vertex_enumeration(cube)
         assert np.array_equal(want, chain[[0, 2, 3, 4, 5]])
         assert np.array_equal(vertex_enumeration(cube), want)

@@ -629,6 +629,27 @@ class TestVerifyBoundsCommand:
                         r"3\.23434e\+120\]: lower \S+, observed 0, upper \S+; "
                         r"each must be finite and positive$", err)
 
+    def test_failure_leaves_error_json(self, tmp_path, capsys):
+        """A failure after the run directory exists leaves error.json
+        there: the command, its config, the error and the traceback. The
+        exit code and the stderr line are those of any error."""
+        sweep = {"dimensions": [3], "q_values": [2], "boxes_per_case": 1,
+                 "grid_nodes": 1000, "axis_range": [1e-200, 1e200]}
+        cfg = write_config(tmp_path, sweep)
+        out = tmp_path / "runs"
+        assert main(["verify-bounds", cfg, "--out", str(out)]) == EXIT_ERROR
+        line = capsys.readouterr().err
+        assert line.startswith("error: degenerate bracket for n = 3")
+        (run_dir,) = out.iterdir()
+        assert [p.name for p in run_dir.iterdir()] == ["error.json"]
+        report = json.loads((run_dir / "error.json").read_text())
+        assert report["command"] == "verify-bounds"
+        assert report["resolved_config"] == sweep
+        assert report["error"] == "ValueError: " + line[len("error: "):-1]
+        assert report["traceback"].startswith("Traceback (most recent call")
+        assert "in verify_box" in report["traceback"]
+        assert report["tool_version"] == dualminkowski.__version__
+
     @pytest.mark.parametrize("field, value", [
         ("boxes_per_case", 0),
         ("q_values", []),
@@ -926,6 +947,77 @@ class TestBodyFileFormat:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("ConfigError 1 "), done.stdout
         assert "'NORMALS'" in done.stdout
+
+
+# Run in a fresh interpreter, since the test session has scipy loaded: the
+# exit code and the scipy modules a command leaves in sys.modules.
+_IMPORT_PROBE = """
+import json, sys
+from dualminkowski.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_process(tmp_path, script, *argv):
+    src = os.path.dirname(os.path.dirname(dualminkowski.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportSet:
+    """Each command loads only the scipy modules it calls."""
+
+    def test_verify_bounds_loads_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, {"dimensions": [2, 3],
+                                      "q_values": [0.5, 2.0],
+                                      "boxes_per_case": 1,
+                                      "grid_nodes": 2000})
+        assert _fresh_process(tmp_path, _IMPORT_PROBE, "verify-bounds", cfg,
+                              "--out", "runs") == [EXIT_OK, []]
+
+    @pytest.mark.parametrize("command, config", [
+        ("solve", dict(SOLVE_CONFIG, solver={"max_iters": 5})),
+        ("construct", {"construction": "orbit-intersection-min", "n": 3,
+                       "group": {"name": "simplex-symmetry", "m": 3},
+                       "base": {"kind": "shifted-ball", "radius": 2.0,
+                                "center": [0.5, 0, 0], "normal_count": 120},
+                       "seed": 4, "probe_nodes": 600}),
+    ], ids=["solve", "construct"])
+    def test_no_optimize(self, tmp_path, command, config):
+        cfg = write_config(tmp_path, config)
+        code, loaded = _fresh_process(tmp_path, _IMPORT_PROBE, command, cfg,
+                                      "--out", "runs")
+        assert code in (EXIT_OK, EXIT_NONCONVERGED)
+        assert "scipy.spatial" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+    def test_lp_fallback_loads_optimize_when_called(self, tmp_path):
+        """geometry_stats falls back to one LP per normal when Qhull
+        fails, and gives the inradius of the vertex route."""
+        script = """
+import json, sys
+import scipy.spatial
+from dualminkowski import bodies
+from dualminkowski.sphere import build_grid
+cube, grid = bodies.cube_polytope(3), build_grid(3, 2000)
+want = bodies.geometry_stats(cube, grid)["inradius"]
+before = "scipy.optimize" in sys.modules
+def failing(body):
+    raise scipy.spatial.QhullError("degenerate")
+bodies.vertex_enumeration = failing
+got = bodies.geometry_stats(cube, grid)["inradius"]
+print(json.dumps([before, "scipy.optimize" in sys.modules, want, got]))
+"""
+        before, after, want, got = _fresh_process(tmp_path, script)
+        assert not before and after
+        assert want == 1.0
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_selftest_command():

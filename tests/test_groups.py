@@ -644,3 +644,44 @@ class TestLargeAndBentGroupsPinned:
         got = invariant_directions(group, 162)
         _use_references(monkeypatch)
         assert _same_bits(got, invariant_directions(group, 162))
+
+
+class TestCoveringBlocks:
+    """invariant_directions picks between the two packers by the covering
+    radius over 4096 probes, taken in row blocks of the probe."""
+
+    @staticmethod
+    def _one_product(probe, pts):
+        return float(np.max(2.0 - 2.0 * np.max(probe @ pts.T, axis=1)))
+
+    @pytest.mark.parametrize("values", [1, 642 * 7, 642 * 1000, None],
+                             ids=["one-row", "7-rows", "1000-rows", "default"])
+    def test_blocks_give_the_one_product_value(self, tetra_directions,
+                                               values, monkeypatch):
+        probe = groups._candidate_stream(3, 4096, 1)
+        if values is not None:
+            monkeypatch.setattr(groups, "_BLOCK_VALUES", values)
+        assert groups._covering(probe, tetra_directions) == \
+            self._one_product(probe, tetra_directions)
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: simplex_symmetry(3), 162),
+        (lambda: cyclic_rotation(5), 90),
+    ], ids=["tetrahedral-162", "cyclic5-90"])
+    def test_small_blocks_pick_the_same_packer(self, make, count,
+                                               monkeypatch):
+        """Both packers run, each covering radius equals the one-product
+        value, and the direction set is the one of the default blocks."""
+        group = make()
+        want = invariant_directions(group, count)
+        covering, same = groups._covering, []
+
+        def spy(probe, pts):
+            got = covering(probe, pts)
+            same.append(got == self._one_product(probe, pts))
+            return got
+
+        monkeypatch.setattr(groups, "_covering", spy)
+        monkeypatch.setattr(groups, "_BLOCK_VALUES", 1000)
+        assert _same_bits(invariant_directions(group, count), want)
+        assert same == [True, True]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualminkowski import solver
+from dualminkowski import bodies, solver
 from dualminkowski.bodies import (
     StarBody,
     SupportPolytope,
@@ -26,7 +26,7 @@ from dualminkowski.solver import ProblemSpec
 from dualminkowski.sphere import SphericalGrid, build_grid, fibonacci_sphere_nodes, \
     stable_sum, unit_ball_volume
 
-from conftest import random_polytope
+from conftest import heap_peak_mib, random_polytope
 
 BALL3 = StarBody.ball(3)
 KAPPA3 = unit_ball_volume(3)
@@ -305,6 +305,41 @@ class TestMeasureSpec:
                                        grid3_small, tetra_directions)
         assert stable_sum(mu.atoms) == pytest.approx(stable_sum(raw.atoms),
                                                      rel=1e-4)
+
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 641, 1557, 3001, 20000])
+    def test_atoms_do_not_depend_on_the_block(self, grid3, tetra_directions,
+                                              block_rows, monkeypatch):
+        """The nearest directions are found in row blocks of
+        bodies.RADIAL_BLOCK_CELLS products and the atoms summed by one
+        bincount in node order, so every block size gives the bits of one
+        dense product. 7, 641, 1557 (the default at 642 directions) and
+        3001 rows do not divide 20000."""
+        def density(U):
+            return 1.0 + 2.0 * U[:, 2] ** 2
+
+        want = np.bincount(np.argmax(grid3.nodes @ tetra_directions.T, axis=1),
+                           weights=grid3.weights * density(grid3.nodes),
+                           minlength=len(tetra_directions))
+        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS",
+                            block_rows * len(tetra_directions))
+        got = MeasureSpec.from_density(density, grid3, tetra_directions)
+        assert got.atoms.tobytes() == want.tobytes()
+
+    def test_block_constant_is_read_at_call_time(self, grid3,
+                                                 tetra_directions,
+                                                 monkeypatch):
+        """A patched bodies.RADIAL_BLOCK_CELLS reaches from_density: at 7
+        rows a block is 35 kB, and the heap holds little more than the
+        node-length arrays (0.16 MiB each) instead of a 7.6 MiB block."""
+        def run():
+            MeasureSpec.from_density(lambda U: np.ones(len(U)), grid3,
+                                     tetra_directions)
+
+        assert heap_peak_mib(run) > 7.0
+        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS",
+                            7 * len(tetra_directions))
+        assert heap_peak_mib(run) < 1.0
 
 
 class TestAffineInvariance:

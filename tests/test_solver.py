@@ -2,7 +2,6 @@ import itertools
 import math
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +39,8 @@ from dualminkowski.solver import (
 )
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, stable_sum
 
-from conftest import reference_kernel_lists, reference_radial_profile
+from conftest import (heap_peak_mib, reference_kernel_lists,
+                      reference_radial_profile)
 
 P, Q_EXP = -1.0, 2.0
 BALL3 = StarBody.ball(3)
@@ -641,22 +641,6 @@ def _same_lists(got, want):
                                      for a, b in zip(got[1:], want[1:]))
 
 
-def _heap_peak_mib(run):
-    """Peak of the traced heap while run() runs, above the heap in use when
-    it starts, in MiB (numpy reports its array buffers to tracemalloc)."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run()
-        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestBlockedPasses:
     """radial_profile and the kernel's list build hold one block of
     products at a time, with the dense forms' results bit for bit."""
@@ -740,15 +724,18 @@ class TestBlockedPasses:
         assert errors[0] == errors[1]
 
     def test_heap_peaks_at_flagship_size(self, grid3, tetra_directions):
-        """One 4e6-cell block is 30.5 MiB; the dense forms held the whole
-        20000 x 642 product (98 MiB) and copies of it."""
+        """One 1e6-cell block is 7.6 MiB: the list build peaks at about
+        18.5 MiB (block, candidates and lists) and radial_profile at about
+        9 MiB. At 4e6 cells they peaked at 40.8 and 34.8 MiB, and the dense
+        forms held the whole 20000 x 642 product (98 MiB) and copies of
+        it."""
         kernel = RadialKernel(grid3.nodes, tetra_directions)
-        assert _heap_peak_mib(lambda: kernel._build(0.95)) <= 50.0
+        assert heap_peak_mib(lambda: kernel._build(0.95)) <= 25.0
         h = np.exp(np.random.default_rng(3).uniform(-0.3, 0.3,
                                                     len(tetra_directions)))
         body = SupportPolytope(dim=3, normals=tetra_directions, support=h)
-        assert _heap_peak_mib(lambda: radial_profile(body, grid3.nodes)) \
-            <= 40.0
+        assert heap_peak_mib(lambda: radial_profile(body, grid3.nodes)) \
+            <= 12.0
 
     @pytest.mark.parametrize("ratio, bound", [(0.6, 135.0), (0.3, 230.0)])
     def test_low_ratio_build_frees_its_temporaries(self, grid3,
@@ -759,7 +746,7 @@ class TestBlockedPasses:
         2 x 37 MiB at 0.3; the build that held every list-sized temporary at
         once peaked at 173 and 294 MiB."""
         kernel = RadialKernel(grid3.nodes, tetra_directions)
-        assert _heap_peak_mib(lambda: kernel._build(ratio)) <= bound
+        assert heap_peak_mib(lambda: kernel._build(ratio)) <= bound
 
 
 class TestOneKernel:
