@@ -113,19 +113,39 @@ class SupportPolytope:
         return replace(self, support=np.asarray(new_h, dtype=float))
 
 
+def _axis_certificate(normals: np.ndarray) -> bool:
+    """A sufficient test, with no hull, that unit normals positively span.
+
+    Let t = 1 - 1/(2n) + 1e-9. The test holds when for each axis k some
+    normal has v_k > t and some has v_k < -t. A normal v with v_k > t has
+    |v - e_k|^2 = |v|^2 + 1 - 2 v_k < 1/n, because the margin 1e-9 covers
+    |v|^2 - 1 <= 2.1e-10 under the 1e-10 unit-norm tolerance; likewise for
+    -e_k. Every unit u has some |u_k| >= 1/sqrt(n), as its squares sum to
+    1; with s the sign of u_k and v a normal within 1/sqrt(n) of s e_k,
+    <u, v> = |u_k| + <u, v - s e_k> > 0. So max_i <u, v_i> > 0 for every u.
+    """
+    t = 1.0 - 0.5 / normals.shape[1] + 1e-9
+    return bool(np.all(np.max(normals, axis=0) > t) and
+                np.all(np.min(normals, axis=0) < -t))
+
+
 def _uncovered_direction(normals: np.ndarray) -> np.ndarray | None:
     """A unit u with max_i <u, v_i> <= 0, or None when the normals
     positively span.
 
-    They span exactly when the origin is strictly inside their convex hull,
-    whose facets <w, x> + c = 0 (w the outward unit normal) all have c < 0.
-    The hull of the at most 2n normals that maximise +-e_k is tried first;
-    when it holds the origin strictly inside, so does the hull of all. Else
-    the hull of all the normals decides. A facet with c >= 0 names u = w, as
-    max_i <w, v_i> = -c <= 0. Qhull fails on a flat set: the normals then
-    lie in the hyperplane through their mean orthogonal to the last right
-    singular vector w, and u = +-w, signed away from the mean, is uncovered.
+    _axis_certificate decides most spanning sets without Qhull; when it
+    fails, Qhull decides. The normals span exactly when the origin is
+    strictly inside their convex hull, whose facets <w, x> + c = 0 (w the
+    outward unit normal) all have c < 0. The hull of the at most 2n normals
+    that maximise +-e_k is tried first; when it holds the origin strictly
+    inside, so does the hull of all. Else the hull of all the normals
+    decides. A facet with c >= 0 names u = w, as max_i <w, v_i> = -c <= 0.
+    Qhull fails on a flat set: the normals then lie in the hyperplane
+    through their mean orthogonal to the last right singular vector w, and
+    u = +-w, signed away from the mean, is uncovered.
     """
+    if _axis_certificate(normals):
+        return None
     from scipy.spatial import ConvexHull, QhullError
 
     extremes = np.unique(np.concatenate([np.argmax(normals, axis=0),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere import (fibonacci_sphere_nodes, first_of_clusters, greedy_keep,
-                     near_pairs, sphere_area)
+                     near_pairs, nearest_within, sphere_area)
 
 __all__ = [
     "OrthogonalGroup",
@@ -31,6 +31,8 @@ __all__ = [
     "direct_sum",
     "certify",
     "orbits",
+    "OrbitPartition",
+    "image_gap",
     "symmetrize_density",
     "invariant_directions",
 ]
@@ -38,6 +40,7 @@ __all__ = [
 ORTHOGONALITY_TOL = 1e-10
 MATCH_TOL = 1e-8  # matrix dedup/closure tolerance; see module notes
 MERGE_TOL = 1e-6  # directions this close are one point of an orbit
+STABLE_TOL = 1e-9  # a group-stable set has a direction this close to each g @ u
 MAX_ORDER = 10000  # enumerate_group's default bound on the closure
 # _orbits: images of a seed within STABILIZER_TOL of it are its images under
 # the approximate stabilizer, and an image within ORBIT_DEDUPE_TOL of an
@@ -294,6 +297,16 @@ def certify(group: OrthogonalGroup) -> GroupCertificate:
     )
 
 
+class OrbitPartition(list):
+    """The orbits of a direction set, as lists of direction indices, and
+    stable: whether every image g @ u lies within STABLE_TOL of a direction,
+    read from the image match that built the orbits."""
+
+    def __init__(self, parts, stable: bool):
+        super().__init__(parts)
+        self.stable = stable
+
+
 def orbits(group: OrthogonalGroup, directions: np.ndarray) -> list[list[int]]:
     """Partition direction indices into group orbits.
 
@@ -301,9 +314,11 @@ def orbits(group: OrthogonalGroup, directions: np.ndarray) -> list[list[int]]:
     other within MERGE_TOL (Euclidean). Each orbit list starts with its
     representative (smallest index). Raises if two distinct input directions
     are closer than MERGE_TOL, since matching would then be ambiguous.
-    """
-    from scipy.spatial import cKDTree
 
+    One sorted search (sphere.nearest_within) matches every image g @ u to
+    its nearest direction within MERGE_TOL; the result is an OrbitPartition,
+    which also says whether the set is group-stable within STABLE_TOL.
+    """
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != group.dim:
         raise ValueError(f"directions must have shape (N, {group.dim})")
@@ -311,16 +326,15 @@ def orbits(group: OrthogonalGroup, directions: np.ndarray) -> list[list[int]]:
     if np.max(np.abs(norms - 1.0)) > 1e-10:
         raise ValueError("directions must be unit vectors within 1e-10")
     m = dirs.shape[0]
-    tree = cKDTree(dirs)
-    dist, idx = tree.query(dirs, k=2)
-    a = int(np.argmin(dist[:, 1]))
-    if dist[a, 1] < MERGE_TOL:
-        b = idx[a][idx[a] != a][0]  # a coincident point may rank first
-        raise ValueError(f"directions {a} and {b} are {dist[a, 1]:.3e} "
+    a, b, dist = near_pairs(dirs, MERGE_TOL, None)
+    if a.size and np.min(dist) < MERGE_TOL:
+        k = np.lexsort((b, a, dist))[0]  # the closest pair, first on ties
+        raise ValueError(f"directions {a[k]} and {b[k]} are {dist[k]:.3e} "
                          f"apart, below MERGE_TOL = {MERGE_TOL:g}")
-    dist, nearest = tree.query(group.apply(dirs))  # nearest to each g @ u
-    near = dist <= MERGE_TOL
-    src, dst = np.nonzero(near)[1], nearest[near]
+    images = group.apply(dirs).reshape(-1, group.dim)
+    nearest, gap = nearest_within(dirs, images, MERGE_TOL)
+    near = nearest >= 0
+    src, dst = np.tile(np.arange(m), group.order)[near], nearest[near]
     # connected components of the matches: every direction takes the least
     # label of its matches, then the label of its label, until nothing moves
     label = np.arange(m)
@@ -330,9 +344,28 @@ def orbits(group: OrthogonalGroup, directions: np.ndarray) -> list[list[int]]:
         np.minimum.at(low, dst, label[src])
         low = low[low]
         if np.array_equal(low, label):
-            return [np.flatnonzero(label == k).tolist()
-                    for k in np.unique(label)]
+            return OrbitPartition(
+                [np.flatnonzero(label == k).tolist() for k in np.unique(label)],
+                stable=bool(np.all(gap <= STABLE_TOL)))
         label = low
+
+
+def image_gap(group: OrthogonalGroup, directions: np.ndarray) -> float:
+    """Largest distance from an image g @ u to its nearest direction.
+
+    Each image's nearest direction is the one of largest inner product,
+    found in row blocks of the image-direction product; the distance is the
+    row norm of the difference, exact where 2 - 2 <g u, v> would cancel.
+    """
+    dirs = np.asarray(directions, dtype=float)
+    images = group.apply(dirs).reshape(-1, group.dim)
+    block = max(1, _BLOCK_VALUES // dirs.shape[0])
+    worst = 0.0
+    for a in range(0, images.shape[0], block):
+        part = images[a:a + block]
+        near = dirs[np.argmax(part @ dirs.T, axis=1)]
+        worst = max(worst, float(np.max(np.linalg.norm(part - near, axis=1))))
+    return worst
 
 
 def symmetrize_density(group: OrthogonalGroup, f):

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
-from .groups import OrthogonalGroup, certify, orbits, symmetrize_density
+from .groups import (OrthogonalGroup, certify, image_gap, orbits,
+                     symmetrize_density)
 from .measures import MeasureSpec, entropy_state, integrand_values
 from .sphere import SphericalGrid, stable_sum
 
@@ -49,7 +50,10 @@ class ProblemSpec:
     unless -q* < p < 0 (recording the implied integrability exponent), the
     group has no nonzero fixed vector, and Q is group-invariant; and
     ValueError unless the direction set is exactly group-stable and the
-    measure sits on it. It also holds the orbit map of the directions
+    measure sits on it. One image match gives both the stability verdict
+    and the orbits: groups.orbits matches every image g @ u to its nearest
+    direction and reports whether each lies within groups.STABLE_TOL. It
+    also holds the orbit map of the directions
     (orbit_partition, and orbit_of, the orbit index of each direction) and
     replaces the measure's atoms by their orbit means, so mu is
     group-invariant, as the theorem asks, for every spec. Every solver pass
@@ -73,8 +77,6 @@ class ProblemSpec:
     radial: RadialKernel = field(init=False)
 
     def __post_init__(self):
-        from scipy.spatial import cKDTree
-
         try:
             s = admissible_exponent_s(self.p, self.q, self.dim)
         except ValueError as exc:
@@ -88,10 +90,10 @@ class ProblemSpec:
             raise HypothesisError(
                 f"Q is not group-invariant (deviation {dev:.3e})")
         dirs = np.ascontiguousarray(np.asarray(self.directions, dtype=float))
-        worst = float(np.max(cKDTree(dirs).query(self.group.apply(dirs))[0]))
-        if worst > 1e-9:
-            raise ValueError(f"direction set is not group-stable ({worst:.3e})")
         part = orbits(self.group, dirs)
+        if not part.stable:
+            raise ValueError("direction set is not group-stable "
+                             f"({image_gap(self.group, dirs):.3e})")
         if self.mu.directions.shape != dirs.shape or \
                 not np.allclose(self.mu.directions, dirs, atol=1e-12):
             raise ValueError("measure atoms must sit on the problem directions")

@@ -24,6 +24,7 @@ __all__ = [
     "fibonacci_sphere_nodes",
     "stable_sum",
     "near_pairs",
+    "nearest_within",
     "greedy_keep",
     "first_of_clusters",
     "require_finite",
@@ -100,6 +101,13 @@ def stable_sum(values) -> float:
     return math.fsum(parts)
 
 
+def _generic_key(pts: np.ndarray) -> np.ndarray:
+    """Projection of each row onto a fixed generic unit vector: rows within
+    r of each other have keys within r."""
+    w = np.sqrt(np.arange(2.0, pts.shape[1] + 2.0))
+    return pts @ (w / np.linalg.norm(w))
+
+
 def near_pairs(points, radius: float, labels):
     """Every pair of rows (i, j), i < j, with equal labels (one label for
     all rows when labels is None) that lie within radius, among a few more,
@@ -113,9 +121,8 @@ def near_pairs(points, radius: float, labels):
     only cost time.
     """
     pts = np.asarray(points, dtype=float)
-    m, n = pts.shape
-    w = np.sqrt(np.arange(2.0, n + 2.0))
-    key = pts @ (w / np.linalg.norm(w))
+    m = pts.shape[0]
+    key = _generic_key(pts)
     lab = np.zeros(m, dtype=np.intp) if labels is None else np.asarray(labels)
     order = np.lexsort((key, lab))
     key, lab = key[order], lab[order]
@@ -132,6 +139,38 @@ def near_pairs(points, radius: float, labels):
     pairs = np.sort(np.concatenate(found, axis=1), axis=0)
     return pairs[0], pairs[1], np.linalg.norm(pts[pairs[0]] - pts[pairs[1]],
                                               axis=1)
+
+
+def nearest_within(points, queries, radius: float):
+    """For each query row, the nearest row of points within radius (the
+    lowest index on ties) and the row norm of their difference, or -1 and
+    inf where no row is that close.
+
+    near_pairs's rule across two sets: the point keys are sorted once, and
+    each query is compared only with the points whose keys lie within 4
+    radii of its own, which holds every point within radius of it.
+    """
+    pts = np.asarray(points, dtype=float)
+    qs = np.asarray(queries, dtype=float)
+    key = _generic_key(pts)
+    order = np.argsort(key, kind="stable")
+    key, qkey = key[order], _generic_key(qs)
+    lo = np.searchsorted(key, qkey - 4.0 * radius, side="left")
+    count = np.searchsorted(key, qkey + 4.0 * radius, side="right") - lo
+    row = np.repeat(np.arange(qs.shape[0]), count)
+    cand = order[np.arange(row.size) +
+                 np.repeat(lo - (np.cumsum(count) - count), count)]
+    dist = np.linalg.norm(qs[row] - pts[cand], axis=1)
+    close = dist <= radius
+    row, cand, dist = row[close], cand[close], dist[close]
+    pick = np.lexsort((cand, dist, row))
+    head = np.ones(pick.size, dtype=bool)
+    head[1:] = row[pick[1:]] != row[pick[:-1]]
+    pick = pick[head]
+    nearest = np.full(qs.shape[0], -1, dtype=np.intp)
+    gap = np.full(qs.shape[0], np.inf)
+    nearest[row[pick]], gap[row[pick]] = cand[pick], dist[pick]
+    return nearest, gap
 
 
 def greedy_keep(count: int, earlier: np.ndarray,

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,6 +139,125 @@ class TestConstruction:
         with pytest.raises(ValueError, match="h_floor must be finite"):
             SupportPolytope(dim=3, normals=cube.normals,
                             support=cube.support, h_floor=math.nan)
+
+
+def _qhull_route(normals):
+    """_uncovered_direction with the axis certificate switched off."""
+    with mock.patch.object(bodies, "_axis_certificate", lambda v: False):
+        return bodies._uncovered_direction(normals)
+
+
+def _assert_certificate_sound(normals):
+    """The certificate holds only where the Qhull route finds the normals
+    spanning, and _uncovered_direction returns what that route returns.
+    Gives the certificate's verdict."""
+    certified = bodies._axis_certificate(normals)
+    want = _qhull_route(normals)
+    got = bodies._uncovered_direction(normals)
+    assert not certified or want is None
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
+    return certified
+
+
+def _unit(rows):
+    rows = np.asarray(rows, dtype=float)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _axis_extremes(dim, cuts, rng):
+    """2n unit normals, rows 2k and 2k + 1 at +cuts[2k] and -cuts[2k + 1]
+    on axis k and tilted off it in a random direction."""
+    rows = rng.standard_normal((2 * dim, dim))
+    for k in range(dim):
+        for row, sign in ((2 * k, 1.0), (2 * k + 1, -1.0)):
+            rows[row, k] = 0.0
+            c = cuts[row]
+            rows[row] *= math.sqrt(1.0 - c * c) / np.linalg.norm(rows[row])
+            rows[row, k] = sign * c
+    return rows
+
+
+def _normal_set(kind, dim, count, seed):
+    """Unit normals of one kind: random, near-uniform with a normal close to
+    each of +-e_k, confined to the half-space x_n > 0, flat (x_n = 0), or
+    only the 2n axis extremes, at 1 - 1/(2n) + 1e-9 (the certificate's cut)
+    plus at most 1e-8."""
+    rng = np.random.default_rng(seed)
+    if kind == "threshold":
+        cut = 1.0 - 0.5 / dim + 1e-9
+        return _axis_extremes(dim, cut + rng.uniform(-1e-8, 1e-8, 2 * dim),
+                              rng)
+    rows = rng.standard_normal((count, dim))
+    if kind == "near-uniform":
+        axes = np.vstack([np.eye(dim), -np.eye(dim)])
+        rows = np.vstack([rows, axes + 0.05 * rng.standard_normal(axes.shape)])
+    elif kind == "half-space":
+        rows[:, -1] = np.abs(rows[:, -1]) + 1e-3
+    elif kind == "flat":
+        rows[:, -1] = 0.0
+    return _unit(rows)
+
+
+class TestAxisCertificate:
+    """The axis certificate (no Qhull) against the Qhull route it sits in
+    front of, in n = 2..5."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["random", "near-uniform", "half-space", "flat",
+                            "threshold"]),
+           st.integers(min_value=2, max_value=5),
+           st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_certifies_only_what_qhull_certifies(self, kind, dim, extra,
+                                                 seed):
+        normals = _normal_set(kind, dim, dim + 1 + extra, seed)
+        certified = _assert_certificate_sound(normals)
+        if kind in ("half-space", "flat"):
+            assert not certified
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_near_uniform_sets_are_certified(self, dim):
+        normals = _normal_set("near-uniform", dim, 20 * dim, dim)
+        assert _assert_certificate_sound(normals)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["half-space", "flat"])
+    def test_one_sided_sets_are_not_certified(self, dim, kind):
+        normals = _normal_set(kind, dim, 20 * dim, dim)
+        assert not _assert_certificate_sound(normals)
+        assert _qhull_route(normals) is not None
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_cross_polytope(self, dim):
+        """All 2n axis normals certify; without -e_1 the certificate fails
+        and Qhull names the uncovered direction."""
+        axes = np.vstack([np.eye(dim), -np.eye(dim)])
+        assert _assert_certificate_sound(axes)
+        dropped = np.delete(axes, dim, axis=0)
+        assert not _assert_certificate_sound(dropped)
+        u = bodies._uncovered_direction(dropped)
+        assert np.max(dropped @ u) <= 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_threshold(self, dim):
+        """Axis extremes 2e-9 above the cut certify; 2e-9 below it, they do
+        not, and Qhull still finds the set spanning."""
+        cut = 1.0 - 0.5 / dim + 1e-9
+        for delta, certified in ((2e-9, True), (-2e-9, False)):
+            normals = _axis_extremes(dim, np.full(2 * dim, cut + delta),
+                                     np.random.default_rng(dim))
+            assert _assert_certificate_sound(normals) == certified
+            assert _qhull_route(normals) is None
+
+    def test_tetrahedron_needs_qhull(self):
+        """The four tetrahedron normals span, but no normal is within the
+        cut of an axis: Qhull certifies them."""
+        normals = _unit([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        assert not _assert_certificate_sound(normals)
+        assert bodies._uncovered_direction(normals) is None
 
 
 class TestRadial:

@@ -981,21 +981,29 @@ class TestImportSet:
         assert _fresh_process(tmp_path, _IMPORT_PROBE, "verify-bounds", cfg,
                               "--out", "runs") == [EXIT_OK, []]
 
-    @pytest.mark.parametrize("command, config", [
-        ("solve", dict(SOLVE_CONFIG, solver={"max_iters": 5})),
+    @pytest.mark.parametrize("command, config, spatial", [
+        ("solve", dict(SOLVE_CONFIG, solver={"max_iters": 5}), False),
+        ("solve", dict(SOLVE_CONFIG, solver={"max_iters": 5},
+                       export_mesh=True), True),
         ("construct", {"construction": "orbit-intersection-min", "n": 3,
                        "group": {"name": "simplex-symmetry", "m": 3},
                        "base": {"kind": "shifted-ball", "radius": 2.0,
                                 "center": [0.5, 0, 0], "normal_count": 120},
-                       "seed": 4, "probe_nodes": 600}),
-    ], ids=["solve", "construct"])
-    def test_no_optimize(self, tmp_path, command, config):
+                       "seed": 4, "probe_nodes": 600}, True),
+    ], ids=["solve", "solve-export-mesh", "construct"])
+    def test_no_optimize(self, tmp_path, command, config, spatial):
+        """A solve loads no scipy module, unless it exports the mesh, which
+        takes a Qhull hull; a construct loads scipy.spatial. None loads
+        scipy.optimize."""
         cfg = write_config(tmp_path, config)
         code, loaded = _fresh_process(tmp_path, _IMPORT_PROBE, command, cfg,
                                       "--out", "runs")
         assert code in (EXIT_OK, EXIT_NONCONVERGED)
-        assert "scipy.spatial" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.optimize")]
+        if spatial:
+            assert "scipy.spatial" in loaded
+            assert not [m for m in loaded if m.startswith("scipy.optimize")]
+        else:
+            assert loaded == []
 
     def test_lp_fallback_loads_optimize_when_called(self, tmp_path):
         """geometry_stats falls back to one LP per normal when Qhull

@@ -685,3 +685,140 @@ class TestCoveringBlocks:
         monkeypatch.setattr(groups, "_BLOCK_VALUES", 1000)
         assert _same_bits(invariant_directions(group, count), want)
         assert same == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# The sorted image match of orbits, pinned to the dense union-find
+# reference and to the k-d tree match it replaced.
+
+
+def _kd_orbit_partition(group, directions):
+    """The k-d tree orbits: every image g @ u joins its nearest direction
+    when the two lie within MERGE_TOL."""
+    from scipy.spatial import cKDTree
+
+    dirs = np.asarray(directions, dtype=float)
+    dist, nearest = cKDTree(dirs).query(group.apply(dirs))
+    near = dist <= MERGE_TOL
+    src, dst = np.nonzero(near)[1], nearest[near]
+    label = np.arange(dirs.shape[0])
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[dst])
+        np.minimum.at(low, dst, label[src])
+        low = low[low]
+        if np.array_equal(low, label):
+            return [np.flatnonzero(label == k).tolist()
+                    for k in np.unique(label)]
+        label = low
+
+
+def _kd_image_gap(group, directions):
+    """The k-d tree stability measure: the largest distance from an image
+    g @ u to its nearest direction."""
+    from scipy.spatial import cKDTree
+
+    dirs = np.asarray(directions, dtype=float)
+    return float(np.max(cKDTree(dirs).query(group.apply(dirs))[0]))
+
+
+def _assert_match_pinned(group, dirs, dense=True):
+    """orbits equals both references, and its stability verdict the k-d
+    tree's. The dense reference measures sqrt(2 - 2 <g u, v>), which holds
+    only for unit images; a bent group's images are not, so dense=False
+    skips it there."""
+    part = orbits(group, dirs)
+    if dense:
+        assert part == _ref_orbit_partition(group, dirs)
+    assert part == _kd_orbit_partition(group, dirs)
+    assert part.stable == (_kd_image_gap(group, dirs) <= groups.STABLE_TOL)
+    return part
+
+
+class TestImageMatchPinned:
+    @pytest.mark.parametrize("make, count, dense", [
+        (lambda: simplex_symmetry(3), 162, True),
+        (lambda: simplex_symmetry(3), 642, True),
+        (lambda: cyclic_rotation(5), 90, True),
+        (lambda: simplex_symmetry(2), 60, True),
+        (lambda: direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 450,
+         True),
+        (_mirror_d3, 60, True),
+        (_mirror_d3, 63, True),
+        (lambda: OrthogonalGroup(dim=3, elements=np.eye(3)[None]), 100, True),
+        (lambda: standard_group("negation", n=3), 100, True),
+        (lambda: simplex_symmetry(4), 600, True),
+        (lambda: cube_rotation(3), 600, True),
+        (lambda: _icosahedral(0.0), 162, True),
+        (lambda: _icosahedral(5e-12), 162, False),
+    ], ids=["tetrahedral-162", "tetrahedral-642", "cyclic5-90", "triangle-60",
+            "cyclic3+cyclic5-450", "mirror-d3-60", "mirror-d3-63",
+            "trivial-100", "negation-100", "simplex4-600",
+            "cube-rotation-600", "icosahedral-162", "bent-icosahedral-162"])
+    def test_direction_sets(self, make, count, dense):
+        """Every direction set the tests and the benchmark configs build
+        (tetrahedral-642 is the solve workloads' set): the sorted match
+        gives the reference partitions, and each set is group-stable. The
+        bent group's elements shrink images by up to 1.4e-11, which the
+        dense reference reads as a distance of 5.3e-6."""
+        group = make()
+        assert _assert_match_pinned(group, invariant_directions(group, count),
+                                    dense).stable
+
+    @pytest.mark.parametrize("group", [
+        simplex_symmetry(3), cube_rotation(3),
+        OrthogonalGroup(dim=3, elements=np.eye(3)[None])],
+        ids=["tetrahedral", "cube-rotation", "trivial"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_icosphere(self, group, level):
+        _assert_match_pinned(group, icosphere_nodes(level))
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_one_direction_nudged(self, tetra_group, tetra_directions,
+                                  factor):
+        """A nudge of half or twice MERGE_TOL: the partitions agree either
+        way, and the set is no longer group-stable."""
+        orbit = next(o for o in orbits(tetra_group, tetra_directions)
+                     if len(o) == 24)
+        dirs = tetra_directions.copy()
+        u = dirs[orbit[3]]
+        t = np.cross(u, [0.0, 0.0, 1.0])
+        dirs[orbit[3]] = u + factor * MERGE_TOL * t / np.linalg.norm(t)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert not _assert_match_pinned(tetra_group, dirs).stable
+
+    def test_one_sided_match(self):
+        g = cyclic_rotation(3)
+        angles = np.array([0.0, 2.0 * math.pi / 3.0 + 0.6 * MERGE_TOL,
+                           1.1 * MERGE_TOL])
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        assert _assert_match_pinned(g, dirs) == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("shift", [1e-7, 1e-5])
+    def test_image_gap_of_a_moved_direction(self, tetra_group,
+                                            tetra_directions, shift):
+        """One flagship direction moved by shift: the blocked-product gap
+        equals the k-d tree's to 3 digits, and both are about shift."""
+        dirs = tetra_directions.copy()
+        u = dirs[100]
+        t = np.cross(u, [0.0, 0.0, 1.0])
+        dirs[100] = u + shift * t / np.linalg.norm(t)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        want = _kd_image_gap(tetra_group, dirs)
+        assert groups.image_gap(tetra_group, dirs) == \
+            pytest.approx(want, rel=1e-3)
+        assert want == pytest.approx(shift, rel=0.1)
+        assert not orbits(tetra_group, dirs).stable
+
+    @pytest.mark.parametrize("values", [1, 642 * 7, None],
+                             ids=["one-row", "7-rows", "default"])
+    def test_image_gap_blocks(self, tetra_group, tetra_directions, values,
+                              monkeypatch):
+        """The gap does not depend on the block, and a stable set's gap is
+        within STABLE_TOL."""
+        if values is not None:
+            monkeypatch.setattr(groups, "_BLOCK_VALUES", values)
+        gap = groups.image_gap(tetra_group, tetra_directions)
+        assert gap <= groups.STABLE_TOL
+        assert gap == pytest.approx(
+            _kd_image_gap(tetra_group, tetra_directions), abs=1e-15)

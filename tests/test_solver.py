@@ -114,6 +114,27 @@ class TestProblemSpec:
             ProblemSpec(dim=3, p=P, q=Q_EXP, group=group, q_body=BALL3, mu=mu,
                         directions=dirs, grid=grid)
 
+    @pytest.mark.parametrize("shift", [1e-7, 1e-5])
+    def test_unstable_gap_is_reported(self, small_setup, tetra_group,
+                                      tetra_directions, shift):
+        """One flagship direction moved by shift: the error reports the
+        largest image-to-direction distance of a k-d tree query, to 3
+        digits."""
+        from scipy.spatial import cKDTree
+
+        dirs = tetra_directions.copy()
+        u = dirs[100]
+        t = np.cross(u, [0.0, 0.0, 1.0])
+        dirs[100] = u + shift * t / np.linalg.norm(t)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        want = float(np.max(cKDTree(dirs).query(tetra_group.apply(dirs))[0]))
+        mu = MeasureSpec.from_atoms(np.ones(len(dirs)), dirs)
+        with pytest.raises(ValueError, match="not group-stable") as err:
+            ProblemSpec(dim=3, p=P, q=Q_EXP, group=tetra_group, q_body=BALL3,
+                        mu=mu, directions=dirs, grid=small_setup[2])
+        got = float(re.search(r"\((.*)\)", str(err.value)).group(1))
+        assert got == pytest.approx(want, rel=1e-3)
+
     def test_direct_spec_stores_orbit_means(self, small_setup):
         """A spec built directly from atoms that are not orbit-constant
         holds their orbit means, bit-equal to ProblemSpec.build's."""

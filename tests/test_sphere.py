@@ -14,6 +14,7 @@ from dualminkowski.sphere import (
     first_of_clusters,
     integrate,
     near_pairs,
+    nearest_within,
     sphere_area,
     stable_sum,
     unit_ball_volume,
@@ -396,3 +397,35 @@ def test_near_pairs_finds_every_close_pair():
         want = {(a, b) for a, b in zip(*np.nonzero(
             (gaps <= _R) & same)) if a < b}
         assert want and want <= set(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize("case", ["clusters", "duplicates", "far", "empty"])
+def test_nearest_within_matches_all_pairs(case):
+    """Each query gets the nearest point within the radius, the lowest index
+    among equally near ones, and the row norm of the difference; -1 and inf
+    when no point is that close."""
+    rng = np.random.default_rng(5)
+    pts, _ = _clusters(rng, 30, 6, 2.0 * _R)
+    queries = pts[rng.permutation(len(pts))] + \
+        rng.uniform(-_R, _R, size=pts.shape)
+    if case == "duplicates":
+        pts = np.concatenate([pts, pts[::3]])  # exact ties at every distance
+        queries = np.concatenate([queries, pts[::5]])
+    elif case == "far":
+        queries = -queries
+    elif case == "empty":
+        queries = queries[:0]
+    nearest, gap = nearest_within(pts, queries, _R)
+    gaps = np.linalg.norm(queries[:, None] - pts[None], axis=2)
+    for q in range(len(queries)):
+        close = np.flatnonzero(gaps[q] <= _R)
+        if close.size == 0:
+            assert nearest[q] == -1 and gap[q] == np.inf
+            continue
+        best = close[gaps[q, close] == gaps[q, close].min()]
+        assert nearest[q] == best[0]
+        assert gap[q] == np.linalg.norm(queries[q] - pts[best[0]])
+    if case == "far":
+        assert np.all(nearest == -1)
+    elif case != "empty":
+        assert np.count_nonzero(nearest >= 0) > len(queries) // 2
