@@ -39,9 +39,17 @@ __all__ = [
 ]
 
 _POS_DENOM_TOL = 1e-14
-# radial_profile, RadialKernel's list build and MeasureSpec.from_density
-# form at most this many node-facet products at a time (7.6 MiB)
+# product_blocks forms at most about this many products at a time (7.6 MiB)
+# for radial_profile, RadialKernel's list build, MeasureSpec.from_density and
+# the facet-vertex maxima of _near_active (active_part, prune),
+# support_profile and geometry_stats' inradius; active_part on a criterion-9
+# pooled body (3840 constraints) peaks at 7.6 MiB of heap, 11-14 MiB whole
 RADIAL_BLOCK_CELLS = 1_000_000
+# product_blocks' blocks are a multiple of this many rows. OpenBLAS's double
+# kernels here tile rows by 24: blocks of 48 or 96 rows give the bits of the
+# whole product, and blocks of 16, 32 or 64 rows differed from it in the last
+# columns
+_TILE_ROWS = 48
 # prune keeps the halfspaces whose slack is at most this fraction of max h
 PRUNE_TOL = 1e-9
 # is_invariant accepts a largest radial deviation up to this
@@ -165,30 +173,61 @@ def _uncovered_direction(normals: np.ndarray) -> np.ndarray | None:
     return facets[worst, :-1] if facets[worst, -1] >= 0.0 else None
 
 
+def product_blocks(rows: np.ndarray, cols: np.ndarray):
+    """Yield (start, rows[start:stop] @ cols.T) over consecutive row blocks
+    of at most about RADIAL_BLOCK_CELLS products, read at each call.
+
+    Each block is a row slice of the one product rows @ cols.T, bit for bit.
+    BLAS forms a product in tiles of rows, and a row's last bits can depend
+    on the width of the tile that holds it; so a block is a multiple of
+    _TILE_ROWS rows, which puts every row in the tile it has in the whole
+    product. A one-row product is a matrix-vector product, whose bits can
+    differ too, so a last block of one row joins the block before it. A
+    caller that deletes each block before taking the next holds one block at
+    a time.
+    """
+    m = len(rows)
+    step = max(1, RADIAL_BLOCK_CELLS // max(1, len(cols)) // _TILE_ROWS) \
+        * _TILE_ROWS
+    start = 0
+    while start < m:
+        stop = start + step if m - start - step >= 2 else m
+        yield start, rows[start:stop] @ cols.T
+        start = stop
+
+
+def _row_max(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """np.max(rows @ cols.T, axis=1), one block of products at a time."""
+    out = np.empty(len(rows))
+    for start, block in product_blocks(rows, cols):
+        out[start:start + len(block)] = np.max(block, axis=1)
+        del block
+    return out
+
+
 def radial_profile(body: SupportPolytope, points: np.ndarray):
     """Radial function and supporting-facet index at each unit direction.
 
     rho(u) = min over {i : <u, v_i> > 0} of h_i / <u, v_i>; the argmin (ties
     to the smallest index) identifies the facet whose supporting hyperplane
-    contains the boundary point rho(u) u. Evaluation is blocked, and each
-    block of products is divided in place and freed before the next, so one
-    block of RADIAL_BLOCK_CELLS ratios is held at a time.
+    contains the boundary point rho(u) u. Evaluation is blocked by
+    product_blocks, and each block of products is divided in place and freed
+    before the next, so one block of RADIAL_BLOCK_CELLS ratios is held at a
+    time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
     rho = np.empty(m)
     idx = np.empty(m, dtype=np.intp)
-    step = max(1, RADIAL_BLOCK_CELLS // body.facet_count)
-    for start in range(0, m, step):
-        ratios = pts[start:start + step] @ body.normals.T
+    for start, ratios in product_blocks(pts, body.normals):
         # ~(A > tol), not A <= tol: a NaN product is no denominator either
         off = ~(ratios > _POS_DENOM_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(body.support, ratios, out=ratios)
         ratios[off] = np.inf
         bi = np.argmin(ratios, axis=1)
-        idx[start:start + step] = bi
-        rho[start:start + step] = ratios[np.arange(bi.size), bi]
+        idx[start:start + bi.size] = bi
+        rho[start:start + bi.size] = ratios[np.arange(bi.size), bi]
         del ratios, off
     if not np.all(np.isfinite(rho)):
         bad = int(np.argmax(~np.isfinite(rho)))
@@ -216,7 +255,7 @@ class RadialKernel:
     this bound at a built ratio and radial_profile's denominator test
     A > _POS_DENOM_TOL, in order of falling A. The lists are built, and
     rebuilt when an h arrives whose r is below the built ratio, from A in
-    radial_profile's row blocks: each block keeps only its candidates and is
+    product_blocks' row blocks: each block keeps only its candidates and is
     freed before the next, so A is never held whole. A point with fewer
     candidates than the widest repeats its smallest-product one. Row k of
     the lists has a reach, the largest A[u, i] / max_j A[u, j] over the
@@ -238,13 +277,11 @@ class RadialKernel:
         self.cells = 0  # node-facet ratios the passes computed
 
     def _build(self, ratio: float) -> None:
-        # one block of products at a time, in radial_profile's row blocks;
-        # each block keeps only its candidates, as (point, facet, product)
+        # one block of products at a time; each block keeps only its
+        # candidates, as (point, facet, product)
         n, m = self.points.shape[0], self.normals.shape[0]
-        step = max(1, RADIAL_BLOCK_CELLS // m)
         found = []
-        for start in range(0, n, step):
-            prods = self.points[start:start + step] @ self.normals.T
+        for start, prods in product_blocks(self.points, self.normals):
             top = np.max(prods, axis=1)
             if not np.all(top > _POS_DENOM_TOL):
                 raise ValueError(
@@ -330,11 +367,11 @@ def support_eval(body: SupportPolytope, u: np.ndarray) -> float:
 
 def support_profile(body: SupportPolytope, points: np.ndarray,
                     vertices: np.ndarray | None = None) -> np.ndarray:
-    """Bulk support values via the vertex representation (h = max <x_j, u>)."""
+    """Bulk support values via the vertex representation (h = max <x_j, u>),
+    one block of products at a time."""
     if vertices is None:
         vertices = vertex_enumeration(body)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.max(pts @ vertices.T, axis=1)
+    return _row_max(np.atleast_2d(np.asarray(points, dtype=float)), vertices)
 
 
 def vertex_enumeration(body: SupportPolytope) -> np.ndarray:
@@ -368,9 +405,9 @@ def _near_active(body: SupportPolytope,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(mask of the halfspaces whose slack h_i - max_K <x, v_i> is at most
     tol * max h, the maximum taken over the enumerated vertices; those
-    vertices)."""
+    vertices). The facet-vertex products are taken one block at a time."""
     verts = vertex_enumeration(body)
-    achieved = np.max(body.normals @ verts.T, axis=1)
+    achieved = _row_max(body.normals, verts)
     scale = float(np.max(body.support))
     return achieved >= body.support - tol * scale, verts
 
@@ -431,7 +468,7 @@ def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
     centroid = centroid.sum(axis=0) / total
     try:
         verts = vertex_enumeration(body)
-        inradius = float(np.min(np.max(body.normals @ verts.T, axis=1)))
+        inradius = float(np.min(_row_max(body.normals, verts)))
     except QhullError:
         inradius = min(support_eval(body, v) for v in body.normals)
     return {

@@ -160,12 +160,14 @@ def _pool_orbit_constraints(group: OrthogonalGroup, base: SupportPolytope,
     # Scanning the sorted rows, a row joins the run of the last kept row when
     # it lies within 1e-9 of it. Two rows of one run are within 2e-9 of each
     # other, so a step above 3e-9 between neighbours always starts a run;
-    # only the stretches between such steps need the row-by-row rule.
+    # only the stretches of more than one row between such steps need the
+    # row-by-row rule.
     step = np.linalg.norm(np.diff(normals_sorted, axis=0), axis=1)
     bounds = np.concatenate([[0], np.flatnonzero(step > 3e-9) + 1,
                              [normals_sorted.shape[0]]])
     starts = list(bounds[:-1])
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    long = np.flatnonzero(np.diff(bounds) > 1)
+    for a, b in zip(bounds[long], bounds[long + 1]):
         first = a
         for i in range(a + 1, b):
             if np.linalg.norm(normals_sorted[first] - normals_sorted[i]) > 1e-9:

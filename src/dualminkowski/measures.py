@@ -21,6 +21,7 @@ from .bodies import (
     SupportPolytope,
     facet_area,
     facet_polygons,
+    product_blocks,
     radial_profile,
 )
 from .sphere import SphericalGrid, stable_sum
@@ -73,8 +74,6 @@ class MeasureSpec:
     @staticmethod
     def from_density(density, grid: SphericalGrid,
                      directions: np.ndarray) -> "MeasureSpec":
-        from .bodies import RADIAL_BLOCK_CELLS  # read at call time
-
         values = np.asarray(density(grid.nodes), dtype=float)
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("density must be finite and nonnegative")
@@ -82,10 +81,9 @@ class MeasureSpec:
         # the nearest direction of each node, in row blocks; one bincount
         # then sums every atom in node order, whatever the block size
         idx = np.empty(grid.node_count, dtype=np.intp)
-        step = max(1, RADIAL_BLOCK_CELLS // dirs.shape[0])
-        for start in range(0, grid.node_count, step):
-            idx[start:start + step] = np.argmax(
-                grid.nodes[start:start + step] @ dirs.T, axis=1)
+        for start, prods in product_blocks(grid.nodes, dirs):
+            idx[start:start + len(prods)] = np.argmax(prods, axis=1)
+            del prods
         atoms = np.bincount(idx, weights=grid.weights * values,
                             minlength=dirs.shape[0])
         return MeasureSpec(directions=dirs, atoms=atoms)

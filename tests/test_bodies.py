@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -31,8 +35,8 @@ from dualminkowski.groups import (OrthogonalGroup, cube_rotation,
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
 from conftest import (assert_bound_covers_probe, centered, dense_is_invariant,
-                      reference_box_radial, reference_invariance_bound,
-                      random_polytope, translate)
+                      heap_peak_mib, reference_box_radial,
+                      reference_invariance_bound, random_polytope, translate)
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +461,109 @@ class TestGeometryStats:
         monkeypatch.setattr(bodies, "vertex_enumeration", failing)
         got = geometry_stats(cube, grid3_small)["inradius"]
         assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def pooled_body(tetra_group):
+    """A criterion-9 pooled body: 160 shifted-ball constraints under the
+    24 tetrahedral elements, 3840 constraints and 482 vertices."""
+    from dualminkowski.constructions import (_pool_orbit_constraints,
+                                             random_generic_rotation)
+
+    base = shifted_ball_polytope(fibonacci_sphere_nodes(160), 2.0,
+                                 np.array([0.5, 0.0, 0.0]))
+    h = random_generic_rotation(tetra_group, np.array([-1.0, 0.0, 0.0]),
+                                seed=0)
+    return _pool_orbit_constraints(tetra_group, base, h)
+
+
+# One BLAS thread: with several, the whole product's own last bits depend
+# on how BLAS splits it between threads.
+_PRODUCT_SWEEP = """
+import numpy as np
+from dualminkowski import bodies
+
+rng = np.random.default_rng(5)
+for n in (2, 3, 4, 5):
+    for k in (1, 5, 75, 386, 390, 484, 645, 3844):
+        for m in (1, 2, 47, 49, 97, 1000, 3841):
+            rows, cols = rng.standard_normal((m, n)), rng.standard_normal((k, n))
+            whole = rows @ cols.T
+            for block_rows in (1, 7, 50, 1557):
+                bodies.RADIAL_BLOCK_CELLS = block_rows * k
+                got = np.empty_like(whole)
+                sizes = []
+                for start, block in bodies.product_blocks(rows, cols):
+                    got[start:start + len(block)] = block
+                    sizes.append(len(block))
+                assert sum(sizes) == m, (n, k, m, block_rows)
+                assert m == 1 or min(sizes) >= 2, (n, k, m, block_rows)
+                assert all(size % bodies._TILE_ROWS == 0
+                           for size in sizes[:-1]), (n, k, m, block_rows)
+                assert got.tobytes() == whole.tobytes(), (n, k, m, block_rows)
+print("ok")
+"""
+
+
+class TestBlockedProducts:
+    """Every facet-vertex and node-vertex maximum is taken from
+    product_blocks, whose blocks are row slices of the one BLAS product:
+    each result equals its dense form bit for bit, at the default block and
+    at blocks of 48 and 672 rows (7 and 700 rounded down to whole tiles;
+    3840 and 5000 rows are not multiples of 672, nor 5000 of 48)."""
+
+    @pytest.fixture(params=[None, 7, 700], ids=["default", "7", "700"])
+    def block_rows(self, request, pooled_body, monkeypatch):
+        if request.param is not None:
+            cells = request.param * len(vertex_enumeration(pooled_body))
+            monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", cells)
+        return request.param
+
+    def test_blocks_are_slices_of_the_whole_product(self):
+        """n = 2 to 5, column counts of every residue the row tiles treat
+        apart, a last block of one row (49, 97 and 3841 rows), and blocks
+        of 1, 7, 50 and 1557 rows, rounded down to whole tiles."""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": str(pathlib.Path(bodies.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", _PRODUCT_SWEEP], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    @pytest.mark.parametrize("tol", [bodies.PRUNE_TOL, bodies._PROBE_SLACK])
+    def test_near_active(self, pooled_body, block_rows, tol):
+        verts = vertex_enumeration(pooled_body)
+        achieved = np.max(pooled_body.normals @ verts.T, axis=1)
+        want = achieved >= pooled_body.support - \
+            tol * float(np.max(pooled_body.support))
+        mask, got = bodies._near_active(pooled_body, tol)
+        assert mask.tobytes() == want.tobytes()
+        assert got.tobytes() == verts.tobytes()
+        assert 0 < np.count_nonzero(mask) < pooled_body.facet_count
+
+    def test_support_profile(self, pooled_body, grid3_small, block_rows):
+        verts = vertex_enumeration(pooled_body)
+        want = np.max(grid3_small.nodes @ verts.T, axis=1)
+        got = support_profile(pooled_body, grid3_small.nodes, verts)
+        assert got.tobytes() == want.tobytes()
+        facets = support_profile(pooled_body, pooled_body.normals)
+        assert facets.tobytes() == \
+            np.max(pooled_body.normals @ verts.T, axis=1).tobytes()
+
+    def test_geometry_stats_inradius(self, pooled_body, block_rows):
+        verts = vertex_enumeration(pooled_body)
+        want = float(np.min(np.max(pooled_body.normals @ verts.T, axis=1)))
+        stats = geometry_stats(pooled_body, probe_grid(3))
+        assert stats["inradius"] == want
+
+    def test_active_part_heap_peak(self, pooled_body):
+        """At 3840 constraints and 386 vertices, active_part holds one block
+        of facet-vertex products (2544 rows, 7.5 MiB) and peaks at 7.6 MiB;
+        with the whole 11.3 MiB product it peaked at 11.4 MiB (14.2 MiB at
+        482 vertices)."""
+        assert pooled_body.facet_count == 3840
+        assert heap_peak_mib(lambda: bodies.active_part(pooled_body)) < 10.0
 
 
 class TestInvariance:

@@ -350,22 +350,26 @@ class TestPoolPinned:
         assert body.facet_count == 60
 
     def test_near_duplicates_and_chains(self):
-        """Normals duplicated within 1e-9 with other support numbers, and a
+        """Normals duplicated within 1e-9 with other support numbers, a
         chain whose ends are 1.6e-9 apart: the third link starts a new row
-        because it is compared with the first, not with its neighbour."""
+        because it is compared with the first, not with its neighbour; and a
+        lone pair 2e-9 apart, a run of two rows that stays two."""
         rng = np.random.default_rng(3)
         dirs = fibonacci_sphere_nodes(40)
         t = np.cross(dirs[5], [0.0, 0.0, 1.0])
         t /= np.linalg.norm(t)
+        s = np.cross(dirs[20], [0.0, 0.0, 1.0])
+        s /= np.linalg.norm(s)
         copies = [dirs[7] + 3e-10 * rng.standard_normal(3),
-                  dirs[11], dirs[5] + 0.8e-9 * t, dirs[5] + 1.6e-9 * t]
+                  dirs[11], dirs[5] + 0.8e-9 * t, dirs[5] + 1.6e-9 * t,
+                  dirs[20] + 2e-9 * s]
         normals = np.vstack([dirs, copies])
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         support = rng.uniform(0.9, 1.1, normals.shape[0])
         base = SupportPolytope(dim=3, normals=normals, support=support)
         trivial = OrthogonalGroup(dim=3, elements=np.eye(3)[None])
         body = self._assert_same(trivial, base, np.eye(3))
-        assert body.facet_count == 41
+        assert body.facet_count == 42
         assert np.min(body.support) == np.min(support)
 
 

@@ -420,8 +420,9 @@ def _assert_same_orbits(group, seeds):
 
 def _ref_orbit_partition(group, directions, merge_tol=MERGE_TOL):
     """The dense union-find orbits is pinned to: under each element, every
-    image joins its nearest direction by inner product when the two lie
-    within merge_tol."""
+    image joins its nearest direction by inner product when the row norm of
+    their difference is at most merge_tol (exact also for images that are
+    not unit vectors)."""
     dirs = np.asarray(directions, dtype=float)
     m = dirs.shape[0]
     parent = list(range(m))
@@ -433,10 +434,9 @@ def _ref_orbit_partition(group, directions, merge_tol=MERGE_TOL):
         return i
 
     for g in group.elements:
-        dots = (dirs @ g.T) @ dirs.T
-        nearest = np.argmax(dots, axis=1)
-        dist = np.sqrt(np.maximum(0.0,
-                                  2.0 - 2.0 * dots[np.arange(m), nearest]))
+        images = dirs @ g.T
+        nearest = np.argmax(images @ dirs.T, axis=1)
+        dist = np.linalg.norm(images - dirs[nearest], axis=1)
         for i in range(m):
             if dist[i] <= merge_tol:
                 ri, rj = find(i), find(int(nearest[i]))
@@ -722,48 +722,50 @@ def _kd_image_gap(group, directions):
     return float(np.max(cKDTree(dirs).query(group.apply(dirs))[0]))
 
 
-def _assert_match_pinned(group, dirs, dense=True):
+def _assert_match_pinned(group, dirs):
     """orbits equals both references, and its stability verdict the k-d
-    tree's. The dense reference measures sqrt(2 - 2 <g u, v>), which holds
-    only for unit images; a bent group's images are not, so dense=False
-    skips it there."""
+    tree's."""
     part = orbits(group, dirs)
-    if dense:
-        assert part == _ref_orbit_partition(group, dirs)
+    assert part == _ref_orbit_partition(group, dirs)
     assert part == _kd_orbit_partition(group, dirs)
     assert part.stable == (_kd_image_gap(group, dirs) <= groups.STABLE_TOL)
     return part
 
 
 class TestImageMatchPinned:
-    @pytest.mark.parametrize("make, count, dense", [
-        (lambda: simplex_symmetry(3), 162, True),
-        (lambda: simplex_symmetry(3), 642, True),
-        (lambda: cyclic_rotation(5), 90, True),
-        (lambda: simplex_symmetry(2), 60, True),
-        (lambda: direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 450,
-         True),
-        (_mirror_d3, 60, True),
-        (_mirror_d3, 63, True),
-        (lambda: OrthogonalGroup(dim=3, elements=np.eye(3)[None]), 100, True),
-        (lambda: standard_group("negation", n=3), 100, True),
-        (lambda: simplex_symmetry(4), 600, True),
-        (lambda: cube_rotation(3), 600, True),
-        (lambda: _icosahedral(0.0), 162, True),
-        (lambda: _icosahedral(5e-12), 162, False),
+    @pytest.mark.parametrize("make, count", [
+        (lambda: simplex_symmetry(3), 162),
+        (lambda: simplex_symmetry(3), 642),
+        (lambda: cyclic_rotation(5), 90),
+        (lambda: simplex_symmetry(2), 60),
+        (lambda: direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 450),
+        (_mirror_d3, 60),
+        (_mirror_d3, 63),
+        (lambda: OrthogonalGroup(dim=3, elements=np.eye(3)[None]), 100),
+        (lambda: standard_group("negation", n=3), 100),
+        (lambda: simplex_symmetry(4), 600),
+        (lambda: cube_rotation(3), 600),
+        (lambda: _icosahedral(0.0), 162),
+        (lambda: _icosahedral(5e-12), 162),
     ], ids=["tetrahedral-162", "tetrahedral-642", "cyclic5-90", "triangle-60",
             "cyclic3+cyclic5-450", "mirror-d3-60", "mirror-d3-63",
             "trivial-100", "negation-100", "simplex4-600",
             "cube-rotation-600", "icosahedral-162", "bent-icosahedral-162"])
-    def test_direction_sets(self, make, count, dense):
+    def test_direction_sets(self, make, count):
         """Every direction set the tests and the benchmark configs build
         (tetrahedral-642 is the solve workloads' set): the sorted match
-        gives the reference partitions, and each set is group-stable. The
-        bent group's elements shrink images by up to 1.4e-11, which the
-        dense reference reads as a distance of 5.3e-6."""
+        gives the reference partitions, and each set is group-stable."""
         group = make()
-        assert _assert_match_pinned(group, invariant_directions(group, count),
-                                    dense).stable
+        assert _assert_match_pinned(group,
+                                    invariant_directions(group, count)).stable
+
+    def test_bent_group_orbit_sizes(self):
+        """The bent group's elements shrink images by up to 1.4e-11, which
+        sqrt(2 - 2 <g u, v>) would read as a distance of 5.3e-6 (22 orbits);
+        the row norm of g u - v keeps the reference at the 4 true orbits."""
+        group = _icosahedral(5e-12)
+        part = _assert_match_pinned(group, invariant_directions(group, 162))
+        assert sorted(map(len, part)) == [12, 30, 60, 60]
 
     @pytest.mark.parametrize("group", [
         simplex_symmetry(3), cube_rotation(3),

@@ -303,3 +303,47 @@ def test_knob_inventory():
     found = set().union(*map(_knobs, modules))
     assert sorted(found - KNOBS) == []
     assert sorted(KNOBS - found) == []
+
+
+# The products against a transpose that bodies and measures may form whole:
+# product_blocks itself and the n x n linear maps, which are not node-facet
+# products. Every other dense product goes through product_blocks.
+WHOLE_PRODUCTS = {
+    "bodies.product_blocks": "rows[start:stop] @ cols.T",
+    "bodies.StarBody.transformed.rho": "pts @ phi_inv.T",
+    "bodies.StarBody.is_invariant": "probe.nodes @ g.T",
+    "measures.transform_polytope": "body.normals @ phi_inv_t.T",
+}
+
+
+def _transpose_products(path):
+    """{"module.qualified.function": source} of every a @ b.T in a module."""
+    text = path.read_text()
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+                and isinstance(node.right, ast.Attribute) \
+                and node.right.attr == "T":
+            name = ".".join([path.stem] + scope)
+            if name in found:
+                raise AssertionError(f"two products against a transpose in "
+                                     f"{name}")
+            found[name] = ast.get_source_segment(text, node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text, str(path)), [])
+    return found
+
+
+def test_dense_products_are_blocked():
+    """bodies and measures form no product against a transpose outside
+    product_blocks, apart from the n x n transforms: a new whole node-facet
+    or facet-vertex product fails here."""
+    found = {}
+    for stem in ("bodies", "measures"):
+        found.update(_transpose_products(PACKAGE / f"{stem}.py"))
+    assert found == WHOLE_PRODUCTS
