@@ -39,16 +39,17 @@ __all__ = [
 ]
 
 _POS_DENOM_TOL = 1e-14
-# product_blocks forms at most about this many products at a time (7.6 MiB)
-# for radial_profile, RadialKernel's list build, MeasureSpec.from_density and
-# the facet-vertex maxima of _near_active (active_part, prune),
-# support_profile and geometry_stats' inradius; active_part on a criterion-9
-# pooled body (3840 constraints) peaks at 7.6 MiB of heap, 11-14 MiB whole
+# product_blocks forms at most this many products at a time (7.6 MiB) for
+# radial_profile, RadialKernel's list build, MeasureSpec.from_density and the
+# facet-vertex maxima of _near_active (active_part, prune), support_profile
+# and geometry_stats' inradius; active_part on a criterion-9 pooled body
+# (3840 constraints) peaks at 5.7-7.1 MiB of heap, 11-14 MiB with whole
+# products
 RADIAL_BLOCK_CELLS = 1_000_000
-# product_blocks' blocks are a multiple of this many rows. OpenBLAS's double
-# kernels here tile rows by 24: blocks of 48 or 96 rows give the bits of the
-# whole product, and blocks of 16, 32 or 64 rows differed from it in the last
-# columns
+# product_blocks' blocks are a multiple of this many rows. The double kernels
+# of the OpenBLAS the tests run with tile rows by 24: blocks of 48 or 96 rows
+# give the bits of the whole product, and blocks of 16, 32 or 64 rows
+# differed from it in the last columns
 _TILE_ROWS = 48
 # prune keeps the halfspaces whose slack is at most this fraction of max h
 PRUNE_TOL = 1e-9
@@ -175,20 +176,27 @@ def _uncovered_direction(normals: np.ndarray) -> np.ndarray | None:
 
 def product_blocks(rows: np.ndarray, cols: np.ndarray):
     """Yield (start, rows[start:stop] @ cols.T) over consecutive row blocks
-    of at most about RADIAL_BLOCK_CELLS products, read at each call.
+    of at most RADIAL_BLOCK_CELLS products (read at each call), but at least
+    one tile of rows.
 
     Each block is a row slice of the one product rows @ cols.T, bit for bit.
     BLAS forms a product in tiles of rows, and a row's last bits can depend
-    on the width of the tile that holds it; so a block is a multiple of
+    on the width of the tile that holds it; so a block is a whole number of
     _TILE_ROWS rows, which puts every row in the tile it has in the whole
     product. A one-row product is a matrix-vector product, whose bits can
-    differ too, so a last block of one row joins the block before it. A
-    caller that deletes each block before taking the next holds one block at
-    a time.
+    differ too, so a last block of one row joins the block before it. The
+    rows go into the fewest blocks the limit allows, each of the fewest
+    whole tiles that still cover them, so the last block falls short of the
+    others by at most one tile per block: a flagship solve (13 blocks of 1536 rows and one of 32, or 14 of
+    1440 and 1280) peaked about 1 MB higher in resident memory with the
+    short last block. A caller that deletes each block before taking the
+    next holds one block at a time.
     """
     m = len(rows)
-    step = max(1, RADIAL_BLOCK_CELLS // max(1, len(cols)) // _TILE_ROWS) \
-        * _TILE_ROWS
+    tiles = -(-m // _TILE_ROWS)
+    most = max(1, RADIAL_BLOCK_CELLS // max(1, len(cols)) // _TILE_ROWS)
+    blocks = max(1, -(-tiles // most))
+    step = -(-tiles // blocks) * _TILE_ROWS
     start = 0
     while start < m:
         stop = start + step if m - start - step >= 2 else m
