@@ -313,8 +313,10 @@ class TestMeasureSpec:
         """The nearest directions are found in row blocks of
         bodies.RADIAL_BLOCK_CELLS products and the atoms summed by one
         bincount in node order, so every block size gives the bits of one
-        dense product. 7, 641, 1557 (the default at 642 directions) and
-        3001 rows do not divide 20000."""
+        dense product. Limits of 1, 7, 641, 1557 (the default at 642
+        directions), 3001 and 20000 rows give blocks of 48, 48, 624, 1440,
+        2880 and 10032 rows (20000 rows take 417 whole tiles, one more than
+        a 20000-row limit holds); none divides 20000."""
         def density(U):
             return 1.0 + 2.0 * U[:, 2] ** 2
 

@@ -671,7 +671,8 @@ class TestBlockedPasses:
     def test_lists_match_dense_build(self, grid3, tetra_directions, ratio,
                                      block_rows, monkeypatch):
         if block_rows is not None:
-            # 20000 nodes leave a last block of 20 rows
+            # one tile of 48 rows a block; 20000 nodes leave a last block
+            # of 32 rows
             monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS",
                                 block_rows * len(tetra_directions))
         kernel = RadialKernel(grid3.nodes, tetra_directions)
