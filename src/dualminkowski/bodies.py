@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .groups import OrthogonalGroup
-from .sphere import (SphericalGrid, first_of_clusters, probe_grid,
-                     require_finite)
+from .sphere import (SphericalGrid, first_of_clusters, nearest_within,
+                     probe_grid, require_finite)
 
 __all__ = [
     "SupportPolytope",
@@ -24,9 +24,9 @@ __all__ = [
     "radial_eval",
     "radial_profile",
     "RadialKernel",
-    "support_eval",
     "support_profile",
     "geometry_stats",
+    "radial_stats",
     "is_invariant",
     "vertex_enumeration",
     "polar_body",
@@ -40,11 +40,12 @@ __all__ = [
 
 _POS_DENOM_TOL = 1e-14
 # product_blocks forms at most this many products at a time (7.6 MiB) for
-# radial_profile, RadialKernel's list build, MeasureSpec.from_density and the
-# facet-vertex maxima of _near_active (active_part, prune), support_profile
-# and geometry_stats' inradius; active_part on a criterion-9 pooled body
-# (3840 constraints) peaks at 5.7-7.1 MiB of heap, 11-14 MiB with whole
-# products
+# radial_profile, RadialKernel's list build, MeasureSpec.from_density and
+# support_profile (the facet-vertex maxima of _near_active, behind
+# active_part and prune, and the polar support values of santalo_product
+# and bs_dual_product);
+# active_part on a criterion-9 pooled body (3840 constraints) peaks at
+# 5.7-7.1 MiB of heap, 11-14 MiB with whole products
 RADIAL_BLOCK_CELLS = 1_000_000
 # product_blocks' blocks are a multiple of this many rows. The double kernels
 # of the OpenBLAS the tests run with tile rows by 24: blocks of 48 or 96 rows
@@ -204,15 +205,6 @@ def product_blocks(rows: np.ndarray, cols: np.ndarray):
         start = stop
 
 
-def _row_max(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """np.max(rows @ cols.T, axis=1), one block of products at a time."""
-    out = np.empty(len(rows))
-    for start, block in product_blocks(rows, cols):
-        out[start:start + len(block)] = np.max(block, axis=1)
-        del block
-    return out
-
-
 def radial_profile(body: SupportPolytope, points: np.ndarray):
     """Radial function and supporting-facet index at each unit direction.
 
@@ -361,25 +353,16 @@ def radial_eval(body: SupportPolytope, u: np.ndarray) -> tuple[float, int]:
     return float(rho[0]), int(idx[0])
 
 
-def support_eval(body: SupportPolytope, u: np.ndarray) -> float:
-    """Support function h_K(u) = max <x, u> over K, by linear programming."""
-    from scipy.optimize import linprog
-
-    u = np.asarray(u, dtype=float)
-    res = linprog(-u, A_ub=body.normals, b_ub=body.support,
-                  bounds=[(None, None)] * body.dim, method="highs")
-    if not res.success:
-        raise ValueError(f"support LP failed: {res.message}")
-    return float(-res.fun)
-
-
-def support_profile(body: SupportPolytope, points: np.ndarray,
-                    vertices: np.ndarray | None = None) -> np.ndarray:
-    """Bulk support values via the vertex representation (h = max <x_j, u>),
-    one block of products at a time."""
-    if vertices is None:
-        vertices = vertex_enumeration(body)
-    return _row_max(np.atleast_2d(np.asarray(points, dtype=float)), vertices)
+def support_profile(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Support values h(u) = max_j <x_j, u> of the hull of the vertices x_j
+    at each point u: np.max(points @ vertices.T, axis=1), one block of
+    products at a time."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(len(pts))
+    for start, block in product_blocks(pts, vertices):
+        out[start:start + len(block)] = np.max(block, axis=1)
+        del block
+    return out
 
 
 def vertex_enumeration(body: SupportPolytope) -> np.ndarray:
@@ -415,7 +398,7 @@ def _near_active(body: SupportPolytope,
     tol * max h, the maximum taken over the enumerated vertices; those
     vertices). The facet-vertex products are taken one block at a time."""
     verts = vertex_enumeration(body)
-    achieved = _row_max(body.normals, verts)
+    achieved = support_profile(body.normals, verts)
     scale = float(np.max(body.support))
     return achieved >= body.support - tol * scale, verts
 
@@ -457,35 +440,26 @@ def active_part(body: SupportPolytope
 
 
 def geometry_stats(body: SupportPolytope, grid: SphericalGrid) -> dict:
-    """Centroid, diameter, inradius, circumradius estimators on a grid.
+    """radial_stats of the body's radial function on the grid nodes."""
+    rho, _ = radial_profile(body, grid.nodes)
+    return radial_stats(rho, grid)
+
+
+def radial_stats(rho: np.ndarray, grid: SphericalGrid) -> dict:
+    """Centroid and circumradius estimators of a body whose radial function
+    takes the values rho at the grid nodes.
 
     The centroid comes from the cone decomposition over grid nodes (each node
     contributes a cone of volume w rho^n / n with centroid at n/(n+1) rho u);
-    the diameter is the largest origin-chord rho(u) + rho(-u) over nodes.
-    Inradius uses the support values at the body's own normals. These are
-    probe-grid estimators and feed diagnostics only.
+    the circumradius is the largest rho. These are probe-grid estimators
+    and feed diagnostics and the centring test of santalo_product.
     """
-    from scipy.spatial import QhullError
-
-    rho, _ = radial_profile(body, grid.nodes)
-    rho_neg, _ = radial_profile(body, -grid.nodes)
-    n = body.dim
+    n = grid.dim
     cone_vol = grid.weights * rho ** n / n
     total = float(np.sum(cone_vol))
     centroid = (cone_vol * rho)[:, None] * grid.nodes * (n / (n + 1.0))
     centroid = centroid.sum(axis=0) / total
-    try:
-        verts = vertex_enumeration(body)
-        inradius = float(np.min(_row_max(body.normals, verts)))
-    except QhullError:
-        inradius = min(support_eval(body, v) for v in body.normals)
-    return {
-        "centroid": centroid,
-        "diameter": float(np.max(rho + rho_neg)),
-        "inradius": inradius,
-        "circumradius": float(np.max(rho)),
-        "volume": total,
-    }
+    return {"centroid": centroid, "circumradius": float(np.max(rho))}
 
 
 def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
@@ -499,33 +473,36 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
     active.
 
     "constraint-match" is exact. K = {x : <x, v_i> <= h_i} over the active
-    halfspaces, so g K = {x : <x, g v_i> <= h_i}. One k-d tree query matches
-    every image g v_i (all g, all i) with its nearest normal v_j; delta is
-    the largest |g v_i - v_j| and eps the largest |h_i - h_j|. With R the
-    largest vertex norm, each x in K has <x, g v_i> <= h_j + R delta <=
-    h_i + eps + R delta, so t K lies in g K for t = h_min / (h_min + eps +
-    R delta), i.e. rho_K(g^-1 u) >= t rho_K(u). G holds g^-1 too, so
-    |rho_K(g u) - rho_K(u)| <= (1 - t) R <= R (eps + R delta) / h_min for
-    every u, and that bound is the deviation. It decides when it is at most
-    INVARIANCE_TOL.
+    halfspaces, so g K = {x : <x, g v_i> <= h_i}. sphere.nearest_within
+    matches every image g v_i (all g, all i) with its nearest normal v_j;
+    delta is the largest |g v_i - v_j| and eps the largest |h_i - h_j|.
+    With R the largest vertex norm, each x in K has <x, g v_i> <= h_j +
+    R delta <= h_i + eps + R delta, so t K lies in g K for t = h_min /
+    (h_min + eps + R delta), i.e. rho_K(g^-1 u) >= t rho_K(u). G holds g^-1
+    too, so |rho_K(g u) - rho_K(u)| <= (1 - t) R <= R (eps + R delta) /
+    h_min for every u, and that bound is the deviation. It decides when it
+    is at most INVARIANCE_TOL. The match looks only within
+    reach = 2 INVARIANCE_TOL h_min / R^2 of each image: an image with no
+    normal that close has delta > reach, so a bound of at least
+    R^2 delta / h_min > 2 INVARIANCE_TOL, and it goes to the probe, which
+    is where the bound would have sent it.
 
     "probe" decides otherwise, and when Qhull failed on the body: the
     largest |rho_K(g u) - rho_K(u)| over the grid nodes u.
     """
     probed, verts = active_part(body) if active is None else active
     if verts is not None:
-        from scipy.spatial import cKDTree
-
         images = group.apply(probed.normals).reshape(-1, body.dim)
-        _, match = cKDTree(probed.normals).query(images)
-        delta = float(np.max(np.linalg.norm(images - probed.normals[match],
-                                            axis=1)))
-        eps = float(np.max(np.abs(np.tile(probed.support, group.order)
-                                  - probed.support[match])))
         radius = float(np.max(np.linalg.norm(verts, axis=1)))
-        bound = radius * (eps + radius * delta) / float(np.min(probed.support))
-        if bound <= INVARIANCE_TOL:
-            return True, bound, "constraint-match"
+        h_min = float(np.min(probed.support))
+        match, gap = nearest_within(probed.normals, images,
+                                    2.0 * INVARIANCE_TOL * h_min / radius ** 2)
+        if np.all(match >= 0):
+            eps = float(np.max(np.abs(np.tile(probed.support, group.order)
+                                      - probed.support[match])))
+            bound = radius * (eps + radius * float(np.max(gap))) / h_min
+            if bound <= INVARIANCE_TOL:
+                return True, bound, "constraint-match"
     if grid is None:
         grid = probe_grid(body.dim)
     rho, _ = radial_profile(probed, grid.nodes)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import StarBody, SupportPolytope, box_radial, geometry_stats, \
-    support_profile, vertex_enumeration
+from .bodies import StarBody, SupportPolytope, box_radial, radial_profile, \
+    radial_stats, support_profile, vertex_enumeration
 from .measures import dual_mixed_volume
 from .sphere import SphericalGrid, sphere_area, stable_sum, unit_ball_volume
 
@@ -249,13 +249,15 @@ def santalo_product(body: SupportPolytope, grid: SphericalGrid) -> dict:
     V(K) is the q = n dual volume on the grid; V(K*) integrates h_K^{-n}
     with support values taken from the vertex representation. The forward
     comparison is skipped (pass flag None) when the centering precondition
-    fails; the lower bound is checked either way.
+    fails; the lower bound is checked either way. One radial pass serves
+    V(K) and the centring test, and one vertex enumeration V(K*).
     """
     n = body.dim
-    stats = geometry_stats(body, grid)
+    rho, _ = radial_profile(body, grid.nodes)
+    stats = radial_stats(rho, grid)
     centered_ok = float(np.linalg.norm(stats["centroid"])) <= \
         1e-3 * stats["circumradius"]
-    rho, h = _radial_and_support(body, grid)
+    h = _support_values(body, grid)
     vol = stable_sum(rho ** n * grid.weights) / n
     vol_polar = stable_sum(h ** (-float(n)) * grid.weights) / n
     product = vol * vol_polar
@@ -275,18 +277,15 @@ def santalo_product(body: SupportPolytope, grid: SphericalGrid) -> dict:
     }
 
 
-def _radial_and_support(body: SupportPolytope, grid: SphericalGrid):
-    from .bodies import radial_profile
-
-    rho, _ = radial_profile(body, grid.nodes)
-    verts = vertex_enumeration(body)
-    h = support_profile(body, grid.nodes, vertices=verts)
+def _support_values(body: SupportPolytope, grid: SphericalGrid):
+    """h_K at the grid nodes, from one vertex enumeration."""
+    h = support_profile(grid.nodes, vertex_enumeration(body))
     if np.min(h) <= 0.0:
         # 0 is interior, so h_K > 0 everywhere; a violation means vertex
         # enumeration silently degraded on near-degenerate geometry
         raise ValueError("inconsistent vertex enumeration (h_K <= 0); "
                          "body too ill-conditioned for polar integrals")
-    return (rho, h)
+    return h
 
 
 def bs_dual_product(body: SupportPolytope, q_body_1: StarBody,
@@ -304,7 +303,7 @@ def bs_dual_product(body: SupportPolytope, q_body_1: StarBody,
     if r > qs * (1 + 1e-12):
         raise ValueError(f"r = {r} exceeds q* = {qs}")
     v_q = dual_mixed_volume(body, q_body_1, q, grid)
-    _, h = _radial_and_support(body, grid)
+    h = _support_values(body, grid)
     rho_q2 = q_body_2.radial(grid.nodes)
     v_r_polar = stable_sum(h ** (-r) * rho_q2 ** (n - r) * grid.weights) / n
     return v_q ** (1.0 / q) * v_r_polar ** (1.0 / r)

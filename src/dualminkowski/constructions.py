@@ -17,7 +17,8 @@ import numpy as np
 
 from .bodies import SupportPolytope, active_part, is_invariant, radial_profile
 from .groups import OrthogonalGroup, certify
-from .sphere import SphericalGrid, first_of_clusters, probe_grid
+from .sphere import (SphericalGrid, first_of_clusters, greedy_keep,
+                     near_pairs, probe_grid)
 
 __all__ = [
     "AsymmetryCertificate",
@@ -148,34 +149,29 @@ def _pool_orbit_constraints(group: OrthogonalGroup, base: SupportPolytope,
     """Constraints of the intersection over the group orbit of rotation@base.
 
     Every g contributes the rotated constraints (normal g @ h @ v_i, same
-    support number); near-duplicate normals are merged keeping the smaller
-    support value, so the set stays group-stable.
+    support number). Near-duplicate normals merge by the package's one rule
+    (sphere.near_pairs and greedy_keep at 1e-9, in the order of the rows
+    sorted on their coordinates rounded to 9 decimals, which fixes the
+    output order): a merged row gives its support number to the last kept
+    row within 1e-9 before it, which keeps the smaller one, so the set
+    stays group-stable.
     """
     rotated = base.normals @ rotation.T
-    all_normals = np.concatenate(group.apply(rotated), axis=0)
-    all_support = np.tile(base.support, group.order)
-    order = np.lexsort(np.round(all_normals, 9).T)
-    normals_sorted = all_normals[order]
-    support_sorted = all_support[order]
-    # Scanning the sorted rows, a row joins the run of the last kept row when
-    # it lies within 1e-9 of it. Two rows of one run are within 2e-9 of each
-    # other, so a step above 3e-9 between neighbours always starts a run;
-    # only the stretches of more than one row between such steps need the
-    # row-by-row rule.
-    step = np.linalg.norm(np.diff(normals_sorted, axis=0), axis=1)
-    bounds = np.concatenate([[0], np.flatnonzero(step > 3e-9) + 1,
-                             [normals_sorted.shape[0]]])
-    starts = list(bounds[:-1])
-    long = np.flatnonzero(np.diff(bounds) > 1)
-    for a, b in zip(bounds[long], bounds[long + 1]):
-        first = a
-        for i in range(a + 1, b):
-            if np.linalg.norm(normals_sorted[first] - normals_sorted[i]) > 1e-9:
-                starts.append(i)
-                first = i
-    starts = np.sort(starts)
-    return SupportPolytope(dim=base.dim, normals=normals_sorted[starts],
-                           support=np.minimum.reduceat(support_sorted, starts))
+    normals = np.concatenate(group.apply(rotated), axis=0)
+    support = np.tile(base.support, group.order)
+    order = np.lexsort(np.round(normals, 9).T)
+    normals, support = normals[order], support[order]
+    earlier, later, dist = near_pairs(normals, 1e-9, None)
+    close = dist <= 1e-9
+    earlier, later = earlier[close], later[close]
+    keep = greedy_keep(len(normals), earlier, later)
+    merged = keep[earlier] & ~keep[later]
+    owner = np.full(len(normals), -1)
+    np.maximum.at(owner, later[merged], earlier[merged])
+    kept_support = support.copy()
+    np.minimum.at(kept_support, owner[~keep], support[~keep])
+    return SupportPolytope(dim=base.dim, normals=normals[keep],
+                           support=kept_support[keep])
 
 
 def _checked_group(group: OrthogonalGroup) -> None:

@@ -149,7 +149,7 @@ def dense_is_invariant(body, group, grid, tol=1e-9):
 def reference_invariance_bound(body, group):
     """bodies.is_invariant's constraint-match bound R (eps + R delta) / h_min,
     with each image g v_i matched by a scan of all inner products instead of
-    a k-d tree."""
+    sphere.nearest_within."""
     active, verts = active_part(body)
     images = group.apply(active.normals).reshape(-1, body.dim)
     match = np.argmax(images @ active.normals.T, axis=1)
@@ -184,21 +184,15 @@ def dense_asymmetry(body, grid):
 
 
 def reference_radial_profile(body, points):
-    """radial_profile with the ratios formed by np.where, not in place."""
+    """radial_profile with the ratios formed by np.where from the whole
+    product, not block by block in place."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    rho = np.empty(m)
-    idx = np.empty(m, dtype=np.intp)
-    step = max(1, bodies.RADIAL_BLOCK_CELLS // body.facet_count)
-    for start in range(0, m, step):
-        block = pts[start:start + step]
-        denom = block @ body.normals.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(denom > bodies._POS_DENOM_TOL,
-                              body.support[None, :] / denom, np.inf)
-        bi = np.argmin(ratios, axis=1)
-        idx[start:start + step] = bi
-        rho[start:start + step] = ratios[np.arange(block.shape[0]), bi]
+    denom = pts @ body.normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(denom > bodies._POS_DENOM_TOL,
+                          body.support[None, :] / denom, np.inf)
+    idx = np.argmin(ratios, axis=1)
+    rho = ratios[np.arange(pts.shape[0]), idx]
     if not np.all(np.isfinite(rho)):
         bad = int(np.argmax(~np.isfinite(rho)))
         raise ValueError(

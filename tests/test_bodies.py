@@ -26,12 +26,12 @@ from dualminkowski.bodies import (
     radial_eval,
     radial_profile,
     shifted_ball_polytope,
-    support_eval,
     support_profile,
     vertex_enumeration,
 )
 from dualminkowski.groups import (OrthogonalGroup, cube_rotation,
-                                  cyclic_rotation, invariant_directions)
+                                  cyclic_rotation, direct_sum,
+                                  invariant_directions, simplex_symmetry)
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
 from conftest import (assert_bound_covers_probe, centered, dense_is_invariant,
@@ -42,6 +42,18 @@ from conftest import (assert_bound_covers_probe, centered, dense_is_invariant,
 @pytest.fixture(scope="module")
 def cube():
     return cube_polytope(3)
+
+
+def support_eval(body, u):
+    """The support function h_K(u) = max <x, u> over K by linear
+    programming: the reference of the vertex route."""
+    from scipy.optimize import linprog
+
+    res = linprog(-np.asarray(u, dtype=float), A_ub=body.normals,
+                  b_ub=body.support, bounds=[(None, None)] * body.dim,
+                  method="highs")
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 class TestConstruction:
@@ -343,7 +355,7 @@ class TestSupport:
     def test_fresh_wulff_support_equals_h_after_prune(self):
         rng = np.random.default_rng(6)
         body = prune(random_polytope(rng, 9))
-        h_vertex = support_profile(body, body.normals)
+        h_vertex = support_profile(body.normals, vertex_enumeration(body))
         assert np.allclose(h_vertex, body.support, rtol=1e-9)
 
 
@@ -414,16 +426,13 @@ class TestWulff:
 class TestGeometryStats:
     def test_cube(self, cube, grid3):
         stats = geometry_stats(cube, grid3)
+        assert sorted(stats) == ["centroid", "circumradius"]
         assert np.linalg.norm(stats["centroid"]) <= 1e-3
-        assert stats["inradius"] == pytest.approx(1.0, abs=1e-9)
         assert stats["circumradius"] == pytest.approx(math.sqrt(3), rel=0.01)
-        assert stats["diameter"] == pytest.approx(2 * math.sqrt(3), rel=0.01)
-        assert stats["volume"] == pytest.approx(8.0, rel=0.01)
 
     def test_ball_like(self, grid3_small):
         body = ball_polytope(fibonacci_sphere_nodes(642), radius=0.7)
         stats = geometry_stats(body, grid3_small)
-        assert stats["inradius"] == pytest.approx(0.7, rel=1e-6)
         assert stats["circumradius"] == pytest.approx(0.7, rel=0.01)
 
     def test_invariant_body_centroid_zero(self, tetra_group, tetra_directions,
@@ -438,29 +447,18 @@ class TestGeometryStats:
         stats = geometry_stats(body, grid3_small)
         assert np.linalg.norm(stats["centroid"]) <= 1e-3 * stats["circumradius"]
 
-
-    def test_other_errors_of_vertex_enumeration_propagate(self, cube, grid3,
-                                                          monkeypatch):
-        """Only a Qhull failure falls back to one LP per normal."""
-        def broken(body):
-            raise ValueError("broken enumeration")
-
-        monkeypatch.setattr(bodies, "vertex_enumeration", broken)
-        with pytest.raises(ValueError, match="broken enumeration"):
-            geometry_stats(cube, grid3)
-
-    def test_qhull_failure_falls_back_to_lp(self, cube, grid3_small,
-                                            monkeypatch):
-        from scipy.spatial import QhullError
-
-        want = geometry_stats(cube, grid3_small)["inradius"]
+    def test_needs_no_vertex_enumeration(self, cube, grid3_small,
+                                         monkeypatch):
+        """One radial pass gives both estimators; Qhull is not run."""
+        want = geometry_stats(cube, grid3_small)
 
         def failing(body):
-            raise QhullError("degenerate")
+            raise AssertionError("vertex enumeration called")
 
         monkeypatch.setattr(bodies, "vertex_enumeration", failing)
-        got = geometry_stats(cube, grid3_small)["inradius"]
-        assert got == pytest.approx(want, rel=1e-9)
+        got = geometry_stats(cube, grid3_small)
+        assert got["centroid"].tobytes() == want["centroid"].tobytes()
+        assert got["circumradius"] == want["circumradius"]
 
 
 @pytest.fixture(scope="module")
@@ -553,17 +551,11 @@ class TestBlockedProducts:
     def test_support_profile(self, pooled_body, grid3_small, block_rows):
         verts = vertex_enumeration(pooled_body)
         want = np.max(grid3_small.nodes @ verts.T, axis=1)
-        got = support_profile(pooled_body, grid3_small.nodes, verts)
+        got = support_profile(grid3_small.nodes, verts)
         assert got.tobytes() == want.tobytes()
-        facets = support_profile(pooled_body, pooled_body.normals)
+        facets = support_profile(pooled_body.normals, verts)
         assert facets.tobytes() == \
             np.max(pooled_body.normals @ verts.T, axis=1).tobytes()
-
-    def test_geometry_stats_inradius(self, pooled_body, block_rows):
-        verts = vertex_enumeration(pooled_body)
-        want = float(np.min(np.max(pooled_body.normals @ verts.T, axis=1)))
-        stats = geometry_stats(pooled_body, probe_grid(3))
-        assert stats["inradius"] == want
 
     def test_active_part_heap_peak(self, pooled_body):
         """At 3840 constraints and 386 vertices, active_part holds one of
@@ -628,6 +620,118 @@ class TestInvariance:
         assert ok and method == "constraint-match"
         assert dev == reference_invariance_bound(body, tetra_group)
         assert_bound_covers_probe(dev, body, tetra_group, grid)
+
+
+def _kd_is_invariant(body, group, grid):
+    """is_invariant as it was with a k-d tree: every image g v_i is matched
+    with its nearest active normal, with no reach, and the dense probe
+    decides when the bound exceeds INVARIANCE_TOL."""
+    from scipy.spatial import cKDTree
+
+    probed, verts = bodies.active_part(body)
+    images = group.apply(probed.normals).reshape(-1, body.dim)
+    _, match = cKDTree(probed.normals).query(images)
+    delta = float(np.max(np.linalg.norm(images - probed.normals[match],
+                                        axis=1)))
+    eps = float(np.max(np.abs(np.tile(probed.support, group.order)
+                              - probed.support[match])))
+    radius = float(np.max(np.linalg.norm(verts, axis=1)))
+    bound = radius * (eps + radius * delta) / float(np.min(probed.support))
+    if bound <= bodies.INVARIANCE_TOL:
+        return True, bound, "constraint-match"
+    return (*dense_is_invariant(body, group, grid), "probe")
+
+
+def _pooled(group, n, seed, circum=False):
+    """A criterion-9 body: shifted-ball constraints pooled under group."""
+    from dualminkowski.constructions import (orbit_intersection_body,
+                                             orbit_intersection_body_circum)
+
+    if circum:
+        theta = 2.0 * math.pi * np.arange(256) / 256
+        base = shifted_ball_polytope(
+            np.column_stack([np.cos(theta), np.sin(theta)]), 1.0,
+            np.array([-0.3, 0.0]))
+        return orbit_intersection_body_circum(group, base, seed=seed)[0]
+    dirs = fibonacci_sphere_nodes(160) if n == 3 else \
+        build_grid(n, 60, "monte-carlo", seed=1).nodes
+    base = shifted_ball_polytope(dirs, 2.0, np.eye(n)[0] * 0.5)
+    return orbit_intersection_body(group, base, seed=seed,
+                                   grid=probe_grid(n))[0]
+
+
+class TestConstraintMatchPinned:
+    """is_invariant's nearest_within match gives the verdict, deviation and
+    method of the k-d tree match it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("make, n, seed, circum", [
+        (lambda: cyclic_rotation(5), 2, 1, False),
+        (lambda: cyclic_rotation(3), 2, 3, True),
+        (lambda: simplex_symmetry(3), 3, 0, False),
+        (lambda: simplex_symmetry(3), 3, 1, False),
+        (lambda: simplex_symmetry(3), 3, 3, False),
+        (lambda: direct_sum([cyclic_rotation(3), cyclic_rotation(5)]), 4, 1,
+         False),
+    ], ids=["cyclic5-n2", "circum-cyclic3-n2", "tetrahedral-0",
+            "tetrahedral-1", "tetrahedral-3", "cyclic3+cyclic5-n4"])
+    def test_pooled_bodies(self, make, n, seed, circum):
+        group = make()
+        body = _pooled(group, n, seed, circum)
+        grid = probe_grid(n)
+        got = is_invariant(body, group, grid)
+        assert got[2] == "constraint-match"
+        assert got == _kd_is_invariant(body, group, grid)
+
+    def test_images_that_miss_every_normal_go_to_the_probe(self,
+                                                           tetra_group):
+        """Normals turned by 1e-8 off an invariant set: some image is more
+        than INVARIANCE_TOL from every normal, so nearest_within matches
+        none there, and the probe decides with the deviation it gave
+        after the k-d tree match."""
+        from scipy.spatial.transform import Rotation
+
+        from dualminkowski.groups import orbits
+        from dualminkowski.sphere import nearest_within
+
+        dirs = invariant_directions(tetra_group, 162)
+        h = np.empty(len(dirs))
+        rng = np.random.default_rng(12)
+        for orbit in orbits(tetra_group, dirs):
+            h[orbit] = rng.uniform(0.8, 1.3)
+        turn = Rotation.from_rotvec(1e-8 * np.array([0.3, -0.5, 0.8]))
+        body = SupportPolytope(dim=3, normals=dirs @ turn.as_matrix().T,
+                               support=h)
+        probed, _ = bodies.active_part(body)
+        images = tetra_group.apply(probed.normals).reshape(-1, 3)
+        match, _ = nearest_within(probed.normals, images,
+                                  bodies.INVARIANCE_TOL)
+        assert np.any(match < 0)
+        grid = build_grid(3, 800, seed=5)
+        got = is_invariant(body, tetra_group, grid)
+        assert got[2] == "probe"
+        assert got == _kd_is_invariant(body, tetra_group, grid)
+
+    def test_small_body_keeps_the_match(self, tetra_group):
+        """A body of radius 0.5 turned by 7e-10: images lie up to 1.4e-9
+        from their normals, beyond INVARIANCE_TOL, but R^2 delta / h_min
+        stays under it, so the match still decides. The reach
+        2 INVARIANCE_TOL h_min / R^2 (about 4e-9 here) finds them."""
+        from scipy.spatial.transform import Rotation
+
+        dirs = invariant_directions(tetra_group, 642)
+        turn = Rotation.from_rotvec(7e-10 * np.array([0.3, -0.5, 0.8])
+                                    / np.linalg.norm([0.3, -0.5, 0.8]))
+        body = ball_polytope(dirs @ turn.as_matrix().T, radius=0.5)
+        probed, _ = bodies.active_part(body)
+        images = tetra_group.apply(probed.normals).reshape(-1, 3)
+        nearest = np.argmax(images @ probed.normals.T, axis=1)
+        delta = np.max(np.linalg.norm(images - probed.normals[nearest],
+                                      axis=1))
+        assert delta > bodies.INVARIANCE_TOL
+        grid = build_grid(3, 800, seed=5)
+        got = is_invariant(body, tetra_group, grid)
+        assert got[2] == "constraint-match"
+        assert got == _kd_is_invariant(body, tetra_group, grid)
 
 
 def _ref_vertex_enumeration(body):

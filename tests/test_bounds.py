@@ -227,6 +227,36 @@ class TestSantalo:
                 assert rep["kuperberg_floor"] == pytest.approx(
                     kappa_sq / 4.0 ** n)
 
+    def test_one_radial_pass_and_one_vertex_enumeration(self, grid3_small,
+                                                        monkeypatch):
+        """The centring test reads the radial pass that gives V(K), and one
+        vertex enumeration gives V(K*): the report equals the one formed
+        from geometry_stats, radial_profile and the dense support values."""
+        from dualminkowski import bounds
+        from dualminkowski.bodies import (geometry_stats, radial_profile,
+                                          vertex_enumeration)
+
+        body = random_centered_polytope(np.random.default_rng(44), 3,
+                                        grid3_small)
+        calls = []
+        for name in ("radial_profile", "vertex_enumeration"):
+            def counted(*args, real=getattr(bounds, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(bounds, name, counted)
+        rep = santalo_product(body, grid3_small)
+        assert sorted(calls) == ["radial_profile", "vertex_enumeration"]
+        stats = geometry_stats(body, grid3_small)
+        rho, _ = radial_profile(body, grid3_small.nodes)
+        h = np.max(grid3_small.nodes @ vertex_enumeration(body).T, axis=1)
+        weights = grid3_small.weights
+        assert rep["centered"] == (float(np.linalg.norm(stats["centroid"]))
+                                   <= 1e-3 * stats["circumradius"])
+        assert rep["centered"]
+        assert rep["volume"] == stable_sum(rho ** 3 * weights) / 3
+        assert rep["polar_volume"] == stable_sum(h ** -3.0 * weights) / 3
+
 
 class TestDualVolumeProduct:
     def test_ball_value(self, grid3):

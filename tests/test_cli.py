@@ -1005,28 +1005,6 @@ class TestImportSet:
         else:
             assert loaded == []
 
-    def test_lp_fallback_loads_optimize_when_called(self, tmp_path):
-        """geometry_stats falls back to one LP per normal when Qhull
-        fails, and gives the inradius of the vertex route."""
-        script = """
-import json, sys
-import scipy.spatial
-from dualminkowski import bodies
-from dualminkowski.sphere import build_grid
-cube, grid = bodies.cube_polytope(3), build_grid(3, 2000)
-want = bodies.geometry_stats(cube, grid)["inradius"]
-before = "scipy.optimize" in sys.modules
-def failing(body):
-    raise scipy.spatial.QhullError("degenerate")
-bodies.vertex_enumeration = failing
-got = bodies.geometry_stats(cube, grid)["inradius"]
-print(json.dumps([before, "scipy.optimize" in sys.modules, want, got]))
-"""
-        before, after, want, got = _fresh_process(tmp_path, script)
-        assert not before and after
-        assert want == 1.0
-        assert got == pytest.approx(want, rel=1e-9)
-
 
 def test_selftest_command():
     assert main(["selftest"]) == EXIT_OK

@@ -373,6 +373,35 @@ class TestPoolPinned:
         assert np.min(body.support) == np.min(support)
 
 
+    def test_merged_row_joins_the_last_kept_row(self):
+        """Rows a, c, d in sorted order, a and c 1.6e-9 apart and d within
+        1e-9 of both: a and c stay, and d's smaller support number goes to
+        c, the last kept row before it, as in the row-by-row merge."""
+        dirs = fibonacci_sphere_nodes(40)
+        a = dirs[1]
+        t = np.cross(a, [0.0, 0.0, 1.0])
+        t /= np.linalg.norm(t)
+        s = np.cross(a, t)
+        s /= np.linalg.norm(s)
+        c = a + 1.6e-9 * t
+        d = a + 9.4585868565457186e-10 * t + 9.790671674771245e-11 * s
+        normals = np.vstack([dirs, c, d])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        a, c, d = normals[[1, 40, 41]]
+        assert np.linalg.norm(a - c) > 1.5e-9
+        assert max(np.linalg.norm(a - d), np.linalg.norm(c - d)) < 0.96e-9
+        rows = np.lexsort(np.round(normals, 9).T).tolist()
+        assert rows.index(1) + 1 == rows.index(40) == rows.index(41) - 1
+        support = np.ones(42)
+        support[41] = 0.9
+        base = SupportPolytope(dim=3, normals=normals, support=support)
+        trivial = OrthogonalGroup(dim=3, elements=np.eye(3)[None])
+        body = self._assert_same(trivial, base, np.eye(3))
+        assert body.facet_count == 41
+        at = np.flatnonzero(body.support == 0.9)
+        assert at.size == 1 and np.array_equal(body.normals[at[0]], c)
+
+
 class TestDirichletVoronoi:
     def test_cyclic3_wedge(self):
         cone = dirichlet_voronoi_cone(cyclic_rotation(3), np.array([1.0, 0.0]))

@@ -23,6 +23,31 @@ def test_no_assert_statements():
     assert found == []
 
 
+# The only scipy names the package may import: Qhull's hull, halfspace
+# intersection and error. Nearest neighbours and linear programs are the
+# package's own (sphere.nearest_within, the vertex route of support_profile).
+SCIPY_NAMES = {"scipy.spatial.ConvexHull",
+               "scipy.spatial.HalfspaceIntersection",
+               "scipy.spatial.QhullError"}
+
+
+def test_scipy_only_for_qhull():
+    """Every scipy import in the package names one of SCIPY_NAMES; an
+    import of a scipy module as a whole counts as its own name."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and not node.level and \
+                    node.module.split(".")[0] == "scipy":
+                found |= {f"{node.module}.{alias.name}"
+                          for alias in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {alias.name for alias in node.names
+                          if alias.name.split(".")[0] == "scipy"}
+    assert found
+    assert sorted(found - SCIPY_NAMES) == []
+
+
 def _bound_names(node):
     """Names a module-level import statement binds."""
     if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -222,7 +247,6 @@ def test_import_graph():
 KNOBS = {
     "bodies.SupportPolytope.h_floor",
     "bodies.RadialKernel.profile(want_idx)",
-    "bodies.support_profile(vertices)",
     "bodies.is_invariant(grid)",
     "bodies.is_invariant(active)",
     "bodies.ball_polytope(radius)",
