@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import OrthogonalGroup
+from .groups import MERGE_TOL, OrthogonalGroup
 from .sphere import (SphericalGrid, first_of_clusters, nearest_within,
                      probe_grid, require_finite)
 
@@ -482,10 +482,12 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
     too, so |rho_K(g u) - rho_K(u)| <= (1 - t) R <= R (eps + R delta) /
     h_min for every u, and that bound is the deviation. It decides when it
     is at most INVARIANCE_TOL. The match looks only within
-    reach = 2 INVARIANCE_TOL h_min / R^2 of each image: an image with no
-    normal that close has delta > reach, so a bound of at least
-    R^2 delta / h_min > 2 INVARIANCE_TOL, and it goes to the probe, which
-    is where the bound would have sent it.
+    2 INVARIANCE_TOL h_min / R^2 of each image: an image with no normal
+    that close has a bound of at least R^2 delta / h_min >
+    2 INVARIANCE_TOL, and goes to the probe, where the bound would have
+    sent it. The reach is at most groups.MERGE_TOL, which keeps the search
+    local on a body of circumradius below about 2e-3; there an image that
+    far from every normal goes to the probe as well.
 
     "probe" decides otherwise, and when Qhull failed on the body: the
     largest |rho_K(g u) - rho_K(u)| over the grid nodes u.
@@ -495,8 +497,8 @@ def is_invariant(body: SupportPolytope, group: OrthogonalGroup,
         images = group.apply(probed.normals).reshape(-1, body.dim)
         radius = float(np.max(np.linalg.norm(verts, axis=1)))
         h_min = float(np.min(probed.support))
-        match, gap = nearest_within(probed.normals, images,
-                                    2.0 * INVARIANCE_TOL * h_min / radius ** 2)
+        reach = min(2.0 * INVARIANCE_TOL * h_min / radius ** 2, MERGE_TOL)
+        match, gap = nearest_within(probed.normals, images, reach)
         if np.all(match >= 0):
             eps = float(np.max(np.abs(np.tile(probed.support, group.order)
                                       - probed.support[match])))

@@ -733,6 +733,22 @@ class TestConstraintMatchPinned:
         assert got[2] == "constraint-match"
         assert got == _kd_is_invariant(body, tetra_group, grid)
 
+    def test_tiny_body_searches_locally(self, tetra_group, tetra_directions):
+        """At radius 1e-8 the reach 2 INVARIANCE_TOL h_min / R^2 would be
+        0.2, and the 15408 images would be compared with so many normals
+        that the heap peaked at 469 MiB; groups.MERGE_TOL caps the reach,
+        and it peaks at 1.9 MiB. The images match to rounding, so the k-d
+        tree's verdict stands."""
+        body = ball_polytope(tetra_directions, radius=1e-8)
+        grid = build_grid(3, 800, seed=5)
+        active = bodies.active_part(body)
+        peak = heap_peak_mib(
+            lambda: is_invariant(body, tetra_group, grid, active=active))
+        assert peak < 5.0
+        got = is_invariant(body, tetra_group, grid)
+        assert got[2] == "constraint-match"
+        assert got == _kd_is_invariant(body, tetra_group, grid)
+
 
 def _ref_vertex_enumeration(body):
     """Qhull's raw intersection count and the all-pairs greedy dedupe
