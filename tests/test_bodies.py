@@ -623,9 +623,10 @@ class TestInvariance:
 
 
 def _kd_is_invariant(body, group, grid):
-    """is_invariant as it was with a k-d tree: every image g v_i is matched
-    with its nearest active normal, with no reach, and the dense probe
-    decides when the bound exceeds INVARIANCE_TOL."""
+    """is_invariant with every image g v_i matched to its nearest active
+    normal by a k-d tree query, with no reach, and the dense probe deciding
+    when the bound exceeds INVARIANCE_TOL: the reference of the
+    nearest_within match."""
     from scipy.spatial import cKDTree
 
     probed, verts = bodies.active_part(body)
