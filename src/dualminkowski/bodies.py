@@ -35,7 +35,6 @@ __all__ = [
     "ball_polytope",
     "cube_polytope",
     "shifted_ball_polytope",
-    "facet_polygons",
 ]
 
 _POS_DENOM_TOL = 1e-14
@@ -56,9 +55,6 @@ _TILE_ROWS = 48
 PRUNE_TOL = 1e-9
 # is_invariant accepts a largest radial deviation up to this
 INVARIANCE_TOL = 1e-9
-# facet_polygons puts a vertex on a facet plane within this fraction of the
-# largest vertex coordinate
-FACET_PLANE_TOL = 1e-7
 # StarBody.is_invariant accepts a largest radial deviation up to this
 STAR_INVARIANCE_TOL = 1e-8
 
@@ -542,48 +538,6 @@ def shifted_ball_polytope(directions: np.ndarray, radius: float,
         raise ValueError("center must satisfy |center| < radius")
     h = radius + dirs @ center
     return SupportPolytope(dim=dirs.shape[1], normals=dirs, support=h)
-
-
-def facet_polygons(body: SupportPolytope):
-    """For n = 3: ordered vertex loops of each nonempty facet.
-
-    Returns a list of (facet_index, (k, 3) vertex array ordered around the
-    facet centroid). Redundant facets and degenerate faces are omitted.
-    """
-    if body.dim != 3:
-        raise ValueError("facet polygons are implemented for n = 3 only")
-    verts = vertex_enumeration(body)
-    scale = float(np.max(np.abs(verts))) or 1.0
-    out = []
-    for i in range(body.facet_count):
-        on_plane = np.abs(verts @ body.normals[i] - body.support[i]) \
-            <= FACET_PLANE_TOL * scale
-        face = verts[on_plane]
-        if face.shape[0] < 3:
-            continue
-        center = face.mean(axis=0)
-        normal = body.normals[i]
-        # orthonormal frame of the facet plane
-        a = np.eye(3)[int(np.argmin(np.abs(normal)))]
-        e1 = np.cross(normal, a)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
-        rel = face - center
-        order = np.argsort(np.arctan2(rel @ e2, rel @ e1))
-        out.append((i, face[order]))
-    return out
-
-
-def facet_area(polygon: np.ndarray) -> float:
-    """Area of a planar convex polygon in R^3 given ordered vertices."""
-    center = polygon.mean(axis=0)
-    total = 0.0
-    k = polygon.shape[0]
-    for j in range(k):
-        a = polygon[j] - center
-        b = polygon[(j + 1) % k] - center
-        total += 0.5 * np.linalg.norm(np.cross(a, b))
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from dualminkowski.bodies import (
     SupportPolytope,
     ball_polytope,
     cube_polytope,
-    facet_area,
-    facet_polygons,
     geometry_stats,
     is_invariant,
     polar_body,
@@ -847,12 +845,6 @@ class TestTransforms:
         rho, _ = radial_profile(body, grid3_small.nodes)
         assert rho.min() == pytest.approx(1.5, rel=0.01)
         assert rho.max() == pytest.approx(2.5, rel=0.02)
-
-    def test_facet_polygons_cube(self, cube):
-        polys = facet_polygons(cube)
-        assert len(polys) == 6
-        for _, poly in polys:
-            assert facet_area(poly) == pytest.approx(4.0, rel=1e-9)
 
 
 class TestStarBody:

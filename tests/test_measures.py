@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
+from scipy.spatial import ConvexHull
 
-from dualminkowski import bodies, solver
+from dualminkowski import bodies, measures, solver
 from dualminkowski.bodies import (
     StarBody,
     SupportPolytope,
     ball_polytope,
     cube_polytope,
     radial_profile,
+    shifted_ball_polytope,
+    vertex_enumeration,
 )
 from dualminkowski.groups import orbits, symmetrize_density
 from dualminkowski.measures import (
@@ -158,7 +162,60 @@ class TestLpWeighting:
 class TestBoundaryOracle:
     def test_cube_exact(self):
         atoms = dual_curvature_via_boundary(cube_polytope(3), BALL3, 3.0)
-        assert np.allclose(atoms, 4.0 / 3.0, rtol=1e-9)
+        assert np.allclose(atoms, 4.0 / 3.0, rtol=1e-12)
+
+    def test_octahedron_exact(self):
+        """The polar of the regular octahedron is a cube, whose square faces
+        Qhull splits into triangles: the diagonals are zero-length edges of
+        the octahedron, and each facet's atom is still h * area / 3 = 1/6."""
+        normals = np.array([[a, b, c] for a in (1.0, -1.0)
+                            for b in (1.0, -1.0) for c in (1.0, -1.0)])
+        body = SupportPolytope(dim=3, normals=normals / np.sqrt(3.0),
+                               support=np.full(8, 1.0 / np.sqrt(3.0)))
+        atoms = dual_curvature_via_boundary(body, BALL3, 3.0)
+        assert np.allclose(atoms, 1.0 / 6.0, rtol=1e-12)
+
+    def test_shifted_ball_volume_and_redundant_halfspaces(self):
+        """At q = n the atoms sum to the volume, also where a facet's foot
+        h_i v_i lies outside the facet; halfspaces that bound no facet get
+        exactly 0."""
+        center = np.array([0.3, -0.2, 0.1])
+        ball = shifted_ball_polytope(fibonacci_sphere_nodes(162), 1.0, center)
+        extra = fibonacci_sphere_nodes(20)
+        body = SupportPolytope(
+            dim=3, normals=np.vstack([ball.normals, extra]),
+            support=np.concatenate([ball.support, 1.5 + extra @ center]))
+        atoms = dual_curvature_via_boundary(body, BALL3, 3.0)
+        volume = ConvexHull(vertex_enumeration(body)).volume
+        assert stable_sum(atoms) == pytest.approx(volume, rel=1e-12)
+        assert np.all(atoms[162:] == 0.0)
+
+    def test_degree_converged(self, grid3, monkeypatch):
+        """On the criterion-4 bodies the rule's degree is converged: twice
+        the degree moves no atom by more than 1e-9 relative."""
+        rng = np.random.default_rng(102)
+        worst = 0.0
+        for _ in range(10):
+            body = random_polytope(rng, int(rng.integers(6, 13)), grid=grid3)
+            for q in (1.0, 2.0, 3.0):
+                a = dual_curvature_via_boundary(body, BALL3, q)
+                with monkeypatch.context() as m:
+                    m.setattr(measures, "BOUNDARY_DEGREE",
+                              2 * measures.BOUNDARY_DEGREE)
+                    b = dual_curvature_via_boundary(body, BALL3, q)
+                active = b > 1e-12
+                worst = max(worst, float(np.max(
+                    np.abs(a[active] - b[active]) / b[active])))
+        assert worst <= 1e-9
+
+    def test_qhull_failure_names_the_polar_hull(self, monkeypatch):
+        def failing_hull(points):
+            raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", failing_hull)
+        with pytest.raises(ValueError,
+                           match="polar hull of the body's 6 facets failed"):
+            dual_curvature_via_boundary(cube_polytope(3), BALL3, 2.0)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(24)
@@ -168,15 +225,6 @@ class TestBoundaryOracle:
         b = dual_curvature_via_boundary(
             body.with_support(lam * body.support), BALL3, q)
         assert np.allclose(b, lam ** q * a, rtol=1e-6)
-
-    def test_two_oracle_agreement(self, grid3):
-        rng = np.random.default_rng(25)
-        body = random_polytope(rng, 9, grid=grid3)
-        for q in (1.0, 2.0):
-            a = dual_curvature_measure(body, BALL3, q, grid3)
-            b = dual_curvature_via_boundary(body, BALL3, q)
-            active = b > 1e-12
-            assert np.max(np.abs(a[active] - b[active]) / b[active]) <= 0.01
 
     def test_nonball_q_body(self, grid3):
         """The two routes must also agree for a genuinely varying Q."""

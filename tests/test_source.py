@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import itertools
 import pathlib
 import re
 
@@ -371,3 +372,54 @@ def test_dense_products_are_blocked():
     for stem in ("bodies", "measures"):
         found.update(_transpose_products(PACKAGE / f"{stem}.py"))
     assert found == WHOLE_PRODUCTS
+
+
+def _numeric_constants():
+    """{"module.NAME": value} of every public numeric module constant of
+    the package outside cli, whose constants are its exit codes."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            name = node.targets[0].id
+            if name.startswith("_") or not name.isupper():
+                continue
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                continue
+            if type(value) in (int, float):
+                found[f"{path.stem}.{name}"] = value
+    return found
+
+
+def _constants_table():
+    """{"module.NAME": value} of the rows of the README's constants table;
+    a row's later names belong to the module of its first."""
+    lines = (PACKAGE.parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("  | constant | value | rule it governs |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("  |"),
+                               lines[start:])
+    found = {}
+    for line in rows:
+        names, values = (re.findall(r"`([^`]+)`", cell)
+                         for cell in line.split("|")[1:3])
+        module = names[0].partition(".")[0]
+        for name, value in zip(names, values, strict=True):
+            found[f"{module}.{name.rpartition('.')[2]}"] = \
+                ast.literal_eval(value)
+    return found
+
+
+def test_constants_table_matches_source():
+    """Every row of the README's constants table names a public numeric
+    module constant with the value the row gives, and every such constant
+    outside cli has a row."""
+    table, constants = _constants_table(), _numeric_constants()
+    assert sorted(set(table) - set(constants)) == []
+    assert sorted(set(constants) - set(table)) == []
+    assert table == constants
