@@ -44,7 +44,9 @@ _POS_DENOM_TOL = 1e-14
 # active_part and prune, and the polar support values of santalo_product
 # and bs_dual_product);
 # active_part on a criterion-9 pooled body (3840 constraints) peaks at
-# 5.7-7.1 MiB of heap, 11-14 MiB with whole products
+# 5.7-7.1 MiB of heap, 11-14 MiB with whole products. row_slices cuts the
+# boundary fans of dual_curvature_via_boundary by the same count of node
+# coordinates
 RADIAL_BLOCK_CELLS = 1_000_000
 # product_blocks' blocks are a multiple of this many rows. The double kernels
 # of the OpenBLAS the tests run with tile rows by 24: blocks of 48 or 96 rows
@@ -199,6 +201,14 @@ def product_blocks(rows: np.ndarray, cols: np.ndarray):
         stop = start + step if m - start - step >= 2 else m
         yield start, rows[start:stop] @ cols.T
         start = stop
+
+
+def row_slices(count: int, cells_per_row: int):
+    """Yield consecutive slices of range(count), each of at most
+    RADIAL_BLOCK_CELLS cells (read at each call) but at least one row."""
+    step = max(1, RADIAL_BLOCK_CELLS // max(1, cells_per_row))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 def radial_profile(body: SupportPolytope, points: np.ndarray):
@@ -618,10 +628,7 @@ class StarBody:
     @staticmethod
     def box(half_axes) -> "StarBody":
         """Coordinate box with the exact radial min_i a_i / |u_i|, by
-        box_radial on the magnitudes of the given points. On the nodes of a
-        grid box_radial(half_axes, grid.abs_columns) gives the same bits
-        without taking |u_i| again.
-        """
+        box_radial on the magnitudes of the given points."""
         axes = np.asarray(half_axes, dtype=float)
 
         def rho(pts):

@@ -138,23 +138,21 @@ def _cmd_solve(config: dict, args) -> int:
 def _cmd_verify_bounds(config: dict, args) -> int:
     from .bounds import BoxSpec, verify_box
     from .runio import resolve_sweep, write_csv, write_manifest
-    from .sphere import build_grid
 
     started = time.time()
-    dims, q_values, per_case, (lo, hi), nodes, seed = resolve_sweep(config)
+    dims, q_values, per_case, (lo, hi), seed = resolve_sweep(config)
     run_dir = _run_directory(args, "verify-bounds")
 
     rows, failures, total = [], 0, 0
     branch_counts: dict[str, int] = {}
     worst_margin = math.inf
     for n in dims:
-        grid = build_grid(n, nodes, "monte-carlo", seed=seed)
         rng = np.random.default_rng(seed + n)
         for q in q_values:
             for _ in range(per_case):
                 axes = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi),
                                                   n)))
-                rep = verify_box(BoxSpec(axes), q, grid)
+                rep = verify_box(BoxSpec(axes), q)
                 total += 1
                 failures += 0 if rep.passed else 1
                 branch_counts[rep.branch] = branch_counts.get(rep.branch, 0) + 1

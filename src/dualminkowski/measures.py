@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import StarBody, SupportPolytope, product_blocks, radial_profile
+from .bodies import StarBody, SupportPolytope, product_blocks, radial_profile, \
+    row_slices
 from .sphere import SphericalGrid, stable_sum
 
 __all__ = [
@@ -157,6 +158,8 @@ def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
     A collapsed (Duffy) Gauss-Legendre rule of BOUNDARY_DEGREE points per
     axis integrates every fan triangle at once; it is exact on polynomials
     of degree up to 2 BOUNDARY_DEGREE - 2, so the atoms at q = n are exact.
+    The fans go in blocks of at most RADIAL_BLOCK_CELLS node coordinates,
+    so one block of nodes is held at a time.
     No spherical grid is involved, so this is the cross-check oracle for the
     grid-binned atoms.
     """
@@ -191,11 +194,16 @@ def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
     nodes, w = np.polynomial.legendre.leggauss(BOUNDARY_DEGREE)
     nodes, w = 0.5 * (nodes + 1.0), 0.5 * w
     s, sr = np.repeat(nodes, len(nodes)), np.outer(nodes, nodes).ravel()
-    pts = foot[:, None, :] + s[None, :, None] * (a - foot)[:, None, :] \
-        + sr[None, :, None] * (b - a)[:, None, :]
-    vals = q_body.radial_homogeneous(pts.reshape(-1, n)) ** (n - q)
-    fans = sign * twice_area * (vals.reshape(len(facet), -1)
-                                @ np.outer(w * nodes, w).ravel())
+    rule = np.outer(w * nodes, w).ravel()
+    # the fans in blocks of at most RADIAL_BLOCK_CELLS node coordinates
+    fans = np.empty(len(facet))
+    for blk in row_slices(len(facet), n * len(s)):
+        pts = foot[blk, None, :] + s[None, :, None] * (a - foot)[blk, None, :] \
+            + sr[None, :, None] * (b - a)[blk, None, :]
+        vals = q_body.radial_homogeneous(pts.reshape(-1, n)) ** (n - q)
+        fans[blk] = vals.reshape(len(pts), -1) @ rule
+        del pts, vals
+    fans *= sign * twice_area
     return np.bincount(facet, weights=fans, minlength=len(h)) * h / n
 
 

@@ -359,7 +359,7 @@ def resolve_problem(cfg: dict):
 
 def resolve_sweep(cfg: dict) -> tuple:
     """The verify-bounds settings with their defaults: (dimensions,
-    q_values, boxes_per_case, (lo, hi), grid_nodes, seed)."""
+    q_values, boxes_per_case, (lo, hi), seed)."""
     dims = _field(cfg, "dimensions", lambda ns: _nonempty(ns, _at_least(2)),
                   "a non-empty list of integers >= 2", [2, 3, 4])
     q_values = _field(cfg, "q_values", lambda qs: _nonempty(qs, _positive),
@@ -370,10 +370,9 @@ def resolve_sweep(cfg: dict) -> tuple:
     lo, hi = _field(cfg, "axis_range",
                     lambda r: _numbers(r, 2) and 0 < r[0] <= r[1],
                     "[lo, hi] with 0 < lo <= hi", [0.3, 30.0])
-    nodes = _field(cfg, "grid_nodes", _at_least(8), "an integer >= 8", 200000)
     seed = _field(cfg, "seed", _at_least(0), "an integer >= 0", 0)
     return (dims, [float(q) for q in q_values], per_case,
-            (float(lo), float(hi)), nodes, seed)
+            (float(lo), float(hi)), seed)
 
 
 _INTERSECTIONS = ("orbit-intersection-min", "orbit-intersection-max")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -225,8 +225,6 @@ class SphericalGrid:
     reals carrying (n-1)-dimensional surface measure. Grids are immutable;
     arrays are set non-writeable at construction. Node norms are checked
     with _row_norms, which equals np.linalg.norm(nodes, axis=1) bit for bit.
-    abs_columns, the coordinate magnitudes as one contiguous (n, N) array,
-    is computed on first use and then held with the grid.
     """
 
     dim: int
@@ -264,13 +262,6 @@ class SphericalGrid:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
-
-    @cached_property
-    def abs_columns(self) -> np.ndarray:
-        """|u_i| for each coordinate i, row i of a read-only (n, N) array."""
-        mags = np.abs(self.nodes.T, order="C")
-        mags.setflags(write=False)
-        return mags
 
     def total_weight(self) -> float:
         return stable_sum(self.weights)

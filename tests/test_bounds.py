@@ -9,14 +9,14 @@ from dualminkowski.bounds import (
     BoxSpec,
     admissible_exponent_s,
     box_bounds,
-    box_dual_volume_mc,
+    box_dual_volume,
     bs_dual_product,
     q_star,
     santalo_product,
     verify_box,
 )
-from dualminkowski.sphere import SphericalGrid, build_grid, \
-    fibonacci_sphere_nodes, sphere_area, stable_sum, unit_ball_volume
+from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, \
+    sphere_area, stable_sum, unit_ball_volume
 
 from conftest import random_centered_polytope, translate
 
@@ -89,15 +89,143 @@ class TestBoxSpec:
         assert BoxSpec(np.array([1.0, 2.0])).volume() == pytest.approx(8.0)
 
 
-@pytest.fixture(scope="module")
-def mc_grids():
-    return {n: build_grid(n, 100000, "monte-carlo", seed=1) for n in (2, 3, 4)}
+def mc_box_dual_volume(axes, q, grid):
+    """Monte-Carlo box dual volume with its standard error: the mean of
+    rho^q over equally weighted random nodes, times |S^{n-1}| / n."""
+    values = box_radial(axes, np.abs(grid.nodes).T) ** q
+    scale = sphere_area(grid.dim) / grid.dim
+    return scale * float(np.mean(values)), \
+        scale * float(np.std(values)) / math.sqrt(grid.node_count)
+
+
+def facet_tensor_dual_volume(axes, q, degree=16):
+    """The box dual volume from its facets, by tensor Gauss-Legendre.
+
+    V~_q = (2^n / n) sum_i a_i int over [0, a_j], j != i, of
+    (a_i^2 + |y|^2)^{(q-n)/2} dy. Each axis [0, a_j] splits at a_i 2^k,
+    panels graded away from the integrand's complex poles at |y| = i a_i.
+    """
+    axes = np.asarray(axes, dtype=float)
+    n = axes.size
+    t, w = np.polynomial.legendre.leggauss(degree)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    total = 0.0
+    for i, ai in enumerate(axes):
+        nodes, weights = [], []
+        for aj in np.delete(axes, i):
+            ends = np.array([0.0] + [ai * 2.0 ** k for k in range(
+                math.ceil(math.log2(aj / ai)))] + [aj])
+            width = np.diff(ends)
+            nodes.append((ends[:-1, None] + width[:, None] * t).ravel())
+            weights.append((width[:, None] * w).ravel())
+        r2 = ai ** 2 + sum(np.meshgrid(*[y ** 2 for y in nodes],
+                                        indexing="ij"))
+        weight = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0)
+        total += ai * float(np.sum(weight * r2 ** ((q - n) / 2.0)))
+    return 2.0 ** n / n * total
+
+
+def random_box(rng, n, lo=0.3, hi=30.0):
+    return BoxSpec(np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), n))))
+
+
+class TestBoxDualVolume:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cube_volume_at_q_equal_n(self, n):
+        assert box_dual_volume(BoxSpec(np.ones(n)), float(n)) == \
+            pytest.approx(2.0 ** n, rel=2e-15)
+
+    def test_polynomial_case(self):
+        """The unit square at q = 4 gives 16/3; in general q = n + 2 gives
+        ((n+2)/n) V(box) sum_j a_j^2 / 3, the integral of |x|^2."""
+        assert box_dual_volume(BoxSpec(np.ones(2)), 4.0) == \
+            pytest.approx(16.0 / 3.0, rel=1e-15)
+        rng = np.random.default_rng(70)
+        for n in (2, 3, 4, 5):
+            box = random_box(rng, n)
+            a = box.half_axes
+            want = (n + 2.0) / n * box.volume() * float(np.sum(a ** 2)) / 3.0
+            assert box_dual_volume(box, n + 2.0) == pytest.approx(want,
+                                                                  rel=1e-14)
+
+    def test_homogeneity(self):
+        box = BoxSpec(np.array([0.5, 1.0, 4.0]))
+        for lam in (1e-3, 0.37, 3.0, 250.0):
+            for q in (0.5, 1.7, 3.0, 4.2):
+                v1 = box_dual_volume(box, q)
+                v2 = box_dual_volume(BoxSpec(lam * box.half_axes), q)
+                assert v2 == pytest.approx(lam ** q * v1, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_facet_tensor_rule(self, n):
+        """Against a graded tensor Gauss-Legendre rule on the facet form of
+        the dual volume, which shares nothing with the erf route."""
+        rng = np.random.default_rng(71 + n)
+        hi = 30.0 if n < 4 else 8.0
+        for q in (0.5, 1.0, 1.5, 2.0, 2.0000001, 2.5, 3.0, 3.5, 4.0, 5.5):
+            box = random_box(rng, n, hi=hi)
+            want = facet_tensor_dual_volume(box.half_axes, q)
+            assert box_dual_volume(box, q) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_large_q_matches_facet_tensor_rule(self, n):
+        """The series reach and the tail panels follow q, so the route
+        still agrees with the facet rule up to q = n + Q_EXCESS_LIMIT."""
+        rng = np.random.default_rng(75 + n)
+        for excess in (11.3, 41.3, 101.3, 149.3):
+            box = random_box(rng, n, hi=8.0)
+            want = facet_tensor_dual_volume(box.half_axes, n + excess,
+                                            degree=32)
+            assert box_dual_volume(box, n + excess) == pytest.approx(
+                want, rel=1e-12)
+
+    def test_q_beyond_the_limit_names_the_box(self):
+        with pytest.raises(ValueError, match=(
+                r"no box dual volume for n = 3, q = 153\.5, half-axes "
+                r"\[1, 2, 3\]: the erf route takes q up to n \+ 150$")):
+            verify_box(BoxSpec(np.array([1.0, 2.0, 3.0])), 153.5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_within_monte_carlo_error(self, n):
+        """The exact values lie within four standard errors of a
+        200000-node Monte-Carlo estimate."""
+        grid = build_grid(n, 200000, "monte-carlo", seed=3)
+        rng = np.random.default_rng(80 + n)
+        for q in (0.5, 1.5, 2.0, 3.5):
+            box = random_box(rng, n, hi=10.0)
+            mean, error = mc_box_dual_volume(box.half_axes, q, grid)
+            assert abs(box_dual_volume(box, q) - mean) <= 4.0 * error
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_smooth_across_poles(self, n):
+        """At q = n + 2k the series term meets a zero of 1/Gamma: values at
+        q +- 1e-7 lie on a line through the value at q, to rounding."""
+        box = random_box(np.random.default_rng(90 + n), n)
+        for k in (0, 1, 2):
+            q = n + 2.0 * k
+            mid = box_dual_volume(box, q)
+            lo, hi = (box_dual_volume(box, q + e) for e in (-1e-7, 1e-7))
+            assert abs(hi - mid) <= 1e-5 * mid
+            assert abs(hi + lo - 2.0 * mid) <= 1e-12 * mid
+
+    def test_finite_positive_on_criterion_5_boxes(self):
+        """Every box of the criterion-5 sweep gets a finite positive value."""
+        rng = np.random.default_rng(103)
+        for n in (2, 3, 4):
+            for q in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+                for _ in range(100):
+                    value = box_dual_volume(random_box(rng, n), q)
+                    assert 0.0 < value < math.inf, (n, q)
+
+    def test_rejects_nonpositive_q(self):
+        with pytest.raises(ValueError, match="positive"):
+            box_dual_volume(BoxSpec(np.ones(3)), 0.0)
 
 
 class TestBoxBounds:
-    def test_cube_bracket_contains_volume(self, mc_grids):
+    def test_cube_bracket_contains_volume(self):
         for n in (2, 3, 4):
-            rep = verify_box(BoxSpec(np.ones(n)), float(n), mc_grids[n])
+            rep = verify_box(BoxSpec(np.ones(n)), float(n))
             assert rep.lower <= 2.0 ** n <= rep.upper
             assert rep.passed
 
@@ -115,37 +243,28 @@ class TestBoxBounds:
         for formula, value in rep.constants_used.values():
             assert isinstance(formula, str) and value > 0
 
-    def test_elongated_integer_branch(self, mc_grids):
-        rep = verify_box(BoxSpec(np.array([1.0, 1.0, 100.0])), 2.0, mc_grids[3])
+    def test_elongated_integer_branch(self):
+        rep = verify_box(BoxSpec(np.array([1.0, 1.0, 100.0])), 2.0)
         assert rep.passed
         # observed value tracks the a2 (1 + log(a3/a2)) shape of the bracket
-        rep10 = verify_box(BoxSpec(np.array([1.0, 1.0, 10.0])), 2.0, mc_grids[3])
+        rep10 = verify_box(BoxSpec(np.array([1.0, 1.0, 10.0])), 2.0)
         shape_ratio = (1 + math.log(100.0)) / (1 + math.log(10.0))
         assert rep.observed / rep10.observed == pytest.approx(shape_ratio, rel=0.35)
 
-    def test_high_q_powerlaw(self, mc_grids):
-        rep = verify_box(BoxSpec(np.array([1.0, 10.0, 100.0])), 3.5, mc_grids[3])
+    def test_high_q_powerlaw(self):
+        rep = verify_box(BoxSpec(np.array([1.0, 10.0, 100.0])), 3.5)
         assert rep.passed
 
-    def test_four_dim_fractional(self, mc_grids):
-        rep = verify_box(BoxSpec(np.array([1.0, 1.0, 1.0, 100.0])), 2.5,
-                         mc_grids[4])
+    def test_four_dim_fractional(self):
+        rep = verify_box(BoxSpec(np.array([1.0, 1.0, 1.0, 100.0])), 2.5)
         assert rep.passed
-
-    def test_mc_oracle_homogeneity(self, mc_grids):
-        box = BoxSpec(np.array([0.5, 1.0, 4.0]))
-        lam, q = 3.0, 1.7
-        v1 = box_dual_volume_mc(box, q, mc_grids[3])
-        v2 = box_dual_volume_mc(BoxSpec(lam * box.half_axes), q, mc_grids[3])
-        assert v2 == pytest.approx(lam ** q * v1, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cached_columns_match_star_body(self, n):
-        """The oracle's radial on the grid's cached |u_i| columns equals
-        StarBody.box(axes).radial bit for bit, on a grid whose nodes have
-        exact-zero, subnormal and tiny coordinates and on free points with
-        NaN and infinite coordinates, and the oracle is the weighted sum
-        of that radial."""
+        """box_radial on |u_i| columns taken once, as a sweep over many
+        boxes would hold them, equals StarBody.box(axes).radial bit for bit,
+        on nodes with exact-zero, subnormal and tiny coordinates and on free
+        points with NaN and infinite coordinates."""
         rng = np.random.default_rng(60 + n)
         axes = np.sort(np.exp(rng.uniform(math.log(0.3), math.log(30.0), n)))
         star = StarBody.box(axes)
@@ -156,17 +275,11 @@ class TestBoxBounds:
         edge[np.arange(300), rng.integers(0, n, 300)] = \
             rng.choice([-1.0, 1.0], 300)
         nodes = np.vstack([unit, edge, -np.eye(n)])
-        grid = SphericalGrid(dim=n, nodes=nodes, scheme="monte-carlo",
-                             weights=np.full(len(nodes), sphere_area(n)
-                                             / len(nodes)))
+        columns = np.abs(nodes).T
         with np.errstate(over="ignore"):  # a / 5e-324, masked to inf
-            want = star.radial(grid.nodes)
-            got = box_radial(axes, grid.abs_columns)
+            want = star.radial(nodes)
+            got = box_radial(axes, columns)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        q = 1.5
-        with np.errstate(over="ignore"):
-            observed = box_dual_volume_mc(BoxSpec(axes), q, grid)
-        assert observed == stable_sum(want ** q * grid.weights) / n
         free = np.array([np.nan, np.inf, -np.inf, 0.0, 5e-324, 0.5])
         pts = free[rng.integers(0, free.size, (400, n))]
         with np.errstate(over="ignore"):
@@ -174,8 +287,8 @@ class TestBoxBounds:
             want = star.radial(pts)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_degenerate_value_names_the_box(self, mc_grids):
-        """A radial power that underflows to 0 leaves no bracket to check:
+    def test_degenerate_value_names_the_box(self):
+        """A dual volume that underflows to 0 leaves no bracket to check:
         verify_box names the box instead of returning a value whose log
         margin cannot be taken."""
         axes = np.array([1.8e-166, 5.3e-106, 3.2e120])
@@ -183,16 +296,16 @@ class TestBoxBounds:
                 r"degenerate bracket for n = 3, q = 2, half-axes \[1\.8e-166, "
                 r"5\.3e-106, 3\.2e\+120\]: lower \S+, observed 0, upper \S+; "
                 r"each must be finite and positive")):
-            verify_box(BoxSpec(axes), 2.0, mc_grids[3])
+            verify_box(BoxSpec(axes), 2.0)
 
-    def test_random_boxes_light_sweep(self, mc_grids):
+    def test_random_boxes_light_sweep(self):
         rng = np.random.default_rng(40)
         for n in (2, 3, 4):
             for q in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
                 for _ in range(6):
                     axes = np.sort(np.exp(rng.uniform(math.log(0.3),
                                                       math.log(30.0), n)))
-                    rep = verify_box(BoxSpec(axes), q, mc_grids[n])
+                    rep = verify_box(BoxSpec(axes), q)
                     assert rep.passed, (n, q, axes, rep)
 
 

@@ -577,7 +577,6 @@ class TestVerifyBoundsCommand:
             "dimensions": [2, 3],
             "q_values": [0.5, 2.0],
             "boxes_per_case": 3,
-            "grid_nodes": 50000,
             "seed": 5,
         })
         out = str(tmp_path / "runs")
@@ -601,9 +600,9 @@ class TestVerifyBoundsCommand:
                                                             rel=1e-9)
 
     def test_bounds_csv_pinned(self, tmp_path):
-        """The whole box path (grids, radial, quadrature, brackets, CSV
-        cells), n = 8 included, where row norms fall back to
-        np.linalg.norm."""
+        """The whole box path (box draws, exact dual volumes, brackets, CSV
+        cells), n = 8 included. A grid_nodes field, which no longer has a
+        use, is ignored like any field the command does not read."""
         cfg = write_config(tmp_path, {"dimensions": [2, 3, 4, 8],
                                       "boxes_per_case": 2,
                                       "grid_nodes": 20000})
@@ -611,15 +610,23 @@ class TestVerifyBoundsCommand:
         assert main(["verify-bounds", cfg, "--out", out]) == EXIT_OK
         _, run_dir = manifest_of(out)
         with open(os.path.join(run_dir, "bounds.csv"), "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        assert digest == ("0057df94ae0ec9fba0aaf2b9bfc47c9a"
-                          "2c9558f1bc54be4750b65db3f62f30d4")
+            table = fh.read()
+        assert hashlib.sha256(table).hexdigest() == (
+            "b1d57f7119bdf9a0072393e36da26deb"
+            "f8e6b6f1ba2510c61a57d93ee5d9e27e")
+        # every column but observed as pinned when a Monte-Carlo grid gave
+        # the observed values: the boxes, brackets and verdicts are those
+        rows = [row.split(b",") for row in table.splitlines(keepends=True)]
+        brackets = b"".join(b",".join(row[:5] + row[6:]) for row in rows)
+        assert hashlib.sha256(brackets).hexdigest() == (
+            "4422d754a85992fc9a51112593462d9e"
+            "dff06c8287970297a48a1d3a516a938f")
 
     def test_degenerate_value_is_named(self, tmp_path, capsys):
-        """Extreme axes underflow the quadrature value to 0: the command
-        fails naming the box, not with a bare math domain error."""
+        """Extreme axes underflow the dual volume to 0: the command fails
+        naming the box, not with a bare math domain error."""
         cfg = write_config(tmp_path, {"dimensions": [3], "q_values": [2],
-                                      "boxes_per_case": 1, "grid_nodes": 1000,
+                                      "boxes_per_case": 1,
                                       "axis_range": [1e-200, 1e200]})
         out = str(tmp_path / "runs")
         assert main(["verify-bounds", cfg, "--out", out]) == EXIT_ERROR
@@ -634,7 +641,7 @@ class TestVerifyBoundsCommand:
         there: the command, its config, the error and the traceback. The
         exit code and the stderr line are those of any error."""
         sweep = {"dimensions": [3], "q_values": [2], "boxes_per_case": 1,
-                 "grid_nodes": 1000, "axis_range": [1e-200, 1e200]}
+                 "axis_range": [1e-200, 1e200]}
         cfg = write_config(tmp_path, sweep)
         out = tmp_path / "runs"
         assert main(["verify-bounds", cfg, "--out", str(out)]) == EXIT_ERROR
@@ -659,7 +666,7 @@ class TestVerifyBoundsCommand:
         ("axis_range", [0.3]),
         ("dimensions", [1, 2]),
         ("dimensions", []),
-        ("grid_nodes", 4),
+        ("seed", 1.5),
         ("seed", -1),
         ("boxes_per_case", 2.0),
         ("dimensions", [2.0]),
@@ -667,8 +674,7 @@ class TestVerifyBoundsCommand:
     def test_bad_config_leaves_no_run_directory(self, tmp_path, capsys,
                                                 field, value):
         cfg = write_config(tmp_path, {"dimensions": [2], "q_values": [2.0],
-                                      "boxes_per_case": 1, "grid_nodes": 1000,
-                                      field: value})
+                                      "boxes_per_case": 1, field: value})
         out = tmp_path / "runs"
         assert main(["verify-bounds", cfg, "--out", str(out)]) == EXIT_ERROR
         assert f"config error: field {field!r}" in capsys.readouterr().err
@@ -976,8 +982,7 @@ class TestImportSet:
     def test_verify_bounds_loads_no_scipy(self, tmp_path):
         cfg = write_config(tmp_path, {"dimensions": [2, 3],
                                       "q_values": [0.5, 2.0],
-                                      "boxes_per_case": 1,
-                                      "grid_nodes": 2000})
+                                      "boxes_per_case": 1})
         assert _fresh_process(tmp_path, _IMPORT_PROBE, "verify-bounds", cfg,
                               "--out", "runs") == [EXIT_OK, []]
 

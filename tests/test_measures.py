@@ -236,6 +236,25 @@ class TestBoundaryOracle:
         active = b > 1e-12
         assert np.max(np.abs(a[active] - b[active]) / b[active]) <= 0.015
 
+    def test_fans_in_blocks(self, monkeypatch):
+        """The fans go in blocks of at most RADIAL_BLOCK_CELLS node
+        coordinates: on a 642-facet ball the heap peaks under 24 MiB (61 MiB
+        with every fan at once), and blocks of any size give the atoms of
+        one whole block to 1e-14."""
+        body = ball_polytope(fibonacci_sphere_nodes(642))
+        assert heap_peak_mib(
+            lambda: dual_curvature_via_boundary(body, BALL3, 2.0)) < 24.0
+        q_body = StarBody.ellipsoid([0.8, 1.0, 1.3])
+        blocked = dual_curvature_via_boundary(body, q_body, 1.5)
+        fan = 3 * measures.BOUNDARY_DEGREE ** 2
+        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", 10 ** 9)
+        whole = dual_curvature_via_boundary(body, q_body, 1.5)
+        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", 7 * fan)
+        small = dual_curvature_via_boundary(body, q_body, 1.5)
+        assert np.all(whole > 0.0)
+        for atoms in (blocked, small):
+            assert np.max(np.abs(atoms - whole) / whole) <= 1e-14
+
     def test_requires_n3(self, grid2):
         sq = SupportPolytope(dim=2, normals=np.vstack([np.eye(2), -np.eye(2)]),
                              support=np.ones(4))

@@ -95,15 +95,6 @@ def test_row_norms_match_linalg_norm(n):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_abs_columns_cached_and_read_only():
-    grid = build_grid(3, 500, "monte-carlo", seed=2)
-    cols = grid.abs_columns
-    assert cols is grid.abs_columns
-    assert cols.shape == (3, 500) and cols.flags.c_contiguous
-    assert not cols.flags.writeable
-    assert np.array_equal(cols, np.abs(grid.nodes).T)
-
-
 def test_build_grid_rejections():
     with pytest.raises(ValueError):
         build_grid(3, 100, "uniform-angle")
