@@ -195,7 +195,6 @@ def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
     nodes, w = 0.5 * (nodes + 1.0), 0.5 * w
     s, sr = np.repeat(nodes, len(nodes)), np.outer(nodes, nodes).ravel()
     rule = np.outer(w * nodes, w).ravel()
-    # the fans in blocks of at most RADIAL_BLOCK_CELLS node coordinates
     fans = np.empty(len(facet))
     for blk in row_slices(len(facet), n * len(s)):
         pts = foot[blk, None, :] + s[None, :, None] * (a - foot)[blk, None, :] \

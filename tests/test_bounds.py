@@ -103,7 +103,8 @@ def facet_tensor_dual_volume(axes, q, degree=16):
 
     V~_q = (2^n / n) sum_i a_i int over [0, a_j], j != i, of
     (a_i^2 + |y|^2)^{(q-n)/2} dy. Each axis [0, a_j] splits at a_i 2^k,
-    panels graded away from the integrand's complex poles at |y| = i a_i.
+    panels graded away from the integrand's complex branch points at
+    |y| = i a_i.
     """
     axes = np.asarray(axes, dtype=float)
     n = axes.size
