@@ -614,8 +614,9 @@ class TestVerifyBoundsCommand:
         assert hashlib.sha256(table).hexdigest() == (
             "b1d57f7119bdf9a0072393e36da26deb"
             "f8e6b6f1ba2510c61a57d93ee5d9e27e")
-        # every column but observed as pinned when a Monte-Carlo grid gave
-        # the observed values: the boxes, brackets and verdicts are those
+        # every column but observed keeps the digest it had when a
+        # Monte-Carlo grid gave the observed values: the boxes, brackets
+        # and verdicts did not move
         rows = [row.split(b",") for row in table.splitlines(keepends=True)]
         brackets = b"".join(b",".join(row[:5] + row[6:]) for row in rows)
         assert hashlib.sha256(brackets).hexdigest() == (
