@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import MERGE_TOL, OrthogonalGroup
 from .sphere import (SphericalGrid, first_of_clusters, nearest_within,
-                     probe_grid, require_finite)
+                     padded, probe_grid, product_blocks, require_finite)
 
 __all__ = [
     "SupportPolytope",
@@ -38,21 +38,6 @@ __all__ = [
 ]
 
 _POS_DENOM_TOL = 1e-14
-# product_blocks forms at most this many products at a time (7.6 MiB) for
-# radial_profile, RadialKernel's list build, MeasureSpec.from_density and
-# support_profile (the facet-vertex maxima of _near_active, behind
-# active_part and prune, and the polar support values of santalo_product
-# and bs_dual_product);
-# active_part on a criterion-9 pooled body (3840 constraints) peaks at
-# 5.7-7.1 MiB of heap, 11-14 MiB with whole products. row_slices cuts the
-# boundary fans of dual_curvature_via_boundary by the same count of node
-# coordinates
-RADIAL_BLOCK_CELLS = 1_000_000
-# product_blocks' blocks are a multiple of this many rows. The double kernels
-# of the OpenBLAS the tests run with tile rows by 24: blocks of 48 or 96 rows
-# give the bits of the whole product, and blocks of 16, 32 or 64 rows
-# differed from it in the last columns
-_TILE_ROWS = 48
 # prune keeps the halfspaces whose slack is at most this fraction of max h
 PRUNE_TOL = 1e-9
 # is_invariant accepts a largest radial deviation up to this
@@ -96,6 +81,10 @@ class SupportPolytope:
             raise ValueError("normals must be unit vectors within 1e-10")
         floor = self.h_floor
         if floor <= 0.0:
+            if np.any(support <= 0.0):
+                i = int(np.argmax(support <= 0.0))
+                raise ValueError(
+                    f"support number {i} = {support[i]:.3e} is not positive")
             floor = 1e-6 * float(np.exp(np.mean(np.log(support))))
             object.__setattr__(self, "h_floor", floor)
         if np.any(support < floor):
@@ -173,44 +162,6 @@ def _uncovered_direction(normals: np.ndarray) -> np.ndarray | None:
     return facets[worst, :-1] if facets[worst, -1] >= 0.0 else None
 
 
-def product_blocks(rows: np.ndarray, cols: np.ndarray):
-    """Yield (start, rows[start:stop] @ cols.T) over consecutive row blocks
-    of at most RADIAL_BLOCK_CELLS products (read at each call), but at least
-    one tile of rows.
-
-    Each block is a row slice of the one product rows @ cols.T, bit for bit.
-    BLAS forms a product in tiles of rows, and a row's last bits can depend
-    on the width of the tile that holds it; so a block is a whole number of
-    _TILE_ROWS rows, which puts every row in the tile it has in the whole
-    product. A one-row product is a matrix-vector product, whose bits can
-    differ too, so a last block of one row joins the block before it. The
-    rows go into the fewest blocks the limit allows, each of the fewest
-    whole tiles that still cover them, so the last block falls short of the
-    others by at most one tile per block: a flagship solve (13 blocks of 1536 rows and one of 32, or 14 of
-    1440 and 1280) peaked about 1 MB higher in resident memory with the
-    short last block. A caller that deletes each block before taking the
-    next holds one block at a time.
-    """
-    m = len(rows)
-    tiles = -(-m // _TILE_ROWS)
-    most = max(1, RADIAL_BLOCK_CELLS // max(1, len(cols)) // _TILE_ROWS)
-    blocks = max(1, -(-tiles // most))
-    step = -(-tiles // blocks) * _TILE_ROWS
-    start = 0
-    while start < m:
-        stop = start + step if m - start - step >= 2 else m
-        yield start, rows[start:stop] @ cols.T
-        start = stop
-
-
-def row_slices(count: int, cells_per_row: int):
-    """Yield consecutive slices of range(count), each of at most
-    RADIAL_BLOCK_CELLS cells (read at each call) but at least one row."""
-    step = max(1, RADIAL_BLOCK_CELLS // max(1, cells_per_row))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
-
-
 def radial_profile(body: SupportPolytope, points: np.ndarray):
     """Radial function and supporting-facet index at each unit direction.
 
@@ -218,18 +169,19 @@ def radial_profile(body: SupportPolytope, points: np.ndarray):
     to the smallest index) identifies the facet whose supporting hyperplane
     contains the boundary point rho(u) u. Evaluation is blocked by
     product_blocks, and each block of products is divided in place and freed
-    before the next, so one block of RADIAL_BLOCK_CELLS ratios is held at a
-    time.
+    before the next, so one block of sphere.BLOCK_CELLS ratios is held at a
+    time; a zero pad product is no positive denominator.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
     rho = np.empty(m)
     idx = np.empty(m, dtype=np.intp)
+    support = padded(body.support, 1.0)
     for start, ratios in product_blocks(pts, body.normals):
         # ~(A > tol), not A <= tol: a NaN product is no denominator either
         off = ~(ratios > _POS_DENOM_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(body.support, ratios, out=ratios)
+            np.divide(support, ratios, out=ratios)
         ratios[off] = np.inf
         bi = np.argmin(ratios, axis=1)
         idx[start:start + bi.size] = bi
@@ -284,8 +236,8 @@ class RadialKernel:
 
     def _build(self, ratio: float) -> None:
         # one block of products at a time; each block keeps only its
-        # candidates, as (point, facet, product)
-        n, m = self.points.shape[0], self.normals.shape[0]
+        # candidates, as (point, facet, product); no zero pad clears a cut
+        n = self.points.shape[0]
         found = []
         for start, prods in product_blocks(self.points, self.normals):
             top = np.max(prods, axis=1)
@@ -297,7 +249,8 @@ class RadialKernel:
             # the slack makes the bound strict for the exit facet
             cut = np.maximum((ratio * (1.0 - _PRUNE_SLACK)) * top,
                              _POS_DENOM_TOL)
-            r, c = np.divmod(np.flatnonzero(prods > cut[:, None]), m)
+            r, c = np.divmod(np.flatnonzero(prods > cut[:, None]),
+                             prods.shape[1])
             found.append((r + start, c, prods[r, c]))
             del prods
         counts = sum(np.bincount(points, minlength=n) for points, _, _ in found)
@@ -361,8 +314,9 @@ def radial_eval(body: SupportPolytope, u: np.ndarray) -> tuple[float, int]:
 
 def support_profile(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Support values h(u) = max_j <x_j, u> of the hull of the vertices x_j
-    at each point u: np.max(points @ vertices.T, axis=1), one block of
-    products at a time."""
+    at each point u, one block of products at a time: np.max(points @
+    vertices.T, axis=1) when the hull holds the origin (as a body's does),
+    since then h >= 0 and no zero pad product exceeds it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(pts))
     for start, block in product_blocks(pts, vertices):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere import (fibonacci_sphere_nodes, first_of_clusters, greedy_keep,
-                     near_pairs, nearest_within, sphere_area)
+                     near_pairs, nearest_within, product_blocks,
+                     require_finite, row_slices, sphere_area)
 
 __all__ = [
     "OrthogonalGroup",
@@ -64,6 +65,7 @@ class OrthogonalGroup:
         elems = np.ascontiguousarray(np.asarray(self.elements, dtype=float))
         if elems.ndim != 3 or elems.shape[1:] != (self.dim, self.dim):
             raise ValueError(f"elements must have shape (k, {self.dim}, {self.dim})")
+        require_finite("elements", elems)
         eye = np.eye(self.dim)
         ortho_defect = np.max(
             np.abs(np.einsum("kij,kil->kjl", elems, elems) - eye[None])
@@ -118,9 +120,10 @@ def enumerate_group(generators, max_order: int = MAX_ORDER,
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
-    for g in gens:
+    for i, g in enumerate(gens):
         if g.shape != (n, n):
             raise ValueError("generators must share one square shape")
+        require_finite(f"generator {i}", g)
         if np.max(np.abs(g.T @ g - np.eye(n))) > ORTHOGONALITY_TOL:
             raise ValueError("generator is not orthogonal within 1e-10")
     # inverses (= transposes) keep the closure a group even for one-sided words
@@ -350,22 +353,22 @@ def orbits(group: OrthogonalGroup, directions: np.ndarray) -> list[list[int]]:
         label = low
 
 
-def image_gap(group: OrthogonalGroup, directions: np.ndarray) -> float:
-    """Largest distance from an image g @ u to its nearest direction.
-
-    Each image's nearest direction is the one of largest inner product,
-    found in row blocks of the image-direction product; the distance is the
-    row norm of the difference, exact where 2 - 2 <g u, v> would cancel.
-    """
-    dirs = np.asarray(directions, dtype=float)
-    images = group.apply(dirs).reshape(-1, group.dim)
-    block = max(1, _BLOCK_VALUES // dirs.shape[0])
+def _largest_gap(points: np.ndarray, targets: np.ndarray) -> float:
+    """Largest distance from a row of points to its nearest row of targets,
+    the one of largest product (pad columns left out), by the row norm of
+    the difference, exact where 2 - 2 <x, y> would cancel."""
     worst = 0.0
-    for a in range(0, images.shape[0], block):
-        part = images[a:a + block]
-        near = dirs[np.argmax(part @ dirs.T, axis=1)]
+    for start, prods in product_blocks(points, targets):
+        part = points[start:start + len(prods)]
+        near = targets[np.argmax(prods[:, :len(targets)], axis=1)]
         worst = max(worst, float(np.max(np.linalg.norm(part - near, axis=1))))
     return worst
+
+
+def image_gap(group: OrthogonalGroup, directions: np.ndarray) -> float:
+    """Largest distance from an image g @ u to its nearest direction."""
+    dirs = np.asarray(directions, dtype=float)
+    return _largest_gap(group.apply(dirs).reshape(-1, group.dim), dirs)
 
 
 def symmetrize_density(group: OrthogonalGroup, f):
@@ -580,8 +583,8 @@ def invariant_directions(group: OrthogonalGroup, count: int,
         probe = _candidate_stream(n, 4096, seed + 1)
 
         def covering_of(selection: list[int]) -> float:
-            return _covering(probe, np.vstack(
-                [points_so_far] + [stack[i] for i in selection]))
+            return float(np.max(_nearest_d2(probe, np.vstack(
+                [points_so_far] + [stack[i] for i in selection]))))
 
         choices = [_pack_farthest(stack, clear0, sep_floor, n_generic)]
         if n_generic <= 64:
@@ -607,9 +610,8 @@ def invariant_directions(group: OrthogonalGroup, count: int,
 # value brackets the einsum value to within _DOT_SLACK, and only decisions
 # inside that bracket are taken again from einsum.
 _DOT_SLACK = 1e-12
-# blocked products hold at most this many values at once (4 MB), or this
-# many when they stay in cache (512 kB)
-_BLOCK_VALUES = 500_000
+# _pack_coverage fills its probe rows in blocks of this many values, which
+# stay in cache (512 kB)
 _CACHE_VALUES = 2 ** 16
 # _orbit_slack checks the closure of s element maps of n x n in about
 # s**3 * n**2 flops, and gives up above this many (0.1 s or so; an order of
@@ -622,17 +624,19 @@ def _chord(gram):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * gram))
 
 
-def _covering(probe: np.ndarray, pts: np.ndarray) -> float:
-    """Largest squared distance from a probe row to its nearest row of pts.
+def _nearest_d2(probe: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each probe row to its nearest row of pts.
 
     2 - 2x stays monotone after rounding, so the largest product gives the
-    smallest distance bit for bit. The products are taken in blocks of probe
-    rows, each the same BLAS values as in the whole product.
+    smallest distance bit for bit. The products come from product_blocks,
+    the pad columns left out: a zero pad would be the largest product of a
+    probe farther than a right angle from every point.
     """
-    block = max(1, _BLOCK_VALUES // pts.shape[0])
-    return max(float(np.max(2.0 - 2.0 * np.max(probe[a:a + block] @ pts.T,
-                                               axis=1)))
-               for a in range(0, probe.shape[0], block))
+    out = np.empty(len(probe))
+    for start, prods in product_blocks(probe, pts):
+        out[start:start + len(prods)] = \
+            2.0 - 2.0 * np.max(prods[:, :len(pts)], axis=1)
+    return out
 
 
 def _clearances(stack: np.ndarray, placed: np.ndarray) -> np.ndarray:
@@ -647,16 +651,15 @@ def _clearances(stack: np.ndarray, placed: np.ndarray) -> np.ndarray:
     """
     k, s, _ = stack.shape
     top = np.full(k, -np.inf)
-    block = max(1, _BLOCK_VALUES // (s * (s + placed.shape[0])))
-    for a in range(0, k, block):
-        part = stack[a:a + block]
+    for blk in row_slices(k, s * (s + placed.shape[0])):
+        part = stack[blk]
         if s > 1:
             gram = np.matmul(part, part.transpose(0, 2, 1))
             gram[:, np.arange(s), np.arange(s)] = -1.0
-            top[a:a + block] = gram.max(axis=(1, 2))
+            top[blk] = gram.max(axis=(1, 2))
         if placed.shape[0]:
             outer = np.matmul(part, placed.T).max(axis=(1, 2))
-            np.maximum(top[a:a + block], outer, out=top[a:a + block])
+            np.maximum(top[blk], outer, out=top[blk])
     return _chord(top)
 
 
@@ -692,13 +695,7 @@ def _orbit_slack(stack: np.ndarray) -> float:
     # row s * a + t is B_a B_t^T, so the first s rows are the B_0 B_r^T
     pairs = np.matmul(maps[:, None], maps.transpose(0, 2, 1)[None])
     pairs = pairs.reshape(s * s, n * n)
-    defect = 0.0
-    block = max(1, _BLOCK_VALUES // s)
-    for a in range(0, s * s, block):
-        part = pairs[a:a + block]
-        near = pairs[np.argmax(part @ pairs[:s].T, axis=1)]
-        defect = max(defect,
-                     float(np.max(np.linalg.norm(part - near, axis=1))))
+    defect = _largest_gap(pairs, pairs[:s])
     top = float(np.max(np.linalg.norm(stack.reshape(-1, n), axis=1)))
     return top * top * defect + 2.0 * rho * (2.0 * top + rho)
 
@@ -785,16 +782,14 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
     def columns(ids: np.ndarray) -> np.ndarray:
         """d2 from every probe to the candidates ids, shape (p, ids.size)."""
         out = np.empty((p, ids.size))
-        block = max(1, _BLOCK_VALUES // (s * p))
-        for a in range(0, ids.size, block):
-            grams = probe @ stack[ids[a:a + block]].reshape(-1, n).T
-            out[:, a:a + block] = 2.0 - 2.0 * grams.reshape(p, -1, s).max(
-                axis=2)
+        for blk in row_slices(ids.size, s * p):
+            grams = probe @ stack[ids[blk]].reshape(-1, n).T
+            out[:, blk] = 2.0 - 2.0 * grams.reshape(p, -1, s).max(axis=2)
         return out
 
     slack = 3.0 * _DOT_SLACK
     if placed.shape[0]:
-        mind2 = np.min(2.0 - 2.0 * probe @ placed.T, axis=1)
+        mind2 = _nearest_d2(probe, placed)
     else:
         mind2 = np.full(p, np.inf)
     alive = clear0 > sep_floor
@@ -856,8 +851,7 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
         chosen = stack[best]
         # mind2 moves only at the probes whose BLAS bracket of the new
         # orbit's d2 reaches below it; elsewhere min(mind2, d2) is mind2
-        near = np.flatnonzero(
-            2.0 - 2.0 * (probe @ chosen.T).max(axis=1) - slack < mind2)
+        near = np.flatnonzero(_nearest_d2(probe, chosen) - slack < mind2)
         row = 2.0 - 2.0 * np.einsum("pn,sn->ps", probe[near],
                                     chosen).max(axis=1)
         mind2[near] = np.minimum(mind2[near], row)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import StarBody, SupportPolytope, product_blocks, radial_profile, \
-    row_slices
-from .sphere import SphericalGrid, stable_sum
+from .bodies import StarBody, SupportPolytope, radial_profile
+from .sphere import SphericalGrid, product_blocks, row_slices, stable_sum
 
 __all__ = [
     "MeasureSpec",
@@ -81,6 +80,8 @@ class MeasureSpec:
         for start, prods in product_blocks(grid.nodes, dirs):
             idx[start:start + len(prods)] = np.argmax(prods, axis=1)
             del prods
+        if idx.max() >= len(dirs):  # a zero pad won: no product positive
+            raise ValueError("a node has no direction within 90 degrees")
         atoms = np.bincount(idx, weights=grid.weights * values,
                             minlength=dirs.shape[0])
         return MeasureSpec(directions=dirs, atoms=atoms)
@@ -158,7 +159,7 @@ def dual_curvature_via_boundary(body: SupportPolytope, q_body: StarBody,
     A collapsed (Duffy) Gauss-Legendre rule of BOUNDARY_DEGREE points per
     axis integrates every fan triangle at once; it is exact on polynomials
     of degree up to 2 BOUNDARY_DEGREE - 2, so the atoms at q = n are exact.
-    The fans go in blocks of at most RADIAL_BLOCK_CELLS node coordinates,
+    The fans go in blocks of at most sphere.BLOCK_CELLS node coordinates,
     so one block of nodes is held at a time.
     No spherical grid is involved, so this is the cross-check oracle for the
     grid-binned atoms.

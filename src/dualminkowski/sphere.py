@@ -28,11 +28,18 @@ __all__ = [
     "greedy_keep",
     "first_of_clusters",
     "require_finite",
+    "padded",
+    "product_blocks",
+    "row_slices",
 ]
 
 SCHEMES = ("uniform-angle", "fibonacci-sphere", "monte-carlo")
 
 _NODE_NORM_TOL = 1e-12
+# product_blocks forms at most this many products at a time (7.6 MiB), and
+# row_slices cuts by the same count of cells; active_part on a criterion-9
+# pooled body (3840 constraints) peaks at 5.7-7.1 MiB, 11-14 MiB unblocked
+BLOCK_CELLS = 1_000_000
 
 
 def unit_ball_volume(n: int) -> float:
@@ -207,14 +214,56 @@ def first_of_clusters(points, radius: float, group_of=None) -> np.ndarray:
 
 def require_finite(name: str, values: np.ndarray) -> None:
     """Raise ValueError naming the array and its first row (entry, for a
-    vector) that holds a non-finite value."""
+    vector; matrix, for a stack of them) that holds a non-finite value."""
     finite = np.isfinite(values)
     if finite.all():
         return
-    part, bad = ("row", ~finite.all(axis=1)) if values.ndim > 1 \
-        else ("entry", ~finite)
-    i = int(np.argmax(bad))
+    part = ("entry", "row", "matrix")[min(values.ndim, 3) - 1]
+    i = int(np.argmax(~finite.reshape(len(values), -1).all(axis=1)))
     raise ValueError(f"{name} {part} {i} is not finite: {values[i]}")
+
+
+def padded(values: np.ndarray, fill: float) -> np.ndarray:
+    """values with rows of fill appended up to a multiple of 8 rows."""
+    values = np.asarray(values, dtype=float)
+    pad = np.full((-len(values) % 8,) + values.shape[1:], fill)
+    return np.concatenate([values, pad])
+
+
+def product_blocks(rows: np.ndarray, cols: np.ndarray):
+    """Yield (start, rows[start:stop] @ padded(cols, 0.0).T) over
+    consecutive row blocks of at most BLOCK_CELLS products (read at each
+    call), but at least two rows; the pad products are exactly 0.0.
+
+    On OpenBLAS 0.3.31 (Haswell kernels) every row slice of two or more
+    rows of a product whose column count is a multiple of 8 has the bits of
+    the whole product, at one BLAS thread or two (tests/test_bodies.py
+    checks both); unpadded, a slice could differ in its last columns, and
+    so could the whole product at two threads. A one-row product is a
+    matrix-vector product, whose bits can differ, so a last block of one
+    row joins the block before it. The blocks are the fewest the limit
+    allows, all of one size but the last, which is less than one row per
+    block shorter: a short last block raised a flagship solve's resident
+    peak by about 1 MB. A caller that deletes each block before taking the
+    next holds one block at a time.
+    """
+    cols = padded(cols, 0.0)
+    m = len(rows)
+    blocks = -(-m // max(2, BLOCK_CELLS // max(1, len(cols))))
+    step = -(-m // max(1, blocks))
+    start = 0
+    while start < m:
+        stop = start + step if m - start - step >= 2 else m
+        yield start, rows[start:stop] @ cols.T
+        start = stop
+
+
+def row_slices(count: int, cells_per_row: int):
+    """Yield consecutive slices of range(count), each of at most
+    BLOCK_CELLS cells (read at each call) but at least one row."""
+    step = max(1, BLOCK_CELLS // max(1, cells_per_row))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 @dataclass(frozen=True)

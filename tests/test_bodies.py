@@ -11,7 +11,7 @@ import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualminkowski import bodies
+from dualminkowski import bodies, sphere
 from dualminkowski.bodies import (
     StarBody,
     SupportPolytope,
@@ -61,6 +61,17 @@ class TestConstruction:
             SupportPolytope(dim=3, normals=normals,
                             support=np.array([1, 1, 1, 1, 1, 1e-9]),
                             h_floor=1e-6)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, -1e-300])
+    def test_default_floor_needs_positive_support(self, value):
+        """Without a given floor, a support number <= 0 is named before the
+        floor, a geometric mean, is taken of it."""
+        normals = np.vstack([np.eye(3), -np.eye(3)])
+        support = np.ones(6)
+        support[4] = value
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"support number 4 = .* is not positive"):
+            SupportPolytope(dim=3, normals=normals, support=support)
 
     def test_positive_spanning_required(self):
         # all normals in the upper half space: unbounded body
@@ -473,67 +484,82 @@ def pooled_body(tetra_group):
     return _pool_orbit_constraints(tetra_group, base, h)
 
 
-# One BLAS thread: with several, the whole product's own last bits depend
-# on how BLAS splits it between threads.
+# Run once per BLAS thread count: every block must be a row slice of the
+# padded whole product, and the digest of every product must not depend on
+# the thread count.
 _PRODUCT_SWEEP = """
+import hashlib
 import numpy as np
-from dualminkowski import bodies
+from dualminkowski import sphere
 
 rng = np.random.default_rng(5)
+digest = hashlib.sha256()
 for n in (2, 3, 4, 5):
     for k in (1, 5, 75, 386, 390, 484, 645, 3844):
+        width = -(-k // 8) * 8
         for m in (1, 2, 47, 49, 97, 1000, 3841):
             rows, cols = rng.standard_normal((m, n)), rng.standard_normal((k, n))
-            whole = rows @ cols.T
+            pad = np.vstack([cols, np.zeros((width - k, n))])
+            whole = rows @ pad.T
+            digest.update(whole.tobytes())
             for block_rows in (1, 7, 50, 1557):
-                bodies.RADIAL_BLOCK_CELLS = block_rows * k
+                sphere.BLOCK_CELLS = block_rows * width
+                most = max(2, block_rows)
                 got = np.empty_like(whole)
                 sizes = []
-                for start, block in bodies.product_blocks(rows, cols):
+                for start, block in sphere.product_blocks(rows, cols):
                     got[start:start + len(block)] = block
                     sizes.append(len(block))
-                assert sum(sizes) == m, (n, k, m, block_rows)
-                assert m == 1 or min(sizes) >= 2, (n, k, m, block_rows)
-                tile = bodies._TILE_ROWS
-                most = max(1, block_rows // tile)
-                # a last row that joins its block saves one
-                assert len(sizes) <= max(1, -(-(-(-m // tile)) // most))
-                assert len(set(sizes[:-1])) <= 1, (n, k, m, block_rows)
-                assert sizes[0] % tile == 0 or len(sizes) == 1
-                assert sizes[0] - sizes[-1] <= len(sizes) * tile, sizes
-                assert got.tobytes() == whole.tobytes(), (n, k, m, block_rows)
-print("ok")
+                case = n, k, m, block_rows, sizes
+                assert sum(sizes) == m, case
+                assert m == 1 or min(sizes) >= 2, case
+                assert len(sizes) <= -(-m // most), case
+                assert max(sizes[:-1], default=0) <= most, case
+                assert sizes[-1] <= most + 1, case
+                assert len(set(sizes[:-1])) <= 1, case
+                assert sizes[0] - sizes[-1] < len(sizes), case
+                assert got.tobytes() == whole.tobytes(), case
+print(digest.hexdigest())
 """
 
 
 class TestBlockedProducts:
     """Every facet-vertex and node-vertex maximum is taken from
-    product_blocks, whose blocks are row slices of the one BLAS product:
-    each result equals its dense form bit for bit, at the default blocks and
-    at blocks of 48 and 672 rows (7 and 700 rows rounded down to whole
-    tiles; 3840 and 5000 rows are not multiples of 672, nor 5000 of 48)."""
+    product_blocks, whose blocks are row slices of the one padded BLAS
+    product: each result equals its dense form bit for bit, at the default
+    blocks and at limits of 7 and 700 rows of products (3840 and 5000 rows
+    are not multiples of the block sizes)."""
 
     @pytest.fixture(params=[None, 7, 700], ids=["default", "7", "700"])
     def block_rows(self, request, pooled_body, monkeypatch):
         if request.param is not None:
             cells = request.param * len(vertex_enumeration(pooled_body))
-            monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", cells)
+            monkeypatch.setattr(sphere, "BLOCK_CELLS", cells)
         return request.param
 
     def test_blocks_are_slices_of_the_whole_product(self):
-        """n = 2 to 5, column counts of every residue the row tiles treat
-        apart, a last block of one row (97 and 3841 rows), and block
-        limits of 1, 7, 50 and 1557 rows of products (at least one tile):
-        the fewest blocks, every one but the last the same whole number of
-        tiles, the last short of it by at most one tile per block, and no
-        block of one row unless the product has one."""
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-               "PYTHONPATH": str(pathlib.Path(bodies.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", _PRODUCT_SWEEP], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "ok"
+        """n = 2 to 5, column counts of residues 1 to 6 mod 8, a
+        last block of one row (97 and 3841 rows), and block limits of 1, 7,
+        50 and 1557 rows of padded products (at least two rows): the fewest
+        blocks, every one but the last the same size, the last short of it
+        by less than one row per block or one row longer, no block of one
+        row unless the product has one, and every block a row slice of the
+        padded whole product. The sweep runs at one BLAS thread and at
+        two, and both give the same bits."""
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": str(pathlib.Path(bodies.__file__).parents[1])}
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", _PRODUCT_SWEEP], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        done = [run.communicate(timeout=300) + (run.returncode,)
+                for run in runs]
+        for _, err, code in done:
+            assert code == 0, err
+        digests = [out.strip() for out, _, _ in done]
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     @pytest.mark.parametrize("tol", [bodies.PRUNE_TOL, bodies._PROBE_SLACK])
     def test_near_active(self, pooled_body, block_rows, tol):

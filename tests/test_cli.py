@@ -835,10 +835,13 @@ class TestExportCommand:
          "support entry 1 is not finite: inf"),
         ("bad.txt", ("\n0 0 1\n", "\nnan 0 1\n"),
          r"normals row 2 is not finite: \[nan"),
+        ("bad.txt", ("support\n1\n1", "support\n1\n-1"),
+         r"support number 1 = -1\.000e\+00 is not positive"),
         ("bad.txt", APPEND_LINES, TRAILING_LINES),
         ("bad.txt", RENAME_FACETS, BAD_FACETS_LINE),
     ], ids=["missing", "directory", "nan-support", "inf-support",
-            "nan-normal", "trailing-lines", "bad-facets-line"])
+            "nan-normal", "negative-support", "trailing-lines",
+            "bad-facets-line"])
     def test_bad_body_file_is_config_error(self, tmp_path, capsys, target,
                                            edit, reason):
         if edit:

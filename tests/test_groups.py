@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualminkowski import groups
+from dualminkowski import groups, sphere
 from dualminkowski.groups import (
     MERGE_TOL,
     OrthogonalGroup,
@@ -69,6 +69,26 @@ class TestEnumeration:
     def test_non_orthogonal_generator_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
             enumerate_group([np.array([[1.0, 0.1], [0.0, 1.0]])])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_generator_rejected(self, value):
+        """A non-finite generator is named at once, not taken for an
+        orthogonal one and closed up to max_order."""
+        bad = rotation2(1.0)
+        bad[1, 0] = value
+        with pytest.raises(ValueError,
+                           match=r"generator 1 row 1 is not finite"):
+            enumerate_group([rotation2(2.0 * math.pi / 3.0), bad])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_element_rejected(self, value):
+        """A non-finite element is named, not passed by a NaN orthogonality
+        defect or reported as a missing identity."""
+        elems = cyclic_rotation(3).elements.copy()
+        elems[2, 0, 1] = value
+        with pytest.raises(ValueError, match=r"elements matrix 2 is not "
+                           r"finite"):
+            OrthogonalGroup(dim=2, elements=elems)
 
     def test_max_order_is_inclusive(self):
         """A closure of exactly max_order elements is accepted; one more
@@ -648,21 +668,28 @@ class TestLargeAndBentGroupsPinned:
 
 class TestCoveringBlocks:
     """invariant_directions picks between the two packers by the covering
-    radius over 4096 probes, taken in row blocks of the probe."""
+    radius over 4096 probes, and the coverage packer starts from each
+    probe's nearest placed point: both come from _nearest_d2, in
+    product_blocks of the probe, whose pad columns it leaves out."""
 
     @staticmethod
     def _one_product(probe, pts):
-        return float(np.max(2.0 - 2.0 * np.max(probe @ pts.T, axis=1)))
+        return 2.0 - 2.0 * np.max(probe @ pts.T, axis=1)
 
-    @pytest.mark.parametrize("values", [1, 642 * 7, 642 * 1000, None],
+    @pytest.mark.parametrize("values", [1, 648 * 7, 648 * 1000, None],
                              ids=["one-row", "7-rows", "1000-rows", "default"])
     def test_blocks_give_the_one_product_value(self, tetra_directions,
                                                values, monkeypatch):
+        """Limits of 1, 7 and 1000 rows and the default (two rows at
+        least), and a probe farther than a right angle from every point,
+        whose nearest distance no zero pad product may shorten."""
         probe = groups._candidate_stream(3, 4096, 1)
         if values is not None:
-            monkeypatch.setattr(groups, "_BLOCK_VALUES", values)
-        assert groups._covering(probe, tetra_directions) == \
-            self._one_product(probe, tetra_directions)
+            monkeypatch.setattr(sphere, "BLOCK_CELLS", values)
+        assert _same_bits(groups._nearest_d2(probe, tetra_directions),
+                          self._one_product(probe, tetra_directions))
+        far = groups._nearest_d2(-tetra_directions[:1], tetra_directions[:1])
+        assert far[0] == pytest.approx(4.0)
 
     @pytest.mark.parametrize("make, count", [
         (lambda: simplex_symmetry(3), 162),
@@ -670,21 +697,21 @@ class TestCoveringBlocks:
     ], ids=["tetrahedral-162", "cyclic5-90"])
     def test_small_blocks_pick_the_same_packer(self, make, count,
                                                monkeypatch):
-        """Both packers run, each covering radius equals the one-product
+        """Both packers run, every nearest distance equals the one-product
         value, and the direction set is the one of the default blocks."""
         group = make()
         want = invariant_directions(group, count)
-        covering, same = groups._covering, []
+        nearest, same = groups._nearest_d2, []
 
         def spy(probe, pts):
-            got = covering(probe, pts)
-            same.append(got == self._one_product(probe, pts))
+            got = nearest(probe, pts)
+            same.append(_same_bits(got, self._one_product(probe, pts)))
             return got
 
-        monkeypatch.setattr(groups, "_covering", spy)
-        monkeypatch.setattr(groups, "_BLOCK_VALUES", 1000)
+        monkeypatch.setattr(groups, "_nearest_d2", spy)
+        monkeypatch.setattr(sphere, "BLOCK_CELLS", 1000)
         assert _same_bits(invariant_directions(group, count), want)
-        assert same == [True, True]
+        assert len(same) > 2 and all(same)
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +839,14 @@ class TestImageMatchPinned:
         assert want == pytest.approx(shift, rel=0.1)
         assert not orbits(tetra_group, dirs).stable
 
-    @pytest.mark.parametrize("values", [1, 642 * 7, None],
+    @pytest.mark.parametrize("values", [1, 648 * 7, None],
                              ids=["one-row", "7-rows", "default"])
     def test_image_gap_blocks(self, tetra_group, tetra_directions, values,
                               monkeypatch):
         """The gap does not depend on the block, and a stable set's gap is
         within STABLE_TOL."""
         if values is not None:
-            monkeypatch.setattr(groups, "_BLOCK_VALUES", values)
+            monkeypatch.setattr(sphere, "BLOCK_CELLS", values)
         gap = groups.image_gap(tetra_group, tetra_directions)
         assert gap <= groups.STABLE_TOL
         assert gap == pytest.approx(

@@ -5,7 +5,7 @@ import pytest
 import scipy.spatial
 from scipy.spatial import ConvexHull
 
-from dualminkowski import bodies, measures, solver
+from dualminkowski import bodies, measures, solver, sphere
 from dualminkowski.bodies import (
     StarBody,
     SupportPolytope,
@@ -237,7 +237,7 @@ class TestBoundaryOracle:
         assert np.max(np.abs(a[active] - b[active]) / b[active]) <= 0.015
 
     def test_fans_in_blocks(self, monkeypatch):
-        """The fans go in blocks of at most RADIAL_BLOCK_CELLS node
+        """The fans go in blocks of at most sphere.BLOCK_CELLS node
         coordinates: on a 642-facet ball the heap peaks under 24 MiB (61 MiB
         with every fan at once), and blocks of any size give the atoms of
         one whole block to 1e-14."""
@@ -247,9 +247,9 @@ class TestBoundaryOracle:
         q_body = StarBody.ellipsoid([0.8, 1.0, 1.3])
         blocked = dual_curvature_via_boundary(body, q_body, 1.5)
         fan = 3 * measures.BOUNDARY_DEGREE ** 2
-        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", 10 ** 9)
+        monkeypatch.setattr(sphere, "BLOCK_CELLS", 10 ** 9)
         whole = dual_curvature_via_boundary(body, q_body, 1.5)
-        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", 7 * fan)
+        monkeypatch.setattr(sphere, "BLOCK_CELLS", 7 * fan)
         small = dual_curvature_via_boundary(body, q_body, 1.5)
         assert np.all(whole > 0.0)
         for atoms in (blocked, small):
@@ -357,6 +357,15 @@ class TestMeasureSpec:
             MeasureSpec.from_density(lambda U: U[:, 0], grid3_small,
                                      tetra_directions)
 
+    def test_node_without_near_direction_rejected(self, grid3_small):
+        """Directions in the upper cap only: a node near the south pole has
+        no positive product, and no zero pad product is taken for its
+        nearest direction."""
+        dirs = fibonacci_sphere_nodes(50)
+        with pytest.raises(ValueError, match="no direction within 90"):
+            MeasureSpec.from_density(lambda U: np.ones(len(U)), grid3_small,
+                                     dirs[dirs[:, 2] > 0.5])
+
     def test_symmetrized_density_atoms(self, tetra_group, tetra_directions,
                                        grid3_small):
         mu = MeasureSpec.from_density(
@@ -378,19 +387,19 @@ class TestMeasureSpec:
     def test_atoms_do_not_depend_on_the_block(self, grid3, tetra_directions,
                                               block_rows, monkeypatch):
         """The nearest directions are found in row blocks of
-        bodies.RADIAL_BLOCK_CELLS products and the atoms summed by one
-        bincount in node order, so every block size gives the bits of one
-        dense product. Limits of 1, 7, 641, 1557 (the default at 642
-        directions), 3001 and 20000 rows give blocks of 48, 48, 624, 1440,
-        2880 and 10032 rows (20000 rows take 417 whole tiles, one more than
-        a 20000-row limit holds); none divides 20000."""
+        sphere.BLOCK_CELLS products and the atoms summed by one bincount in
+        node order, so every block size gives the bits of one dense
+        product. Limits of 1, 7, 641, 1557 (the default at 642 directions),
+        3001 and 20000 rows of 642 products give blocks of 2, 6, 625, 1539,
+        2858 and 10000 rows of 648 padded products; the last block is 2,
+        1532 and 2852 rows at 7, 1557 and 3001."""
         def density(U):
             return 1.0 + 2.0 * U[:, 2] ** 2
 
         want = np.bincount(np.argmax(grid3.nodes @ tetra_directions.T, axis=1),
                            weights=grid3.weights * density(grid3.nodes),
                            minlength=len(tetra_directions))
-        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS",
+        monkeypatch.setattr(sphere, "BLOCK_CELLS",
                             block_rows * len(tetra_directions))
         got = MeasureSpec.from_density(density, grid3, tetra_directions)
         assert got.atoms.tobytes() == want.tobytes()
@@ -398,15 +407,16 @@ class TestMeasureSpec:
     def test_block_constant_is_read_at_call_time(self, grid3,
                                                  tetra_directions,
                                                  monkeypatch):
-        """A patched bodies.RADIAL_BLOCK_CELLS reaches from_density: at 7
-        rows a block is 35 kB, and the heap holds little more than the
-        node-length arrays (0.16 MiB each) instead of a 7.6 MiB block."""
+        """A patched sphere.BLOCK_CELLS reaches from_density: at 7 rows
+        of products a block is 6 padded rows, 31 kB, and the heap holds
+        little more than the node-length arrays (0.16 MiB each) instead of
+        a 7.6 MiB block."""
         def run():
             MeasureSpec.from_density(lambda U: np.ones(len(U)), grid3,
                                      tetra_directions)
 
         assert heap_peak_mib(run) > 7.0
-        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS",
+        monkeypatch.setattr(sphere, "BLOCK_CELLS",
                             7 * len(tetra_directions))
         assert heap_peak_mib(run) < 1.0
 

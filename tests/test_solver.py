@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dualminkowski import bodies, solver
+from dualminkowski import bodies, solver, sphere
 from dualminkowski.bodies import (
     RadialKernel,
     StarBody,
@@ -475,7 +475,7 @@ def _assert_matches_radial_profile(nodes, normals, h, kernels):
     for kernel, points in zip(kernels, (nodes, -nodes)):
         # small blocks: radial_profile's blocking must not change its bits
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bodies, "RADIAL_BLOCK_CELLS", 37 * len(h))
+            mp.setattr(sphere, "BLOCK_CELLS", 37 * len(h))
             rho, idx = radial_profile(body, points)
         got = kernel.profile(h)
         assert _same_bits(got[0], rho) and _same_bits(got[1], idx)
@@ -671,9 +671,9 @@ class TestBlockedPasses:
     def test_lists_match_dense_build(self, grid3, tetra_directions, ratio,
                                      block_rows, monkeypatch):
         if block_rows is not None:
-            # one tile of 48 rows a block; 20000 nodes leave a last block
-            # of 32 rows
-            monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS",
+            # 36-row blocks of 648 padded products; 20000 nodes leave a
+            # last block of 20 rows
+            monkeypatch.setattr(sphere, "BLOCK_CELLS",
                                 block_rows * len(tetra_directions))
         kernel = RadialKernel(grid3.nodes, tetra_directions)
         kernel._build(ratio)
@@ -683,11 +683,12 @@ class TestBlockedPasses:
     def test_no_positive_denominator_reported_by_global_index(self,
                                                               monkeypatch):
         # the normals cover only the positive octant; point 50, in the
-        # eighth 7-row block, has no positive product
+        # eighth 7-row block (3 normals pad to 8 columns), has no positive
+        # product
         normals = np.eye(3)
         points = np.abs(fibonacci_sphere_nodes(60)) + 0.1
         points[50] = [-1.0, 0.0, 0.0]
-        monkeypatch.setattr(bodies, "RADIAL_BLOCK_CELLS", 7 * 3)
+        monkeypatch.setattr(sphere, "BLOCK_CELLS", 7 * 8)
         with pytest.raises(ValueError, match=r"at point 50; normals do not "
                            "positively span"):
             RadialKernel(points, normals).profile(np.ones(3))
@@ -697,7 +698,7 @@ class TestBlockedPasses:
     def _assert_profile_matches(self, body, points, block_rows=None):
         with pytest.MonkeyPatch.context() as mp:
             if block_rows is not None:
-                mp.setattr(bodies, "RADIAL_BLOCK_CELLS",
+                mp.setattr(sphere, "BLOCK_CELLS",
                            block_rows * body.facet_count)
             rho, idx = radial_profile(body, points)
             ref_rho, ref_idx = reference_radial_profile(body, points)

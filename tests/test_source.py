@@ -330,14 +330,25 @@ def test_knob_inventory():
     assert sorted(KNOBS - found) == []
 
 
-# The products against a transpose that bodies and measures may form whole:
-# product_blocks itself and the n x n linear maps, which are not node-facet
-# products. Every other dense product goes through product_blocks.
+# The products against a transpose that bodies, groups, measures and sphere
+# form outside product_blocks, each with the reason it stays. Every other
+# dense product goes through product_blocks.
 WHOLE_PRODUCTS = {
-    "bodies.product_blocks": "rows[start:stop] @ cols.T",
+    # the helper itself
+    "sphere.product_blocks": "rows[start:stop] @ cols.T",
+    # n x n linear maps applied to points: no node-facet product
     "bodies.StarBody.transformed.rho": "pts @ phi_inv.T",
     "bodies.StarBody.is_invariant": "probe.nodes @ g.T",
+    "groups.symmetrize_density.averaged": "pts @ g.T",
     "measures.transform_polytope": "body.normals @ phi_inv_t.T",
+    # one chosen orbit (|G| columns) against one point per candidate orbit,
+    # or every point when the orbit slack is not measured; the maximum runs
+    # over whole orbits, which row blocks would cut
+    "groups._separation_bounds": "points.reshape(k * s, n) @ chosen.T",
+    # blocked by row_slices over candidate orbits, whose columns the
+    # maximum runs over
+    "groups._pack_coverage.columns":
+        "probe @ stack[ids[blk]].reshape(-1, n).T",
 }
 
 
@@ -365,11 +376,11 @@ def _transpose_products(path):
 
 
 def test_dense_products_are_blocked():
-    """bodies and measures form no product against a transpose outside
-    product_blocks, apart from the n x n transforms: a new whole node-facet
-    or facet-vertex product fails here."""
+    """bodies, groups, measures and sphere form no product against a
+    transpose outside product_blocks but those WHOLE_PRODUCTS names: a new
+    whole node-facet, facet-vertex, image or probe product fails here."""
     found = {}
-    for stem in ("bodies", "measures"):
+    for stem in ("bodies", "groups", "measures", "sphere"):
         found.update(_transpose_products(PACKAGE / f"{stem}.py"))
     assert found == WHOLE_PRODUCTS
 
