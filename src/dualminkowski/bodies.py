@@ -315,11 +315,11 @@ def radial_eval(body: SupportPolytope, u: np.ndarray) -> tuple[float, int]:
 def support_profile(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Support values h(u) = max_j <x_j, u> of the hull of the vertices x_j
     at each point u, one block of products at a time: np.max(points @
-    vertices.T, axis=1) when the hull holds the origin (as a body's does),
-    since then h >= 0 and no zero pad product exceeds it."""
+    vertices.T, axis=1), the vertices padded with copies of the first, so
+    that no zero pad product enters the max."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(pts))
-    for start, block in product_blocks(pts, vertices):
+    for start, block in product_blocks(pts, padded(vertices, vertices[0])):
         out[start:start + len(block)] = np.max(block, axis=1)
         del block
     return out

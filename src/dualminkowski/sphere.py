@@ -223,8 +223,8 @@ def require_finite(name: str, values: np.ndarray) -> None:
     raise ValueError(f"{name} {part} {i} is not finite: {values[i]}")
 
 
-def padded(values: np.ndarray, fill: float) -> np.ndarray:
-    """values with rows of fill appended up to a multiple of 8 rows."""
+def padded(values: np.ndarray, fill) -> np.ndarray:
+    """values with rows of fill (a number or a row) up to a multiple of 8."""
     values = np.asarray(values, dtype=float)
     pad = np.full((-len(values) % 8,) + values.shape[1:], fill)
     return np.concatenate([values, pad])

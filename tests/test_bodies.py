@@ -581,6 +581,15 @@ class TestBlockedProducts:
         assert facets.tobytes() == \
             np.max(pooled_body.normals @ verts.T, axis=1).tobytes()
 
+    def test_support_profile_off_origin(self, grid3_small, block_rows):
+        """A hull away from the origin has negative support values, which
+        no pad product may raise: three vertices, padded to eight."""
+        verts = np.array([[5.0, 0.0, 0.0], [6.0, 1.0, 0.0], [6.0, 0.0, 1.0]])
+        want = np.max(grid3_small.nodes @ verts.T, axis=1)
+        assert np.min(want) < -4.0
+        got = support_profile(grid3_small.nodes, verts)
+        assert got.tobytes() == want.tobytes()
+
     def test_active_part_heap_peak(self, pooled_body):
         """At 3840 constraints and 386 vertices, active_part holds one of
         two blocks of facet-vertex products (1920 rows, 5.7 MiB) and peaks

@@ -697,21 +697,26 @@ class TestCoveringBlocks:
     ], ids=["tetrahedral-162", "cyclic5-90"])
     def test_small_blocks_pick_the_same_packer(self, make, count,
                                                monkeypatch):
-        """Both packers run, every nearest distance equals the one-product
-        value, and the direction set is the one of the default blocks."""
+        """Both packers run and covering_of compares both choices (its
+        calls are the ones against all count directions), every nearest
+        distance equals the one-product value, and the direction set is the
+        one of the default blocks."""
         group = make()
         want = invariant_directions(group, count)
-        nearest, same = groups._nearest_d2, []
+        nearest, same, covering = groups._nearest_d2, [], []
 
         def spy(probe, pts):
             got = nearest(probe, pts)
             same.append(_same_bits(got, self._one_product(probe, pts)))
+            if len(pts) == count:
+                covering.append(same[-1])
             return got
 
         monkeypatch.setattr(groups, "_nearest_d2", spy)
         monkeypatch.setattr(sphere, "BLOCK_CELLS", 1000)
         assert _same_bits(invariant_directions(group, count), want)
-        assert len(same) > 2 and all(same)
+        assert covering == [True, True]
+        assert all(same)
 
 
 # ---------------------------------------------------------------------------
