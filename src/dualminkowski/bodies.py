@@ -20,7 +20,6 @@ from .sphere import (SphericalGrid, first_of_clusters, nearest_within,
 __all__ = [
     "SupportPolytope",
     "StarBody",
-    "box_radial",
     "radial_eval",
     "radial_profile",
     "RadialKernel",
@@ -508,26 +507,6 @@ def shifted_ball_polytope(directions: np.ndarray, radius: float,
 # star bodies
 
 
-def box_radial(half_axes, mags: np.ndarray) -> np.ndarray:
-    """Radial function min_i a_i / m_i of the coordinate box with half-axes
-    a_i, given the coordinate magnitudes m_i = |u_i| as the n rows of mags
-    (one column per point).
-
-    A coordinate with not m_i > 1e-300 (zero, below 1e-300 or NaN)
-    contributes inf. The ratios are built one coordinate at a time and
-    folded with np.minimum, which is exact, so rho does not depend on the
-    folding order, nor on the memory layout of mags.
-    """
-    out = np.full(mags.shape[1], np.inf)
-    ratio = np.empty(mags.shape[1])
-    with np.errstate(divide="ignore"):
-        for a, col in zip(half_axes, mags):
-            np.divide(a, col, out=ratio)
-            ratio[~(col > 1e-300)] = np.inf
-            np.minimum(out, ratio, out=out)
-    return out
-
-
 @dataclass(frozen=True)
 class StarBody:
     """A star body given by a positive radial function on unit vectors,
@@ -578,19 +557,6 @@ class StarBody:
             return values
 
         return StarBody(dim=body.dim, radial_fn=rho)
-
-    @staticmethod
-    def box(half_axes) -> "StarBody":
-        """Coordinate box with the exact radial min_i a_i / |u_i|, by
-        box_radial on the magnitudes of the given points."""
-        axes = np.asarray(half_axes, dtype=float)
-
-        def rho(pts):
-            if pts.shape[1] != axes.size:
-                raise ValueError(f"points must have {axes.size} coordinates")
-            return box_radial(axes, np.abs(pts).T)
-
-        return StarBody(dim=axes.size, radial_fn=rho)
 
     def transformed(self, phi: np.ndarray) -> "StarBody":
         """The image phi Q, via rho_{phi Q}(x) = rho_Q(phi^-1 x)."""

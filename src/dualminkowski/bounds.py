@@ -143,9 +143,6 @@ class BoxSpec:
     def dim(self) -> int:
         return self.half_axes.size
 
-    def volume(self) -> float:
-        return float(np.prod(2.0 * self.half_axes))
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -271,6 +268,11 @@ def box_dual_volume(box: BoxSpec, q: float) -> float:
     taken with its factor 1 / Gamma((n-q)/2) in the form
     (-1)^k Gamma(1+k+d) sin(pi d) / (2 pi d) c_k x0^{-2d},
     d = (q - n)/2 - k, which stays finite at d = 0.
+
+    The value is scale^q times M's term. On a box whose axes span so many
+    orders that scale^q overflows, or the c_k, which carry prod b_j,
+    underflow, that product is not finite and positive; the value is then
+    taken with scale^q in log form (see _scaled_moment).
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -280,6 +282,20 @@ def box_dual_volume(box: BoxSpec, q: float) -> float:
                          f"erf route takes q up to n + {Q_EXCESS_LIMIT:g}")
     scale = box.half_axes[-1]
     b = box.half_axes / scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = q / n * scale ** q * _scaled_moment(b, q, None)
+        if not 0.0 < value < math.inf:
+            value = q / n * _scaled_moment(b, q, q * math.log(scale))
+    return value
+
+
+def _scaled_moment(b: np.ndarray, q: float, log_scale: float | None):
+    """2 pi^{n/2} M(q) / Gamma((n-q)/2) on the scaled axes b (see
+    box_dual_volume). Given log_scale = q log(scale), that times scale^q,
+    with scale^q taken inside exponentials: the series drops its factor
+    prod b_j and is multiplied by exp(log_scale + sum_j log b_j), and each
+    tail node is exp(log_scale - q log x + sum_j log erf(b_j x))."""
+    n = b.size
     x0 = math.sqrt(max(SERIES_REACH ** 2, (q - n) / 2.0) / float(b @ b))
     # c_k: the product over the axes of the series
     # erf(b x) / x = 2/sqrt(pi) sum_m (-b^2)^m b x^{2m} / (m! (2m+1))
@@ -288,7 +304,8 @@ def box_dual_volume(box: BoxSpec, q: float) -> float:
     c = np.zeros(ERF_SERIES_TERMS)
     c[0] = 1.0
     for bj in b:
-        series = 2.0 / math.sqrt(math.pi) * bj * (-bj * bj) ** m \
+        lead = bj if log_scale is None else 1.0
+        series = 2.0 / math.sqrt(math.pi) * lead * (-bj * bj) ** m \
             / (factorial * (2 * m + 1))
         c = np.convolve(c, series)[:ERF_SERIES_TERMS]
     k = round((q - n) / 2.0)
@@ -305,12 +322,21 @@ def box_dual_volume(box: BoxSpec, q: float) -> float:
     panels = math.ceil((math.log(_ERF_ONE / b[0]) - u0) / width)
     t, w = _gauss_legendre(TAIL_DEGREE)
     x = np.exp(u0 + width * (np.arange(panels)[:, None] + t).ravel())
-    g = np.prod(_erf(np.outer(b, x)), axis=0)
-    tail = width * float(np.sum(np.tile(w, panels) * x ** -q * g)) \
-        + math.exp(-q * (u0 + width * panels)) / q
-    integral = 2.0 * math.pi ** (n / 2.0) \
+    weights = np.tile(w, panels)
+    erfs = _erf(np.outer(b, x))
+    end = -q * (u0 + width * panels)  # log X^-q, X the tail's far end
+    if log_scale is None:
+        nodes = weights * x ** -q * np.prod(erfs, axis=0)
+        rest = math.exp(end)
+    else:
+        factor = np.exp(log_scale + np.sum(np.log(b)))
+        head, pole = factor * head, factor * pole
+        nodes = weights * np.exp(log_scale - q * np.log(x)
+                                 + np.sum(np.log(erfs), axis=0))
+        rest = float(np.exp(log_scale + end))
+    tail = width * float(np.sum(nodes)) + rest / q
+    return 2.0 * math.pi ** (n / 2.0) \
         * (_rgamma((n - q) / 2.0) * (tail + head) + pole)
-    return q / n * scale ** q * integral
 
 
 def verify_box(box: BoxSpec, q: float) -> BoundsReport:

@@ -42,8 +42,8 @@ ROTATION_MARGIN = 1e-3
 # dirichlet_voronoi_cone rejects an anchor z with some g z (g not the
 # identity) within ANCHOR_MARGIN of z or of -z
 ANCHOR_MARGIN = 1e-6
-# DirichletVoronoiCone.contains allows <n, x> up to CONE_TOL on every
-# constraint; strictly_contains requires <n, x> below -CONE_TOL
+# a point lies in a DirichletVoronoiCone when its margin is at most CONE_TOL,
+# and in the cone's interior when its margin is below -CONE_TOL
 CONE_TOL = 1e-9
 
 
@@ -257,17 +257,13 @@ class DirichletVoronoiCone:
     anchor: np.ndarray
     normals: np.ndarray  # rows g z - z, duplicates merged, g != identity
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def margin(self, points: np.ndarray) -> np.ndarray:
+        """The largest <n, x> over the constraints, per point; -inf for
+        the cone of no constraints, the whole space."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.normals.shape[0] == 0:
-            return np.ones(pts.shape[0], dtype=bool)
-        return np.all(pts @ self.normals.T <= CONE_TOL, axis=1)
-
-    def strictly_contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.normals.shape[0] == 0:
-            return np.ones(pts.shape[0], dtype=bool)
-        return np.all(pts @ self.normals.T < -CONE_TOL, axis=1)
+            return np.full(pts.shape[0], -np.inf)
+        return np.max(pts @ self.normals.T, axis=1)
 
 
 def dirichlet_voronoi_cone(group: OrthogonalGroup,
@@ -304,9 +300,9 @@ def fundamental_domain_check(group: OrthogonalGroup, cone: DirichletVoronoiCone,
     covered = np.zeros(sample_count, dtype=bool)
     interior_hits = np.zeros(sample_count, dtype=int)
     for g in group.elements:
-        local = pts @ g  # g^-1 x as rows (g orthogonal: g^-1 = g^T)
-        covered |= cone.contains(local)
-        interior_hits += cone.strictly_contains(local).astype(int)
+        margin = cone.margin(pts @ g)  # at g^-1 x (g^-1 = g^T)
+        covered |= margin <= CONE_TOL
+        interior_hits += margin < -CONE_TOL
     return {
         "sample_count": sample_count,
         "covered": int(np.sum(covered)),

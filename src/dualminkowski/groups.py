@@ -246,40 +246,34 @@ def _orthonormalize_stack(elems: np.ndarray) -> np.ndarray:
 
 
 def standard_group(name: str, n: int | None = None, **params) -> OrthogonalGroup:
-    """Catalog constructor for the fixed-point-free groups used throughout.
+    """Catalog constructor for the groups used throughout.
 
     Names: "simplex-symmetry" (m), "simplex-rotation" (m), "cube-rotation"
     (odd m >= 3), "cyclic" (odd order >= 3, acts on R^2), "negation" (n),
     "direct-sum" (parts = list of (name, params) pairs).
-    Every output except "negation" is checked to have no nonzero fixed point;
-    "negation" = {I, -I} is kept for the origin-symmetric special case.
+    The group is returned as built, with no certificate: each command checks
+    its hypotheses once, solve in solver.ProblemSpec and construct in
+    constructions._checked_group. "negation" = {I, -I} is the
+    origin-symmetric special case; it has no nonzero fixed vector but
+    contains -I, so construct rejects it.
     """
     if name == "simplex-symmetry":
-        group = simplex_symmetry(params.get("m", n))
-    elif name == "simplex-rotation":
-        group = simplex_rotation(params.get("m", n))
-    elif name == "cube-rotation":
-        group = cube_rotation(params.get("m", n))
-    elif name == "cyclic":
-        group = cyclic_rotation(params["order"])
-    elif name == "negation":
+        return simplex_symmetry(params.get("m", n))
+    if name == "simplex-rotation":
+        return simplex_rotation(params.get("m", n))
+    if name == "cube-rotation":
+        return cube_rotation(params.get("m", n))
+    if name == "cyclic":
+        return cyclic_rotation(params["order"])
+    if name == "negation":
         if n is None:
             raise ValueError("negation group needs the dimension n")
-        group = OrthogonalGroup(dim=n, elements=np.array([np.eye(n), -np.eye(n)]),
-                                label=f"negation({n})")
-        return group
-    elif name == "direct-sum":
-        parts = [standard_group(p_name, **p_params)
-                 for p_name, p_params in params["parts"]]
-        group = direct_sum(parts)
-    else:
-        raise ValueError(f"unknown group name {name!r}")
-    cert = certify(group)
-    if cert.has_nonzero_fixed_point:
-        raise ValueError(f"{group.label}: construction yielded a fixed vector")
-    if name != "direct-sum" and cert.contains_negation:
-        raise ValueError(f"{group.label}: construction unexpectedly contains -I")
-    return group
+        return OrthogonalGroup(dim=n, elements=np.array([np.eye(n), -np.eye(n)]),
+                               label=f"negation({n})")
+    if name == "direct-sum":
+        return direct_sum([standard_group(p_name, **p_params)
+                           for p_name, p_params in params["parts"]])
+    raise ValueError(f"unknown group name {name!r}")
 
 
 def certify(group: OrthogonalGroup) -> GroupCertificate:

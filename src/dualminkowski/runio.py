@@ -32,7 +32,6 @@ from .constructions import dirichlet_voronoi_cone
 from .groups import (
     MAX_ORDER,
     OrthogonalGroup,
-    certify,
     enumerate_group,
     invariant_directions,
     standard_group,
@@ -234,14 +233,17 @@ def resolve_star_body(spec: dict, n: int) -> StarBody:
     """Q from a solve config's q_body section."""
     kind = _field(spec, "q_body.kind", _is(str), "a string")
     if kind == "ball":
+        _known(spec, "q_body", {"kind", "radius"})
         return StarBody.ball(n, float(_field(spec, "q_body.radius", _positive,
                                              "a finite number > 0", 1.0)))
     if kind == "ellipsoid":
+        _known(spec, "q_body", {"kind", "half_axes"})
         return StarBody.ellipsoid(_field(
             spec, "q_body.half_axes",
             lambda axes: _numbers(axes, n) and min(axes) > 0,
             f"{n} finite numbers > 0"))
     if kind == "body-file":
+        _known(spec, "q_body", {"kind", "path"})
         body = _body_file(spec, "q_body.path")
         if body.dim != n:
             raise ConfigError(f"field 'q_body.path': the body file has "
@@ -269,9 +271,12 @@ def resolve_density(spec: dict, n: int):
     Returns (density callable, label)."""
     name = _field(spec, "density", _is(str), "a string")
     if name == "constant":
+        _known(spec, "measure", {"density", "value"})
         c = float(_field(spec, "value", _positive, "a finite number > 0"))
         return lambda pts: np.full(pts.shape[0], c), f"constant {c}"
     if name == "cosine-bump":
+        _known(spec, "measure", {"density", "base", "amplitude", "power",
+                                 "axis"})
         base, amp, power = (
             float(_field(spec, key, lambda x: _finite(x) and x >= 0,
                          "a finite number >= 0", default))
@@ -303,15 +308,17 @@ def resolve_problem(cfg: dict):
     """Resolve a solve config into (ProblemSpec, SolverConfig, extras).
 
     extras holds the problem entries of the run manifest's outcome and the
-    export_mesh flag. Schema problems raise ConfigError naming the field,
-    before any direction work; the solver section is checked first, since
-    it needs none of the problem data, and the grid is built among the
-    checks, since only building it shows a scheme that does not fit n. The
-    theorem's hypotheses are checked by ProblemSpec, which raises
-    HypothesisError naming the violated condition (p outside (-q*, 0), a
-    group with a fixed vector, a non-invariant Q) after the directions are
-    packed and before any solver work.
+    export_mesh flag. Schema problems, a field that the command does not read
+    among them, raise ConfigError naming the field, before any direction work;
+    the solver section is checked first, since it needs none of the problem
+    data, and the grid is built among the checks, since only building it shows
+    a scheme that does not fit n. The theorem's hypotheses are checked by
+    ProblemSpec, which raises HypothesisError naming the violated condition (p
+    outside (-q*, 0), a group with a fixed vector, a non-invariant Q) after the
+    directions are packed and before any solver work.
     """
+    _known(cfg, "top-level", {"n", "p", "q", "group", "q_body", "directions",
+                              "grid", "measure", "solver", "export_mesh"})
     solver_cfg = resolve_solver_config(
         _field(cfg, "solver", _is(dict), "an object", {}))
     n = _field(cfg, "n", _at_least(2), "an integer >= 2")
@@ -319,10 +326,12 @@ def resolve_problem(cfg: dict):
     q = float(_field(cfg, "q", _finite, "a finite number"))
     export_mesh = _field(cfg, "export_mesh", _is(bool), "true or false", False)
     dir_spec = _field(cfg, "directions", _is(dict), "an object", {})
+    _known(dir_spec, "directions", {"count", "seed"})
     count = _field(dir_spec, "directions.count", _at_least(1),
                    "an integer >= 1", 642)
     dir_seed = _field(dir_spec, "directions.seed", _integer, "an integer", 0)
     grid_spec = _field(cfg, "grid", _is(dict), "an object", {})
+    _known(grid_spec, "grid", {"node_count", "seed", "scheme"})
     node_count = _field(grid_spec, "grid.node_count", _at_least(8),
                         "an integer >= 8", 20000)
     grid_seed = _field(grid_spec, "grid.seed", _integer, "an integer", 0)
@@ -336,6 +345,7 @@ def resolve_problem(cfg: dict):
         _field(cfg, "q_body", _is(dict), "an object", {"kind": "ball"}), n)
     measure_spec = _field(cfg, "measure", _is(dict), "an object")
     if "atoms" in measure_spec:
+        _known(measure_spec, "measure", {"atoms"})
         measure = _field(measure_spec, "measure.atoms",
                          lambda a: _numbers(a, count) and min(a) >= 0,
                          f"a list of {count} finite nonnegative numbers, one "
@@ -350,7 +360,7 @@ def resolve_problem(cfg: dict):
     extras = {
         "s_exponent": spec.s_exponent,
         "q_star": q_star(q, n),
-        "group_certificate": asdict(certify(group)),
+        "group_certificate": asdict(spec.certificate),
         "density_label": label,
         "export_mesh": export_mesh,
     }

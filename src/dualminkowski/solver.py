@@ -20,8 +20,8 @@ import numpy as np
 
 from .bodies import RadialKernel, StarBody, SupportPolytope
 from .bounds import admissible_exponent_s
-from .groups import (OrthogonalGroup, certify, image_gap, orbits,
-                     symmetrize_density)
+from .groups import (GroupCertificate, OrthogonalGroup, certify, image_gap,
+                     orbits, symmetrize_density)
 from .measures import MeasureSpec, entropy_state, integrand_values
 from .sphere import SphericalGrid, stable_sum
 
@@ -46,20 +46,20 @@ class HypothesisError(ValueError):
 class ProblemSpec:
     """Full problem data with the existence theorem's hypotheses checked.
 
-    The one place that checks them: construction raises HypothesisError
-    unless -q* < p < 0 (recording the implied integrability exponent), the
-    group has no nonzero fixed vector, and Q is group-invariant; and
-    ValueError unless the direction set is exactly group-stable and the
-    measure sits on it. One image match gives both the stability verdict
-    and the orbits: groups.orbits matches every image g @ u to its nearest
-    direction and reports whether each lies within groups.STABLE_TOL. It
-    also holds the orbit map of the directions
+    The one place that checks them: construction raises HypothesisError unless
+    -q* < p < 0 (recording the implied integrability exponent), the group has
+    no nonzero fixed vector (keeping its certificate), and Q is
+    group-invariant; and ValueError unless the direction set is exactly
+    group-stable and the measure sits on it. One image match gives both the
+    stability verdict and the orbits: groups.orbits matches every image g @ u
+    to its nearest direction and reports whether each lies within
+    groups.STABLE_TOL. It also holds the orbit map of the directions
     (orbit_partition, and orbit_of, the orbit index of each direction) and
     replaces the measure's atoms by their orbit means, so mu is
     group-invariant, as the theorem asks, for every spec. Every solver pass
     reads q_weight, rho_Q^{n-q} at the grid nodes, and radial, the one
-    RadialKernel on the nodes and directions: its lists are built on its
-    first pass, and its counters add up over every solve of the spec.
+    RadialKernel on the nodes and directions: its lists are built on its first
+    pass, and its counters add up over every solve of the spec.
     """
 
     dim: int
@@ -71,6 +71,7 @@ class ProblemSpec:
     directions: np.ndarray
     grid: SphericalGrid
     s_exponent: float = field(init=False)
+    certificate: GroupCertificate = field(init=False)
     orbit_partition: list = field(init=False)
     orbit_of: np.ndarray = field(init=False)
     q_weight: np.ndarray = field(init=False)
@@ -82,7 +83,9 @@ class ProblemSpec:
         except ValueError as exc:
             raise HypothesisError(str(exc)) from exc
         object.__setattr__(self, "s_exponent", s)
-        if certify(self.group).has_nonzero_fixed_point:
+        cert = certify(self.group)
+        object.__setattr__(self, "certificate", cert)
+        if cert.has_nonzero_fixed_point:
             raise HypothesisError("group has a nonzero fixed vector; "
                                   "coercivity of the entropy functional fails")
         ok, dev = self.q_body.is_invariant(self.group)

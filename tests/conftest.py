@@ -233,9 +233,10 @@ def reference_kernel_lists(points, normals, ratio):
     return ratio, facets, values, reach
 
 
-# The one-shot kernels that StarBody.box and sphere.stable_sum replaced with
-# a column-wise fold and an exact extraction: references that those must
-# reproduce bit for bit.
+# The radial function of a coordinate box, min_i a_i / |u_i| (inf where
+# |u_i| <= 1e-300), for the Monte-Carlo box dual volumes of the tests; and the
+# one-shot sum that sphere.stable_sum replaced with an exact extraction, a
+# reference that it must reproduce bit for bit.
 
 
 def reference_box_radial(axes, pts):

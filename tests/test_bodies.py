@@ -33,8 +33,8 @@ from dualminkowski.groups import (OrthogonalGroup, cube_rotation,
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
 from conftest import (assert_bound_covers_probe, centered, dense_is_invariant,
-                      heap_peak_mib, reference_box_radial,
-                      reference_invariance_bound, random_polytope, translate)
+                      heap_peak_mib, reference_invariance_bound,
+                      random_polytope, translate)
 
 
 @pytest.fixture(scope="module")
@@ -893,40 +893,6 @@ class TestStarBody:
         q = StarBody.ellipsoid([1.0, 2.0, 4.0])
         assert q.radial(np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(4.0)
         assert q.radial(np.array([[1.0, 0.0, 0.0]]))[0] == pytest.approx(1.0)
-
-    def test_box_radial(self):
-        q = StarBody.box([1.0, 1.0, 100.0])
-        assert q.radial(np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(100.0)
-        u = np.array([[1.0, 1.0, 0.0]]) / math.sqrt(2)
-        assert q.radial(u)[0] == pytest.approx(math.sqrt(2))
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_box_radial_matches_reference(self, n):
-        """The column-wise fold equals the broadcast where/min bit for bit,
-        on rows with exact zeros, signed zeros, subnormals, coordinates
-        either side of 1e-300, infinities and NaN."""
-        rng = np.random.default_rng(n)
-        axes = np.sort(np.exp(rng.uniform(math.log(0.3), math.log(30.0), n)))
-        q = StarBody.box(axes)
-        unit = rng.standard_normal((500, n))
-        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-        special = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-300, 2e-300,
-                            -1e-290, 1.0, -1.0, np.inf, np.nan])
-        rows = special[rng.integers(0, special.size, (400, n))]
-        pts = np.vstack([unit, rows, np.eye(n), np.zeros((1, n)),
-                         np.full((1, n), np.nan)])
-        with np.errstate(over="ignore"):  # a / 5e-324, masked to inf
-            got = q.radial(pts)
-            want = reference_box_radial(axes, pts)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.isinf(got[-2:]).all()
-        scaled = unit * rng.uniform(1e-3, 1e3, (unit.shape[0], 1))
-        norms = np.linalg.norm(scaled, axis=1)
-        want = reference_box_radial(axes, scaled / norms[:, None]) / norms
-        got = q.radial_homogeneous(scaled)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        with pytest.raises(ValueError, match=f"{n} coordinates"):
-            q.radial(np.ones((2, n + 1)))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError, match="positive"):

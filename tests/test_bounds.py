@@ -1,10 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dualminkowski.bodies import StarBody, ball_polytope, box_radial, \
-    cube_polytope
+from dualminkowski.bodies import StarBody, ball_polytope, cube_polytope
 from dualminkowski.bounds import (
     BoxSpec,
     admissible_exponent_s,
@@ -18,7 +18,8 @@ from dualminkowski.bounds import (
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, \
     sphere_area, stable_sum, unit_ball_volume
 
-from conftest import random_centered_polytope, translate
+from conftest import random_centered_polytope, reference_box_radial, \
+    translate
 
 
 class TestQStar:
@@ -85,14 +86,11 @@ class TestBoxSpec:
         with pytest.raises(ValueError, match="finite"):
             BoxSpec(np.array([1.0, bad]))
 
-    def test_volume(self):
-        assert BoxSpec(np.array([1.0, 2.0])).volume() == pytest.approx(8.0)
-
 
 def mc_box_dual_volume(axes, q, grid):
     """Monte-Carlo box dual volume with its standard error: the mean of
     rho^q over equally weighted random nodes, times |S^{n-1}| / n."""
-    values = box_radial(axes, np.abs(grid.nodes).T) ** q
+    values = reference_box_radial(axes, grid.nodes) ** q
     scale = sphere_area(grid.dim) / grid.dim
     return scale * float(np.mean(values)), \
         scale * float(np.std(values)) / math.sqrt(grid.node_count)
@@ -126,6 +124,37 @@ def facet_tensor_dual_volume(axes, q, degree=16):
     return 2.0 ** n / n * total
 
 
+def mp_box_dual_volume(axes, q):
+    """box_dual_volume's formula in 30-digit mpmath, on the unscaled axes,
+    where no term leaves the exponent range: the series to 80 terms at
+    x0 = 2 / max a, and the tail by mpmath.quad in u = log x, split
+    where an erf(a_j x) turns from linear to flat. q must miss the poles
+    n + 2k."""
+    mpmath = pytest.importorskip("mpmath")
+    terms = 80
+    with mpmath.workdps(30):
+        a = [mpmath.mpf(float(x)) for x in axes]
+        n, q = len(a), mpmath.mpf(q)
+        x0 = 2 / max(a)
+        c = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)
+        for aj in a:
+            series = [2 / mpmath.sqrt(mpmath.pi) * (-1) ** m
+                      * aj ** (2 * m + 1) / (mpmath.factorial(m) * (2 * m + 1))
+                      for m in range(terms)]
+            c = [mpmath.fsum(c[i] * series[k - i] for i in range(k + 1))
+                 for k in range(terms)]
+        head = mpmath.fsum(c[k] * x0 ** (n + 2 * k - q) / (n + 2 * k - q)
+                           for k in range(terms))
+        u0, u1 = mpmath.log(x0), mpmath.log(6 / min(a))
+        points = sorted({u0, u1} | {u for aj in a for d in (-4, 0, 4)
+                                    if u0 < (u := d - mpmath.log(aj)) < u1})
+        tail = mpmath.quad(lambda u: mpmath.exp(-q * u) * mpmath.fprod(
+            mpmath.erf(aj * mpmath.exp(u)) for aj in a),
+            points + [mpmath.inf])
+        return float(q / n * 2 * mpmath.pi ** (n / 2) * (tail + head)
+                     / mpmath.gamma((n - q) / 2))
+
+
 def random_box(rng, n, lo=0.3, hi=30.0):
     return BoxSpec(np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), n))))
 
@@ -145,7 +174,8 @@ class TestBoxDualVolume:
         for n in (2, 3, 4, 5):
             box = random_box(rng, n)
             a = box.half_axes
-            want = (n + 2.0) / n * box.volume() * float(np.sum(a ** 2)) / 3.0
+            want = (n + 2.0) / n * float(np.prod(2.0 * a)) \
+                * float(np.sum(a ** 2)) / 3.0
             assert box_dual_volume(box, n + 2.0) == pytest.approx(want,
                                                                   rel=1e-14)
 
@@ -222,6 +252,27 @@ class TestBoxDualVolume:
         with pytest.raises(ValueError, match="positive"):
             box_dual_volume(BoxSpec(np.ones(3)), 0.0)
 
+    @pytest.mark.parametrize("axes, q", [
+        ([0.5, 1.0, 4.0], 1.7),
+        ([1e-10, 1.0, 1e200], 3.5),
+        ([1.8e-166, 5.3e-106, 3.2e120], 2.0),
+    ], ids=["moderate", "scale-overflows", "series-underflows"])
+    def test_out_of_double_range_matches_mpmath(self, axes, q):
+        """A box whose scale^q overflows, or whose series coefficients
+        (which carry prod b_j) underflow, while its dual volume is a
+        double, gets the value of an mpmath evaluation, without numpy
+        warnings; the moderate box checks the reference itself."""
+        want = mp_box_dual_volume(axes, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = box_dual_volume(BoxSpec(np.array(axes)), q)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_out_of_double_range_bracket_is_checked(self):
+        """The bracket [3.30e290, 2.46e291] is finite, so the box gets a
+        verdict instead of a NaN observation."""
+        assert verify_box(BoxSpec(np.array([1e-10, 1.0, 1e200])), 3.5).passed
+
 
 class TestBoxBounds:
     def test_cube_bracket_contains_volume(self):
@@ -260,42 +311,14 @@ class TestBoxBounds:
         rep = verify_box(BoxSpec(np.array([1.0, 1.0, 1.0, 100.0])), 2.5)
         assert rep.passed
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_cached_columns_match_star_body(self, n):
-        """box_radial on |u_i| columns taken once, as a sweep over many
-        boxes would hold them, equals StarBody.box(axes).radial bit for bit,
-        on nodes with exact-zero, subnormal and tiny coordinates and on free
-        points with NaN and infinite coordinates."""
-        rng = np.random.default_rng(60 + n)
-        axes = np.sort(np.exp(rng.uniform(math.log(0.3), math.log(30.0), n)))
-        star = StarBody.box(axes)
-        unit = rng.standard_normal((3000, n))
-        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-        tiny = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-300, 2e-300, -1e-290])
-        edge = tiny[rng.integers(0, tiny.size, (300, n))]
-        edge[np.arange(300), rng.integers(0, n, 300)] = \
-            rng.choice([-1.0, 1.0], 300)
-        nodes = np.vstack([unit, edge, -np.eye(n)])
-        columns = np.abs(nodes).T
-        with np.errstate(over="ignore"):  # a / 5e-324, masked to inf
-            want = star.radial(nodes)
-            got = box_radial(axes, columns)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        free = np.array([np.nan, np.inf, -np.inf, 0.0, 5e-324, 0.5])
-        pts = free[rng.integers(0, free.size, (400, n))]
-        with np.errstate(over="ignore"):
-            got = box_radial(axes, np.ascontiguousarray(np.abs(pts).T))
-            want = star.radial(pts)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
     def test_degenerate_value_names_the_box(self):
-        """A dual volume that underflows to 0 leaves no bracket to check:
-        verify_box names the box instead of returning a value whose log
-        margin cannot be taken."""
-        axes = np.array([1.8e-166, 5.3e-106, 3.2e120])
+        """A dual volume below the double range (here about 1e-400) leaves
+        no bracket to check: verify_box names the box instead of returning
+        a value whose log margin cannot be taken."""
+        axes = np.array([1e-200, 1e-200, 1.0])
         with pytest.raises(ValueError, match=(
-                r"degenerate bracket for n = 3, q = 2, half-axes \[1\.8e-166, "
-                r"5\.3e-106, 3\.2e\+120\]: lower \S+, observed 0, upper \S+; "
+                r"degenerate bracket for n = 3, q = 2, half-axes \[1e-200, "
+                r"1e-200, 1\]: lower 0, observed 0, upper 0; "
                 r"each must be finite and positive")):
             verify_box(BoxSpec(axes), 2.0)
 

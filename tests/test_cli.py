@@ -419,6 +419,85 @@ class TestSolveCommand:
         assert f"config error: field {field!r}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("change, message", [
+        ({"grid_nodes": 4000}, "unknown top-level fields: ['grid_nodes']"),
+        ({"directions": {"count": 162, "sed": 1}},
+         "unknown directions fields: ['sed']"),
+        ({"grid": {"node_cout": 4000}}, "unknown grid fields: ['node_cout']"),
+        ({"q_body": {"kind": "ball", "half_axes": [1, 1, 1]}},
+         "unknown q_body fields: ['half_axes']"),
+        ({"q_body": {"kind": "ellipsoid", "half_axes": [1, 1, 1],
+                     "radius": 2}}, "unknown q_body fields: ['radius']"),
+        ({"q_body": {"kind": "body-file", "path": "x.txt", "prune": True}},
+         "unknown q_body fields: ['prune']"),
+        ({"measure": {"atoms": [1.0] * 162, "density": "constant"}},
+         "unknown measure fields: ['density']"),
+        ({"measure": {"density": "constant", "value": 1.0, "vaule": 2.0}},
+         "unknown measure fields: ['vaule']"),
+        ({"measure": {"density": "cosine-bump", "axis": [1, 0, 0],
+                      "amp": 2.0}}, "unknown measure fields: ['amp']"),
+    ], ids=["top-level", "directions", "grid", "ball", "ellipsoid",
+            "body-file", "atoms", "constant", "cosine-bump"])
+    def test_unknown_problem_field_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, change, message):
+        """A misspelt solve field is an error, not a silently used
+        default."""
+        from dualminkowski import runio
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("directions built before the field check")
+
+        monkeypatch.setattr(runio, "invariant_directions", no_work)
+        cfg = write_config(tmp_path, dict(SOLVE_CONFIG, **change))
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_catalogue_group_is_certified_once(self, tmp_path, capsys,
+                                               monkeypatch):
+        """A solve certifies its group once, in ProblemSpec, whose
+        certificate the manifest reports. standard_group returns the group
+        as built: a catalogue constructor that yields a group with a fixed
+        vector reaches ProblemSpec, whose hypothesis check rejects it with
+        exit 2 and no run directory, and construct's own check rejects it
+        too."""
+        from dualminkowski import groups
+
+        certified = []
+
+        def counted(group):
+            certified.append(group.label)
+            return certify(group)
+
+        certify = groups.certify
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("dualminkowski") \
+                    and getattr(module, "certify", None) is certify:
+                monkeypatch.setattr(module, "certify", counted)
+        _, _, extras = resolve_problem(SOLVE_CONFIG)
+        assert certified == ["simplex-symmetry(3)"]
+        assert extras["group_certificate"]["order"] == 24
+
+        def trivial(m):
+            return groups.OrthogonalGroup(dim=m, elements=np.eye(m)[None])
+
+        monkeypatch.setattr(groups, "simplex_symmetry", trivial)
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        out = tmp_path / "runs"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis violation: group has a nonzero "
+                              "fixed vector")
+        assert not out.exists() or not any(out.iterdir())
+        cfg = write_config(tmp_path, {"n": 3, "group": SOLVE_CONFIG["group"],
+                                      "base": {"normal_count": 60},
+                                      "probe_nodes": 200}, "construct.json")
+        assert main(["construct", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "error: group must have no nonzero fixed point and must not "
+            "contain -I")
+
     @pytest.mark.parametrize("group, message", [
         ({"name": "negation", "n": 2}, "field 'n' must be 2"),
         ({"name": "simplex-symmetry", "m": "3"},
@@ -624,25 +703,26 @@ class TestVerifyBoundsCommand:
             "dff06c8287970297a48a1d3a516a938f")
 
     def test_degenerate_value_is_named(self, tmp_path, capsys):
-        """Extreme axes underflow the dual volume to 0: the command fails
-        naming the box, not with a bare math domain error."""
+        """Axes of 1e-200 put the dual volume and its bracket below the
+        double range: the command fails naming the box, not with a bare
+        math domain error."""
         cfg = write_config(tmp_path, {"dimensions": [3], "q_values": [2],
                                       "boxes_per_case": 1,
-                                      "axis_range": [1e-200, 1e200]})
+                                      "axis_range": [1e-200, 1e-200]})
         out = str(tmp_path / "runs")
         assert main(["verify-bounds", cfg, "--out", out]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert re.match(r"error: degenerate bracket for n = 3, q = 2, "
-                        r"half-axes \[1\.81831e-166, 5\.29911e-106, "
-                        r"3\.23434e\+120\]: lower \S+, observed 0, upper \S+; "
-                        r"each must be finite and positive$", err)
+                        r"half-axes \[1e-200, 1e-200, 1e-200\]: lower 0, "
+                        r"observed 0, upper 0; each must be finite and "
+                        r"positive$", err)
 
     def test_failure_leaves_error_json(self, tmp_path, capsys):
         """A failure after the run directory exists leaves error.json
         there: the command, its config, the error and the traceback. The
         exit code and the stderr line are those of any error."""
         sweep = {"dimensions": [3], "q_values": [2], "boxes_per_case": 1,
-                 "axis_range": [1e-200, 1e200]}
+                 "axis_range": [1e-200, 1e-200]}
         cfg = write_config(tmp_path, sweep)
         out = tmp_path / "runs"
         assert main(["verify-bounds", cfg, "--out", str(out)]) == EXIT_ERROR
