@@ -212,16 +212,18 @@ class RadialKernel:
     this bound at a built ratio and radial_profile's denominator test
     A > _POS_DENOM_TOL, in order of falling A. The lists are built, and
     rebuilt when an h arrives whose r is below the built ratio, from A in
-    product_blocks' row blocks: each block keeps only its candidates and is
-    freed before the next, so A is never held whole. A point with fewer
-    candidates than the widest repeats its smallest-product one. Row k of
-    the lists has a reach, the largest A[u, i] / max_j A[u, j] over the
-    candidates it holds (repeats excluded), which does not grow with k, and
-    a pass divides h by A only on the rows whose reach clears its own r
-    (loosened by the same slack). Every facet attaining the minimum is in
-    those rows, and every other entry there is a real facet of its point,
-    so the division and the minimum are radial_profile's: rho and the exit
-    facets (ties to the smallest index) equal radial_profile's bit for bit.
+    product_blocks' row blocks: each block's candidates become that block's
+    sorted lists, and its products are freed, before the next block is
+    formed, so A is never held whole; the blocks' lists are then copied
+    into the finished lists. A point with fewer candidates than the widest
+    repeats its smallest-product one. Row k of the lists has a reach, the
+    largest A[u, i] / max_j A[u, j] over the candidates it holds (repeats
+    excluded), which does not grow with k, and a pass divides h by A only
+    on the rows whose reach clears its own r (loosened by the same
+    slack). Every facet attaining the minimum is in those rows, and every
+    other entry there is a real facet of its point, so the division and
+    the minimum are radial_profile's: rho and the exit facets (ties to the
+    smallest index) equal radial_profile's bit for bit.
     """
 
     def __init__(self, points: np.ndarray, normals: np.ndarray):
@@ -234,10 +236,13 @@ class RadialKernel:
         self.cells = 0  # node-facet ratios the passes computed
 
     def _build(self, ratio: float) -> None:
-        # one block of products at a time; each block keeps only its
-        # candidates, as (point, facet, product); no zero pad clears a cut
+        # each block of products becomes its own sorted lists before the
+        # next block is formed: (first point, facets, products), each of
+        # shape (the block's widest count, the block's points)
         n = self.points.shape[0]
-        found = []
+        counts = np.empty(n, dtype=np.intp)
+        reach = np.zeros(0)
+        blocks = []
         for start, prods in product_blocks(self.points, self.normals):
             top = np.max(prods, axis=1)
             if not np.all(top > _POS_DENOM_TOL):
@@ -245,38 +250,47 @@ class RadialKernel:
                     f"no positive denominator at point "
                     f"{start + int(np.argmin(top))}; "
                     "normals do not positively span")
-            # the slack makes the bound strict for the exit facet
+            # the slack makes the bound strict for the exit facet; no zero
+            # pad clears the cut
             cut = np.maximum((ratio * (1.0 - _PRUNE_SLACK)) * top,
                              _POS_DENOM_TOL)
             r, c = np.divmod(np.flatnonzero(prods > cut[:, None]),
                              prods.shape[1])
-            found.append((r + start, c, prods[r, c]))
-            del prods
-        counts = sum(np.bincount(points, minlength=n) for points, _, _ in found)
-        first = np.cumsum(counts) - counts
-        shape = int(counts.max()), n
-        # each point's candidates in rows 0, 1, ..., blocks freed as they go
-        values = np.zeros(shape)
-        facets = np.zeros(shape, dtype=np.intp)
-        done = 0
-        while found:
-            points, cols, products = found.pop(0)
-            rows = np.arange(done, done + points.size) - first[points]
-            values[rows, points] = products
-            facets[rows, points] = cols
-            done += points.size
-        del points, cols, products, rows
-        # order each point's candidates by falling product; the zeros of the
-        # padding sort last and reach nothing
-        order = np.argsort(-values, axis=0)
-        values = np.take_along_axis(values, order, axis=0)
-        facets = np.take_along_axis(facets, order, axis=0)
-        del order
-        reach = np.max(values / values[0], axis=1)
+            count = np.bincount(r, minlength=len(prods))
+            rows = np.arange(r.size) - (np.cumsum(count) - count)[r]
+            values = np.zeros((int(count.max()), len(prods)))
+            values[rows, r] = prods[r, c]
+            facets = np.zeros(values.shape, dtype=np.intp)
+            facets[rows, r] = c
+            del prods, r, c, rows
+            # order each point's candidates by falling product; the zeros
+            # of the padding sort last and reach nothing
+            order = np.argsort(-values, axis=0)
+            values = np.take_along_axis(values, order, axis=0)
+            facets = np.take_along_axis(facets, order, axis=0)
+            del order
+            # the block's part of each row's reach, taken before the
+            # repeats are padded in
+            part = np.max(values / values[0], axis=1)
+            if part.size > reach.size:
+                reach = np.concatenate([reach,
+                                        np.zeros(part.size - reach.size)])
+            np.maximum(reach[:part.size], part, out=reach[:part.size])
+            counts[start:start + count.size] = count
+            blocks.append((start, facets, values))
+        shape = reach.size, n
+        values = np.empty(shape)
+        facets = np.empty(shape, dtype=np.intp)
+        while blocks:
+            start, cols, products = blocks.pop(0)
+            at = slice(start, start + products.shape[1])
+            values[:len(products), at] = products
+            facets[:len(cols), at] = cols
+        del cols, products
         # pad each point with repeats of its smallest-product candidate (a
         # real facet, so neither the minimum nor the exit facet can change)
         pad = np.arange(shape[0])[:, None] >= counts
-        last = counts - 1, np.arange(shape[1])
+        last = counts - 1, np.arange(n)
         np.copyto(facets, facets[last], where=pad)
         np.copyto(values, values[last], where=pad)
         self.lists = ratio, facets, values, reach

@@ -68,6 +68,10 @@ TAIL_DEGREE = 16
 # erf(x) rounds to 1.0 in double precision from x = 6 on
 _ERF_ONE = 6.0
 _erf = np.vectorize(math.erf, otypes=[float])
+# the smallest normal double
+_TINY = float(np.finfo(float).tiny)
+# _log_erf takes erf(z) as linear below this log z
+_LOG_ERF_LINEAR = -20.0
 
 
 def q_star(q: float, n: int) -> float:
@@ -283,18 +287,38 @@ def box_dual_volume(box: BoxSpec, q: float) -> float:
     scale = box.half_axes[-1]
     b = box.half_axes / scale
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = q / n * scale ** q * _scaled_moment(b, q, None)
+        # a b_j below the normal range has lost its bits (or is 0): its
+        # log comes from log a_j, and only the log form takes it
+        lost = b < _TINY
+        log_b = np.where(lost, np.log(box.half_axes) - math.log(scale),
+                         np.log(b))
+        value = math.nan
+        if not lost.any():
+            value = q / n * scale ** q * _scaled_moment(b, log_b, q, None)
         if not 0.0 < value < math.inf:
-            value = q / n * _scaled_moment(b, q, q * math.log(scale))
+            value = q / n * _scaled_moment(b, log_b, q, q * math.log(scale))
     return value
 
 
-def _scaled_moment(b: np.ndarray, q: float, log_scale: float | None):
-    """2 pi^{n/2} M(q) / Gamma((n-q)/2) on the scaled axes b (see
-    box_dual_volume). Given log_scale = q log(scale), that times scale^q,
-    with scale^q taken inside exponentials: the series drops its factor
-    prod b_j and is multiplied by exp(log_scale + sum_j log b_j), and each
-    tail node is exp(log_scale - q log x + sum_j log erf(b_j x))."""
+def _log_erf(log_z: np.ndarray) -> np.ndarray:
+    """log erf(e^log_z), finite where e^log_z underflows: below
+    _LOG_ERF_LINEAR, erf(z) is 2 z / sqrt(pi) to within z^2 / 3 relative,
+    under half an ulp."""
+    exact = np.log(_erf(np.exp(np.maximum(log_z, _LOG_ERF_LINEAR))))
+    return np.where(log_z < _LOG_ERF_LINEAR,
+                    log_z + math.log(2.0 / math.sqrt(math.pi)), exact)
+
+
+def _scaled_moment(b: np.ndarray, log_b: np.ndarray, q: float,
+                   log_scale: float | None):
+    """2 pi^{n/2} M(q) / Gamma((n-q)/2) on the scaled axes b, whose logs
+    are log_b (see box_dual_volume). Given log_scale = q log(scale), that
+    times scale^q, with scale^q taken inside exponentials: the series drops
+    its factor prod b_j and is multiplied by exp(log_scale + sum_j log b_j),
+    and each tail node is exp(log_scale - q log x + sum_j log erf(b_j x)),
+    with log erf(b_j x) taken by _log_erf(log b_j + log x) where b_j is
+    below the normal range. The tail's far end comes from log b_0, so it
+    stays finite where b_0 underflows."""
     n = b.size
     x0 = math.sqrt(max(SERIES_REACH ** 2, (q - n) / 2.0) / float(b @ b))
     # c_k: the product over the axes of the series
@@ -319,20 +343,24 @@ def _scaled_moment(b: np.ndarray, q: float, log_scale: float | None):
         pole = (-1) ** k * math.gamma(1.0 + k + d) * sinc * c[k] \
             * x0 ** (-2.0 * d)
     u0, width = math.log(x0), min(1.0, PANEL_DECAY / q)
-    panels = math.ceil((math.log(_ERF_ONE / b[0]) - u0) / width)
+    panels = math.ceil((math.log(_ERF_ONE) - log_b[0] - u0) / width)
     t, w = _gauss_legendre(TAIL_DEGREE)
-    x = np.exp(u0 + width * (np.arange(panels)[:, None] + t).ravel())
+    u = u0 + width * (np.arange(panels)[:, None] + t).ravel()
+    x = np.exp(u)
     weights = np.tile(w, panels)
-    erfs = _erf(np.outer(b, x))
     end = -q * (u0 + width * panels)  # log X^-q, X the tail's far end
     if log_scale is None:
-        nodes = weights * x ** -q * np.prod(erfs, axis=0)
+        nodes = weights * x ** -q * np.prod(_erf(np.outer(b, x)), axis=0)
         rest = math.exp(end)
     else:
-        factor = np.exp(log_scale + np.sum(np.log(b)))
+        factor = np.exp(log_scale + np.sum(log_b))
         head, pole = factor * head, factor * pole
-        nodes = weights * np.exp(log_scale - q * np.log(x)
-                                 + np.sum(np.log(erfs), axis=0))
+        lost = b < _TINY
+        # a lost b_0 takes the tail past 1 / _TINY, where x overflows
+        log_x = u if lost.any() else np.log(x)
+        log_erfs = np.sum(np.log(_erf(np.outer(b[~lost], x))), axis=0) \
+            + np.sum(_log_erf(log_b[lost, None] + u), axis=0)
+        nodes = weights * np.exp(log_scale - q * log_x + log_erfs)
         rest = float(np.exp(log_scale + end))
     tail = width * float(np.sum(nodes)) + rest / q
     return 2.0 * math.pi ** (n / 2.0) \

@@ -36,10 +36,11 @@ __all__ = [
 SCHEMES = ("uniform-angle", "fibonacci-sphere", "monte-carlo")
 
 _NODE_NORM_TOL = 1e-12
-# product_blocks forms at most this many products at a time (7.6 MiB), and
-# row_slices cuts by the same count of cells; active_part on a criterion-9
-# pooled body (3840 constraints) peaks at 5.7-7.1 MiB, 11-14 MiB unblocked
-BLOCK_CELLS = 1_000_000
+# product_blocks forms at most this many products at a time (1 MiB, which
+# fits in cache), and row_slices cuts by the same count of cells;
+# active_part on a criterion-9 pooled body (3840 constraints) peaks at
+# 1.0 MiB, 11-14 MiB unblocked
+BLOCK_CELLS = 131_072  # 2^17
 
 
 def unit_ball_volume(n: int) -> float:
@@ -155,15 +156,21 @@ def nearest_within(points, queries, radius: float):
 
     near_pairs's rule across two sets: the point keys are sorted once, and
     each query is compared only with the points whose keys lie within 4
-    radii of its own, which holds every point within radius of it.
+    radii of its own, which holds every point within radius of it. The
+    query keys are searched in sorted order, where each search starts from
+    the last, and the window of each query is then put back in its place.
     """
     pts = np.asarray(points, dtype=float)
     qs = np.asarray(queries, dtype=float)
     key = _generic_key(pts)
     order = np.argsort(key, kind="stable")
     key, qkey = key[order], _generic_key(qs)
-    lo = np.searchsorted(key, qkey - 4.0 * radius, side="left")
-    count = np.searchsorted(key, qkey + 4.0 * radius, side="right") - lo
+    by_key = np.argsort(qkey)
+    qkey = qkey[by_key]
+    lo, count = np.empty((2, qs.shape[0]), dtype=np.intp)
+    lo[by_key] = np.searchsorted(key, qkey - 4.0 * radius, side="left")
+    count[by_key] = np.searchsorted(key, qkey + 4.0 * radius, side="right")
+    count -= lo
     row = np.repeat(np.arange(qs.shape[0]), count)
     cand = order[np.arange(row.size) +
                  np.repeat(lo - (np.cumsum(count) - count), count)]
@@ -243,9 +250,9 @@ def product_blocks(rows: np.ndarray, cols: np.ndarray):
     matrix-vector product, whose bits can differ, so a last block of one
     row joins the block before it. The blocks are the fewest the limit
     allows, all of one size but the last, which is less than one row per
-    block shorter: a short last block raised a flagship solve's resident
-    peak by about 1 MB. A caller that deletes each block before taking the
-    next holds one block at a time.
+    block shorter (with 7.6 MiB blocks, a short last block had raised a
+    flagship solve's resident peak by about 1 MB). A caller that deletes
+    each block before taking the next holds one block at a time.
     """
     cols = padded(cols, 0.0)
     m = len(rows)

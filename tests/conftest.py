@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
-from dualminkowski import bodies
+from dualminkowski import bodies, sphere
 from dualminkowski.bodies import (SupportPolytope, active_part, geometry_stats,
                                   radial_profile, vertex_enumeration)
 from dualminkowski.groups import MATCH_TOL, simplex_symmetry, invariant_directions
@@ -200,6 +200,32 @@ def reference_radial_profile(body, points):
             "normals do not positively span"
         )
     return rho, idx
+
+
+def reference_nearest_within(points, queries, radius):
+    """sphere.nearest_within with the query keys searched in their own
+    order, unsorted."""
+    pts = np.asarray(points, dtype=float)
+    qs = np.asarray(queries, dtype=float)
+    key = sphere._generic_key(pts)
+    order = np.argsort(key, kind="stable")
+    key, qkey = key[order], sphere._generic_key(qs)
+    lo = np.searchsorted(key, qkey - 4.0 * radius, side="left")
+    count = np.searchsorted(key, qkey + 4.0 * radius, side="right") - lo
+    row = np.repeat(np.arange(qs.shape[0]), count)
+    cand = order[np.arange(row.size) +
+                 np.repeat(lo - (np.cumsum(count) - count), count)]
+    dist = np.linalg.norm(qs[row] - pts[cand], axis=1)
+    close = dist <= radius
+    row, cand, dist = row[close], cand[close], dist[close]
+    pick = np.lexsort((cand, dist, row))
+    head = np.ones(pick.size, dtype=bool)
+    head[1:] = row[pick[1:]] != row[pick[:-1]]
+    pick = pick[head]
+    nearest = np.full(qs.shape[0], -1, dtype=np.intp)
+    gap = np.full(qs.shape[0], np.inf)
+    nearest[row[pick]], gap[row[pick]] = cand[pick], dist[pick]
+    return nearest, gap
 
 
 def reference_kernel_lists(points, normals, ratio):

@@ -27,14 +27,14 @@ from dualminkowski.bodies import (
     support_profile,
     vertex_enumeration,
 )
-from dualminkowski.groups import (OrthogonalGroup, cube_rotation,
+from dualminkowski.groups import (MERGE_TOL, OrthogonalGroup, cube_rotation,
                                   cyclic_rotation, direct_sum,
                                   invariant_directions, simplex_symmetry)
 from dualminkowski.sphere import build_grid, fibonacci_sphere_nodes, probe_grid
 
 from conftest import (assert_bound_covers_probe, centered, dense_is_invariant,
                       heap_peak_mib, reference_invariance_bound,
-                      random_polytope, translate)
+                      reference_nearest_within, random_polytope, translate)
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +484,22 @@ def pooled_body(tetra_group):
     return _pool_orbit_constraints(tetra_group, base, h)
 
 
+def test_constraint_match_equals_unsorted_search(pooled_body, tetra_group):
+    """is_invariant's match of the pooled body's active normals with their
+    images equals the search of the query keys in their own order bit for
+    bit, at its own reach and at groups.MERGE_TOL."""
+    probed, verts = bodies.active_part(pooled_body)
+    images = tetra_group.apply(probed.normals).reshape(-1, 3)
+    radius = float(np.max(np.linalg.norm(verts, axis=1)))
+    reach = 2.0 * bodies.INVARIANCE_TOL * float(np.min(probed.support)) \
+        / radius ** 2
+    for r in (reach, MERGE_TOL):
+        got = sphere.nearest_within(probed.normals, images, r)
+        want = reference_nearest_within(probed.normals, images, r)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert np.all(got[0] >= 0)
+
+
 # Run once per BLAS thread count: every block must be a row slice of the
 # padded whole product, and the digest of every product must not depend on
 # the thread count.
@@ -592,9 +608,9 @@ class TestBlockedProducts:
 
     def test_active_part_heap_peak(self, pooled_body):
         """At 3840 constraints and 386 vertices, active_part holds one of
-        two blocks of facet-vertex products (1920 rows, 5.7 MiB) and peaks
-        at 5.7 MiB; with the whole 11.3 MiB product it peaked at 11.4 MiB
-        (14.2 MiB at 482 vertices)."""
+        12 blocks of facet-vertex products (334 rows, 1 MiB) and peaks at
+        1.0 MiB (5.8 MiB with two 1920-row blocks); with the whole 11.3 MiB
+        product it peaked at 11.4 MiB (14.2 MiB at 482 vertices)."""
         assert pooled_body.facet_count == 3840
         assert heap_peak_mib(lambda: bodies.active_part(pooled_body)) < 10.0
 

@@ -273,6 +273,31 @@ class TestBoxDualVolume:
         verdict instead of a NaN observation."""
         assert verify_box(BoxSpec(np.array([1e-10, 1.0, 1e200])), 3.5).passed
 
+    @pytest.mark.parametrize("axes, q", [
+        ([1e-200, 1e200], 1.5),
+        ([1e-160, 1e160], 0.5),
+        ([1e-250, 1e150], 0.9),
+    ])
+    def test_underflowing_axis_ratio_matches_mpmath(self, axes, q):
+        """A box whose a_0 / a_1 underflows (to 0 or below the normal
+        range) gets the value of a 30-digit mpmath evaluation of its
+        planar integral, 2q int_0^a0 int_0^a1 (x^2 + y^2)^((q-2)/2) dy dx,
+        with the inner integral as a hypergeometric function, without
+        numpy warnings; [1e-200, 1e200] at q = 1.5 is 6.0e-100 and passes
+        its bracket."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a0, a1, mq = (mpmath.mpf(v) for v in (*axes, q))
+            want = float(2 * mq * mpmath.quad(
+                lambda x: a1 * x ** (mq - 2) * mpmath.hyp2f1(
+                    (2 - mq) / 2, 0.5, 1.5, -(a1 / x) ** 2), [0, a0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = box_dual_volume(BoxSpec(np.array(axes)), q)
+            report = verify_box(BoxSpec(np.array(axes)), q)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert report.observed == got and report.passed
+
 
 class TestBoxBounds:
     def test_cube_bracket_contains_volume(self):

@@ -407,18 +407,16 @@ class TestMeasureSpec:
     def test_block_constant_is_read_at_call_time(self, grid3,
                                                  tetra_directions,
                                                  monkeypatch):
-        """A patched sphere.BLOCK_CELLS reaches from_density: at 7 rows
-        of products a block is 6 padded rows, 31 kB, and the heap holds
-        little more than the node-length arrays (0.16 MiB each) instead of
-        a 7.6 MiB block."""
+        """A patched sphere.BLOCK_CELLS reaches from_density: the default
+        1 MiB block peaks at about 1.3 MiB, and 8 times as many cells per
+        block hold an 8 MiB block, so the heap peaks over 5 MiB higher."""
         def run():
             MeasureSpec.from_density(lambda U: np.ones(len(U)), grid3,
                                      tetra_directions)
 
-        assert heap_peak_mib(run) > 7.0
-        monkeypatch.setattr(sphere, "BLOCK_CELLS",
-                            7 * len(tetra_directions))
-        assert heap_peak_mib(run) < 1.0
+        default = heap_peak_mib(run)
+        monkeypatch.setattr(sphere, "BLOCK_CELLS", 8 * sphere.BLOCK_CELLS)
+        assert heap_peak_mib(run) > default + 5.0
 
 
 class TestAffineInvariance:

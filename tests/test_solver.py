@@ -666,13 +666,14 @@ class TestBlockedPasses:
     """radial_profile and the kernel's list build hold one block of
     products at a time, with the dense forms' results bit for bit."""
 
-    @pytest.mark.parametrize("block_rows", [None, 37])
+    @pytest.mark.parametrize("block_rows", [None, 37, 2])
     @pytest.mark.parametrize("ratio", [0.95, 0.6, 0.3])
     def test_lists_match_dense_build(self, grid3, tetra_directions, ratio,
                                      block_rows, monkeypatch):
         if block_rows is not None:
-            # 36-row blocks of 648 padded products; 20000 nodes leave a
-            # last block of 20 rows
+            # 36-row blocks of 648 padded products, where 20000 nodes leave
+            # a last block of 20 rows; or 10000 blocks of two rows, the
+            # smallest that product_blocks cuts
             monkeypatch.setattr(sphere, "BLOCK_CELLS",
                                 block_rows * len(tetra_directions))
         kernel = RadialKernel(grid3.nodes, tetra_directions)
@@ -747,27 +748,34 @@ class TestBlockedPasses:
         assert errors[0] == errors[1]
 
     def test_heap_peaks_at_flagship_size(self, grid3, tetra_directions):
-        """One 1e6-cell block is 7.6 MiB: the list build peaks at about
-        18.5 MiB (block, candidates and lists) and radial_profile at about
-        9 MiB. At 4e6 cells they peaked at 40.8 and 34.8 MiB, and the dense
+        """One 2^17-cell block is 1 MiB: the list build peaks at about
+        16.9 MiB (each block's lists, then the finished lists),
+        radial_profile at about 1.6 MiB and from_density at about 1.3 MiB.
+        At 1e6 cells (7.6 MiB blocks) they peaked at 18.6, 9.0 and 7.9 MiB,
+        at 4e6 cells the first two at 40.8 and 34.8 MiB, and the dense
         forms held the whole 20000 x 642 product (98 MiB) and copies of
         it."""
         kernel = RadialKernel(grid3.nodes, tetra_directions)
-        assert heap_peak_mib(lambda: kernel._build(0.95)) <= 25.0
+        assert heap_peak_mib(lambda: kernel._build(0.95)) <= 20.0
         h = np.exp(np.random.default_rng(3).uniform(-0.3, 0.3,
                                                     len(tetra_directions)))
         body = SupportPolytope(dim=3, normals=tetra_directions, support=h)
         assert heap_peak_mib(lambda: radial_profile(body, grid3.nodes)) \
-            <= 12.0
+            <= 3.0
+        assert heap_peak_mib(lambda: MeasureSpec.from_density(
+            lambda U: np.ones(len(U)), grid3, tetra_directions)) <= 2.0
 
-    @pytest.mark.parametrize("ratio, bound", [(0.6, 135.0), (0.3, 230.0)])
+    @pytest.mark.parametrize("ratio, bound", [(0.6, 100.0), (0.3, 170.0)])
     def test_low_ratio_build_frees_its_temporaries(self, grid3,
                                                    tetra_directions, ratio,
                                                    bound):
-        """Each block's candidates are freed once placed and the padding is
-        written in place. The finished lists are 2 x 22 MiB at ratio 0.6 and
-        2 x 37 MiB at 0.3; the build that held every list-sized temporary at
-        once peaked at 173 and 294 MiB."""
+        """Each block's lists are sorted as the block is formed and freed
+        once copied, and the padding is written in place. The finished
+        lists are 2 x 22 MiB at ratio 0.6 and 2 x 37 MiB at 0.3, and the
+        build peaks at about 86.6 and 146.1 MiB; the build that kept every
+        block's (point, facet, product) triples until the end peaked at
+        107.8 and 184.4 MiB, and one that held every list-sized temporary
+        at once at 173 and 294 MiB."""
         kernel = RadialKernel(grid3.nodes, tetra_directions)
         assert heap_peak_mib(lambda: kernel._build(ratio)) <= bound
 

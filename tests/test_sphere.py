@@ -20,7 +20,8 @@ from dualminkowski.sphere import (
     unit_ball_volume,
 )
 
-from conftest import icosphere_nodes, reference_stable_sum
+from conftest import (icosphere_nodes, reference_nearest_within,
+                      reference_stable_sum)
 
 
 def test_sphere_constants():
@@ -420,3 +421,21 @@ def test_nearest_within_matches_all_pairs(case):
         assert np.all(nearest == -1)
     elif case != "empty":
         assert np.count_nonzero(nearest >= 0) > len(queries) // 2
+
+
+def test_nearest_within_equals_unsorted_search():
+    """Searching the query keys in sorted order gives the bits of the
+    search in their own order: random queries around clustered points,
+    with exact ties (repeated points and queries) at every distance."""
+    rng = np.random.default_rng(11)
+    pts, _ = _clusters(rng, 40, 5, 2.0 * _R)
+    pts = np.concatenate([pts, pts[::4]])
+    queries = pts[rng.integers(len(pts), size=600)] + \
+        rng.uniform(-_R, _R, size=(600, 3))
+    queries = np.concatenate([queries, queries[::7], pts[::3]])
+    queries = queries[rng.permutation(len(queries))]
+    for radius in (_R, 0.5 * _R, 4.0 * _R):
+        got = nearest_within(pts, queries, radius)
+        want = reference_nearest_within(pts, queries, radius)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert np.count_nonzero(got[0] >= 0) > len(queries) // 2
