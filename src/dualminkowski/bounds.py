@@ -183,7 +183,16 @@ def box_bounds(box: BoxSpec, q: float) -> BoundsReport:
     n = box.dim
     branch = _branch(q, n)
     consts: dict[str, tuple[str, float]] = {}
+    # a box past the double range gets inf ends, which verify_box rejects
+    with np.errstate(over="ignore"):
+        lower, upper = _bracket(a, n, q, branch, consts)
+    return BoundsReport(lower=lower, upper=upper, observed=None, passed=None,
+                        branch=branch, constants_used=consts)
 
+
+def _bracket(a: np.ndarray, n: int, q: float, branch: str, consts: dict):
+    """box_bounds' lower and upper ends on the branch, recording the
+    constants in consts."""
     if branch == "integer-log":
         j = round(q)
         ratio = a[j] / a[j - 1]
@@ -224,9 +233,7 @@ def box_bounds(box: BoxSpec, q: float) -> BoundsReport:
         c_low = (q / n) * n ** ((q - n) / 2.0) * 2.0 ** i
         consts["lower"] = ("q/n n^{(q-n)/2} 2^i", c_low)
         lower = c_low * shape
-
-    return BoundsReport(lower=lower, upper=upper, observed=None, passed=None,
-                        branch=branch, constants_used=consts)
+    return lower, upper
 
 
 @functools.cache
@@ -276,7 +283,8 @@ def box_dual_volume(box: BoxSpec, q: float) -> float:
     The value is scale^q times M's term. On a box whose axes span so many
     orders that scale^q overflows, or the c_k, which carry prod b_j,
     underflow, that product is not finite and positive; the value is then
-    taken with scale^q in log form (see _scaled_moment).
+    taken with scale^q in log form (see _scaled_moment). A dual volume
+    above the double range is inf.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -295,8 +303,15 @@ def box_dual_volume(box: BoxSpec, q: float) -> float:
         value = math.nan
         if not lost.any():
             value = q / n * scale ** q * _scaled_moment(b, log_b, q, None)
+        log_scale = q * math.log(scale)
         if not 0.0 < value < math.inf:
-            value = q / n * _scaled_moment(b, log_b, q, q * math.log(scale))
+            value = q / n * _scaled_moment(b, log_b, q, log_scale)
+        shift = log_scale + float(np.sum(log_b))
+        if not 0.0 < value < math.inf and shift > 0.0:
+            # the log form's factor scale^q prod b_j overflows: the value
+            # is taken without it and multiplied back, inf past the range
+            value = float(q / n * _scaled_moment(b, log_b, q, log_scale - shift)
+                          * np.exp(shift))
     return value
 
 

@@ -598,19 +598,9 @@ def invariant_directions(group: OrthogonalGroup, count: int,
 
 
 # Greedy packing compares distances between unit vectors, and near-ties are
-# common (n = 2 orbits on a circle tie exactly). The picks are pinned to
-# distances computed with einsum; BLAS products are faster but round
-# differently. Each is within n * 2**-53 of the exact dot product, so a BLAS
-# value brackets the einsum value to within _DOT_SLACK, and only decisions
-# inside that bracket are taken again from einsum.
-_DOT_SLACK = 1e-12
-# _pack_coverage fills its probe rows in blocks of this many values, which
-# stay in cache (512 kB)
-_CACHE_VALUES = 2 ** 16
-# _orbit_slack checks the closure of s element maps of n x n in about
-# s**3 * n**2 flops, and gives up above this many (0.1 s or so; an order of
-# about 200 for n = 4)
-_CLOSURE_FLOPS = 2 ** 27
+# common (n = 2 orbits on a circle tie exactly). Every product the packers
+# compare comes from product_blocks, whose values do not depend on the
+# block or the BLAS thread count, so the picks do not either.
 
 
 def _chord(gram):
@@ -657,79 +647,27 @@ def _clearances(stack: np.ndarray, placed: np.ndarray) -> np.ndarray:
     return _chord(top)
 
 
-def _separation(stack: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """Distance from each candidate orbit of stack (K, s, n) to the nearest
-    of the points chosen (t, n), in the pinned einsum arithmetic."""
-    return _chord(np.einsum("ksn,tn->kst", stack, chosen).max(axis=(1, 2)))
-
-
-def _orbit_slack(stack: np.ndarray) -> float:
-    """A bound delta with max_{s,t} <X_s, Y_t> <= max_t <X_0, Y_t> + delta
-    for any two rows X, Y of stack (K, s, n); inf when it is not measured.
-
-    The rows are full orbits, X_s = g_s x for one list of elements, so
-    <X_s, Y_t> = <x, g_s^T g_t y>, and g_s^T g_t is g_0^T g_r for some r up
-    to the closure defect of the list. The elements are read back from the
-    stack as the least-squares maps B_s with X_s ~ X_0 B_s over all rows
-    (row vectors). For any maps, with rho the largest fit residual, N the
-    largest point norm and D = max_{s,t} min_r |B_s B_t^T - B_0 B_r^T|
-    (Frobenius), <X_s, Y_t> exceeds <X_0, Y_r> by at most
-    N^2 D + 2 rho (2 N + rho). The products and norms that measure rho, N
-    and D round by about 1e-16, well inside the _DOT_SLACK that
-    _separation_bounds adds.
-    """
-    k, s, n = stack.shape
-    if s ** 3 * n ** 2 > _CLOSURE_FLOPS:
-        return math.inf
-    firsts, flat = stack[:, 0], stack.reshape(k, s * n)
-    fit = np.linalg.lstsq(firsts, flat, rcond=None)[0]
-    rho = float(np.max(np.linalg.norm(
-        (firsts @ fit - flat).reshape(-1, n), axis=1)))
-    maps = fit.reshape(n, s, n).transpose(1, 0, 2)
-    # row s * a + t is B_a B_t^T, so the first s rows are the B_0 B_r^T
-    pairs = np.matmul(maps[:, None], maps.transpose(0, 2, 1)[None])
-    pairs = pairs.reshape(s * s, n * n)
-    defect = _largest_gap(pairs, pairs[:s])
-    top = float(np.max(np.linalg.norm(stack.reshape(-1, n), axis=1)))
-    return top * top * defect + 2.0 * rho * (2.0 * top + rho)
-
-
-def _separation_gauge(stack: np.ndarray):
-    """The points whose products with a chosen orbit of stack bracket
-    _separation, and the extra slack of that bracket: the first point of
-    every orbit and _orbit_slack when it is measured, else every point
-    and no extra slack."""
-    delta = _orbit_slack(stack)
-    if math.isfinite(delta):
-        return np.ascontiguousarray(stack[:, :1]), delta
-    return stack, 0.0
-
-
-def _separation_bounds(gauge, chosen: np.ndarray):
-    """Lower and upper bounds of _separation from one BLAS product with the
-    points of a _separation_gauge."""
-    points, delta = gauge
-    k, s, n = points.shape
-    top = (points.reshape(k * s, n) @ chosen.T).reshape(k, -1).max(axis=1)
-    return _chord(top + delta + _DOT_SLACK), _chord(top - _DOT_SLACK)
+def _separation(firsts: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Distance from each candidate orbit to a chosen orbit (t, n) of the
+    same element list, taken from the candidate's first point (firsts, one
+    row per candidate): in exact arithmetic g x is as near to an orbit as
+    x is."""
+    return np.sqrt(np.maximum(0.0, _nearest_d2(firsts, chosen)))
 
 
 def _pack_farthest(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
                    rounds: int) -> list[int] | None:
     """Pick orbits one by one, always the one with maximal clearance."""
     score = clear0.copy()
-    gauge = _separation_gauge(stack)
+    firsts = np.ascontiguousarray(stack[:, 0])
     picked: list[int] = []
     for _ in range(rounds):
         best = int(np.argmax(score))
         if score[best] <= sep_floor:
             return None
         picked.append(best)
-        chosen = stack[best]
         score[best] = -np.inf
-        lower, _ = _separation_bounds(gauge, chosen)
-        rows = np.flatnonzero(lower < score)  # the others keep their score
-        score[rows] = np.minimum(score[rows], _separation(stack[rows], chosen))
+        np.minimum(score, _separation(firsts, stack[best]), out=score)
     return picked
 
 
@@ -738,57 +676,47 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
                    placed: np.ndarray) -> list[int] | None:
     """Pick orbits one by one, always the one minimizing the covering radius
     of probe points (greedy hole filling)."""
-    k, s, n = stack.shape
+    k = stack.shape[0]
     p = probe.shape[0]
     # cand_d2[slot[j], i] is the squared distance from probe j to candidate
-    # orbit i, from BLAS. Probe j's row is filled the first time a round
-    # reads it, in the next free slot: rounds read only the probes in the
-    # deepest holes, so most rows are never computed, and the filled rows
-    # stay one contiguous prefix (scattered rows would make most pages of
-    # the array resident). When and in which product a value is computed
-    # changes only its BLAS rounding, and every value stays within slack of
-    # the pinned einsum value; a pick that slack could change is taken
-    # again from einsum below, so the picks do not depend on the filling
-    # order.
+    # orbit i. Probe j's row is filled the first time a round reads it, in
+    # the next free slot: rounds read only the probes in the deepest holes,
+    # so most rows are never computed, and the filled rows stay one
+    # contiguous prefix (scattered rows would make most pages of the array
+    # resident).
     by_point = np.ascontiguousarray(stack.transpose(1, 0, 2))  # (s, k, n)
+    firsts = by_point[0]
     cand_d2 = np.empty((p, k))
     slot = np.full(p, -1)
     used = 0
 
     def rows(cols: np.ndarray) -> np.ndarray:
-        """A copy of the rows of probes cols, the missing ones filled in
-        blocks of probes: one product per orbit point index, kept in a
-        running maximum that stays in cache."""
+        """A copy of the rows of probes cols, the missing ones filled with
+        a running maximum over the orbit point index of product_blocks of
+        the new probes and that point of every orbit."""
         nonlocal used
         new = cols[slot[cols] < 0]
         fill = cand_d2[used:used + new.size]
-        block = max(1, _CACHE_VALUES // k)
-        for a in range(0, new.size, block):
-            at = probe[new[a:a + block]].T
-            top = by_point[0] @ at
+        # a one-row product is a matrix-vector product, whose bits can
+        # differ, so a single new probe goes with a copy of itself
+        at = probe[np.repeat(new, 2) if new.size == 1 else new]
+        for start, top in product_blocks(at, firsts):
             for points in by_point[1:]:
-                np.maximum(top, points @ at, out=top)
-            fill[a:a + block] = (2.0 - 2.0 * top).T
+                for ofs, prods in product_blocks(at[start:start + len(top)],
+                                                 points):
+                    part = top[ofs:ofs + len(prods)]
+                    np.maximum(part, prods, out=part)
+            part = fill[start:start + len(top)]
+            part[:] = 2.0 - 2.0 * top[:len(part), :k]
         slot[new] = np.arange(used, used + new.size)
         used += new.size
         return cand_d2[slot[cols]]
 
-    def columns(ids: np.ndarray) -> np.ndarray:
-        """d2 from every probe to the candidates ids, shape (p, ids.size)."""
-        out = np.empty((p, ids.size))
-        for blk in row_slices(ids.size, s * p):
-            grams = probe @ stack[ids[blk]].reshape(-1, n).T
-            out[:, blk] = 2.0 - 2.0 * grams.reshape(p, -1, s).max(axis=2)
-        return out
-
-    slack = 3.0 * _DOT_SLACK
     if placed.shape[0]:
         mind2 = _nearest_d2(probe, placed)
     else:
         mind2 = np.full(p, np.inf)
     alive = clear0 > sep_floor
-    gauge = _separation_gauge(stack)
-    spread = np.arange(0, p, 16)
     picked: list[int] = []
     for _ in range(rounds):
         if not np.any(alive):
@@ -797,62 +725,24 @@ def _pack_coverage(stack: np.ndarray, clear0: np.ndarray, sep_floor: float,
         # Probes outside the depth deepest holes (mind2 <= theta) cannot set
         # a cover above theta, so once every candidate's cover over the
         # deep holes exceeds theta, the deep holes decide every cover. The
-        # depth doubles from 4 up to p / 16 until that holds.
-        ids, cols, depth = np.arange(k), spread[:0], 4
+        # depth doubles from 4 up to p / 16 until that holds; else the
+        # covers are taken over every probe.
+        depth = 4
         while depth <= p // 16:
             theta = np.partition(mind2, p - depth)[p - depth]
             cols = np.flatnonzero(mind2 > theta)
-            raw = rows(cols)
-            covered = np.minimum(raw, mind2[cols, None])
-            cover = covered.max(axis=0, initial=-np.inf)
-            if np.min(cover[alive]) > theta + 2.0 * slack:
+            cover = np.minimum(rows(cols), mind2[cols, None]).max(
+                axis=0, initial=-np.inf)
+            if np.min(cover[alive]) > theta:
                 break
             depth *= 2
         else:
-            # Over any probes a cover is at least its value there, so the
-            # candidates whose cover over the deep holes and every 16th
-            # probe is no more than one full cover, plus the slack, hold
-            # every least cover; their covers are taken over every probe.
-            cols = np.union1d(cols, spread)
-            lower = np.minimum(rows(cols), mind2[cols, None]).max(axis=0)
-            lower[~alive] = np.inf
-            first = np.argmin(lower, keepdims=True)
-            bound = np.max(np.minimum(columns(first)[:, 0], mind2))
-            ids = np.flatnonzero(lower <= bound + 2.0 * slack)
-            cols, raw = np.arange(p), columns(ids)
-            covered = np.minimum(raw, mind2[:, None])
-            cover = covered.max(axis=0)
-        cover[~alive[ids]] = np.inf
-        close = np.flatnonzero(cover <= cover.min() + 2.0 * slack)
-        if close.size == 1:
-            best = int(ids[close[0]])
-        else:
-            # the exact cover of a close candidate is attained at one of the
-            # probes whose bracket reaches its largest value. Where the
-            # bracket of d2 lies wholly above mind2, min(mind2, d2) is
-            # mind2 exactly, so only the other pairs need einsum.
-            at, which = np.nonzero(
-                covered[:, close] >= cover[close] - 2.0 * slack)
-            j, i = cols[at], ids[close[which]]
-            vals = mind2[j]
-            need = np.flatnonzero(raw[at, close[which]] - slack <= vals)
-            grams = np.einsum("qsn,qn->qs", stack[i[need]], probe[j[need]])
-            vals[need] = np.minimum(2.0 - 2.0 * grams.max(axis=1), vals[need])
-            exact = np.full(close.size, -np.inf)
-            np.maximum.at(exact, which, vals)
-            best = int(ids[close[np.argmin(exact)]])  # first index on ties
+            cover = np.minimum(rows(np.arange(p)), mind2[:, None]).max(axis=0)
+        cover[~alive] = np.inf
+        best = int(np.argmin(cover))  # the first on ties
         picked.append(best)
         chosen = stack[best]
-        # mind2 moves only at the probes whose BLAS bracket of the new
-        # orbit's d2 reaches below it; elsewhere min(mind2, d2) is mind2
-        near = np.flatnonzero(_nearest_d2(probe, chosen) - slack < mind2)
-        row = 2.0 - 2.0 * np.einsum("pn,sn->ps", probe[near],
-                                    chosen).max(axis=1)
-        mind2[near] = np.minimum(mind2[near], row)
+        np.minimum(mind2, _nearest_d2(probe, chosen), out=mind2)
         alive[best] = False
-        lower, upper = _separation_bounds(gauge, chosen)
-        keep = lower > sep_floor
-        unsure = np.flatnonzero(alive & ~keep & (upper > sep_floor))
-        keep[unsure] = _separation(stack[unsure], chosen) > sep_floor
-        alive &= keep
+        alive &= _separation(firsts, chosen) > sep_floor
     return picked

@@ -501,15 +501,19 @@ def test_constraint_match_equals_unsorted_search(pooled_body, tetra_group):
 
 
 # Run once per BLAS thread count: every block must be a row slice of the
-# padded whole product, and the digest of every product must not depend on
-# the thread count.
+# padded whole product, and the digest of every product, and of two
+# direction sets whose packers compare products from product_blocks, must
+# not depend on the thread count.
 _PRODUCT_SWEEP = """
 import hashlib
 import numpy as np
-from dualminkowski import sphere
+from dualminkowski import groups, sphere
 
 rng = np.random.default_rng(5)
 digest = hashlib.sha256()
+for group, count in ((groups.simplex_symmetry(3), 642),
+                     (groups.cyclic_rotation(5), 90)):
+    digest.update(groups.invariant_directions(group, count).tobytes())
 for n in (2, 3, 4, 5):
     for k in (1, 5, 75, 386, 390, 484, 645, 3844):
         width = -(-k // 8) * 8
@@ -561,7 +565,8 @@ class TestBlockedProducts:
         by less than one row per block or one row longer, no block of one
         row unless the product has one, and every block a row slice of the
         padded whole product. The sweep runs at one BLAS thread and at
-        two, and both give the same bits."""
+        two, and both give the same bits, also for the tetrahedral-642
+        and cyclic5-90 direction sets."""
         runs = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,

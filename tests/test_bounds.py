@@ -268,6 +268,19 @@ class TestBoxDualVolume:
             got = box_dual_volume(BoxSpec(np.array(axes)), q)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_above_double_range_is_inf(self):
+        """[6.76e93, 8.14e253] at q = 2 has dual volume 4 a_0 a_1, about
+        2.2e348: the value is inf, not NaN, and verify_box rejects the box
+        by name as degenerate, both without numpy warnings."""
+        box = BoxSpec(np.array([6.76e93, 8.14e253]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert box_dual_volume(box, 2.0) == math.inf
+            with pytest.raises(ValueError, match=r"degenerate bracket for "
+                               r"n = 2, q = 2, half-axes \[6\.76e\+93, "
+                               r"8\.14e\+253\]"):
+                verify_box(box, 2.0)
+
     def test_out_of_double_range_bracket_is_checked(self):
         """The bracket [3.30e290, 2.46e291] is finite, so the box gets a
         verdict instead of a NaN observation."""

@@ -325,9 +325,9 @@ class TestInvariantDirections:
 
 
 # ---------------------------------------------------------------------------
-# References for the batched orbit builder and the BLAS-bracketed packing:
-# the scalar, one-seed-at-a-time and all-einsum code the direction sets are
-# pinned to. The package must reproduce them bit for bit.
+# References for the batched orbit builder and the packers: the scalar,
+# one-seed-at-a-time orbit code and the full-matrix greedy packing the
+# direction sets are pinned to. The package must reproduce them bit for bit.
 
 
 def _ref_enumerate_elements(generators):
@@ -379,7 +379,29 @@ def _ref_orbits(group, seeds):
     return [_ref_orbit_points(group, s) for s in seeds]
 
 
+def _ref_products(rows, cols):
+    """rows @ cols.T from one product_blocks call, the pad columns left
+    out."""
+    out = np.empty((len(rows), len(cols)))
+    for start, prods in sphere.product_blocks(rows, cols):
+        out[start:start + len(prods)] = prods[:, :len(cols)]
+    return out
+
+
+def _ref_orbit_d2(rows, stack):
+    """Squared distance from every row to every orbit of stack (K, s, n)."""
+    k, s, n = stack.shape
+    grams = _ref_products(rows, stack.reshape(k * s, n))
+    return 2.0 - 2.0 * grams.reshape(len(rows), k, s).max(axis=2)
+
+
+def _ref_separations(stack):
+    """[i, j]: distance from the first point of orbit i to orbit j."""
+    return np.sqrt(np.maximum(0.0, _ref_orbit_d2(stack[:, 0], stack)))
+
+
 def _ref_pack_farthest(stack, clear0, sep_floor, rounds):
+    sep = _ref_separations(stack)
     score = clear0.copy()
     picked = []
     for _ in range(rounds):
@@ -387,24 +409,17 @@ def _ref_pack_farthest(stack, clear0, sep_floor, rounds):
         if score[best] <= sep_floor:
             return None
         picked.append(best)
-        chosen = stack[best]
         score[best] = -np.inf
-        grams = np.einsum("ksn,tn->kst", stack, chosen)
-        d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * grams.max(axis=(1, 2))))
         # picked orbits stay at -inf; one-point orbits start at +inf
-        score = np.minimum(score, np.where(score > -np.inf, d, -np.inf))
+        score = np.minimum(score, sep[:, best])
     return picked
 
 
 def _ref_pack_coverage(stack, clear0, sep_floor, rounds, probe, placed):
-    k, s, _ = stack.shape
-    cand_d2 = np.empty((probe.shape[0], k))
-    chunk = max(1, 2_000_000 // (probe.shape[0] * s))
-    for a in range(0, k, chunk):
-        grams = np.einsum("pn,ksn->pks", probe, stack[a:a + chunk])
-        cand_d2[:, a:a + chunk] = 2.0 - 2.0 * grams.max(axis=2)
+    cand_d2 = _ref_orbit_d2(probe, stack)
+    sep = _ref_separations(stack)
     if placed.shape[0]:
-        mind2 = np.min(2.0 - 2.0 * probe @ placed.T, axis=1)
+        mind2 = np.min(2.0 - 2.0 * _ref_products(probe, placed), axis=1)
     else:
         mind2 = np.full(probe.shape[0], np.inf)
     alive = clear0 > sep_floor
@@ -415,12 +430,9 @@ def _ref_pack_coverage(stack, clear0, sep_floor, rounds, probe, placed):
         cover = np.max(np.minimum(mind2[:, None], cand_d2[:, alive]), axis=0)
         best = int(np.flatnonzero(alive)[int(np.argmin(cover))])
         picked.append(best)
-        chosen = stack[best]
         mind2 = np.minimum(mind2, cand_d2[:, best])
         alive[best] = False
-        grams = np.einsum("ksn,tn->kst", stack, chosen)
-        d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * grams.max(axis=(1, 2))))
-        alive &= d > sep_floor
+        alive &= sep[:, best] > sep_floor
     return picked
 
 
@@ -549,9 +561,8 @@ class TestPinnedToReference:
                              ids=["tetrahedral", "cyclic5"])
     def test_pack_coverage_with_nothing_placed(self, group):
         """With no orbit placed every probe is infinitely far, so the first
-        round's deep holes all lie at inf and decide no cover. The round
-        bounds every cover from below over every 16th probe, and takes the
-        full cover of only the candidates that bound cannot rule out."""
+        round's deep holes all lie at inf and decide no cover, and the
+        round takes every cover over every probe."""
         n = group.dim
         stack = np.array([o for o in groups._orbits(
             group, groups._candidate_stream(n, 400, 0))
@@ -636,35 +647,6 @@ class TestLargeAndBentGroupsPinned:
         _use_references(monkeypatch)
         assert _same_bits(got, invariant_directions(group, count))
 
-    @pytest.mark.parametrize("bend, low, high", [
-        (0.0, 0.0, 1e-13), (5e-12, 1e-12, 1e-9)], ids=["exact", "bent"])
-    def test_orbit_slack_bounds_every_pair(self, bend, low, high):
-        """The largest product of two full orbits exceeds the largest
-        product of the first orbit's first point by at most the measured
-        slack (einsum against BLAS, within _DOT_SLACK). The bent group's
-        slack follows its closure defect, far above rounding."""
-        stack = _generic_stack(_icosahedral(bend), 200)
-        delta = groups._orbit_slack(stack)
-        assert low < delta < high
-        for b in range(0, len(stack), 17):
-            full = np.einsum("ksn,tn->kst", stack, stack[b]).max(axis=(1, 2))
-            first = (stack[:, 0] @ stack[b].T).max(axis=1)
-            assert np.all(full <= first + delta + groups._DOT_SLACK)
-            assert np.all(first <= full + groups._DOT_SLACK)
-
-    def test_unmeasured_slack_brackets_every_product(self, monkeypatch):
-        """Above the flop bound the slack is not measured, the bracket
-        takes every point of every orbit, and the picks stay pinned."""
-        monkeypatch.setattr(groups, "_CLOSURE_FLOPS", 0)
-        stack = _generic_stack(simplex_symmetry(3), 100)
-        assert groups._orbit_slack(stack) == math.inf
-        points, delta = groups._separation_gauge(stack)
-        assert points is stack and delta == 0.0
-        group = simplex_symmetry(3)
-        got = invariant_directions(group, 162)
-        _use_references(monkeypatch)
-        assert _same_bits(got, invariant_directions(group, 162))
-
 
 class TestCoveringBlocks:
     """invariant_directions picks between the two packers by the covering
@@ -717,6 +699,33 @@ class TestCoveringBlocks:
         assert _same_bits(invariant_directions(group, count), want)
         assert covering == [True, True]
         assert all(same)
+
+    def test_one_new_probe_has_the_bits_of_a_block(self, tetra_group,
+                                                   monkeypatch):
+        """Some coverage rounds of the flagship set read a single probe
+        that is not in the cache yet. A one-row product is a matrix-vector
+        product, whose bits can differ, so every block the packers read,
+        that probe's included, has the bits of its rows in a larger
+        block."""
+        blocks, seen = sphere.product_blocks, []
+
+        def spy(rows, cols):
+            for start, prods in blocks(rows, cols):
+                seen.append((rows[start:start + len(prods)], cols,
+                             prods.copy()))
+                yield start, prods
+
+        monkeypatch.setattr(groups, "product_blocks", spy)
+        invariant_directions(tetra_group, 642)
+        monkeypatch.undo()
+        extra = groups._candidate_stream(3, 8, 2)
+        single = 0
+        for rows, cols, prods in seen:
+            single += len(np.unique(rows, axis=0)) == 1
+            larger = _ref_products(np.vstack([rows, extra]), cols)
+            assert _same_bits(prods[:len(rows), :len(cols)],
+                              larger[:len(rows)])
+        assert single > 0
 
 
 # ---------------------------------------------------------------------------

@@ -347,14 +347,6 @@ WHOLE_PRODUCTS = {
     "bodies.StarBody.is_invariant": "probe.nodes @ g.T",
     "groups.symmetrize_density.averaged": "pts @ g.T",
     "measures.transform_polytope": "body.normals @ phi_inv_t.T",
-    # one chosen orbit (|G| columns) against one point per candidate orbit,
-    # or every point when the orbit slack is not measured; the maximum runs
-    # over whole orbits, which row blocks would cut
-    "groups._separation_bounds": "points.reshape(k * s, n) @ chosen.T",
-    # blocked by row_slices over candidate orbits, whose columns the
-    # maximum runs over
-    "groups._pack_coverage.columns":
-        "probe @ stack[ids[blk]].reshape(-1, n).T",
 }
 
 
